@@ -27,6 +27,11 @@ from .lattice import Lattice, echo_mask
 COORDINATION = 4  # square lattice
 
 
+def _diffusion_rate(xi_h: float, tau_c: float) -> float:
+    """Gamma = 2 sqrt(pi) xi_h^2 / omega_c with omega_c = 2 / tau_c."""
+    return 2.0 * math.sqrt(math.pi) * xi_h ** 2 / (2.0 / tau_c)
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Gaussian-correlated field: amplitude xi_h, correlation time tau_c,
@@ -39,17 +44,20 @@ class NoiseModel:
     duration: float
 
     def __post_init__(self):
+        for name in ("xi_h", "tau_c", "dt", "duration"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value!r}")
         if self.tau_c <= 0 or self.dt <= 0 or self.duration <= 0:
             raise ConfigurationError("tau_c, dt and duration must be positive")
 
-    @property
-    def omega_c(self) -> float:
-        return 2.0 / self.tau_c
-
     def diffusion_rate(self) -> float:
         """Gamma = 2 sqrt(pi) xi_h^2 / omega_c (rate to one neighbor)."""
-        return 2.0 * math.sqrt(math.pi) * self.xi_h ** 2 / self.omega_c
+        return _diffusion_rate(self.xi_h, self.tau_c)
 
+
+# Fields: ``at_many(times)`` returns the per-edge values at each time as an
+# (n_edges, len(times)) array.
 
 @dataclass
 class NoiseRealization:
@@ -63,10 +71,6 @@ class NoiseRealization:
     def n_steps(self) -> int:
         return self.values.shape[1]
 
-    def at(self, t: float) -> np.ndarray:
-        idx = min(max(int(t / self.dt), 0), self.n_steps - 1)
-        return self.values[:, idx]
-
     def at_many(self, times: np.ndarray) -> np.ndarray:
         idx = np.clip((times / self.dt).astype(int), 0, self.n_steps - 1)
         return self.values[:, idx]
@@ -78,8 +82,8 @@ class StaticField:
 
     edge_values: np.ndarray
 
-    def at(self, t: float) -> np.ndarray:
-        return self.edge_values
+    def at_many(self, times: np.ndarray) -> np.ndarray:
+        return np.repeat(self.edge_values[:, None], len(times), axis=1)
 
 
 @dataclass(frozen=True)
@@ -88,8 +92,8 @@ class CallableField:
 
     fn: object
 
-    def at(self, t: float) -> np.ndarray:
-        return self.fn(t)
+    def at_many(self, times: np.ndarray) -> np.ndarray:
+        return np.stack([self.fn(t) for t in times], axis=1)
 
 
 def _circulant_sqrt_spectrum(model: NoiseModel, n_steps: int) -> np.ndarray:
@@ -286,11 +290,7 @@ def _evolve_columns(dyn: _SectorDynamics, field, schedule: EchoSchedule,
             n_sub = max(1, int(math.ceil(seg / dt - 1e-9)))
             dt_sub = seg / n_sub
             mids = prev + (np.arange(n_sub) + 0.5) * dt_sub
-            if hasattr(field, "at_many"):
-                h_all = field.at_many(mids)[dyn.edge_ids]
-            else:
-                h_all = np.stack([field.at(tm)[dyn.edge_ids] for tm in mids], axis=1)
-            h_all = h_all * signs[:, None]
+            h_all = field.at_many(mids)[dyn.edge_ids] * signs[:, None]
             hmat = np.zeros((n_sub, dyn.n_cells, dyn.n_cells))
             ks = np.arange(n_sub)[:, None]
             hmat[ks, dyn.rows[None, :], dyn.cols[None, :]] = h_all.T
@@ -324,13 +324,11 @@ def default_dt(model: NoiseModel) -> float:
 
 
 def evolve_anyon(lattice: Lattice, field, schedule: EchoSchedule, start_cell: int,
-                 sector: str, dt: float | None = None) -> HoppingState:
+                 sector: str, dt: float) -> HoppingState:
     """Integrate one particle from a basis state under the field + echoes."""
     dyn = _SectorDynamics(lattice, sector)
     if not 0 <= start_cell < dyn.n_cells:
         raise UsageError("start cell outside the sector")
-    if dt is None:
-        dt = field.dt if isinstance(field, NoiseRealization) else schedule.duration / 400.0
     col = np.zeros((dyn.n_cells, 1), dtype=np.complex128)
     col[start_cell, 0] = 1.0
     out = _evolve_columns(dyn, field, schedule, schedule.duration, col, dt)
@@ -455,7 +453,7 @@ class DiffusionParams:
 
     @property
     def gamma(self) -> float:
-        return 2.0 * math.sqrt(math.pi) * self.xi_h ** 2 * self.tau_c / 2.0
+        return _diffusion_rate(self.xi_h, self.tau_c)
 
     @property
     def t2_star(self) -> float:

@@ -45,13 +45,12 @@ def random_clifford_circuit(n: int, n_gates: int, rng) -> list[tuple[str, tuple[
     return ops
 
 
-def _run_circuit(n: int, ops) -> tuple[tb.Tableau, sv.StateVector]:
+def run_circuit(n: int, ops) -> tuple[tb.Tableau, sv.StateVector]:
+    """Run one op list on both engines, each starting from |0...0>."""
     t = tb.Tableau(n)
     s = sv.StateVector.computational(n)
-    method = {"H": "h", "S": "s", "X": "x_gate", "Y": "y_gate", "Z": "z_gate",
-              "CX": "cx", "CZ": "cz"}
     for gate, qs in ops:
-        getattr(t, method[gate])(*qs)
+        tb.apply_gate(t, gate, qs)
         sv.apply_gate(s, gate, qs)
     return t, s
 
@@ -81,7 +80,7 @@ def clifford_equivalence_suite(n_circuits: int = 200, max_qubits: int = 12,
     for k in range(n_circuits):
         n = int(rng.integers(2, max_qubits + 1))
         ops = random_clifford_circuit(n, int(rng.integers(10, 40)), rng)
-        t, s = _run_circuit(n, ops)
+        t, s = run_circuit(n, ops)
         for _ in range(paulis_per_circuit):
             p = random_hermitian_pauli(n, rng)
             e_tab = tb.expectation_pauli(t, p)

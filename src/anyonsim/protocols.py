@@ -204,7 +204,7 @@ def prepare_probe(t: tb.Tableau, qubit: int, state: tuple[str, int]) -> tb.Table
     if tb.expectation_pauli(t, PauliString.from_ops({qubit: "Z"})) != 1:
         raise ContractError("probe preparation expects the probe in |0>")
     for g in PROBE_STATES[key]:
-        getattr(t, {"H": "h", "S": "s", "X": "x_gate"}[g])(qubit)
+        tb.apply_gate(t, g, qubit)
     return t
 
 

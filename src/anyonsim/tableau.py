@@ -150,6 +150,29 @@ class Tableau:
         return self
 
 
+# Gate name -> Tableau method name.  Methods are looked up on the instance at
+# call time, so a wrapper installed on the class is seen by every caller.
+_GATE_METHODS = {"H": "h", "S": "s", "X": "x_gate", "Y": "y_gate",
+                 "Z": "z_gate", "CX": "cx", "CZ": "cz"}
+
+
+def apply_gate(t: Tableau, gate: str, targets) -> Tableau:
+    """Apply a named Clifford gate in place and return the tableau.
+
+    Names and targets follow statevector.apply_gate: H, S, X, Y, Z (one
+    target), CX, CZ (control, target), so one op list drives both engines.
+    """
+    method = _GATE_METHODS.get(gate.upper())
+    if method is None:
+        raise UsageError(f"unknown Clifford gate {gate!r}")
+    if isinstance(targets, int):
+        targets = (targets,)
+    for q in targets:
+        if not 0 <= q < t.n:
+            raise UsageError(f"qubit index {q} out of range for n={t.n}")
+    return getattr(t, method)(*targets)
+
+
 # -- state operations -------------------------------------------------------
 
 def apply_pauli_string(t: Tableau, p: PauliString) -> Tableau:

@@ -2,7 +2,6 @@ import pytest
 
 from anyonsim import lattice as lat
 from anyonsim import tableau as tb
-from anyonsim.pauli import PauliString
 
 
 @pytest.fixture(scope="session")
@@ -28,35 +27,3 @@ def torus4_ground(torus4):
 @pytest.fixture(scope="session")
 def planar2_ground(planar2):
     return tb.prepare_ground_state(planar2, 0)
-
-
-def random_pauli(n, rng, hermitian=False):
-    support = {}
-    for q in range(n):
-        x, z = int(rng.integers(2)), int(rng.integers(2))
-        if x or z:
-            support[q] = (x, z)
-    p = PauliString(int(rng.integers(4)), support)
-    if hermitian and not p.is_hermitian():
-        p = PauliString(p.phase + 1, p.support)
-    return p
-
-
-def random_clifford(t, s, n, n_gates, rng):
-    """Apply the same random Clifford circuit to a Tableau and StateVector."""
-    from anyonsim import statevector as sv
-    for _ in range(n_gates):
-        if n >= 2 and rng.random() < 0.4:
-            a, b = [int(v) for v in rng.choice(n, size=2, replace=False)]
-            gate = ("CX", "CZ")[int(rng.integers(2))]
-            getattr(t, gate.lower())(a, b)
-            if s is not None:
-                sv.apply_gate(s, gate, (a, b))
-        else:
-            gate = ("H", "S", "X", "Y", "Z")[int(rng.integers(5))]
-            q = int(rng.integers(n))
-            getattr(t, {"H": "h", "S": "s", "X": "x_gate", "Y": "y_gate",
-                        "Z": "z_gate"}[gate])(q)
-            if s is not None:
-                sv.apply_gate(s, gate, (q,))
-    return t, s

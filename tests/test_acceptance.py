@@ -8,8 +8,10 @@ published closed forms they encode disagree with the exact dynamics (by a
 factor 2 in the fast-noise rate plus neglected return contributions, and by
 an n^2-vs-n^3 echo scaling).  They are marked xfail(strict=True) so the
 defect stays visible without masking regressions, and the same Monte Carlo
-is validated against independent exact oracles in test_diffusion.py.  See
-the decisions ledger for the derivations.
+is validated against independent exact oracles in test_diffusion.py, which
+hold the derivations: test_fast_noise_against_master_equation (criterion 6)
+and test_echo_filter_oracle_matches_mc (criterion 7c).  The README paragraph
+on the expected failures summarizes both.
 """
 
 import math
@@ -227,7 +229,7 @@ FAST_NOISE_REASON = (
     "return contributions that dominate beyond Gamma*tau ~ 0.3; the Monte "
     "Carlo instead matches the classical master-equation return probability "
     "(test_diffusion.py::test_fast_noise_against_master_equation); see the "
-    "decisions ledger")
+    "README paragraph on the expected failures")
 
 
 @pytest.mark.xfail(strict=True, reason=FAST_NOISE_REASON)
@@ -296,7 +298,7 @@ ECHO_SCALING_REASON = (
     "integral gives a 1/n^2 suppression (log-contrast ratio (10/4)^2 = 6.25 "
     "between n = 4 and n = 10), which the Monte Carlo and the exact filter "
     "oracle both confirm (test_diffusion.py::test_echo_filter_oracle_"
-    "matches_mc); see the decisions ledger")
+    "matches_mc); see the README paragraph on the expected failures")
 
 
 @pytest.mark.xfail(strict=True, reason=ECHO_SCALING_REASON)

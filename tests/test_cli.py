@@ -113,6 +113,14 @@ def test_diffuse_invalid_schedule():
     assert run_cli(["diffuse", "--set", "schedule=bogus:2"]).returncode == 2
 
 
+@pytest.mark.parametrize("setting", ["tau_c=nan", "xi_h=inf", "xi_h=nan"])
+def test_diffuse_non_finite_noise(setting):
+    result = run_cli(["diffuse", "--set", setting])
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert setting.split("=")[0] in result.stderr
+
+
 def test_budget_table():
     result = run_cli(["budget", "--set", "n=16"])
     assert result.returncode == 0

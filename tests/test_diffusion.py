@@ -46,7 +46,7 @@ def test_zero_amplitude_noise(torus4):
     r = df.sample_noise(model, torus4, 0)
     assert np.all(r.values == 0)
     sched = df.build_echo_schedule("none", 2.0)
-    state = df.evolve_anyon(torus4, r, sched, 5, "x")
+    state = df.evolve_anyon(torus4, r, sched, 5, "x", dt=r.dt)
     assert df.survival(state, 5) == pytest.approx(1.0)
     amps = np.abs(state.amplitudes)
     assert amps[5] == pytest.approx(1.0) and np.sum(amps) == pytest.approx(1.0)
@@ -57,6 +57,12 @@ def test_sampler_preconditions(torus4):
         df.sample_noise(df.NoiseModel(1.0, 1.0, 0.2, 2.0), torus4, 0)
     with pytest.raises(ConfigurationError):
         df.NoiseModel(1.0, -1.0, 0.01, 2.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        for k in range(4):
+            fields = [1.0, 1.0, 0.01, 2.0]
+            fields[k] = bad
+            with pytest.raises(ConfigurationError):
+                df.NoiseModel(*fields)
 
 
 def test_static_refocusing_exact(torus4):
@@ -92,7 +98,8 @@ def test_unitarity_norm_drift(torus4):
         for kind, n in (("none", 0), ("z_pairs", 3), ("nested", 2)):
             sched = df.build_echo_schedule(kind, 4.0, max(n, 1)) \
                 if kind != "none" else df.build_echo_schedule("none", 4.0)
-            state = df.evolve_anyon(torus4, realization, sched, 2, "x")
+            state = df.evolve_anyon(torus4, realization, sched, 2, "x",
+                                    dt=realization.dt)
             assert abs(state.norm() - 1.0) < 1e-8
 
 

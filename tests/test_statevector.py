@@ -3,11 +3,9 @@ import pytest
 
 from anyonsim import lattice as lat
 from anyonsim import statevector as sv
-from anyonsim import tableau as tb
 from anyonsim.errors import ConfigurationError, UsageError
+from anyonsim.oracle import random_clifford_circuit, run_circuit
 from anyonsim.pauli import PauliString, from_string_path
-
-from conftest import random_clifford
 
 
 def _random_state(n, rng):
@@ -60,16 +58,12 @@ def test_gates_match_kron_matrices():
 def test_norm_preserved_over_long_circuit():
     rng = np.random.default_rng(2)
     s = sv.StateVector.computational(8)
-    for _ in range(1000):
-        gate = ("H", "S", "X", "Y", "Z", "CX", "CZ", "RZ", "RX")[int(rng.integers(9))]
-        if gate in ("CX", "CZ"):
-            a, b = rng.choice(8, size=2, replace=False)
-            sv.apply_gate(s, gate, (int(a), int(b)))
-        elif gate in ("RZ", "RX"):
-            sv.apply_gate(s, gate, int(rng.integers(8)),
-                          theta=float(rng.uniform(-np.pi, np.pi)))
-        else:
-            sv.apply_gate(s, gate, int(rng.integers(8)))
+    ops = random_clifford_circuit(8, 500, rng)
+    thetas = rng.uniform(-np.pi, np.pi, size=(len(ops), 2))
+    for (gate, qs), (rz, rx) in zip(ops, thetas):
+        sv.apply_gate(s, gate, qs)
+        sv.apply_gate(s, "RZ", qs[0], theta=float(rz))
+        sv.apply_gate(s, "RX", qs[-1], theta=float(rx))
     assert abs(s.norm() - 1.0) < 1e-10
 
 
@@ -175,8 +169,7 @@ def test_from_tableau_random_circuits():
     rng = np.random.default_rng(5)
     for _ in range(25):
         n = int(rng.integers(1, 8))
-        t, s = random_clifford(tb.Tableau(n), sv.StateVector.computational(n),
-                               n, 25, rng)
+        t, s = run_circuit(n, random_clifford_circuit(n, 25, rng))
         assert abs(abs(sv.inner_product(sv.from_tableau(t), s)) - 1) < 1e-10
 
 

@@ -5,9 +5,8 @@ from anyonsim import lattice as lat
 from anyonsim import statevector as sv
 from anyonsim import tableau as tb
 from anyonsim.errors import ContractError, UsageError
+from anyonsim.oracle import random_clifford_circuit, random_hermitian_pauli, run_circuit
 from anyonsim.pauli import PauliString, from_string_path, multiply
-
-from conftest import random_clifford, random_pauli
 
 
 def test_initial_state_generators():
@@ -21,22 +20,27 @@ def test_gates_match_dense_oracle():
     rng = np.random.default_rng(0)
     for _ in range(40):
         n = int(rng.integers(2, 7))
-        t, s = random_clifford(tb.Tableau(n), sv.StateVector.computational(n),
-                               n, 30, rng)
+        t, s = run_circuit(n, random_clifford_circuit(n, 30, rng))
         assert abs(abs(sv.inner_product(sv.from_tableau(t), s)) - 1) < 1e-10
         for _ in range(4):
-            p = random_pauli(n, rng, hermitian=True)
+            p = random_hermitian_pauli(n, rng)
             e_tab = tb.expectation_pauli(t, p)
             e_vec = np.real(np.vdot(s.amps, sv._pauli_action(s, p)))
             assert abs(e_tab - e_vec) < 1e-9
+
+
+@pytest.mark.parametrize("gate, targets", [("T", 0), ("CX", (0, 5)), ("H", -1)])
+def test_apply_gate_rejects_bad_input(gate, targets):
+    with pytest.raises(UsageError):
+        tb.apply_gate(tb.Tableau(3), gate, targets)
 
 
 def test_expectation_zero_iff_measurement_random():
     rng = np.random.default_rng(1)
     for _ in range(30):
         n = int(rng.integers(2, 6))
-        t, _ = random_clifford(tb.Tableau(n), None, n, 20, rng)
-        p = random_pauli(n, rng, hermitian=True)
+        t, _ = run_circuit(n, random_clifford_circuit(n, 20, rng))
+        p = random_hermitian_pauli(n, rng)
         e = tb.expectation_pauli(t, p)
         outcomes = {tb.measure_pauli(t.clone(), p, np.random.default_rng(k))[0]
                     for k in range(24)}
@@ -84,8 +88,8 @@ def test_ground_state_deterministic_across_rngs():
     lattice = lat.planar(3)
     t1 = tb.prepare_ground_state(lattice, 0, rng=np.random.default_rng(1))
     t2 = tb.prepare_ground_state(lattice, 0, rng=np.random.default_rng(99))
-    obs = [random_pauli(lattice.n_edges, np.random.default_rng(5), hermitian=True)
-           for _ in range(30)]
+    rng = np.random.default_rng(5)
+    obs = [random_hermitian_pauli(lattice.n_edges, rng) for _ in range(30)]
     for p in obs:
         assert tb.expectation_pauli(t1, p) == tb.expectation_pauli(t2, p)
 
@@ -258,7 +262,7 @@ def test_controlled_string_control_states(planar2, planar2_ground):
     t2.x_gate(probe)
     tb.apply_pauli_string(t2, lz)
     for _ in range(50):
-        p = random_pauli(probe + 1, rng, hermitian=True)
+        p = random_hermitian_pauli(probe + 1, rng)
         assert tb.expectation_pauli(t1, p) == tb.expectation_pauli(t2, p)
     # involution
     tb.apply_controlled_string(t1, probe, lz)

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from anyonsim.errors import UsageError
-from anyonsim.pauli import multiply
+from anyonsim.oracle import random_hermitian_pauli
+from anyonsim.pauli import PauliString, multiply
 from anyonsim.statevector import dense_operator
 from anyonsim.weyl import (WeylString, weyl_braiding_phase, weyl_gate_count,
                            weyl_multiply)
-
-from conftest import random_pauli
 
 
 def _random_weyl(d, sites, rng):
@@ -51,8 +50,8 @@ def test_clock_shift_commutation_d3():
 def test_d2_embeds_pauli():
     rng = np.random.default_rng(1)
     for _ in range(100):
-        p2 = random_pauli(4, rng)
-        q2 = random_pauli(4, rng)
+        p2 = PauliString(int(rng.integers(4)), random_hermitian_pauli(4, rng).support)
+        q2 = PauliString(int(rng.integers(4)), random_hermitian_pauli(4, rng).support)
         wp = WeylString(2, p2.phase, {k: v for k, v in p2.support.items()})
         wq = WeylString(2, q2.phase, {k: v for k, v in q2.support.items()})
         prod_pauli = multiply(p2, q2)
