@@ -53,6 +53,25 @@ def _parse_lattice(text: str):
         raise UsageError(f"bad lattice spec {text!r} (want e.g. torus:4)") from exc
 
 
+def _number(key: str, text: str, kind=float, minimum=None):
+    """Parse one config value as a 64-bit int or a finite float, at least
+    ``minimum`` if given; anything else is a ConfigurationError naming the
+    key."""
+    try:
+        value = kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ConfigurationError(f"{key} must be {what}, got {text!r}") from None
+    if kind is float and not math.isfinite(value):
+        raise ConfigurationError(f"{key} must be finite, got {text!r}")
+    if kind is int and not -2**63 <= value < 2**63:
+        # counts and seeds go to numpy as C integers
+        raise ConfigurationError(f"{key} must fit in 64 bits, got {text!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigurationError(f"{key} must be >= {minimum}, got {text!r}")
+    return value
+
+
 def _resolve_config(cmd: str, args) -> dict[str, str]:
     config = dict(DEFAULTS[cmd])
     if SEED_ENV in os.environ:
@@ -106,13 +125,13 @@ def cmd_braid(config: dict[str, str]) -> int:
         raise UsageError("braid needs program=<path> (step-per-line format)")
     with open(config["program"]) as fh:
         text = fh.read()
-    ledger = tb.EnergyLedger(float(config["u"]), float(config["j"]))
+    ledger = tb.EnergyLedger(_number("u", config["u"]), _number("j", config["j"]))
+    phi_points = _number("phi_points", config["phi_points"], int, 1)
     program = pr.parse_program(lattice, text, ledger)
     ground = tb.prepare_ground_state(lattice, 0)
     coherence = pr.run_interferometry(program, ground)
     a = coherence.alpha
-    phis = np.linspace(0.0, 2.0 * math.pi, int(config["phi_points"]),
-                       endpoint=False)
+    phis = np.linspace(0.0, 2.0 * math.pi, phi_points, endpoint=False)
     curve = pr.fringe(coherence, phis)
     lines = _echo_lines(config)
     lines.append(f"# alpha={_fmt(a.real)}{'+' if a.imag >= 0 else '-'}"
@@ -130,8 +149,8 @@ def cmd_braid(config: dict[str, str]) -> int:
 
 def cmd_memory(config: dict[str, str]) -> int:
     lattice = _parse_lattice(config["lattice"])
-    trials = int(config["trials"])
-    rng = np.random.default_rng(int(config["seed"]))
+    trials = _number("trials", config["trials"], int, 1)
+    rng = np.random.default_rng(_number("seed", config["seed"], int, 0))
     states = list(pr.PROBE_STATES)
     failures = 0
     for k in range(trials):
@@ -166,24 +185,26 @@ def cmd_memory(config: dict[str, str]) -> int:
 
 def cmd_diffuse(config: dict[str, str]) -> int:
     lattice = _parse_lattice(config["lattice"])
-    taus = [float(x) for x in config["tau"].split(",") if x.strip()]
+    taus = [_number("tau", x, float, 0) for x in config["tau"].split(",") if x.strip()]
+    if not taus:
+        raise ConfigurationError("tau needs at least one delay")
     family = []
     for item in config["schedule"].split(","):
         item = item.strip()
         if not item:
             continue
         if ":" in item:
-            kind, n = item.split(":")
-            family.append((kind.strip(), int(n)))
+            kind, n = item.split(":", 1)
+            family.append((kind.strip(), _number("schedule", n, int, 0)))
         else:
             family.append((item, 0 if item == "none" else 1))
-    dt_sample = float(config["dt"]) if config["dt"] else \
-        min(float(config["tau_c"]) / 20.0, 0.05)
-    model = df.NoiseModel(float(config["xi_h"]), float(config["tau_c"]),
-                          dt_sample, max(taus))
+    tau_c = _number("tau_c", config["tau_c"])
+    dt_sample = _number("dt", config["dt"]) if config["dt"] else min(tau_c / 20.0, 0.05)
+    model = df.NoiseModel(_number("xi_h", config["xi_h"]), tau_c, dt_sample, max(taus))
     estimates = df.contrast_curve(
-        lattice, model, family, taus, int(config["trials"]),
-        int(config["particles"]), int(config["seed"]),
+        lattice, model, family, taus, _number("trials", config["trials"], int, 1),
+        _number("particles", config["particles"], int, 1),
+        _number("seed", config["seed"], int, 0),
         sector=config["sector"], estimator=config["estimator"])
     lines = _echo_lines(config)
     lines.append("tau,mean_contrast,stderr,n_trials,schedule")
@@ -196,28 +217,25 @@ def cmd_diffuse(config: dict[str, str]) -> int:
 
 
 def cmd_budget(config: dict[str, str]) -> int:
-    params = analytics.CavityParams(float(config["g"]), float(config["kappa"]),
-                                    float(config["gamma"]))
-    n = int(config["n"])
+    x = {key: _number(key, config[key])
+         for key in ("g", "kappa", "gamma", "alpha_sq", "theta", "delta",
+                     "delta_h", "j", "q", "epsilon", "t")}
+    n = _number("n", config["n"], int)
+    k = _number("k", config["k"], int)
+    params = analytics.CavityParams(x["g"], x["kappa"], x["gamma"])
     budget = analytics.MemoryBudget(
-        delta_h=float(config["delta_h"]), coupling_j=float(config["j"]),
-        n_length=n, q=float(config["q"]), purcell=params.purcell,
-        epsilon=float(config["epsilon"]), k=int(config["k"]),
-        delta=float(config["delta"]))
+        delta_h=x["delta_h"], coupling_j=x["j"], n_length=n, q=x["q"],
+        purcell=params.purcell, epsilon=x["epsilon"], k=k, delta=x["delta"])
     rows = [
         ("purcell_factor", params.purcell),
         ("optimal_detuning", analytics.optimal_detuning(params, n)),
         ("min_photon_loss", analytics.min_photon_loss(n, params.purcell)),
         ("geometric_gate_loss",
-         analytics.geometric_gate_loss(n, params.purcell,
-                                       float(config["alpha_sq"]))),
-        ("qnd_error", analytics.qnd_error(n, float(config["theta"]),
-                                          float(config["delta"]),
-                                          int(config["k"]))),
-        ("qnd_pulse_count", analytics.qnd_pulse_count(int(config["k"]))),
-        ("memory_error_at_t", analytics.memory_error(budget,
-                                                     float(config["t"]))),
-        ("bare_error_at_t", budget.q * float(config["t"])),
+         analytics.geometric_gate_loss(n, params.purcell, x["alpha_sq"])),
+        ("qnd_error", analytics.qnd_error(n, x["theta"], x["delta"], k)),
+        ("qnd_pulse_count", analytics.qnd_pulse_count(k)),
+        ("memory_error_at_t", analytics.memory_error(budget, x["t"])),
+        ("bare_error_at_t", budget.q * x["t"]),
         ("crossover_time", analytics.crossover_time(budget)),
     ]
     lines = _echo_lines(config)
@@ -234,7 +252,7 @@ def cmd_budget(config: dict[str, str]) -> int:
 
 
 def cmd_zd(config: dict[str, str]) -> int:
-    d = int(config["d"])
+    d = _number("d", config["d"], int)
     print("\n".join(_echo_lines(config)))
     print(f"global gates per charge string: {weyl_gate_count(d)}")
     print("omega-exponent table k(a,b) with braiding phase omega^k, "
@@ -249,8 +267,8 @@ def cmd_zd(config: dict[str, str]) -> int:
 
 
 def cmd_oracle(config: dict[str, str]) -> int:
-    checks = oracle.run_all(seed=int(config["seed"]),
-                            n_circuits=int(config["circuits"]))
+    checks = oracle.run_all(seed=_number("seed", config["seed"], int, 0),
+                            n_circuits=_number("circuits", config["circuits"], int, 1))
     worst = 0
     for check in checks:
         status = "PASS" if check.passed else "FAIL"

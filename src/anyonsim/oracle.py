@@ -14,10 +14,12 @@ import numpy as np
 
 from . import analytics, statevector as sv, tableau as tb
 from .diffusion import build_echo_schedule
-from .errors import UsageError
-from .lattice import Lattice, shortest_string, torus, planar
+from .errors import ContractError, UsageError
+from .lattice import (Lattice, deform_string, planar, shortest_string,
+                      string_to_boundary, torus)
 from .pauli import PauliString, from_string_path, multiply
-from .protocols import BraidProgram, StringStep, braiding_programs, run_interferometry
+from .protocols import (ECHO_KINDS, BraidProgram, DelayStep, EchoStep, StringStep,
+                        braiding_programs, run_interferometry)
 from .weyl import WeylString, weyl_braiding_phase
 
 
@@ -107,6 +109,69 @@ def clifford_equivalence_suite(n_circuits: int = 200, max_qubits: int = 12,
                    f"{sampled_circuits} circuits x {n_samples} shots, "
                    f"worst z = {z_worst:.2f}"),
     ]
+
+
+# -- random braid programs ----------------------------------------------------
+
+def random_braid_program(lattice: Lattice, rng) -> BraidProgram:
+    """Random string / echo / delay program with random H_surf couplings.
+
+    Each step is, with odds 40/15/15/30: a string between two random cells
+    (deformed by a random stabilizer 30 % of the time); a string out to the
+    boundary (planar lattices; a delay on a torus); an echo pulse of any
+    kind the lattice allows (z and x on a torus, all six on a planar code);
+    or a delay drawn from [0, 2).  The number of steps is drawn from 4..9.
+    """
+    n_steps = int(rng.integers(4, 10))
+    echo_kinds = ("z", "x") if lattice.is_torus else ECHO_KINDS
+    steps = []
+    for _ in range(n_steps):
+        roll = rng.random()
+        kind = "z" if rng.random() < 0.5 else "x"
+        n_nodes = lattice.n_vertices if kind == "z" else lattice.n_faces
+        if roll < 0.4:
+            a, b = [int(v) for v in rng.integers(n_nodes, size=2)]
+            path = shortest_string(lattice, kind, a, b)
+            if rng.random() < 0.3:
+                # z-strings deform by face boundaries, x-strings by stars
+                if kind == "z":
+                    support = lattice.boundary(int(rng.integers(lattice.n_faces)))
+                else:
+                    support = lattice.star(int(rng.integers(lattice.n_vertices)))
+                path = deform_string(path, support)
+            steps.append(StringStep(path))
+        elif roll < 0.55 and not lattice.is_torus:
+            steps.append(StringStep(
+                string_to_boundary(lattice, kind, int(rng.integers(n_nodes)))))
+        elif 0.55 <= roll < 0.7:
+            steps.append(EchoStep(echo_kinds[int(rng.integers(len(echo_kinds)))]))
+        else:
+            steps.append(DelayStep(float(rng.uniform(0.0, 2.0))))
+    ledger = tb.EnergyLedger(float(rng.uniform(0.5, 2.0)),
+                             float(rng.uniform(0.5, 2.0)))
+    return BraidProgram(lattice, tuple(steps), ledger)
+
+
+# -- syndrome reference -------------------------------------------------------
+
+def syndrome_by_expectation(t: tb.Tableau, lattice: Lattice) -> tb.Syndrome:
+    """Reference for tableau.syndrome: one full-tableau expectation, a
+    dense anticommutation pass over all 2n rows, per stabilizer."""
+    flipped_v = set()
+    flipped_f = set()
+    for v in range(lattice.n_vertices):
+        e = tb.expectation_pauli(t, PauliString.x_on(lattice.star(v)))
+        if e == 0:
+            raise ContractError(f"vertex stabilizer {v} has no definite value")
+        if e == -1:
+            flipped_v.add(v)
+    for f in range(lattice.n_faces):
+        e = tb.expectation_pauli(t, PauliString.z_on(lattice.boundary(f)))
+        if e == 0:
+            raise ContractError(f"face stabilizer {f} has no definite value")
+        if e == -1:
+            flipped_f.add(f)
+    return tb.Syndrome(frozenset(flipped_v), frozenset(flipped_f))
 
 
 # -- formulas vs enumeration ---------------------------------------------------

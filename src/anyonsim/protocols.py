@@ -6,8 +6,11 @@ The interferometer measures the probe coherence alpha: the amplitude of the
 initial state in the branch that received the controlled strings, including
 the dynamical phase from time delays.  The tableau path computes alpha
 exactly as (delay phases) x (group expectation of the accumulated branch
-operators); a dense two-branch statevector path and an explicit-probe path
-exist for cross-validation on small lattices.
+operators).  The delay phases come from an energy ledger kept by lattice
+incidence: the initial syndrome is read once, and a branch syndrome is that
+syndrome flipped at the vertices and faces where the branch operator ends,
+at a cost of O(|string|) per delay.  A dense two-branch statevector path and
+an explicit-probe path exist for cross-validation on small lattices.
 """
 
 from __future__ import annotations
@@ -108,28 +111,28 @@ def run_interferometry(program: BraidProgram, initial: tb.Tableau) -> Coherence:
 
     Branch 1 receives the string operators, both branches the echo pulses
     and the H_surf evolution during delays; only the energy difference of
-    the two branch syndromes enters the phase.
+    the two branch syndromes enters the phase.  The initial syndrome is read
+    once, at the first delay; each branch syndrome is then that syndrome
+    flipped where the accumulated branch operator anticommutes with a
+    stabilizer (tableau.syndrome_after).
     """
     lattice = program.lattice
-    t0 = initial.clone()
-    t1 = initial.clone()
     op0 = PauliString.identity()
     op1 = PauliString.identity()
+    base = None
     alpha = 1.0 + 0.0j
     for step in program.steps:
         if isinstance(step, StringStep):
-            p = from_string_path(step.path)
-            tb.apply_pauli_string(t1, p)
-            op1 = multiply(p, op1)
+            op1 = multiply(from_string_path(step.path), op1)
         elif isinstance(step, EchoStep):
             p = _echo_pauli(lattice, step.kind)
-            tb.apply_pauli_string(t0, p)
-            tb.apply_pauli_string(t1, p)
             op0 = multiply(p, op0)
             op1 = multiply(p, op1)
         elif isinstance(step, DelayStep):
-            e1 = tb.relative_energy(tb.syndrome(t1, lattice), program.ledger)
-            e0 = tb.relative_energy(tb.syndrome(t0, lattice), program.ledger)
+            if base is None:
+                base = tb.syndrome(initial, lattice)
+            e1 = tb.relative_energy(tb.syndrome_after(base, lattice, op1), program.ledger)
+            e0 = tb.relative_energy(tb.syndrome_after(base, lattice, op0), program.ledger)
             alpha *= cmath.exp(-1j * (e1 - e0) * step.t)
         else:  # pragma: no cover
             raise UsageError(f"unknown step {step!r}")

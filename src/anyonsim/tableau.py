@@ -102,6 +102,10 @@ class Tableau:
 
     # -- Clifford gates ----------------------------------------------------
     def _bit(self, arr: np.ndarray, q: int) -> np.ndarray:
+        """Column q of ``arr``; every gate reads its qubits through here, so
+        this is where an index outside 0..n-1 is rejected."""
+        if not 0 <= q < self.n:
+            raise UsageError(f"qubit index {q} out of range for n={self.n}")
         return ((arr[:, q >> 6] >> np.uint64(q & 63)) & _ONE).astype(np.uint8)
 
     def h(self, q: int) -> "Tableau":
@@ -167,9 +171,6 @@ def apply_gate(t: Tableau, gate: str, targets) -> Tableau:
         raise UsageError(f"unknown Clifford gate {gate!r}")
     if isinstance(targets, int):
         targets = (targets,)
-    for q in targets:
-        if not 0 <= q < t.n:
-            raise UsageError(f"qubit index {q} out of range for n={t.n}")
     return getattr(t, method)(*targets)
 
 
@@ -229,7 +230,7 @@ def measure_pauli(t: Tableau, p: PauliString, rng) -> tuple[int, Tableau]:
         t.z[pivot] = zw
         t.r[pivot] = (p.phase + (0 if outcome == 1 else 2)) & 3
         return outcome, t
-    value = _deterministic_phase(t, p, xw, zw)
+    value = _deterministic_phase(t, p.phase, xw, zw, np.nonzero(antic[:t.n])[0])
     if value == 1:
         return 1, t
     if value == -1:
@@ -251,12 +252,14 @@ def expectation_phase(t: Tableau, p: PauliString) -> complex:
     antic = t._anticommute(xw, zw)
     if antic[t.n:].any():
         return 0j
-    return _deterministic_phase(t, p, xw, zw)
+    return _deterministic_phase(t, p.phase, xw, zw, np.nonzero(antic[:t.n])[0])
 
 
-def _deterministic_phase(t, p, xw, zw) -> complex:
-    """i**(k_p - k_prod) where prod over stabilizers matches p's bits."""
-    members = np.nonzero(t._anticommute(xw, zw)[:t.n])[0]
+def _deterministic_phase(t, p_phase, xw, zw, members) -> complex:
+    """<p> = i**(k_p - k_prod) for a p in the stabilizer group, with packed
+    bits xw, zw.  prod is the product of the stabilizer rows n+j for the
+    destabilizers j in ``members`` (those anticommuting with p); it must
+    reproduce p's bits."""
     px = np.zeros(t.words, dtype=np.uint64)
     pz = np.zeros(t.words, dtype=np.uint64)
     phase = 0
@@ -267,7 +270,7 @@ def _deterministic_phase(t, p, xw, zw) -> complex:
         pz ^= t.z[row]
     if not (np.array_equal(px, xw) and np.array_equal(pz, zw)):
         raise ContractError("operator commutes with the group but is not in it")
-    return 1j ** ((p.phase - phase) % 4)
+    return 1j ** ((p_phase - phase) % 4)
 
 
 @dataclass(frozen=True)
@@ -292,22 +295,94 @@ class EnergyLedger:
 
 def syndrome(t: Tableau, lattice: Lattice) -> Syndrome:
     """Anyon positions: stabilizers at -1.  The state must be an eigenstate
-    of every stabilizer (guaranteed after Pauli strings on eigenstates)."""
-    flipped_v = set()
-    flipped_f = set()
-    for v in range(lattice.n_vertices):
-        e = expectation_pauli(t, PauliString.x_on(lattice.star(v)))
-        if e == 0:
-            raise ContractError(f"vertex stabilizer {v} has no definite value")
-        if e == -1:
-            flipped_v.add(v)
-    for f in range(lattice.n_faces):
-        e = expectation_pauli(t, PauliString.z_on(lattice.boundary(f)))
-        if e == 0:
-            raise ContractError(f"face stabilizer {f} has no definite value")
-        if e == -1:
-            flipped_f.add(f)
+    of every stabilizer (guaranteed after Pauli strings on eigenstates).
+
+    Stabilizers have weight <= 4, so each one is read from the row bitsets
+    of its few support qubits instead of from a full-tableau expectation
+    (oracle.syndrome_by_expectation keeps that slow path as the reference).
+    """
+    if lattice.n_edges > t.n:
+        raise UsageError(f"lattice of {lattice.n_edges} edges outside tableau "
+                         f"of {t.n} qubits")
+    # X-type vertex stabilizers meet the rows' z bits, Z-type faces the x bits
+    flipped_v = _flipped_stabilizers(t, "vertex", lattice.stars, PauliString.x_on, t.z)
+    flipped_f = _flipped_stabilizers(t, "face", lattice.boundaries, PauliString.z_on, t.x)
     return Syndrome(frozenset(flipped_v), frozenset(flipped_f))
+
+
+_SYNDROME_BLOCK = 64  # stabilizers per block; bounds the unpacked member bits
+
+
+def _row_columns(half: np.ndarray) -> np.ndarray:
+    """Per-qubit row bitsets of one packed tableau half.
+
+    Bit r of out[q] is bit q of row r.  The transpose is done one 64-qubit
+    word column at a time, so no more than rows x 64 bytes are unpacked at
+    once.  A trailing all-zero column serves as padding for short supports.
+    """
+    rows, words = half.shape
+    row_words = (rows + 63) // 64
+    out = np.zeros((64 * words + 1, row_words), dtype="<u8")
+    buf = np.zeros((64, 8 * row_words), dtype=np.uint8)
+    as_bytes = np.ascontiguousarray(half, dtype="<u8").view(np.uint8)
+    as_bytes = as_bytes.reshape(rows, words, 8)
+    for w in range(words):
+        bits = np.unpackbits(as_bytes[:, w], axis=1, bitorder="little")
+        packed = np.packbits(bits, axis=0, bitorder="little")
+        buf[:, :packed.shape[0]] = packed.T
+        out[64 * w:64 * w + 64] = buf.view("<u8")
+    return out
+
+
+def _flipped_stabilizers(t: Tableau, kind: str, supports, pauli, bits) -> list[int]:
+    """Indices of the stabilizers pauli(support) at -1.  ``bits`` is the
+    tableau bit array through which such a stabilizer anticommutes."""
+    n = t.n
+    stab_cols = _row_columns(bits[n:])
+    destab_cols = _row_columns(bits[:n])
+    pad = stab_cols.shape[0] - 1
+    idx = np.full((len(supports), max(map(len, supports))), pad, dtype=np.intp)
+    for i, support in enumerate(supports):
+        idx[i, :len(support)] = support
+    flipped = []
+    for first in range(0, len(supports), _SYNDROME_BLOCK):
+        block = idx[first:first + _SYNDROME_BLOCK]
+        # row bitsets of the rows anticommuting with each stabilizer
+        stab = np.bitwise_xor.reduce(stab_cols[block], axis=1)
+        destab = np.bitwise_xor.reduce(destab_cols[block], axis=1)
+        members = np.unpackbits(destab.view(np.uint8), axis=1, bitorder="little")
+        for k in range(block.shape[0]):
+            i = first + k
+            value = 0
+            if not stab[k].any():
+                xw, zw = t._pack(pauli(supports[i]))
+                value = _deterministic_phase(t, 0, xw, zw, np.nonzero(members[k, :n])[0])
+            if value == -1:
+                flipped.append(i)
+            elif value != 1:
+                raise ContractError(f"{kind} stabilizer {i} has no definite value")
+    return flipped
+
+
+def syndrome_after(s: Syndrome, lattice: Lattice, p: PauliString) -> Syndrome:
+    """Syndrome of p|psi>, given the syndrome ``s`` of |psi>.
+
+    p flips exactly the stabilizers it anticommutes with: a z bit on an edge
+    flips the vertex stabilizers at its ends, an x bit the face stabilizers
+    beside it.  Boundary ends (None) and sites beyond the lattice edges
+    (ancillas) flip nothing.  Exact for any Pauli acting on a stabilizer
+    eigenstate, at a cost of O(|support of p|).
+    """
+    vertices = set(s.flipped_vertices)
+    faces = set(s.flipped_faces)
+    for q, (xb, zb) in p.support.items():
+        if q >= lattice.n_edges:
+            continue
+        if zb:
+            vertices ^= {v for v in lattice.edge_vertices[q] if v is not None}
+        if xb:
+            faces ^= {f for f in lattice.edge_faces[q] if f is not None}
+    return Syndrome(frozenset(vertices), frozenset(faces))
 
 
 def relative_energy(s: Syndrome, ledger: EnergyLedger) -> float:

@@ -87,27 +87,6 @@ def test_criterion_1_braiding_statistics():
     assert elapsed < 1.0
 
 
-def _random_planar2_program(lattice, rng):
-    steps = []
-    for _ in range(int(rng.integers(4, 10))):
-        roll = rng.random()
-        if roll < 0.45:
-            kind = "z" if rng.random() < 0.5 else "x"
-            n_nodes = lattice.n_vertices if kind == "z" else lattice.n_faces
-            a, b = [int(v) for v in rng.integers(n_nodes, size=2)]
-            steps.append(pr.StringStep(lat.shortest_string(lattice, kind, a, b)))
-        elif roll < 0.6:
-            kind = "z" if rng.random() < 0.5 else "x"
-            n_nodes = lattice.n_vertices if kind == "z" else lattice.n_faces
-            steps.append(pr.StringStep(
-                lat.string_to_boundary(lattice, kind, int(rng.integers(n_nodes)))))
-        else:
-            steps.append(pr.DelayStep(float(rng.uniform(0.0, 2.0))))
-    ledger = tb.EnergyLedger(float(rng.uniform(0.5, 2.0)),
-                             float(rng.uniform(0.5, 2.0)))
-    return pr.BraidProgram(lattice, tuple(steps), ledger)
-
-
 def test_criterion_2_dynamical_phase():
     start = time.perf_counter()
     lattice = lat.planar(2)
@@ -115,7 +94,7 @@ def test_criterion_2_dynamical_phase():
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(100):
-        program = _random_planar2_program(lattice, rng)
+        program = oracle.random_braid_program(lattice, rng)
         a_ledger = pr.run_interferometry(program, ground).alpha
         a_dense = pr.run_interferometry_dense(program, ground).alpha
         a_probe = pr.run_interferometry_dense(program, ground,
@@ -123,7 +102,7 @@ def test_criterion_2_dynamical_phase():
         worst = max(worst, abs(a_ledger - a_dense), abs(a_ledger - a_probe))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-10 and elapsed < 30.0
-    _report(2, ok, f"100 random delay programs, worst |d alpha| = {worst:.2e} "
+    _report(2, ok, f"100 random delay/echo programs, worst |d alpha| = {worst:.2e} "
                    f"(two-branch and explicit-probe oracles), {elapsed:.1f}s")
     assert worst <= 1e-10
     assert elapsed < 30.0

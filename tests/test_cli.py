@@ -121,6 +121,22 @@ def test_diffuse_non_finite_noise(setting):
     assert setting.split("=")[0] in result.stderr
 
 
+@pytest.mark.parametrize("cmd, setting", [
+    ("braid", "u=abc"), ("braid", "phi_points=-3"), ("braid", "phi_points=0"),
+    ("memory", "trials=-1"), ("memory", "seed=x"), ("memory", "trials=1" + "0" * 400),
+    ("diffuse", "particles=0"),
+    ("diffuse", "xi_h=abc"), ("diffuse", "tau="), ("diffuse", "schedule=z_pairs:1.5"),
+])
+def test_bad_numbers_exit_2(cmd, setting, tangled_program_file):
+    args = [cmd, "--set", setting]
+    if cmd == "braid":
+        args += ["--set", f"program={tangled_program_file}"]
+    result = run_cli(args)
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert setting.split("=")[0] in result.stderr
+
+
 def test_budget_table():
     result = run_cli(["budget", "--set", "n=16"])
     assert result.returncode == 0

@@ -5,40 +5,12 @@ import numpy as np
 import pytest
 
 from anyonsim import lattice as lat
+from anyonsim import oracle
 from anyonsim import protocols as pr
 from anyonsim import statevector as sv
 from anyonsim import tableau as tb
 from anyonsim.errors import ContractError, UsageError
 from anyonsim.pauli import PauliString, from_string_path
-
-
-def _random_program(lattice, rng, n_steps=8, echoes=False):
-    steps = []
-    for _ in range(n_steps):
-        roll = rng.random()
-        if roll < 0.4:
-            kind = "z" if rng.random() < 0.5 else "x"
-            n_nodes = lattice.n_vertices if kind == "z" else lattice.n_faces
-            a, b = [int(v) for v in rng.integers(n_nodes, size=2)]
-            path = lat.shortest_string(lattice, kind, a, b)
-            if rng.random() < 0.3:
-                cell = int(rng.integers(n_nodes))
-                support = lattice.boundary(cell) if kind == "z" \
-                    else lattice.star(cell)
-                path = lat.deform_string(path, support)
-            steps.append(pr.StringStep(path))
-        elif roll < 0.55 and not lattice.is_torus:
-            kind = "z" if rng.random() < 0.5 else "x"
-            n_nodes = lattice.n_vertices if kind == "z" else lattice.n_faces
-            path = lat.string_to_boundary(lattice, kind, int(rng.integers(n_nodes)))
-            steps.append(pr.StringStep(path))
-        elif echoes and roll < 0.7:
-            steps.append(pr.EchoStep("z" if rng.random() < 0.5 else "x"))
-        else:
-            steps.append(pr.DelayStep(float(rng.uniform(0, 1.5))))
-    ledger = tb.EnergyLedger(float(rng.uniform(0.5, 2.0)),
-                             float(rng.uniform(0.5, 2.0)))
-    return pr.BraidProgram(lattice, tuple(steps), ledger)
 
 
 def test_reference_braids(torus4, torus4_ground, planar3):
@@ -70,7 +42,7 @@ def test_ledger_matches_dense_torus2():
     ground = tb.prepare_ground_state(lattice, 0)
     rng = np.random.default_rng(0)
     for _ in range(50):
-        prog = _random_program(lattice, rng, echoes=True)
+        prog = oracle.random_braid_program(lattice, rng)
         a1 = pr.run_interferometry(prog, ground).alpha
         a2 = pr.run_interferometry_dense(prog, ground).alpha
         assert abs(a1 - a2) < 1e-10

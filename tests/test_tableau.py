@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from anyonsim import lattice as lat
+from anyonsim import protocols as pr
 from anyonsim import statevector as sv
 from anyonsim import tableau as tb
 from anyonsim.errors import ContractError, UsageError
-from anyonsim.oracle import random_clifford_circuit, random_hermitian_pauli, run_circuit
+from anyonsim.oracle import (random_braid_program, random_clifford_circuit,
+                             random_hermitian_pauli, run_circuit,
+                             syndrome_by_expectation)
 from anyonsim.pauli import PauliString, from_string_path, multiply
 
 
@@ -33,6 +36,17 @@ def test_gates_match_dense_oracle():
 def test_apply_gate_rejects_bad_input(gate, targets):
     with pytest.raises(UsageError):
         tb.apply_gate(tb.Tableau(3), gate, targets)
+
+
+@pytest.mark.parametrize("gate, targets", [("h", (3,)), ("h", (-1,)),
+                                            ("cx", (0, 3)), ("cx", (-1, 0)),
+                                            ("cz", (3, 0)), ("cz", (0, -1))])
+def test_gate_methods_reject_bad_index(gate, targets):
+    t = tb.Tableau(3)
+    before = (t.x.copy(), t.z.copy(), t.r.copy())
+    with pytest.raises(UsageError, match="out of range"):
+        getattr(t, gate)(*targets)
+    assert all(np.array_equal(a, b) for a, b in zip(before, (t.x, t.z, t.r)))
 
 
 def test_expectation_zero_iff_measurement_random():
@@ -135,12 +149,71 @@ def test_large_torus_preparation():
 def test_maximum_torus_scale():
     # the configured maximum: torus(32) = 2048 qubits
     lattice = lat.torus(32)
-    t = tb.prepare_ground_state(lattice, (0, 0))
-    tb.apply_pauli_string(t, from_string_path(
+    ground = tb.prepare_ground_state(lattice, (0, 0))
+    # the tangled braid with delays against the dense oracle on torus(3):
+    # the delay phases depend only on the local string layout
+    delays = (0.2, 0.5, 0.1)
+    alpha = pr.run_interferometry(pr.braiding_programs(lattice, delays)[0],
+                                  ground).alpha
+    small = lat.torus(3)
+    dense = pr.run_interferometry_dense(pr.braiding_programs(small, delays)[0],
+                                        tb.prepare_ground_state(small, 0)).alpha
+    assert abs(alpha - dense) < 1e-12
+    t = tb.apply_pauli_string(ground.clone(), from_string_path(
         lat.shortest_string(lattice, "z", 0, 600)))
     syn = tb.syndrome(t, lattice)
     assert syn.flipped_vertices == frozenset({0, 600})
     assert not syn.flipped_faces
+
+
+def _branch_product(program):
+    """Product of the string and echo operators of a program."""
+    op = PauliString.identity()
+    for step in program.steps:
+        if isinstance(step, pr.StringStep):
+            op = multiply(from_string_path(step.path), op)
+        elif isinstance(step, pr.EchoStep):
+            op = multiply(pr._echo_pauli(program.lattice, step.kind), op)
+    return op
+
+
+def _mix_generators(t, rng, n_ops=60):
+    """The same state with other generators: S_i <- S_i S_j and D_j <- D_j D_i
+    keep the tableau valid and give rows that mix x and z bits."""
+    for _ in range(n_ops):
+        i, j = (int(v) for v in rng.choice(t.n, size=2, replace=False))
+        t._rowmult_into(np.array([t.n + i]), t.n + j)
+        t._rowmult_into(np.array([j]), i)
+    return t
+
+
+@pytest.mark.parametrize("lattice", [lat.torus(4), lat.planar(2), lat.planar(3)],
+                         ids=["torus4", "planar2", "planar3"])
+def test_syndrome_matches_expectation_oracle(lattice):
+    n_ancillas = 0 if lattice.is_torus else 1
+    ground = tb.prepare_ground_state(lattice, 0, n_ancillas=n_ancillas)
+    n = ground.n
+    rng = np.random.default_rng(17)
+    # a logical Y eigenstate: products of generators then carry odd cross
+    # terms, which the syndrome's sign computation must include
+    cz, cx = lat.logical_operators(lattice)[0]
+    y = multiply(from_string_path(cz), from_string_path(cx))
+    tb.measure_pauli(ground, y if y.is_hermitian() else PauliString(y.phase + 1, y.support),
+                     rng)
+    for _ in range(12):
+        # an excited eigenstate, then a further string/echo product, then
+        # an arbitrary Pauli (ancilla included)
+        t = tb.apply_pauli_string(ground.clone(),
+                                  _branch_product(random_braid_program(lattice, rng)))
+        base = tb.syndrome(t, lattice)
+        assert base == syndrome_by_expectation(t, lattice)
+        for p in (_branch_product(random_braid_program(lattice, rng)),
+                  random_hermitian_pauli(n, rng)):
+            after = tb.apply_pauli_string(t.clone(), p)
+            want = syndrome_by_expectation(after, lattice)
+            assert tb.syndrome(after, lattice) == want
+            assert tb.syndrome(_mix_generators(after, rng), lattice) == want
+            assert tb.syndrome_after(base, lattice, p) == want
 
 
 def test_measure_stabilizer_deterministic(planar2, planar2_ground):
@@ -328,5 +401,8 @@ def test_measure_requires_hermitian():
 def test_syndrome_rejects_indefinite_states(planar2):
     t = tb.prepare_ground_state(planar2, 0)
     t.h(0)  # breaks the stabilizer eigenstate structure
-    with pytest.raises(ContractError):
-        tb.syndrome(t, planar2)
+    # edge 0 protrudes from vertex 0, the first stabilizer it breaks
+    for read in (tb.syndrome, syndrome_by_expectation):
+        with pytest.raises(ContractError,
+                           match="vertex stabilizer 0 has no definite value"):
+            read(t, planar2)
