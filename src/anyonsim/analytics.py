@@ -33,10 +33,6 @@ class CavityParams:
     def purcell(self) -> float:
         return self.g ** 2 / (self.kappa * self.gamma)
 
-    def chi(self, detuning: float) -> float:
-        """Dispersive coupling g^2 / (2 Delta)."""
-        return self.g ** 2 / (2.0 * detuning)
-
 
 def optimal_detuning(params: CavityParams, n_spins: int) -> float:
     """Detuning minimizing the photon loss: Delta* = g sqrt(N gamma / kappa)."""

@@ -214,22 +214,16 @@ def hop_structure(lattice: Lattice, sector: str) -> tuple[int, np.ndarray, np.nd
     """(n_cells, cell pair array (m, 2), edge id array (m,)) for the sector.
 
     Only edges interior to the sector's cell graph hop; edges touching a
-    boundary would not conserve particle number and drop out.
+    boundary would not conserve particle number and drop out.  Each hop edge
+    is listed once, in edge order, as (lower cell, higher cell).
     """
-    if sector == "x":
-        n_cells, pairs = lattice.n_faces, lattice.edge_faces
-    elif sector == "z":
-        n_cells, pairs = lattice.n_vertices, lattice.edge_vertices
-    else:
+    if sector not in ("x", "z"):
         raise UsageError("sector must be 'x' or 'z'")
-    cell_pairs = []
-    edge_ids = []
-    for e in range(lattice.n_edges):
-        a, b = pairs[e]
-        if a is not None and b is not None and a != b:
-            cell_pairs.append((a, b))
-            edge_ids.append(e)
-    return n_cells, np.array(cell_pairs, dtype=int), np.array(edge_ids, dtype=int)
+    graph = lattice.cell_graph(sector)
+    n_cells = len(graph) - 1
+    hops = np.array(sorted((e, a, b) for a in range(n_cells) for e, b in graph[a]
+                           if a < b < n_cells), dtype=int).reshape(-1, 3)
+    return n_cells, hops[:, 1:], hops[:, 0]
 
 
 class _SectorDynamics:
@@ -239,8 +233,10 @@ class _SectorDynamics:
         self.lattice = lattice
         self.sector = sector
         self.n_cells, cell_pairs, self.edge_ids = hop_structure(lattice, sector)
-        self.rows = cell_pairs[:, 0]
-        self.cols = cell_pairs[:, 1]
+        # flat (row, col) index of each hop term in the hop matrix, both halves
+        rows, cols = cell_pairs.T
+        self.hop_bins = np.concatenate([rows * self.n_cells + cols,
+                                        cols * self.n_cells + rows])
         self._masks: dict[str, np.ndarray] = {}
 
     def pulse_flips(self, pulse: Pulse) -> np.ndarray:
@@ -291,10 +287,12 @@ def _evolve_columns(dyn: _SectorDynamics, field, schedule: EchoSchedule,
             dt_sub = seg / n_sub
             mids = prev + (np.arange(n_sub) + 0.5) * dt_sub
             h_all = field.at_many(mids)[dyn.edge_ids] * signs[:, None]
-            hmat = np.zeros((n_sub, dyn.n_cells, dyn.n_cells))
-            ks = np.arange(n_sub)[:, None]
-            hmat[ks, dyn.rows[None, :], dyn.cols[None, :]] = h_all.T
-            hmat[ks, dyn.cols[None, :], dyn.rows[None, :]] = h_all.T
+            # summed, not assigned: on torus(2) two edges join each cell pair
+            size = dyn.n_cells * dyn.n_cells
+            hmat = np.bincount(
+                (np.arange(n_sub)[:, None] * size + dyn.hop_bins).ravel(),
+                np.tile(h_all, (2, 1)).T.ravel(), minlength=n_sub * size
+            ).reshape(n_sub, dyn.n_cells, dyn.n_cells)
             evals, evecs = np.linalg.eigh(hmat)
             phases = np.exp(-1j * evals * dt_sub)
             # per-step propagator U = V diag(phase) V^T, then ordered product

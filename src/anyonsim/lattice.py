@@ -93,6 +93,7 @@ class Lattice:
     edge_vertices: tuple[tuple[int | None, int | None], ...]
     edge_faces: tuple[tuple[int | None, int | None], ...]
     boundary_classes: dict[str, frozenset[int]] = field(default_factory=dict)
+    _graphs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def is_torus(self) -> bool:
@@ -107,6 +108,31 @@ class Lattice:
 
     def boundary(self, f: int) -> tuple[int, ...]:
         return self.boundaries[f]
+
+    def cell_graph(self, kind: str) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Adjacency of the vertices (kind z) or faces (kind x), built once.
+
+        Node -> ((edge, other node), ...) sorted by edge id.  The last node
+        stands for the boundary: an edge with a free end joins its cell to
+        it (a torus leaves it without edges).
+        """
+        graph = self._graphs.get(kind)
+        if graph is None:
+            if kind == "z":
+                n_cells, ends = self.n_vertices, self.edge_vertices
+            elif kind == "x":
+                n_cells, ends = self.n_faces, self.edge_faces
+            else:
+                raise UsageError(f"string kind must be 'z' or 'x', got {kind!r}")
+            incident: list[list[tuple[int, int]]] = [[] for _ in range(n_cells + 1)]
+            for e, (u, w) in enumerate(ends):
+                u = n_cells if u is None else u
+                w = n_cells if w is None else w
+                incident[u].append((e, w))
+                if w != u:
+                    incident[w].append((e, u))
+            graph = self._graphs[kind] = tuple(map(tuple, incident))
+        return graph
 
     def describe(self) -> str:
         """Plain-text dump: edge id -> incident vertex ids, face ids."""
@@ -289,27 +315,18 @@ def shortest_string(lattice: Lattice, kind: str, a: int, b: int) -> StringPath:
     """Minimal connected string between two vertices (z) or faces (x).
 
     Breadth-first search on the (dual) adjacency graph; when several minimal
-    paths exist the backtracking step picks the lowest edge index at each hop.
+    paths exist the walk back picks the lowest edge index at each hop.
     a == b yields the empty path (identity operator).
     """
-    n_nodes, incident = _node_graph(lattice, kind)
-    if not (0 <= a < n_nodes and 0 <= b < n_nodes):
-        raise UsageError(f"invalid {kind}-string endpoint")
+    graph = lattice.cell_graph(kind)
+    _check_cell(graph, kind, a)
+    _check_cell(graph, kind, b)
     if a == b:
         return StringPath(kind, (), (a, a), closed=True)
-
-    dist = _bfs_dist(incident, n_nodes, a)
+    dist = _bfs(graph, a)
     if dist[b] < 0:
         raise UsageError("endpoints are not connected")
-    edges = []
-    node = b
-    while node != a:
-        step = min((e, other) for e, other in incident[node]
-                   if other is not None and dist[other] == dist[node] - 1)
-        edges.append(step[0])
-        node = step[1]
-    edges.reverse()
-    return StringPath(kind, tuple(edges), (a, b), closed=False)
+    return StringPath(kind, _walk(graph, dist, b)[::-1], (a, b), closed=False)
 
 
 def string_to_boundary(lattice: Lattice, kind: str, a: int) -> StringPath:
@@ -320,74 +337,44 @@ def string_to_boundary(lattice: Lattice, kind: str, a: int) -> StringPath:
     """
     if lattice.is_torus:
         raise UsageError("a torus has no boundary")
-    n_nodes, incident = _node_graph(lattice, kind)
-    # boundary edges appear in `incident` with other=None
-    dist_to_bnd = _bfs_from_boundary(incident, n_nodes)
-    if dist_to_bnd[a] < 0:
+    graph = lattice.cell_graph(kind)
+    _check_cell(graph, kind, a)
+    dist = _bfs(graph, len(graph) - 1)
+    if dist[a] < 0:
         raise UsageError("no boundary reachable")
-    edges = []
-    node: int | None = a
-    d = dist_to_bnd[a]
-    while d > 0:
-        assert node is not None
-        step = min((e, other) for e, other in incident[node]
-                   if (other is None and d == 1)
-                   or (other is not None and dist_to_bnd[other] == d - 1))
-        edges.append(step[0])
-        node = step[1]
-        d -= 1
-    return StringPath(kind, tuple(edges), (a, None), closed=False)
+    return StringPath(kind, _walk(graph, dist, a), (a, None), closed=False)
 
 
-def _node_graph(lattice, kind):
-    """Adjacency as node -> [(edge, other_node_or_None)] sorted by edge id."""
-    if kind == "z":
-        n_nodes = lattice.n_vertices
-        pairs = lattice.edge_vertices
-    elif kind == "x":
-        n_nodes = lattice.n_faces
-        pairs = lattice.edge_faces
-    else:
-        raise UsageError(f"string kind must be 'z' or 'x', got {kind!r}")
-    incident: list[list[tuple[int, int | None]]] = [[] for _ in range(n_nodes)]
-    for e in range(lattice.n_edges):
-        u, w = pairs[e]
-        if u is not None:
-            incident[u].append((e, w))
-        if w is not None and w != u:
-            incident[w].append((e, u))
-    for lst in incident:
-        lst.sort()
-    return n_nodes, incident
+def _check_cell(graph, kind, cell):
+    if not 0 <= cell < len(graph) - 1:
+        raise UsageError(f"invalid {kind}-string endpoint")
 
 
-def _bfs_dist(incident, n_nodes, source):
-    dist = np.full(n_nodes, -1, dtype=int)
+def _bfs(graph, source):
+    """Hop distance from ``source`` to every node, -1 if unreachable.  The
+    boundary node (the last one) is only ever a source, never a way through."""
+    boundary = len(graph) - 1
+    dist = [-1] * len(graph)
     dist[source] = 0
     queue = deque([source])
     while queue:
         node = queue.popleft()
-        for _, other in incident[node]:
-            if other is not None and dist[other] < 0:
+        for _, other in graph[node]:
+            if dist[other] < 0 and other != boundary:
                 dist[other] = dist[node] + 1
                 queue.append(other)
     return dist
 
 
-def _bfs_from_boundary(incident, n_nodes):
-    dist = np.full(n_nodes, -1, dtype=int)
-    queue = deque()
-    for node in range(n_nodes):
-        if any(other is None for _, other in incident[node]):
-            dist[node] = 1
-            queue.append(node)
-    while queue:
-        node = queue.popleft()
-        for _, other in incident[node]:
-            if other is not None and dist[other] < 0:
-                dist[other] = dist[node] + 1
-                queue.append(other)
-    return dist
+def _walk(graph, dist, node):
+    """Edges from ``node`` down the distances to the BFS source, taking the
+    lowest edge id at each hop."""
+    edges = []
+    while dist[node] > 0:
+        step = dist[node] - 1
+        e, node = next((e, other) for e, other in graph[node] if dist[other] == step)
+        edges.append(e)
+    return tuple(edges)
 
 
 def deform_string(path: StringPath, stabilizer_support) -> StringPath:

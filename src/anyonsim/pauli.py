@@ -79,9 +79,6 @@ class PauliString:
     def is_identity(self) -> bool:
         return not self.support and self.phase == 0
 
-    def bits_equal(self, other: "PauliString") -> bool:
-        return self.support == other.support
-
     # -- algebra ---------------------------------------------------------
     def __mul__(self, other: "PauliString") -> "PauliString":
         return multiply(self, other)
@@ -96,9 +93,6 @@ class PauliString:
 
     def adjoint(self) -> "PauliString":
         return self.inverse()
-
-    def commutes_with(self, other: "PauliString") -> bool:
-        return commutation_phase(self, other) == 1
 
     # -- text form -------------------------------------------------------
     def __str__(self) -> str:

@@ -71,20 +71,12 @@ def apply_gate(s: StateVector, gate: str, targets, theta: float | None = None) -
         if not 0 <= q < s.n:
             raise UsageError(f"qubit index {q} out of range for n={s.n}")
     gate = gate.upper()
+    if gate in ("X", "Y", "Z"):
+        (q,) = targets
+        return apply_pauli_string(s, PauliString.from_ops({q: gate}))
     if gate in ("CX", "CZ"):
         c, t = targets
-        idx = np.arange(s.amps.size)
-        if gate == "CX":
-            sel = ((idx >> c) & 1 == 1) & ((idx >> t) & 1 == 0)
-            i0 = idx[sel]
-            i1 = i0 | (1 << t)
-            a0 = s.amps[i0].copy()
-            s.amps[i0] = s.amps[i1]
-            s.amps[i1] = a0
-        else:
-            sel = ((idx >> c) & 1 == 1) & ((idx >> t) & 1 == 1)
-            s.amps[sel] *= -1.0
-        return s
+        return apply_controlled_pauli(s, c, PauliString.from_ops({t: gate[1]}))
 
     (q,) = targets
     view = s._axis_view(q)
@@ -95,14 +87,6 @@ def apply_gate(s: StateVector, gate: str, targets, theta: float | None = None) -
         view[:, 1, :] = (u - v) * _SQ2
     elif gate == "S":
         view[:, 1, :] = 1j * v
-    elif gate == "X":
-        view[:, 0, :] = v
-        view[:, 1, :] = u
-    elif gate == "Y":
-        view[:, 0, :] = -1j * v
-        view[:, 1, :] = 1j * u
-    elif gate == "Z":
-        view[:, 1, :] = -v
     elif gate == "RZ":
         if theta is None:
             raise UsageError("RZ needs theta")

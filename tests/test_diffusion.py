@@ -103,6 +103,29 @@ def test_unitarity_norm_drift(torus4):
             assert abs(state.norm() - 1.0) < 1e-8
 
 
+@pytest.mark.parametrize("spec", ["torus:2", "torus:3", "planar:2", "planar:3"])
+@pytest.mark.parametrize("sector", ["x", "z"])
+def test_static_evolution_matches_exact_exponential(spec, sector):
+    # oracle: exp(-i H T) of the hop matrix summed edge by edge; on torus(2)
+    # each pair of adjacent cells is joined by two edges whose fields add
+    topology, size = spec.split(":")
+    lattice = lat.build_lattice(lat.LatticeSpec(topology, int(size)))
+    rng = np.random.default_rng(8)
+    field = rng.normal(size=lattice.n_edges)
+    ends = lattice.edge_faces if sector == "x" else lattice.edge_vertices
+    n_cells = lattice.n_faces if sector == "x" else lattice.n_vertices
+    ham = np.zeros((n_cells, n_cells))
+    for e, (a, b) in enumerate(ends):
+        if a is not None and b is not None:
+            ham[a, b] += field[e]
+            ham[b, a] += field[e]
+    evals, evecs = np.linalg.eigh(ham)
+    exact = evecs @ (np.exp(-0.7j * evals) * evecs[0])
+    sched = df.build_echo_schedule("none", 0.7)
+    state = df.evolve_anyon(lattice, df.StaticField(field), sched, 0, sector, dt=0.05)
+    assert np.abs(state.amplitudes - exact).max() < 1e-12
+
+
 def test_integrator_convergence(torus4):
     smooth = df.CallableField(
         lambda t: 0.3 * np.sin(1.7 * t + np.arange(torus4.n_edges)))

@@ -83,6 +83,7 @@ def _nx_graph(lattice, kind):
 @pytest.mark.parametrize("lattice,kind", [
     (lat.torus(5), "z"), (lat.torus(5), "x"),
     (lat.planar(4), "z"), (lat.planar(4), "x"),
+    (lat.torus(2), "z"), (lat.torus(2), "x"),  # parallel edges
 ])
 def test_shortest_string_matches_bfs_oracle(lattice, kind):
     g = _nx_graph(lattice, kind)
@@ -107,6 +108,9 @@ def test_shortest_string_basics(torus4):
     p1 = lat.shortest_string(torus4, "z", 0, 10)
     p2 = lat.shortest_string(torus4, "z", 0, 10)
     assert p1.edges == p2.edges
+    # among minimal paths, each hop walking back from b takes the lowest edge id
+    assert lat.shortest_string(torus4, "z", 0, 5).edges == (16, 4)
+    assert lat.shortest_string(torus4, "x", 0, 10).edges == (17, 18, 6, 10)
 
 
 def test_string_to_boundary():
@@ -119,6 +123,32 @@ def test_string_to_boundary():
     assert flips == [2]
     with pytest.raises(UsageError):
         lat.string_to_boundary(lat.torus(3), "z", 0)
+    assert lat.string_to_boundary(lat.planar(4), "x", 5).edges == (5, 1)
+    for cell in (-1, p.n_vertices):
+        with pytest.raises(UsageError, match="invalid z-string endpoint"):
+            lat.string_to_boundary(p, "z", cell)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("kind", ["z", "x"])
+def test_string_to_boundary_matches_bfs_oracle(d, kind):
+    p = lat.planar(d)
+    g = _nx_graph(p, kind)
+    ends = p.edge_vertices if kind == "z" else p.edge_faces
+    for e, (a, b) in enumerate(ends):
+        if (a is None) != (b is None):
+            g.add_edge("boundary", a if b is None else b, key=e)
+    cells = p.stars if kind == "z" else p.boundaries
+    stabilizer = PauliString.x_on if kind == "z" else PauliString.z_on
+    for a in range(len(cells)):
+        path = lat.string_to_boundary(p, kind, a)
+        assert len(path) == nx.shortest_path_length(g, a, "boundary")
+        for e1, e2 in zip(path.edges, path.edges[1:]):
+            assert (set(ends[e1]) & set(ends[e2])) - {None}
+        ps = from_string_path(path)
+        flips = [c for c, support in enumerate(cells)
+                 if commutation_phase(ps, stabilizer(support)) == -1]
+        assert flips == [a]
 
 
 def test_deform_string(torus4):

@@ -32,10 +32,13 @@ def test_gates_match_dense_oracle():
             assert abs(e_tab - e_vec) < 1e-9
 
 
-@pytest.mark.parametrize("gate, targets", [("T", 0), ("CX", (0, 5)), ("H", -1)])
+@pytest.mark.parametrize("gate, targets", [("T", 0), ("CX", (0, 5)), ("H", -1),
+                                            ("CX", (1, 1)), ("CZ", (2, 2))])
 def test_apply_gate_rejects_bad_input(gate, targets):
     with pytest.raises(UsageError):
         tb.apply_gate(tb.Tableau(3), gate, targets)
+    with pytest.raises(UsageError):
+        sv.apply_gate(sv.StateVector.computational(3), gate, targets)
 
 
 @pytest.mark.parametrize("gate, targets", [("h", (3,)), ("h", (-1,)),
