@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import ConfigurationError, UsageError
+from .errors import ConfigurationError, UsageError, require_finite
 
 
 @dataclass(frozen=True)
@@ -26,6 +26,7 @@ class CavityParams:
     gamma: float
 
     def __post_init__(self):
+        require_finite(self, "g", "kappa", "gamma")
         if min(self.g, self.kappa, self.gamma) <= 0:
             raise ConfigurationError("cavity parameters must be positive")
 
@@ -107,8 +108,12 @@ class MemoryBudget:
     delta: float = 0.0
 
     def __post_init__(self):
+        require_finite(self, "delta_h", "coupling_j", "q", "purcell", "lam",
+                       "epsilon", "delta")
         if self.coupling_j <= 0 or self.q <= 0 or self.purcell <= 0:
             raise ConfigurationError("J, q and purcell must be positive")
+        if self.epsilon < 0:
+            raise ConfigurationError(f"epsilon must be >= 0, got {self.epsilon!r}")
 
     @property
     def protection(self) -> float:
@@ -117,6 +122,8 @@ class MemoryBudget:
 
 def memory_error(budget: MemoryBudget, t: float) -> float:
     """p_topo(t) = (dh/J)^N q t + 4 lam sqrt(N/P) + N epsilon."""
+    if not t >= 0:
+        raise ConfigurationError(f"t must be >= 0, got {t!r}")
     if budget.protection >= 1.0:
         warnings.warn("delta_h/J >= 1: outside the protection regime",
                       stacklevel=2)

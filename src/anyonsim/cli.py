@@ -48,9 +48,20 @@ DEFAULTS = {
 def _parse_lattice(text: str):
     try:
         topo, size = text.split(":")
-        return build_lattice(LatticeSpec(topo.strip(), int(size)))
-    except ValueError as exc:
-        raise UsageError(f"bad lattice spec {text!r} (want e.g. torus:4)") from exc
+        size = int(size)
+    except ValueError:
+        raise UsageError(f"bad lattice spec {text!r} (want e.g. lattice=torus:4)") from None
+    return build_lattice(LatticeSpec(topo.strip(), size))
+
+
+def _read_text(path: str) -> str:
+    """The contents of a UTF-8 input file; any other file is a UsageError
+    naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
 
 def _number(key: str, text: str, kind=float, minimum=None):
@@ -78,14 +89,13 @@ def _resolve_config(cmd: str, args) -> dict[str, str]:
         config["seed"] = os.environ[SEED_ENV]
     pairs = []
     if args.config:
-        with open(args.config) as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise UsageError(f"{args.config}:{lineno}: expected key=value")
-                pairs.append(tuple(part.strip() for part in line.split("=", 1)))
+        for lineno, raw in enumerate(_read_text(args.config).split("\n"), 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise UsageError(f"{args.config}:{lineno}: expected key=value")
+            pairs.append(tuple(part.strip() for part in line.split("=", 1)))
     for item in args.set or []:
         if "=" not in item:
             raise UsageError(f"--set needs key=value, got {item!r}")
@@ -123,8 +133,7 @@ def cmd_braid(config: dict[str, str]) -> int:
     lattice = _parse_lattice(config["lattice"])
     if not config["program"]:
         raise UsageError("braid needs program=<path> (step-per-line format)")
-    with open(config["program"]) as fh:
-        text = fh.read()
+    text = _read_text(config["program"])
     ledger = tb.EnergyLedger(_number("u", config["u"]), _number("j", config["j"]))
     phi_points = _number("phi_points", config["phi_points"], int, 1)
     program = pr.parse_program(lattice, text, ledger)

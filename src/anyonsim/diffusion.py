@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, UsageError
+from .errors import ConfigurationError, UsageError, require_finite
 from .lattice import Lattice, echo_mask
 
 COORDINATION = 4  # square lattice
@@ -44,10 +44,7 @@ class NoiseModel:
     duration: float
 
     def __post_init__(self):
-        for name in ("xi_h", "tau_c", "dt", "duration"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ConfigurationError(f"{name} must be finite, got {value!r}")
+        require_finite(self, "xi_h", "tau_c", "dt", "duration")
         if self.tau_c <= 0 or self.dt <= 0 or self.duration <= 0:
             raise ConfigurationError("tau_c, dt and duration must be positive")
 
@@ -448,6 +445,9 @@ class DiffusionParams:
     tau_c: float
     z: int = COORDINATION
     t2_scale: float = 1.0
+
+    def __post_init__(self):
+        require_finite(self, "xi_h", "tau_c", "t2_scale")
 
     @property
     def gamma(self) -> float:

@@ -47,7 +47,7 @@ class LatticeSpec:
 
     def __post_init__(self):
         if self.topology not in ("torus", "planar"):
-            raise ConfigurationError(f"unknown topology {self.topology!r}")
+            raise ConfigurationError(f"unknown lattice topology {self.topology!r}")
         if self.size < 2:
             raise ConfigurationError("lattice size must be >= 2")
 
@@ -153,11 +153,11 @@ def build_lattice(spec: LatticeSpec, max_torus: int = MAX_TORUS,
     if spec.topology == "torus":
         if spec.size > max_torus:
             raise ConfigurationError(
-                f"torus size {spec.size} exceeds maximum {max_torus}")
+                f"lattice torus:{spec.size} exceeds the maximum torus size {max_torus}")
         return _build_torus(spec)
     if spec.size > max_planar:
         raise ConfigurationError(
-            f"planar distance {spec.size} exceeds maximum {max_planar}")
+            f"lattice planar:{spec.size} exceeds the maximum distance {max_planar}")
     return _build_planar(spec)
 
 

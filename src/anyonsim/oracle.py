@@ -155,8 +155,8 @@ def random_braid_program(lattice: Lattice, rng) -> BraidProgram:
 # -- syndrome reference -------------------------------------------------------
 
 def syndrome_by_expectation(t: tb.Tableau, lattice: Lattice) -> tb.Syndrome:
-    """Reference for tableau.syndrome: one full-tableau expectation, a
-    dense anticommutation pass over all 2n rows, per stabilizer."""
+    """Reference for tableau.syndrome: one full-tableau expectation per
+    stabilizer."""
     flipped_v = set()
     flipped_f = set()
     for v in range(lattice.n_vertices):

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import statevector as sv
 from . import tableau as tb
-from .errors import ContractError, UsageError
+from .errors import ContractError, UsageError, require_finite
 from .lattice import Lattice, StringPath, echo_mask, logical_operators, shortest_string
 from .pauli import PauliString, from_string_path, multiply
 
@@ -38,6 +38,9 @@ class StringStep:
 @dataclass(frozen=True)
 class DelayStep:
     t: float
+
+    def __post_init__(self):
+        require_finite(self, "t")
 
 
 @dataclass(frozen=True)
@@ -71,7 +74,7 @@ class Coherence:
     alpha: complex
 
     def __post_init__(self):
-        if abs(self.alpha) > 1 + 1e-12:
+        if not abs(self.alpha) <= 1 + 1e-12:  # also catches NaN
             raise ContractError(f"|alpha| = {abs(self.alpha)} exceeds 1")
 
     @property

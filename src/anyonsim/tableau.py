@@ -1,10 +1,17 @@
 """Bit-packed stabilizer tableau with exact phase tracking.
 
-Rows 0..n-1 are destabilizers, rows n..2n-1 stabilizers.  Each row stores a
+Rows 0..n-1 are destabilizers, rows n..2n-1 stabilizers (the destabilizer
+form of Aaronson and Gottesman, PRA 70, 052328, 2004).  Each row stores a
 Pauli operator in the package convention ``i**r * prod X**x Z**z`` (see
-pauli.py), with x/z bits packed into 64-bit words so that torus(32) = 2048
-qubits stays cheap.  Row phases are powers of i mod 4; destabilizer phases
-are maintained but never read.
+pauli.py).  Row phases are powers of i mod 4; destabilizer phases are
+maintained but never read.
+
+The x and z bits are stored per qubit column and packed along the rows:
+bit b of ``x[w, q]`` is the x bit of qubit q in row 64w + b.  A qubit's
+column ``x[:, q]`` is therefore a bitset over all 2n rows, and each 64-row
+block ``x[w]`` is contiguous.  Every read starts from the row bitset of the
+rows that anticommute with a Pauli, the XOR of its few support columns;
+gates are XORs and swaps of columns, so torus(32) = 2048 qubits stays cheap.
 
 A Tableau is single-writer: gates and measurements mutate in place.  Clones
 are cheap and independent, which is how parallel Monte Carlo shares states.
@@ -12,71 +19,59 @@ are cheap and independent, which is how parallel Monte Carlo shares states.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, UsageError
+from .errors import ContractError, UsageError, require_finite
 from .lattice import Lattice, logical_operators, shortest_string, string_to_boundary
 from .pauli import PauliString, from_string_path
 
 _ONE = np.uint64(1)
 
 
-def _parity_words(words: np.ndarray) -> np.ndarray:
-    """Parity of the popcount along the last axis."""
-    return (np.bitwise_count(words).sum(axis=-1) & 1).astype(np.uint8)
+def _row_bits(words: np.ndarray) -> np.ndarray:
+    """One uint8 per row of a row bitset (row words on the last axis)."""
+    words = np.ascontiguousarray(words, dtype="<u8")
+    return np.unpackbits(words.view(np.uint8), axis=-1, bitorder="little")
 
 
 class Tableau:
-    """Stabilizer state of n qubits."""
+    """Stabilizer state of n qubits.  ``x`` and ``z`` have shape
+    (ceil(2n/64), n): one column of row bits per qubit."""
 
     def __init__(self, n: int):
         if n < 1:
             raise UsageError("need at least one qubit")
         self.n = n
-        self.words = (n + 63) // 64
-        self.x = np.zeros((2 * n, self.words), dtype=np.uint64)
-        self.z = np.zeros((2 * n, self.words), dtype=np.uint64)
+        self.x = np.zeros(((2 * n + 63) // 64, n), dtype=np.uint64)
+        self.z = np.zeros_like(self.x)
         self.r = np.zeros(2 * n, dtype=np.uint8)
-        idx = np.arange(n)
-        self.x[idx, idx >> 6] = _ONE << (idx & 63).astype(np.uint64)
-        self.z[n + idx, idx >> 6] = _ONE << (idx & 63).astype(np.uint64)
+        q = np.arange(n)
+        self.x[q >> 6, q] = _ONE << (q & 63).astype(np.uint64)
+        self.z[(n + q) >> 6, q] = _ONE << ((n + q) & 63).astype(np.uint64)
 
     def clone(self) -> "Tableau":
-        t = Tableau.__new__(Tableau)
-        t.n = self.n
-        t.words = self.words
-        t.x = self.x.copy()
-        t.z = self.z.copy()
-        t.r = self.r.copy()
-        return t
+        return copy.deepcopy(self)
 
-    # -- packing -------------------------------------------------------
-    def _pack(self, p: PauliString) -> tuple[np.ndarray, np.ndarray]:
-        xw = np.zeros(self.words, dtype=np.uint64)
-        zw = np.zeros(self.words, dtype=np.uint64)
-        for q, (xb, zb) in p.support.items():
-            if q >= self.n:
-                raise UsageError(f"site {q} outside tableau of {self.n} qubits")
-            w, b = q >> 6, np.uint64(q & 63)
-            if xb:
-                xw[w] |= _ONE << b
-            if zb:
-                zw[w] |= _ONE << b
-        return xw, zw
+    # -- rows ------------------------------------------------------------
+    def _row(self, row: int) -> tuple[np.ndarray, np.ndarray]:
+        """The x and z bits of one row, one bool per qubit."""
+        bit = _ONE << np.uint64(row & 63)
+        return (self.x[row >> 6] & bit).astype(bool), (self.z[row >> 6] & bit).astype(bool)
+
+    def _set_row(self, row: int, xs, zs, phase: int) -> None:
+        """Overwrite one row with x bits on the qubits xs, z bits on zs."""
+        bit = _ONE << np.uint64(row & 63)
+        for arr, cols in ((self.x, xs), (self.z, zs)):
+            arr[row >> 6] &= ~bit
+            arr[row >> 6, cols] |= bit
+        self.r[row] = phase
 
     def _row_pauli(self, row: int) -> PauliString:
-        support = {}
-        for w in range(self.words):
-            xbits = int(self.x[row, w])
-            zbits = int(self.z[row, w])
-            both = xbits | zbits
-            while both:
-                b = (both & -both).bit_length() - 1
-                q = (w << 6) + b
-                support[q] = ((xbits >> b) & 1, (zbits >> b) & 1)
-                both &= both - 1
+        xb, zb = self._row(row)
+        support = {int(q): (int(xb[q]), int(zb[q])) for q in np.flatnonzero(xb | zb)}
         return PauliString(int(self.r[row]), support)
 
     def stabilizer_generators(self) -> list[PauliString]:
@@ -87,70 +82,87 @@ class Tableau:
         return "\n".join(str(g) for g in self.stabilizer_generators())
 
     # -- row algebra -----------------------------------------------------
-    def _anticommute(self, xw: np.ndarray, zw: np.ndarray) -> np.ndarray:
-        """Boolean per row: does the row anticommute with the packed Pauli."""
-        acc = np.bitwise_count(self.x & zw[None, :]).sum(axis=1)
-        acc += np.bitwise_count(self.z & xw[None, :]).sum(axis=1)
-        return (acc & 1).astype(bool)
+    def _columns(self, p: PauliString) -> tuple[list[int], list[int]]:
+        """The qubits where p has an x bit, and those where it has a z bit."""
+        for q in p.support:
+            if not 0 <= q < self.n:
+                raise UsageError(f"site {q} outside tableau of {self.n} qubits")
+        return ([q for q, (xb, _) in p.support.items() if xb],
+                [q for q, (_, zb) in p.support.items() if zb])
+
+    def _anticommute(self, xs, zs) -> np.ndarray:
+        """Row bitset of the rows anticommuting with the Pauli that has x
+        bits on the qubits xs and z bits on zs: a row's z bits meet the x
+        bits and its x bits the z bits."""
+        rows = np.zeros(self.x.shape[0], dtype=np.uint64)
+        for bits, cols in ((self.z, xs), (self.x, zs)):
+            if len(cols):  # an empty reduce costs as much as a short one
+                rows ^= np.bitwise_xor.reduce(bits[:, cols], axis=1)
+        return rows
+
+    def _add_phase(self, k: int, rows: np.ndarray) -> None:
+        """r <- r + k on every row of the bitset ``rows``."""
+        self.r = (self.r + k * _row_bits(rows)[:2 * self.n]) & 3
 
     def _rowmult_into(self, rows: np.ndarray, src: int) -> None:
-        """row <- row * row_src for every row index in ``rows``."""
-        cross = _parity_words(self.z[rows] & self.x[src][None, :])
-        self.r[rows] = (self.r[rows] + self.r[src] + 2 * cross) & 3
-        self.x[rows] ^= self.x[src]
-        self.z[rows] ^= self.z[src]
+        """row <- row * row_src for every row of the bitset ``rows``
+        (which must not hold src)."""
+        sx, sz = (np.flatnonzero(bits) for bits in self._row(src))
+        # Z**z_row X**x_src = (-1)**(z_row . x_src) X**x_src Z**z_row
+        cross = np.bitwise_xor.reduce(self.z[:, sx], axis=1) & rows
+        self._add_phase(int(self.r[src]), rows)
+        self._add_phase(2, cross)
+        self.x[:, sx] ^= rows[:, None]
+        self.z[:, sz] ^= rows[:, None]
 
     # -- Clifford gates ----------------------------------------------------
-    def _bit(self, arr: np.ndarray, q: int) -> np.ndarray:
-        """Column q of ``arr``; every gate reads its qubits through here, so
-        this is where an index outside 0..n-1 is rejected."""
+    def _col(self, arr: np.ndarray, q: int) -> np.ndarray:
+        """Column q of ``arr`` (a view); every gate reads its qubits through
+        here before writing, so this is where an index outside 0..n-1 is
+        rejected."""
         if not 0 <= q < self.n:
             raise UsageError(f"qubit index {q} out of range for n={self.n}")
-        return ((arr[:, q >> 6] >> np.uint64(q & 63)) & _ONE).astype(np.uint8)
+        return arr[:, q]
 
     def h(self, q: int) -> "Tableau":
-        xq, zq = self._bit(self.x, q), self._bit(self.z, q)
-        self.r = (self.r + 2 * (xq & zq)) & 3
-        diff = ((xq ^ zq).astype(np.uint64)) << np.uint64(q & 63)
-        self.x[:, q >> 6] ^= diff
-        self.z[:, q >> 6] ^= diff
+        xq, zq = self._col(self.x, q).copy(), self._col(self.z, q).copy()
+        self._add_phase(2, xq & zq)
+        self.x[:, q], self.z[:, q] = zq, xq
         return self
 
     def s(self, q: int) -> "Tableau":
-        xq = self._bit(self.x, q)
-        self.r = (self.r + xq) & 3
-        self.z[:, q >> 6] ^= xq.astype(np.uint64) << np.uint64(q & 63)
+        xq = self._col(self.x, q)
+        self._add_phase(1, xq)
+        self.z[:, q] ^= xq
         return self
 
     def x_gate(self, q: int) -> "Tableau":
-        self.r = (self.r + 2 * self._bit(self.z, q)) & 3
+        self._add_phase(2, self._col(self.z, q))
         return self
 
     def y_gate(self, q: int) -> "Tableau":
-        self.r = (self.r + 2 * (self._bit(self.x, q) ^ self._bit(self.z, q))) & 3
+        self._add_phase(2, self._col(self.x, q) ^ self._col(self.z, q))
         return self
 
     def z_gate(self, q: int) -> "Tableau":
-        self.r = (self.r + 2 * self._bit(self.x, q)) & 3
+        self._add_phase(2, self._col(self.x, q))
         return self
 
     def cx(self, control: int, target: int) -> "Tableau":
         if control == target:
             raise UsageError("control equals target")
-        xc = self._bit(self.x, control)
-        zt = self._bit(self.z, target)
-        self.x[:, target >> 6] ^= xc.astype(np.uint64) << np.uint64(target & 63)
-        self.z[:, control >> 6] ^= zt.astype(np.uint64) << np.uint64(control & 63)
+        xc, zt = self._col(self.x, control), self._col(self.z, target)
+        self.x[:, target] ^= xc
+        self.z[:, control] ^= zt
         return self
 
     def cz(self, control: int, target: int) -> "Tableau":
         if control == target:
             raise UsageError("control equals target")
-        xc = self._bit(self.x, control)
-        xt = self._bit(self.x, target)
-        self.r = (self.r + 2 * (xc & xt)) & 3
-        self.z[:, control >> 6] ^= xt.astype(np.uint64) << np.uint64(control & 63)
-        self.z[:, target >> 6] ^= xc.astype(np.uint64) << np.uint64(target & 63)
+        xc, xt = self._col(self.x, control), self._col(self.x, target)
+        self._add_phase(2, xc & xt)
+        self.z[:, control] ^= xt
+        self.z[:, target] ^= xc
         return self
 
 
@@ -178,9 +190,7 @@ def apply_gate(t: Tableau, gate: str, targets) -> Tableau:
 
 def apply_pauli_string(t: Tableau, p: PauliString) -> Tableau:
     """Multiply the state by p: only stabilizer signs change."""
-    xw, zw = t._pack(p)
-    flips = t._anticommute(xw, zw)
-    t.r[flips] = (t.r[flips] + 2) & 3
+    t._add_phase(2, t._anticommute(*t._columns(p)))
     return t
 
 
@@ -212,29 +222,20 @@ def measure_pauli(t: Tableau, p: PauliString, rng) -> tuple[int, Tableau]:
     """Projective measurement of a Hermitian Pauli; returns (+-1, tableau)."""
     if not p.is_hermitian():
         raise UsageError("measurement needs a Hermitian Pauli")
-    xw, zw = t._pack(p)
-    antic = t._anticommute(xw, zw)
-    stab_rows = np.nonzero(antic[t.n:])[0]
-    if stab_rows.size:
-        pivot = t.n + int(stab_rows[0])
-        others = np.nonzero(antic)[0]
-        others = others[others != pivot]
-        if others.size:
-            t._rowmult_into(others, pivot)
-        partner = pivot - t.n
-        t.x[partner] = t.x[pivot]
-        t.z[partner] = t.z[pivot]
-        t.r[partner] = t.r[pivot]
+    xs, zs = t._columns(p)
+    antic = t._anticommute(xs, zs)
+    rows = np.flatnonzero(_row_bits(antic))
+    if rows.size and rows[-1] >= t.n:
+        pivot = int(rows[rows >= t.n][0])
+        antic[pivot >> 6] ^= _ONE << np.uint64(pivot & 63)
+        t._rowmult_into(antic, pivot)
+        t._set_row(pivot - t.n, *(np.flatnonzero(b) for b in t._row(pivot)), t.r[pivot])
         outcome = 1 if int(rng.integers(2)) == 0 else -1
-        t.x[pivot] = xw
-        t.z[pivot] = zw
-        t.r[pivot] = (p.phase + (0 if outcome == 1 else 2)) & 3
+        t._set_row(pivot, xs, zs, (p.phase + (0 if outcome == 1 else 2)) & 3)
         return outcome, t
-    value = _deterministic_phase(t, p.phase, xw, zw, np.nonzero(antic[:t.n])[0])
-    if value == 1:
-        return 1, t
-    if value == -1:
-        return -1, t
+    value = _deterministic_phase(t, p.phase, xs, zs, rows)
+    if value in (1, -1):
+        return int(value.real), t
     raise ContractError("deterministic measurement with non-real phase")
 
 
@@ -248,27 +249,31 @@ def expectation_pauli(t: Tableau, p: PauliString) -> int:
 
 def expectation_phase(t: Tableau, p: PauliString) -> complex:
     """<p> for any phase-tracked Pauli: 0, or a power of i."""
-    xw, zw = t._pack(p)
-    antic = t._anticommute(xw, zw)
-    if antic[t.n:].any():
+    xs, zs = t._columns(p)
+    rows = np.flatnonzero(_row_bits(t._anticommute(xs, zs)))
+    if rows.size and rows[-1] >= t.n:
         return 0j
-    return _deterministic_phase(t, p.phase, xw, zw, np.nonzero(antic[:t.n])[0])
+    return _deterministic_phase(t, p.phase, xs, zs, rows)
 
 
-def _deterministic_phase(t, p_phase, xw, zw, members) -> complex:
-    """<p> = i**(k_p - k_prod) for a p in the stabilizer group, with packed
-    bits xw, zw.  prod is the product of the stabilizer rows n+j for the
-    destabilizers j in ``members`` (those anticommuting with p); it must
+def _deterministic_phase(t, p_phase, xs, zs, members) -> complex:
+    """<p> = i**(k_p - k_prod) for a p in the stabilizer group, with x bits
+    on the qubits xs and z bits on zs.  prod is the product of the
+    stabilizer rows n+j for the destabilizers j in ``members`` (those
+    anticommuting with p), each read from its 64-row block; it must
     reproduce p's bits."""
-    px = np.zeros(t.words, dtype=np.uint64)
-    pz = np.zeros(t.words, dtype=np.uint64)
+    px = np.zeros(t.n, dtype=bool)
+    pz = np.zeros(t.n, dtype=bool)
     phase = 0
     for j in members:
         row = t.n + int(j)
-        phase = (phase + int(t.r[row]) + 2 * int(_parity_words(pz & t.x[row]))) & 3
-        px ^= t.x[row]
-        pz ^= t.z[row]
-    if not (np.array_equal(px, xw) and np.array_equal(pz, zw)):
+        xb, zb = t._row(row)
+        phase += int(t.r[row]) + 2 * int(np.count_nonzero(pz & xb))
+        px ^= xb
+        pz ^= zb
+    px[xs] ^= True
+    pz[zs] ^= True
+    if np.count_nonzero(px) or np.count_nonzero(pz):
         raise ContractError("operator commutes with the group but is not in it")
     return 1j ** ((p_phase - phase) % 4)
 
@@ -292,76 +297,41 @@ class EnergyLedger:
     coupling_u: float = 1.0
     coupling_j: float = 1.0
 
+    def __post_init__(self):
+        require_finite(self, "coupling_u", "coupling_j")
+
+
+_SYNDROME_BLOCK = 64  # stabilizers per block; bounds the unpacked row bits
+
 
 def syndrome(t: Tableau, lattice: Lattice) -> Syndrome:
     """Anyon positions: stabilizers at -1.  The state must be an eigenstate
     of every stabilizer (guaranteed after Pauli strings on eigenstates).
 
-    Stabilizers have weight <= 4, so each one is read from the row bitsets
-    of its few support qubits instead of from a full-tableau expectation
-    (oracle.syndrome_by_expectation keeps that slow path as the reference).
+    Stabilizers have weight <= 4, so the rows anticommuting with each one
+    are the XOR of its few support columns, read 64 stabilizers at a time,
+    instead of a full-tableau expectation (oracle.syndrome_by_expectation
+    keeps that slow path as the reference).
     """
     if lattice.n_edges > t.n:
         raise UsageError(f"lattice of {lattice.n_edges} edges outside tableau "
                          f"of {t.n} qubits")
-    # X-type vertex stabilizers meet the rows' z bits, Z-type faces the x bits
-    flipped_v = _flipped_stabilizers(t, "vertex", lattice.stars, PauliString.x_on, t.z)
-    flipped_f = _flipped_stabilizers(t, "face", lattice.boundaries, PauliString.z_on, t.x)
-    return Syndrome(frozenset(flipped_v), frozenset(flipped_f))
-
-
-_SYNDROME_BLOCK = 64  # stabilizers per block; bounds the unpacked member bits
-
-
-def _row_columns(half: np.ndarray) -> np.ndarray:
-    """Per-qubit row bitsets of one packed tableau half.
-
-    Bit r of out[q] is bit q of row r.  The transpose is done one 64-qubit
-    word column at a time, so no more than rows x 64 bytes are unpacked at
-    once.  A trailing all-zero column serves as padding for short supports.
-    """
-    rows, words = half.shape
-    row_words = (rows + 63) // 64
-    out = np.zeros((64 * words + 1, row_words), dtype="<u8")
-    buf = np.zeros((64, 8 * row_words), dtype=np.uint8)
-    as_bytes = np.ascontiguousarray(half, dtype="<u8").view(np.uint8)
-    as_bytes = as_bytes.reshape(rows, words, 8)
-    for w in range(words):
-        bits = np.unpackbits(as_bytes[:, w], axis=1, bitorder="little")
-        packed = np.packbits(bits, axis=0, bitorder="little")
-        buf[:, :packed.shape[0]] = packed.T
-        out[64 * w:64 * w + 64] = buf.view("<u8")
-    return out
-
-
-def _flipped_stabilizers(t: Tableau, kind: str, supports, pauli, bits) -> list[int]:
-    """Indices of the stabilizers pauli(support) at -1.  ``bits`` is the
-    tableau bit array through which such a stabilizer anticommutes."""
-    n = t.n
-    stab_cols = _row_columns(bits[n:])
-    destab_cols = _row_columns(bits[:n])
-    pad = stab_cols.shape[0] - 1
-    idx = np.full((len(supports), max(map(len, supports))), pad, dtype=np.intp)
-    for i, support in enumerate(supports):
-        idx[i, :len(support)] = support
-    flipped = []
-    for first in range(0, len(supports), _SYNDROME_BLOCK):
-        block = idx[first:first + _SYNDROME_BLOCK]
-        # row bitsets of the rows anticommuting with each stabilizer
-        stab = np.bitwise_xor.reduce(stab_cols[block], axis=1)
-        destab = np.bitwise_xor.reduce(destab_cols[block], axis=1)
-        members = np.unpackbits(destab.view(np.uint8), axis=1, bitorder="little")
-        for k in range(block.shape[0]):
-            i = first + k
+    # X-type vertex stabilizers have x bits only, Z-type faces z bits only
+    stabilizers = ([("vertex", v, list(s), []) for v, s in enumerate(lattice.stars)]
+                   + [("face", f, [], list(b)) for f, b in enumerate(lattice.boundaries)])
+    flipped = {"vertex": set(), "face": set()}
+    for first in range(0, len(stabilizers), _SYNDROME_BLOCK):
+        block = stabilizers[first:first + _SYNDROME_BLOCK]
+        rows = _row_bits(np.stack([t._anticommute(xs, zs) for _, _, xs, zs in block]))
+        for (kind, i, xs, zs), antic in zip(block, rows):
             value = 0
-            if not stab[k].any():
-                xw, zw = t._pack(pauli(supports[i]))
-                value = _deterministic_phase(t, 0, xw, zw, np.nonzero(members[k, :n])[0])
+            if not antic[t.n:].any():
+                value = _deterministic_phase(t, 0, xs, zs, np.flatnonzero(antic[:t.n]))
             if value == -1:
-                flipped.append(i)
+                flipped[kind].add(i)
             elif value != 1:
                 raise ContractError(f"{kind} stabilizer {i} has no definite value")
-    return flipped
+    return Syndrome(frozenset(flipped["vertex"]), frozenset(flipped["face"]))
 
 
 def syndrome_after(s: Syndrome, lattice: Lattice, p: PauliString) -> Syndrome:

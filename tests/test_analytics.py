@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from anyonsim import analytics as an
+from anyonsim import diffusion as df
 from anyonsim import oracle
+from anyonsim import tableau as tb
 from anyonsim.errors import ConfigurationError, UsageError
 
 
@@ -110,6 +112,24 @@ def test_memory_error_and_crossover():
         an.crossover_time(_budget(delta_h=2.0))
     with pytest.warns(UserWarning):
         an.memory_error(_budget(delta_h=2.0), 1.0)
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: tb.EnergyLedger(math.nan, 1.0), "coupling_u"),
+    (lambda: tb.EnergyLedger(1.0, math.inf), "coupling_j"),
+    (lambda: an.CavityParams(g=math.inf, kappa=1e-3, gamma=1e-3), "g"),
+    (lambda: _budget(delta_h=math.nan), "delta_h"),
+    (lambda: _budget(epsilon=-math.inf), "epsilon"),
+    (lambda: _budget(epsilon=-5.0), "epsilon"),
+    (lambda: an.memory_error(_budget(), -1.0), "t"),
+    (lambda: df.DiffusionParams(xi_h=math.nan, tau_c=1.0), "xi_h"),
+    (lambda: df.DiffusionParams(xi_h=1.0, tau_c=-math.inf), "tau_c"),
+], ids=["ledger-u-nan", "ledger-j-inf", "cavity-g-inf", "budget-delta_h-nan",
+        "budget-epsilon-inf", "budget-epsilon-negative", "memory_error-t-negative",
+        "diffusion-xi_h-nan", "diffusion-tau_c-inf"])
+def test_parameters_rejected_when_built(build, field):
+    with pytest.raises(ConfigurationError, match=f"^{field} must be"):
+        build()
 
 
 def test_quenched_phase_prob():

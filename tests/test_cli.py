@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from anyonsim import cli
@@ -72,6 +73,9 @@ def test_braid_errors(tmp_path):
     bad = tmp_path / "bad.prog"
     bad.write_text("WIGGLE 3\n")
     assert run_cli(["braid", "--set", f"program={bad}"]).returncode == 2
+    bad.write_text("DELAY nan\n")  # alpha would be NaN
+    result = run_cli(["braid", "--set", f"program={bad}"])
+    assert result.returncode == 2 and "t must be finite" in result.stderr
 
 
 def test_memory_roundtrip_cli():
@@ -126,6 +130,7 @@ def test_diffuse_non_finite_noise(setting):
     ("memory", "trials=-1"), ("memory", "seed=x"), ("memory", "trials=1" + "0" * 400),
     ("diffuse", "particles=0"),
     ("diffuse", "xi_h=abc"), ("diffuse", "tau="), ("diffuse", "schedule=z_pairs:1.5"),
+    ("budget", "epsilon=-5"), ("budget", "t=-1"),
 ])
 def test_bad_numbers_exit_2(cmd, setting, tangled_program_file):
     args = [cmd, "--set", setting]
@@ -135,6 +140,70 @@ def test_bad_numbers_exit_2(cmd, setting, tangled_program_file):
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
     assert setting.split("=")[0] in result.stderr
+
+
+@pytest.mark.parametrize("setting, limit", [
+    ("lattice=torus:33", "lattice torus:33 exceeds the maximum torus size 32"),
+    ("lattice=torus:1", "lattice size must be >= 2"),
+    ("lattice=planar:8", "lattice planar:8 exceeds the maximum distance 7"),
+    ("lattice=cube:3", "unknown lattice topology 'cube'"),
+])
+def test_lattice_limit_reported(setting, limit):
+    result = run_cli(["memory", "--set", setting])
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert limit in result.stderr
+
+
+@pytest.mark.parametrize("cmd, how", [("memory", "--config"), ("braid", "program")])
+def test_non_utf8_file_exit_2(cmd, how, tmp_path):
+    bad = tmp_path / "latin.cfg"
+    bad.write_bytes(b"\xff\xfeseed=1\n")
+    args = [cmd, "--config", str(bad)] if how == "--config" else [
+        cmd, "--set", f"program={bad}"]
+    result = run_cli(args)
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert str(bad) in result.stderr
+
+
+# Malformed values for the fuzz test; NON_UTF8 stands for a file path.
+FUZZ_VALUES = ["", "nan", "-inf", "abc", "-1", "0", "1" * 400, "torus:99", "NON_UTF8"]
+# Work sizes that keep one valid run of each subcommand well under a second.
+FUZZ_BASE = {
+    "braid": ["lattice=torus:2", "phi_points=4"],
+    "memory": ["lattice=planar:2", "trials=1"],
+    "diffuse": ["trials=1", "tau=1", "schedule=none,z_pairs:1", "particles=1"],
+    "budget": [],
+    "zd": [],
+    "oracle": ["circuits=2"],
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(cli.COMMANDS))
+def test_cli_fuzz(cmd, tmp_path, monkeypatch):
+    """Mutated keys and values never end in an escaped exception: every
+    run exits 0, 1 or 2."""
+    monkeypatch.chdir(tmp_path)  # an ``out`` value becomes a file here
+    monkeypatch.delenv(cli.SEED_ENV, raising=False)
+    bad = tmp_path / "latin.cfg"
+    program = tmp_path / "empty.prog"
+    program.write_text("# nothing\n")
+    base = FUZZ_BASE[cmd] + ([f"program={program}"] if cmd == "braid" else [])
+    keys = sorted(cli.DEFAULTS[cmd]) + ["bogus"]
+    rng = np.random.default_rng(sorted(cli.COMMANDS).index(cmd))
+    for trial in range(60):
+        bad.write_bytes(b"\xff\xfeseed=1\n")  # an ``out`` value may overwrite it
+        args = [cmd]
+        for item in base:
+            args += ["--set", item]
+        for _ in range(int(rng.integers(1, 3))):
+            value = FUZZ_VALUES[int(rng.integers(len(FUZZ_VALUES)))]
+            value = str(bad) if value == "NON_UTF8" else value
+            args += ["--set", f"{keys[int(rng.integers(len(keys)))]}={value}"]
+        if trial % 10 == 0:
+            args += ["--config", str(bad)]
+        assert cli.main(args) in (0, 1, 2), args
 
 
 def test_budget_table():

@@ -32,6 +32,32 @@ def test_gates_match_dense_oracle():
             assert abs(e_tab - e_vec) < 1e-9
 
 
+@pytest.mark.parametrize("offset", [28, 57, 60])
+def test_rows_spanning_words_match_small_tableau(offset):
+    # Tableau(70) keeps 140 rows in three 64-row words; qubit q has
+    # destabilizer row q and stabilizer row 70 + q.  Qubits 28.. have their
+    # destabilizers in word 0 and stabilizers in word 1; the stabilizers of
+    # 57.. straddle words 1 and 2, the destabilizers of 60.. words 0 and 1
+    rng = np.random.default_rng(offset)
+    for _ in range(25):
+        k = int(rng.integers(5, 9))
+        small, big = tb.Tableau(k), tb.Tableau(70)
+        for gate, qs in random_clifford_circuit(k, 40, rng):
+            tb.apply_gate(small, gate, qs)
+            tb.apply_gate(big, gate, tuple(q + offset for q in qs))
+        seed = int(rng.integers(2 ** 32))
+        rng_small, rng_big = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(8):
+            p = random_hermitian_pauli(k, rng)
+            moved = PauliString(p.phase, {q + offset: b for q, b in p.support.items()})
+            assert tb.expectation_phase(big, moved) == tb.expectation_phase(small, p)
+            assert (tb.measure_pauli(big, moved, rng_big)[0]
+                    == tb.measure_pauli(small, p, rng_small)[0])
+        want = [str(PauliString(g.phase, {q + offset: b for q, b in g.support.items()}))
+                for g in small.stabilizer_generators()]
+        assert [str(g) for g in big.stabilizer_generators()[offset:offset + k]] == want
+
+
 @pytest.mark.parametrize("gate, targets", [("T", 0), ("CX", (0, 5)), ("H", -1),
                                             ("CX", (1, 1)), ("CZ", (2, 2))])
 def test_apply_gate_rejects_bad_input(gate, targets):
@@ -185,9 +211,16 @@ def _mix_generators(t, rng, n_ops=60):
     keep the tableau valid and give rows that mix x and z bits."""
     for _ in range(n_ops):
         i, j = (int(v) for v in rng.choice(t.n, size=2, replace=False))
-        t._rowmult_into(np.array([t.n + i]), t.n + j)
-        t._rowmult_into(np.array([j]), i)
+        t._rowmult_into(_row_set(t, t.n + i), t.n + j)
+        t._rowmult_into(_row_set(t, j), i)
     return t
+
+
+def _row_set(t, row):
+    """The row bitset holding just ``row``."""
+    rows = np.zeros(t.x.shape[0], dtype=np.uint64)
+    rows[row >> 6] = np.uint64(1) << np.uint64(row & 63)
+    return rows
 
 
 @pytest.mark.parametrize("lattice", [lat.torus(4), lat.planar(2), lat.planar(3)],
