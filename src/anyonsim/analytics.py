@@ -26,9 +26,7 @@ class CavityParams:
     gamma: float
 
     def __post_init__(self):
-        require_finite(self, "g", "kappa", "gamma")
-        if min(self.g, self.kappa, self.gamma) <= 0:
-            raise ConfigurationError("cavity parameters must be positive")
+        require_finite(self, "g", "kappa", "gamma", positive=True)
 
     @property
     def purcell(self) -> float:
@@ -108,10 +106,8 @@ class MemoryBudget:
     delta: float = 0.0
 
     def __post_init__(self):
-        require_finite(self, "delta_h", "coupling_j", "q", "purcell", "lam",
-                       "epsilon", "delta")
-        if self.coupling_j <= 0 or self.q <= 0 or self.purcell <= 0:
-            raise ConfigurationError("J, q and purcell must be positive")
+        require_finite(self, "delta_h", "lam", "epsilon", "delta")
+        require_finite(self, "coupling_j", "q", "purcell", positive=True)
         if self.epsilon < 0:
             raise ConfigurationError(f"epsilon must be >= 0, got {self.epsilon!r}")
 

@@ -2,8 +2,9 @@
 
 Subcommands: braid, memory, diffuse, budget, zd, oracle.  Configuration is
 flat key=value pairs, read from an optional file (--config) and overridden
-by repeated --set key=value flags; unknown keys are rejected.  Every output
-embeds the fully resolved configuration as '#'-prefixed header lines, and
+by repeated --set key=value flags; unknown keys are rejected, and every key
+is parsed by its SCHEMA entry before any output is written.  Every output
+embeds the resolved configuration as '#'-prefixed header lines, and
 identical (config, seed) runs produce bit-identical output.
 
 Exit codes: 0 success, 1 acceptance/oracle failure, 2 input error,
@@ -16,6 +17,7 @@ import argparse
 import math
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -28,29 +30,13 @@ from .weyl import WeylString, weyl_braiding_phase, weyl_gate_count
 
 SEED_ENV = "ANYONSIM_SEED"
 
-DEFAULTS = {
-    "braid": {"lattice": "torus:4", "program": "", "u": "1.0", "j": "1.0",
-              "phi_points": "64", "out": "", "seed": "0"},
-    "memory": {"lattice": "planar:2", "trials": "20", "seed": "0"},
-    "diffuse": {"lattice": "torus:4", "xi_h": "1.0", "tau_c": "10.0", "dt": "",
-                "trials": "50", "schedule": "none,z_pairs:1,z_pairs:4,z_pairs:10",
-                "particles": "2", "sector": "x", "estimator": "amplitude",
-                "tau": "1,2,3,4,6,8,10,12", "out": "", "seed": "0"},
-    "budget": {"g": "1.0", "kappa": "1e-3", "gamma": "1e-3", "n": "16",
-               "alpha_sq": str(math.pi / 2), "theta": str(math.pi / 2),
-               "delta": "0.01", "k": "1", "delta_h": "0.1", "j": "1.0",
-               "q": "1e-3", "epsilon": "0.0", "t": "1.0", "out": "", "seed": "0"},
-    "zd": {"d": "3", "seed": "0"},
-    "oracle": {"circuits": "200", "seed": "0"},
-}
 
-
-def _parse_lattice(text: str):
+def _parse_lattice(key: str, text: str):
     try:
         topo, size = text.split(":")
         size = int(size)
     except ValueError:
-        raise UsageError(f"bad lattice spec {text!r} (want e.g. lattice=torus:4)") from None
+        raise UsageError(f"bad lattice spec {text!r} (want e.g. {key}=torus:4)") from None
     return build_lattice(LatticeSpec(topo.strip(), size))
 
 
@@ -83,8 +69,65 @@ def _number(key: str, text: str, kind=float, minimum=None):
     return value
 
 
-def _resolve_config(cmd: str, args) -> dict[str, str]:
-    config = dict(DEFAULTS[cmd])
+def _parse_taus(key: str, text: str) -> list[float]:
+    taus = [_number(key, x, float, 0) for x in text.split(",") if x.strip()]
+    if not taus:
+        raise ConfigurationError(f"{key} needs at least one delay")
+    return taus
+
+
+def _parse_schedule(key: str, text: str) -> list[tuple[str, int]]:
+    """``kind:n`` items; a bare kind means n = 1, or n = 0 for ``none``."""
+    items = [x.strip().partition(":") for x in text.split(",") if x.strip()]
+    return [(kind.strip(), _number(key, n, int, 0) if sep else int(kind != "none"))
+            for kind, sep, n in items]
+
+
+def _optional_number(key: str, text: str):
+    """A finite float, or None (the automatic value) for empty text."""
+    return _number(key, text) if text else None
+
+
+def _text(key: str, text: str) -> str:
+    return text
+
+
+_int = partial(_number, kind=int)
+_count = partial(_number, kind=int, minimum=1)
+_SEED = ("0", partial(_number, kind=int, minimum=0))
+_OUT = ("", _text)
+_LATTICE = ("torus:4", _parse_lattice)
+
+# SCHEMA[cmd][key] = (default text, parser); parser(key, text) returns the
+# typed value or raises a ConfigurationError/UsageError naming the key.
+SCHEMA = {
+    "braid": {"lattice": _LATTICE, "program": ("", _text), "u": ("1.0", _number),
+              "j": ("1.0", _number), "phi_points": ("64", _count), "out": _OUT,
+              "seed": _SEED},
+    "memory": {"lattice": ("planar:2", _parse_lattice), "trials": ("20", _count),
+               "seed": _SEED},
+    "diffuse": {"lattice": _LATTICE, "xi_h": ("1.0", _number), "tau_c": ("10.0", _number),
+                "dt": ("", _optional_number), "trials": ("50", _count),
+                "schedule": ("none,z_pairs:1,z_pairs:4,z_pairs:10", _parse_schedule),
+                "particles": ("2", _count), "sector": ("x", _text),
+                "estimator": ("amplitude", _text),
+                "tau": ("1,2,3,4,6,8,10,12", _parse_taus), "out": _OUT, "seed": _SEED},
+    "budget": {"g": ("1.0", _number), "kappa": ("1e-3", _number),
+               "gamma": ("1e-3", _number), "n": ("16", _int),
+               "alpha_sq": (str(math.pi / 2), _number), "theta": (str(math.pi / 2), _number),
+               "delta": ("0.01", _number), "k": ("1", _int), "delta_h": ("0.1", _number),
+               "j": ("1.0", _number), "q": ("1e-3", _number), "epsilon": ("0.0", _number),
+               "t": ("1.0", _number), "out": _OUT, "seed": _SEED},
+    "zd": {"d": ("3", _int), "seed": _SEED},
+    "oracle": {"circuits": ("200", _count), "seed": _SEED},
+}
+
+
+def _resolve_config(cmd: str, args) -> tuple[list[str], dict]:
+    """The '#' header lines of the resolved config texts (defaults, then
+    ANYONSIM_SEED, --config, --set, --seed, --out) and every parsed value."""
+    schema = SCHEMA[cmd]
+    config = {key: default for key, (default, _) in schema.items()}
     if SEED_ENV in os.environ:
         config["seed"] = os.environ[SEED_ENV]
     pairs = []
@@ -109,11 +152,8 @@ def _resolve_config(cmd: str, args) -> dict[str, str]:
             raise UsageError(f"unknown key {key!r} for {cmd} "
                              f"(known: {', '.join(sorted(config))})")
         config[key] = value
-    return config
-
-
-def _echo_lines(config: dict[str, str]) -> list[str]:
-    return [f"# {k}={config[k]}" for k in sorted(config)]
+    header = [f"# {k}={config[k]}" for k in sorted(config)]
+    return header, {key: parse(key, config[key]) for key, (_, parse) in schema.items()}
 
 
 def _write(path: str, lines: list[str]) -> None:
@@ -129,37 +169,35 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def cmd_braid(config: dict[str, str]) -> int:
-    lattice = _parse_lattice(config["lattice"])
-    if not config["program"]:
+def cmd_braid(header: list[str], cfg: dict) -> int:
+    if not cfg["program"]:
         raise UsageError("braid needs program=<path> (step-per-line format)")
-    text = _read_text(config["program"])
-    ledger = tb.EnergyLedger(_number("u", config["u"]), _number("j", config["j"]))
-    phi_points = _number("phi_points", config["phi_points"], int, 1)
-    program = pr.parse_program(lattice, text, ledger)
-    ground = tb.prepare_ground_state(lattice, 0)
+    ledger = tb.EnergyLedger(cfg["u"], cfg["j"])
+    program = pr.parse_program(cfg["lattice"], _read_text(cfg["program"]), ledger)
+    ground = tb.prepare_ground_state(cfg["lattice"], 0)
     coherence = pr.run_interferometry(program, ground)
     a = coherence.alpha
-    phis = np.linspace(0.0, 2.0 * math.pi, phi_points, endpoint=False)
+    phis = np.linspace(0.0, 2.0 * math.pi, cfg["phi_points"], endpoint=False)
     curve = pr.fringe(coherence, phis)
-    lines = _echo_lines(config)
-    lines.append(f"# alpha={_fmt(a.real)}{'+' if a.imag >= 0 else '-'}"
-                 f"{_fmt(abs(a.imag))}i theta_tot={_fmt(coherence.theta_tot)} "
-                 f"contrast={_fmt(abs(a))}")
-    lines.append("phi,sigma_phi")
+    lines = [*header, f"# alpha={_fmt(a.real)}{'+' if a.imag >= 0 else '-'}"
+             f"{_fmt(abs(a.imag))}i theta_tot={_fmt(coherence.theta_tot)} "
+             f"contrast={_fmt(abs(a))}", "phi,sigma_phi"]
     for p, v in zip(curve.phis, curve.values):
         lines.append(f"{_fmt(p)},{_fmt(v)}")
-    _write(config["out"], lines)
+    _write(cfg["out"], lines)
     print(f"alpha = {_fmt(a.real)} {'+' if a.imag >= 0 else '-'} "
           f"{_fmt(abs(a.imag))}i, theta_tot = {_fmt(coherence.theta_tot)}",
           file=sys.stderr)
     return 0
 
 
-def cmd_memory(config: dict[str, str]) -> int:
-    lattice = _parse_lattice(config["lattice"])
-    trials = _number("trials", config["trials"], int, 1)
-    rng = np.random.default_rng(_number("seed", config["seed"], int, 0))
+def cmd_memory(header: list[str], cfg: dict) -> int:
+    lattice, trials = cfg["lattice"], cfg["trials"]
+    try:  # the dense teleportation check below; fail before the first line
+        memory = sv.from_tableau(tb.prepare_ground_state(lattice, 0))
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"lattice: {exc}") from None
+    rng = np.random.default_rng(cfg["seed"])
     states = list(pr.PROBE_STATES)
     failures = 0
     for k in range(trials):
@@ -173,8 +211,6 @@ def cmd_memory(config: dict[str, str]) -> int:
         print(f"roundtrip {k}: state {want[0]}{want[1]:+d} -> "
               f"{'PASS' if ok else 'FAIL'}")
     lz, lx = [from_string_path(p) for p in logical_operators(lattice)[0]]
-    ground = sv.from_tableau(tb.prepare_ground_state(lattice, 0))
-    memory = ground.clone()
     sv.apply_pauli_exponential(memory, lx, 0.3)
     for k in range(trials):
         theta = float(rng.uniform(-math.pi, math.pi))
@@ -192,67 +228,44 @@ def cmd_memory(config: dict[str, str]) -> int:
     return 0 if failures == 0 else 1
 
 
-def cmd_diffuse(config: dict[str, str]) -> int:
-    lattice = _parse_lattice(config["lattice"])
-    taus = [_number("tau", x, float, 0) for x in config["tau"].split(",") if x.strip()]
-    if not taus:
-        raise ConfigurationError("tau needs at least one delay")
-    family = []
-    for item in config["schedule"].split(","):
-        item = item.strip()
-        if not item:
-            continue
-        if ":" in item:
-            kind, n = item.split(":", 1)
-            family.append((kind.strip(), _number("schedule", n, int, 0)))
-        else:
-            family.append((item, 0 if item == "none" else 1))
-    tau_c = _number("tau_c", config["tau_c"])
-    dt_sample = _number("dt", config["dt"]) if config["dt"] else min(tau_c / 20.0, 0.05)
-    model = df.NoiseModel(_number("xi_h", config["xi_h"]), tau_c, dt_sample, max(taus))
+def cmd_diffuse(header: list[str], cfg: dict) -> int:
+    dt = cfg["dt"] if cfg["dt"] is not None else min(cfg["tau_c"] / 20.0, 0.05)
+    model = df.NoiseModel(cfg["xi_h"], cfg["tau_c"], dt, max(cfg["tau"]))
     estimates = df.contrast_curve(
-        lattice, model, family, taus, _number("trials", config["trials"], int, 1),
-        _number("particles", config["particles"], int, 1),
-        _number("seed", config["seed"], int, 0),
-        sector=config["sector"], estimator=config["estimator"])
-    lines = _echo_lines(config)
-    lines.append("tau,mean_contrast,stderr,n_trials,schedule")
+        cfg["lattice"], model, cfg["schedule"], cfg["tau"], cfg["trials"],
+        cfg["particles"], cfg["seed"], sector=cfg["sector"], estimator=cfg["estimator"])
+    lines = [*header, "tau,mean_contrast,stderr,n_trials,schedule"]
     for est in estimates:
         for tau, mean, err in zip(est.tau, est.mean, est.stderr):
             lines.append(f"{_fmt(tau)},{_fmt(mean)},{_fmt(err)},"
                          f"{est.n_trials},{est.schedule}")
-    _write(config["out"], lines)
+    _write(cfg["out"], lines)
     return 0
 
 
-def cmd_budget(config: dict[str, str]) -> int:
-    x = {key: _number(key, config[key])
-         for key in ("g", "kappa", "gamma", "alpha_sq", "theta", "delta",
-                     "delta_h", "j", "q", "epsilon", "t")}
-    n = _number("n", config["n"], int)
-    k = _number("k", config["k"], int)
-    params = analytics.CavityParams(x["g"], x["kappa"], x["gamma"])
+def cmd_budget(header: list[str], cfg: dict) -> int:
+    n = cfg["n"]
+    params = analytics.CavityParams(cfg["g"], cfg["kappa"], cfg["gamma"])
     budget = analytics.MemoryBudget(
-        delta_h=x["delta_h"], coupling_j=x["j"], n_length=n, q=x["q"],
-        purcell=params.purcell, epsilon=x["epsilon"], k=k, delta=x["delta"])
+        delta_h=cfg["delta_h"], coupling_j=cfg["j"], n_length=n, q=cfg["q"],
+        purcell=params.purcell, epsilon=cfg["epsilon"], k=cfg["k"], delta=cfg["delta"])
     rows = [
         ("purcell_factor", params.purcell),
         ("optimal_detuning", analytics.optimal_detuning(params, n)),
         ("min_photon_loss", analytics.min_photon_loss(n, params.purcell)),
         ("geometric_gate_loss",
-         analytics.geometric_gate_loss(n, params.purcell, x["alpha_sq"])),
-        ("qnd_error", analytics.qnd_error(n, x["theta"], x["delta"], k)),
-        ("qnd_pulse_count", analytics.qnd_pulse_count(k)),
-        ("memory_error_at_t", analytics.memory_error(budget, x["t"])),
-        ("bare_error_at_t", budget.q * x["t"]),
+         analytics.geometric_gate_loss(n, params.purcell, cfg["alpha_sq"])),
+        ("qnd_error", analytics.qnd_error(n, cfg["theta"], cfg["delta"], cfg["k"])),
+        ("qnd_pulse_count", analytics.qnd_pulse_count(cfg["k"])),
+        ("memory_error_at_t", analytics.memory_error(budget, cfg["t"])),
+        ("bare_error_at_t", budget.q * cfg["t"]),
         ("crossover_time", analytics.crossover_time(budget)),
     ]
-    lines = _echo_lines(config)
-    lines.append("quantity,value")
+    lines = [*header, "quantity,value"]
     for name, value in rows:
         lines.append(f"{name},{_fmt(value)}")
-    _write(config["out"], lines)
-    if not config["out"]:
+    _write(cfg["out"], lines)
+    if not cfg["out"]:
         return 0
     width = max(len(name) for name, _ in rows)
     for name, value in rows:
@@ -260,24 +273,22 @@ def cmd_budget(config: dict[str, str]) -> int:
     return 0
 
 
-def cmd_zd(config: dict[str, str]) -> int:
-    d = _number("d", config["d"], int)
-    print("\n".join(_echo_lines(config)))
-    print(f"global gates per charge string: {weyl_gate_count(d)}")
-    print("omega-exponent table k(a,b) with braiding phase omega^k, "
-          "omega = exp(2 pi i / " + str(d) + ")")
-    header = "a\\b " + " ".join(f"{b:2d}" for b in range(d))
-    print(header)
+def cmd_zd(header: list[str], cfg: dict) -> int:
+    d = cfg["d"]
+    lines = [*header, f"global gates per charge string: {weyl_gate_count(d)}",
+             "omega-exponent table k(a,b) with braiding phase omega^k, "
+             f"omega = exp(2 pi i / {d})",
+             "a\\b " + " ".join(f"{b:2d}" for b in range(d))]
     for a in range(d):
         row = [f"{weyl_braiding_phase(WeylString.z_power(d, [0, 1], a), WeylString.x_power(d, [1, 2], b)):2d}"
                for b in range(d)]
-        print(f"{a:3d} " + " ".join(row))
+        lines.append(f"{a:3d} " + " ".join(row))
+    _write("", lines)
     return 0
 
 
-def cmd_oracle(config: dict[str, str]) -> int:
-    checks = oracle.run_all(seed=_number("seed", config["seed"], int, 0),
-                            n_circuits=_number("circuits", config["circuits"], int, 1))
+def cmd_oracle(header: list[str], cfg: dict) -> int:
+    checks = oracle.run_all(seed=cfg["seed"], n_circuits=cfg["circuits"])
     worst = 0
     for check in checks:
         status = "PASS" if check.passed else "FAIL"
@@ -308,8 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = _resolve_config(args.command, args)
-        return COMMANDS[args.command](config)
+        header, config = _resolve_config(args.command, args)
+        return COMMANDS[args.command](header, config)
     except (UsageError, ConfigurationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

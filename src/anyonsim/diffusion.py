@@ -44,9 +44,8 @@ class NoiseModel:
     duration: float
 
     def __post_init__(self):
-        require_finite(self, "xi_h", "tau_c", "dt", "duration")
-        if self.tau_c <= 0 or self.dt <= 0 or self.duration <= 0:
-            raise ConfigurationError("tau_c, dt and duration must be positive")
+        require_finite(self, "xi_h")
+        require_finite(self, "tau_c", "dt", "duration", positive=True)
 
     def diffusion_rate(self) -> float:
         """Gamma = 2 sqrt(pi) xi_h^2 / omega_c (rate to one neighbor)."""

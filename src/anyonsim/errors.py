@@ -19,9 +19,12 @@ class ContractError(RuntimeError):
     """A documented precondition or internal invariant was violated."""
 
 
-def require_finite(obj, *names: str) -> None:
-    """Reject NaN or infinity in obj's fields ``names``, naming the field."""
+def require_finite(obj, *names: str, positive: bool = False) -> None:
+    """Reject NaN or infinity (and values <= 0 if ``positive``) in obj's
+    fields ``names``, naming the field."""
     for name in names:
         value = getattr(obj, name)
         if not math.isfinite(value):
             raise ConfigurationError(f"{name} must be finite, got {value!r}")
+        if positive and value <= 0:
+            raise ConfigurationError(f"{name} must be > 0, got {value!r}")

@@ -1,4 +1,5 @@
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -131,6 +132,9 @@ def test_diffuse_non_finite_noise(setting):
     ("diffuse", "particles=0"),
     ("diffuse", "xi_h=abc"), ("diffuse", "tau="), ("diffuse", "schedule=z_pairs:1.5"),
     ("budget", "epsilon=-5"), ("budget", "t=-1"),
+    ("zd", "seed=abc"), ("budget", "seed=-1"), ("braid", "seed=nan"),
+    ("memory", "lattice=torus:4"), ("memory", "lattice=planar:4"),
+    ("budget", "g=0"), ("budget", "kappa=-1"), ("budget", "gamma=0"), ("budget", "j=0"),
 ])
 def test_bad_numbers_exit_2(cmd, setting, tangled_program_file):
     args = [cmd, "--set", setting]
@@ -138,6 +142,7 @@ def test_bad_numbers_exit_2(cmd, setting, tangled_program_file):
         args += ["--set", f"program={tangled_program_file}"]
     result = run_cli(args)
     assert result.returncode == 2
+    assert result.stdout == ""
     assert "Traceback" not in result.stderr
     assert setting.split("=")[0] in result.stderr
 
@@ -181,16 +186,17 @@ FUZZ_BASE = {
 
 
 @pytest.mark.parametrize("cmd", sorted(cli.COMMANDS))
-def test_cli_fuzz(cmd, tmp_path, monkeypatch):
+def test_cli_fuzz(cmd, tmp_path, monkeypatch, capsys):
     """Mutated keys and values never end in an escaped exception: every
-    run exits 0, 1 or 2."""
+    run exits 0, 1 or 2, and a run that exits 2 writes nothing, neither to
+    stdout nor to an ``out`` file."""
     monkeypatch.chdir(tmp_path)  # an ``out`` value becomes a file here
     monkeypatch.delenv(cli.SEED_ENV, raising=False)
     bad = tmp_path / "latin.cfg"
     program = tmp_path / "empty.prog"
     program.write_text("# nothing\n")
     base = FUZZ_BASE[cmd] + ([f"program={program}"] if cmd == "braid" else [])
-    keys = sorted(cli.DEFAULTS[cmd]) + ["bogus"]
+    keys = sorted(cli.SCHEMA[cmd]) + ["bogus"]
     rng = np.random.default_rng(sorted(cli.COMMANDS).index(cmd))
     for trial in range(60):
         bad.write_bytes(b"\xff\xfeseed=1\n")  # an ``out`` value may overwrite it
@@ -203,7 +209,13 @@ def test_cli_fuzz(cmd, tmp_path, monkeypatch):
             args += ["--set", f"{keys[int(rng.integers(len(keys)))]}={value}"]
         if trial % 10 == 0:
             args += ["--config", str(bad)]
-        assert cli.main(args) in (0, 1, 2), args
+        before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+        code = cli.main(args)
+        assert code in (0, 1, 2), args
+        if code == 2:
+            assert capsys.readouterr().out == "", args
+            assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before, args
+        capsys.readouterr()
 
 
 def test_budget_table():
@@ -253,7 +265,37 @@ def test_env_seed_echoed():
 
 
 def test_contract_violation_exit_code(monkeypatch):
-    def boom(config):
+    def boom(header, config):
         raise ContractError("synthetic")
     monkeypatch.setitem(cli.COMMANDS, "zd", boom)
     assert cli.main(["zd"]) == 3
+
+
+# Valid runs pinned byte for byte in tests/fixtures/cli_<name>.stdout (and
+# cli_<name>.out for an ``--out`` run).  Noisy ``diffuse`` runs are left out:
+# FFT round-off can move their 12th digit across machines.
+GOLDEN = {
+    "oracle": ["oracle", "--set", "circuits=20"],
+    "memory": ["memory", "--set", "lattice=planar:2", "--set", "trials=3"],
+    "budget": ["budget"],
+    "budget_out": ["budget", "--out", "golden.out"],
+    "zd": ["zd", "--set", "d=3"],
+    "braid": ["braid", "--set", "program=delays.prog", "--seed", "7"],
+    "diffuse": ["diffuse", "--set", "xi_h=0", "--set", "trials=1", "--set", "tau=1,2",
+                "--set", "schedule=none,z_pairs:1"],
+}
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_output(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # relative paths keep the header bytes fixed
+    monkeypatch.delenv(cli.SEED_ENV, raising=False)
+    if name == "braid":
+        prog, _ = pr.braiding_programs(lat.torus(4), delays=(0.3, 0.7, 0.1))
+        (tmp_path / "delays.prog").write_text(pr.format_program(prog))
+    assert cli.main(GOLDEN[name]) == 0
+    assert capsys.readouterr().out.encode() == (FIXTURES / f"cli_{name}.stdout").read_bytes()
+    if "--out" in GOLDEN[name]:
+        assert (tmp_path / "golden.out").read_bytes() == \
+            (FIXTURES / f"cli_{name}.out").read_bytes()
