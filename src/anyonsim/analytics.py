@@ -132,7 +132,8 @@ def crossover_time(budget: MemoryBudget, tol: float = 1e-12) -> float:
     """Storage time beyond which the protected memory beats a bare spin:
     the fixed point p_topo(t*) = q t*, found by bisection."""
     if budget.protection >= 1.0:
-        raise UsageError("no crossover: protection factor >= 1")
+        raise UsageError("no crossover: protection factor "
+                         f"(delta_h / coupling_j)**n_length = {budget.protection:g} >= 1")
     gap = budget.q * (1.0 - budget.protection)
     base = memory_error(budget, 0.0)
     hi = 2.0 * base / gap + 1.0

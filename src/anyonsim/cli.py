@@ -29,6 +29,7 @@ from .pauli import from_string_path
 from .weyl import WeylString, weyl_braiding_phase, weyl_gate_count
 
 SEED_ENV = "ANYONSIM_SEED"
+ZD_MAX_D = 64  # zd prints a d x d table of braiding phases
 
 
 def _parse_lattice(key: str, text: str):
@@ -88,6 +89,22 @@ def _optional_number(key: str, text: str):
     return _number(key, text) if text else None
 
 
+def _positive(key: str, text: str) -> float:
+    """A finite float > 0."""
+    value = _number(key, text)
+    if value <= 0:
+        raise ConfigurationError(f"{key} must be > 0, got {text!r}")
+    return value
+
+
+def _zd_dimension(key: str, text: str) -> int:
+    """An int d with 2 <= d <= ZD_MAX_D."""
+    d = _number(key, text, int, 2)
+    if d > ZD_MAX_D:
+        raise ConfigurationError(f"{key} must be <= {ZD_MAX_D}, got {text!r}")
+    return d
+
+
 def _text(key: str, text: str) -> str:
     return text
 
@@ -113,12 +130,12 @@ SCHEMA = {
                 "estimator": ("amplitude", _text),
                 "tau": ("1,2,3,4,6,8,10,12", _parse_taus), "out": _OUT, "seed": _SEED},
     "budget": {"g": ("1.0", _number), "kappa": ("1e-3", _number),
-               "gamma": ("1e-3", _number), "n": ("16", _int),
+               "gamma": ("1e-3", _number), "n": ("16", _count),
                "alpha_sq": (str(math.pi / 2), _number), "theta": (str(math.pi / 2), _number),
                "delta": ("0.01", _number), "k": ("1", _int), "delta_h": ("0.1", _number),
-               "j": ("1.0", _number), "q": ("1e-3", _number), "epsilon": ("0.0", _number),
+               "j": ("1.0", _positive), "q": ("1e-3", _number), "epsilon": ("0.0", _number),
                "t": ("1.0", _number), "out": _OUT, "seed": _SEED},
-    "zd": {"d": ("3", _int), "seed": _SEED},
+    "zd": {"d": ("3", _zd_dimension), "seed": _SEED},
     "oracle": {"circuits": ("200", _count), "seed": _SEED},
 }
 

@@ -1,13 +1,17 @@
-"""Sparse multi-qubit Pauli strings with exact global-phase tracking.
+"""Qubit Pauli strings: the d = 2 Weyl string, with exact global phase.
 
-A string is stored as ``i**phase * prod_j X_j**x_j Z_j**z_j`` with the X
-factor to the left of the Z factor on every site.  Under this convention
+``PauliString`` is ``weyl.WeylString`` with d fixed at 2 (w^(1/2) = i), so
+a string is ``i**phase * prod_j X_j**x_j Z_j**z_j`` with the X factor to
+the left of the Z factor on every site, and normalisation, the product
+(``multiply``), the inverse and the commutator form are weyl.py's.  Under
+this convention
 
     X * Z = -i Y      (phase exponent 0, bits (1, 1))
     Y     = i X Z     (phase exponent 1, bits (1, 1))
 
-and multiplication costs one phase unit of ``2 * (z_p . x_q)``:
-``(i^a X^xp Z^zp)(i^b X^xq Z^zq) = i^(a+b+2 zp.xq) X^(xp^xq) Z^(zp^zq)``.
+and a product costs one phase unit of ``2 * (z_p . x_q)``.  This module
+adds only the qubit parts: letter constructors, Hermiticity, the text form
+and single-qubit Clifford basis changes.
 
 Text rendering uses the Hermitian letters, e.g. ``+i X3 Z7 Y12``: a phase
 prefix in {+, +i, -, -i} followed by LETTERindex tokens in ascending site
@@ -20,6 +24,7 @@ from dataclasses import dataclass, field
 
 from .errors import UsageError
 from .lattice import StringPath
+from .weyl import WeylString, weyl_braiding_phase, weyl_multiply
 
 _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 # letter carried by bits (x, z); Y sites contribute one extra i to the
@@ -30,17 +35,16 @@ _STR_PHASE = {v: k for k, v in _PHASE_STR.items()}
 
 
 @dataclass(frozen=True)
-class PauliString:
-    """Immutable sparse Pauli operator; identity sites are absent."""
+class PauliString(WeylString):
+    """Immutable sparse Pauli operator: the Weyl string with d = 2."""
 
-    phase: int = 0
-    support: dict[int, tuple[int, int]] = field(default_factory=dict)
+    d: int = field(default=2, init=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "phase", self.phase % 4)
-        clean = {q: (x & 1, z & 1) for q, (x, z) in self.support.items()
-                 if (x & 1) or (z & 1)}
-        object.__setattr__(self, "support", clean)
+    @classmethod
+    def _of(cls, d: int, phase: int, support: dict) -> "PauliString":
+        if d != 2:
+            raise UsageError(f"a Pauli string has d = 2, got d = {d}")
+        return cls(phase, support)
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -80,16 +84,8 @@ class PauliString:
         return not self.support and self.phase == 0
 
     # -- algebra ---------------------------------------------------------
-    def __mul__(self, other: "PauliString") -> "PauliString":
-        return multiply(self, other)
-
     def __neg__(self) -> "PauliString":
-        return PauliString(self.phase + 2, dict(self.support))
-
-    def inverse(self) -> "PauliString":
-        # (i^a X^x Z^z)^-1 = i^-a Z^z X^x = i^(-a + 2 x.z) X^x Z^z
-        cross = sum(x & z for x, z in self.support.values())
-        return PauliString(-self.phase + 2 * cross, dict(self.support))
+        return PauliString(self.phase + 2, self.support)
 
     def adjoint(self) -> "PauliString":
         return self.inverse()
@@ -132,29 +128,13 @@ class PauliString:
         return cls(phase, support)
 
 
-def multiply(p: PauliString, q: PauliString) -> PauliString:
-    """Exact operator product p * q (p applied after q)."""
-    phase = p.phase + q.phase
-    support = dict(p.support)
-    for site, (xq, zq) in q.support.items():
-        xp, zp = support.get(site, (0, 0))
-        phase += 2 * (zp & xq)  # commute Z^zp past X^xq
-        x, z = xp ^ xq, zp ^ zq
-        if x or z:
-            support[site] = (x, z)
-        elif site in support:
-            del support[site]
-    return PauliString(phase, support)
+# The Pauli product p * q is the Weyl product (p applied after q).
+multiply = weyl_multiply
 
 
 def commutation_phase(p: PauliString, q: PauliString) -> int:
-    """+1 if pq = qp, -1 if pq = -qp (symplectic form of the supports)."""
-    form = 0
-    small, large = (p, q) if len(p.support) <= len(q.support) else (q, p)
-    for site, (xs, zs) in small.support.items():
-        xl, zl = large.support.get(site, (0, 0))
-        form ^= (xs & zl) ^ (zs & xl)
-    return -1 if form else 1
+    """+1 if pq = qp, -1 if pq = -qp: (-1)**(the Weyl commutator exponent)."""
+    return -1 if weyl_braiding_phase(p, q) else 1
 
 
 def from_string_path(path: StringPath) -> PauliString:

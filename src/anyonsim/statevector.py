@@ -176,34 +176,18 @@ def inner_product(s1: StateVector, s2: StateVector) -> complex:
     return complex(np.vdot(s1.amps, s2.amps))
 
 
-def dense_operator(p: PauliString | WeylString, n_sites: int | None = None) -> np.ndarray:
-    """Explicit matrix of a Pauli or Weyl string (test oracle only).
+def dense_operator(p: WeylString, n_sites: int | None = None) -> np.ndarray:
+    """Explicit matrix of a Weyl string, a Pauli string at d = 2 (test
+    oracle only).
 
     Site 0 is the least significant digit of the basis index.
     """
-    if isinstance(p, PauliString):
-        sites = (max(p.support) + 1) if p.support else 1
-        if n_sites is not None:
-            sites = max(sites, n_sites)
-        if sites > 12:
-            raise ConfigurationError("dense Pauli operator capped at 12 qubits")
-        singles = {
-            (0, 0): np.eye(2, dtype=complex),
-            (1, 0): np.array([[0, 1], [1, 0]], dtype=complex),
-            (0, 1): np.array([[1, 0], [0, -1]], dtype=complex),
-        }
-        singles[(1, 1)] = singles[(1, 0)] @ singles[(0, 1)]
-        mat = np.array([[1j ** p.phase]], dtype=complex)
-        for q in range(sites - 1, -1, -1):
-            mat = np.kron(mat, singles[p.support.get(q, (0, 0))])
-        return mat
-
     d = p.d
     sites = (max(p.support) + 1) if p.support else 1
     if n_sites is not None:
         sites = max(sites, n_sites)
     if d ** sites > 4096:
-        raise ConfigurationError("dense Weyl operator capped at 4096 dimensions")
+        raise ConfigurationError("dense operator capped at 4096 dimensions")
     omega = np.exp(2j * np.pi / d)
     clock = np.diag(omega ** np.arange(d))
     shift = np.zeros((d, d), dtype=complex)

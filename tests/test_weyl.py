@@ -3,7 +3,7 @@ import pytest
 
 from anyonsim.errors import UsageError
 from anyonsim.oracle import random_hermitian_pauli
-from anyonsim.pauli import PauliString, multiply
+from anyonsim.pauli import PauliString, commutation_phase, multiply
 from anyonsim.statevector import dense_operator
 from anyonsim.weyl import (WeylString, weyl_braiding_phase, weyl_gate_count,
                            weyl_multiply)
@@ -29,11 +29,14 @@ def test_single_site_relation_all_d():
 def test_matrices_validate_products_d_le_5():
     rng = np.random.default_rng(0)
     for d in (2, 3, 4, 5):
+        omega = np.exp(2j * np.pi / d)
         for _ in range(60):
             p = _random_weyl(d, 3, rng)
             q = _random_weyl(d, 3, rng)
-            assert np.allclose(dense_operator(weyl_multiply(p, q), 3),
-                               dense_operator(p, 3) @ dense_operator(q, 3))
+            mp, mq = dense_operator(p, 3), dense_operator(q, 3)
+            assert np.allclose(dense_operator(weyl_multiply(p, q), 3), mp @ mq)
+            k = weyl_braiding_phase(p, q)
+            assert np.allclose(mp @ mq, omega ** k * (mq @ mp))
             inv = p.inverse()
             prod = weyl_multiply(p, inv)
             assert prod.is_scalar() and abs(prod.scalar() - 1) < 1e-12
@@ -58,6 +61,9 @@ def test_d2_embeds_pauli():
         prod_weyl = weyl_multiply(wp, wq)
         assert prod_weyl.phase == prod_pauli.phase
         assert prod_weyl.support == prod_pauli.support
+        assert wp.inverse().phase == p2.inverse().phase
+        assert wp.inverse().support == p2.inverse().support
+        assert commutation_phase(p2, q2) == (-1) ** weyl_braiding_phase(wp, wq)
 
 
 def test_generator_order():
