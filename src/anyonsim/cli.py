@@ -17,6 +17,7 @@ import argparse
 import math
 import os
 import sys
+import warnings
 from functools import partial
 
 import numpy as np
@@ -333,17 +334,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    """Library warnings reach the user as one line, without the source
+    location of the call that raised them."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        header, config = _resolve_config(args.command, args)
-        return COMMANDS[args.command](header, config)
-    except (UsageError, ConfigurationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ContractError as exc:
-        print(f"contract violation: {exc}", file=sys.stderr)
-        return 3
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            header, config = _resolve_config(args.command, args)
+            return COMMANDS[args.command](header, config)
+        except (UsageError, ConfigurationError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except ContractError as exc:
+            print(f"contract violation: {exc}", file=sys.stderr)
+            return 3
 
 
 if __name__ == "__main__":

@@ -11,7 +11,9 @@ f(t) = xi_h^2 exp(-t^2/tau_c^2), synthesized by circulant embedding on the
 time grid (exact target covariance, O(T log T)).
 
 Integrator: piecewise-constant midpoint propagator per step; the hopping
-matrix is real symmetric, so each step is an exact small eigendecomposition.
+matrix H is real symmetric, so each step's exp(-i H dt) = cos(H dt) -
+i sin(H dt) is a Taylor series in (H dt)^2 truncated at rounding level,
+with scaling and squaring when ||H dt|| > 1 (real matmuls only).
 """
 
 from __future__ import annotations
@@ -254,8 +256,9 @@ def _evolve_columns(dyn: _SectorDynamics, field, schedule: EchoSchedule,
                     checkpoints=None) -> list[np.ndarray]:
     """Propagate the given column vectors; optionally record at checkpoints.
 
-    Midpoint piecewise-constant propagator per step, exact per-step
-    exponential via eigendecomposition of the real symmetric hop matrix.
+    Midpoint piecewise-constant propagator per step; the per-step
+    exponentials of the real symmetric hop matrices come from
+    ``_propagators`` for the whole segment at once, accurate to rounding.
     Pulses flip the sign of their masked hop terms for all later times;
     pulse and checkpoint times are hit exactly (segment boundaries).
     """
@@ -289,16 +292,67 @@ def _evolve_columns(dyn: _SectorDynamics, field, schedule: EchoSchedule,
                 (np.arange(n_sub)[:, None] * size + dyn.hop_bins).ravel(),
                 np.tile(h_all, (2, 1)).T.ravel(), minlength=n_sub * size
             ).reshape(n_sub, dyn.n_cells, dyn.n_cells)
-            evals, evecs = np.linalg.eigh(hmat)
-            phases = np.exp(-1j * evals * dt_sub)
-            # per-step propagator U = V diag(phase) V^T, then ordered product
-            props = (evecs * phases[:, None, :]) @ np.transpose(evecs, (0, 2, 1))
-            psi = _ordered_product(props) @ psi
+            psi = _ordered_product(_propagators(hmat, dt_sub)) @ psi
         if t in pulse_at:
             signs[dyn.pulse_flips(pulse_at[t])] *= -1.0
         record(t)
         prev = t
     return recorded if checkpoints is not None else [psi]
+
+
+def _propagators(hmat: np.ndarray, dt: float) -> np.ndarray:
+    """exp(-i H dt) = cos A - i sin A, A = H dt, for a stack of real
+    symmetric H, from the Taylor series of cos and sin truncated at degree
+    m in B = A^2 and evaluated by Horner with real matmuls.
+
+    theta, the largest row-sum norm of A over the stack, bounds both tails
+    by theta^(2m+2) / (2m+2)! cosh(theta), and m is the least degree that
+    puts this at or below 2^-53 (Moler and Van Loan 2003).  For theta > 1,
+    A is halved s times first and the result squared s times.  At most
+    five step-stack arrays are alive at once, counting hmat and the complex
+    result as one and two; a zero H gives exactly the identity.
+    """
+    a = hmat * dt
+    theta = float(np.abs(a).sum(axis=-1).max())
+    squarings = math.ceil(math.log2(theta)) if theta > 1.0 else 0
+    if squarings:
+        a *= 0.5 ** squarings
+        theta *= 0.5 ** squarings
+    m = 0
+    while theta ** (2 * m + 2) / math.factorial(2 * m + 2) * math.cosh(theta) > 2.0 ** -53:
+        m += 1
+    b = a @ a
+    p, q = _horner(b, [(-1) ** k / math.factorial(2 * k + 1) for k in range(m + 1)],
+                   np.empty_like(a), np.empty_like(a))
+    sin = np.matmul(a, p, out=q)
+    cos, scratch = _horner(b, [(-1) ** k / math.factorial(2 * k) for k in range(m + 1)],
+                           p, a)
+    del a, b, p, q, scratch  # free B and the spare buffer before the result
+    for _ in range(squarings):
+        # cos 2A = cos^2 A - sin^2 A and sin 2A = 2 cos A sin A (they commute)
+        cos, sin = cos @ cos - sin @ sin, 2.0 * (cos @ sin)
+    props = np.empty(cos.shape, dtype=np.complex128)
+    props.real = cos
+    np.negative(sin, out=props.imag)
+    return props
+
+
+def _horner(b: np.ndarray, coefs: list[float], p: np.ndarray,
+            q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sum_k coefs[k] B^k over a stack of B, computed in the work buffers p
+    and q; returns (the one holding the result, the other)."""
+    n = b.shape[-1]
+    if len(coefs) > 1:
+        np.multiply(b, coefs[-1], out=p)
+        coefs = coefs[:-1]
+    else:
+        p.fill(0.0)
+    p.reshape(len(p), -1)[:, ::n + 1] += coefs[-1]
+    for c in reversed(coefs[:-1]):
+        np.matmul(b, p, out=q)
+        q.reshape(len(q), -1)[:, ::n + 1] += c
+        p, q = q, p
+    return p, q
 
 
 def _ordered_product(mats: np.ndarray) -> np.ndarray:

@@ -13,13 +13,22 @@ from anyonsim import protocols as pr
 from anyonsim.errors import ContractError
 
 
+# Far above the slowest case (a few seconds), so only a run that stopped
+# terminating reaches it.
+CLI_TIMEOUT_S = 120
+
+
 def run_cli(args, env_extra=None):
     env = dict(os.environ)
     env.pop(cli.SEED_ENV, None)
     if env_extra:
         env.update(env_extra)
-    return subprocess.run([sys.executable, "-m", "anyonsim", *args],
-                          capture_output=True, text=True, env=env)
+    try:
+        return subprocess.run([sys.executable, "-m", "anyonsim", *args],
+                              capture_output=True, text=True, env=env,
+                              timeout=CLI_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"anyonsim {' '.join(args)} did not finish in {CLI_TIMEOUT_S} s")
 
 
 @pytest.fixture(scope="module")
@@ -226,6 +235,25 @@ def test_budget_table():
     assert result.returncode == 0
     assert "min_photon_loss,0.0251327412287" in result.stdout
     assert "crossover_time" in result.stdout
+
+
+@pytest.mark.parametrize("setting, code, warning, error", [
+    ("delta_h=2", 2, "delta_h/J >= 1: outside the protection regime",
+     "no crossover: protection factor (delta_h / coupling_j)**n_length = 65536 >= 1"),
+    ("g=0.01", 0, "photon loss estimate >= 1: outside the validity regime", None),
+])
+def test_library_warnings_one_line(setting, code, warning, error):
+    result = run_cli(["budget", "--set", setting])
+    assert result.returncode == code
+    assert ".py:" not in result.stderr and "Traceback" not in result.stderr
+    lines = result.stderr.splitlines()
+    assert f"warning: {warning}" in lines
+    if error is None:
+        assert all(line.startswith("warning: ") for line in lines), lines
+    else:
+        assert result.stdout == ""
+        assert lines[-1] == f"error: {error}"
+        assert len(lines) == 2, lines
 
 
 def test_zd_tables():

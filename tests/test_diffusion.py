@@ -126,6 +126,45 @@ def test_static_evolution_matches_exact_exponential(spec, sector):
     assert np.abs(state.amplitudes - exact).max() < 1e-12
 
 
+def _exact_propagators(hmat, dt):
+    evals, evecs = np.linalg.eigh(hmat)
+    return (evecs * np.exp(-1j * evals * dt)[:, None, :]) @ np.transpose(evecs, (0, 2, 1))
+
+
+def _torus2_hop_matrices(rng):
+    # two edges join each pair of adjacent faces of torus(2): their fields add
+    lattice = lat.torus(2)
+    hmat = np.zeros((3, lattice.n_faces, lattice.n_faces))
+    for k, scale in enumerate((0.1, 1.0, 10.0)):
+        for a, b in lattice.edge_faces:
+            value = scale * rng.normal()
+            hmat[k, a, b] += value
+            hmat[k, b, a] += value
+    return hmat
+
+
+@pytest.mark.parametrize("theta", [0.0, 1e-3, 0.3, 0.99, 1.5, 7.0, 30.0, "torus:2"])
+def test_propagators_match_exact_exponential(theta):
+    # theta is the largest row-sum norm of H dt in the stack; above 1 the
+    # kernel scales and squares (at 30 an unscaled series would lose about
+    # e^30 ulp to cancellation)
+    rng = np.random.default_rng(11)
+    dt = 0.05
+    if theta == "torus:2":
+        hmat = _torus2_hop_matrices(rng)
+    else:
+        hmat = rng.normal(size=(40, 16, 16))
+        hmat = hmat + np.transpose(hmat, (0, 2, 1))
+        hmat *= theta / (dt * np.abs(hmat).sum(axis=-1).max())
+    props = df._propagators(hmat, dt)
+    assert np.abs(props - _exact_propagators(hmat, dt)).max() < 1e-13
+    n = hmat.shape[-1]
+    drift = props @ np.conj(np.transpose(props, (0, 2, 1))) - np.eye(n)
+    assert np.abs(drift).max() <= 1e-13
+    if theta == 0.0:
+        assert np.array_equal(props, np.broadcast_to(np.eye(n), props.shape))
+
+
 def test_integrator_convergence(torus4):
     smooth = df.CallableField(
         lambda t: 0.3 * np.sin(1.7 * t + np.arange(torus4.n_edges)))
