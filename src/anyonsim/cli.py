@@ -334,16 +334,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _show_warning(message, category, filename, lineno, file=None, line=None):
-    """Library warnings reach the user as one line, without the source
-    location of the call that raised them."""
-    print(f"warning: {message}", file=sys.stderr)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    shown = set()
+
+    def show_warning(message, category, filename, lineno, file=None, line=None):
+        """Each distinct library warning reaches the user once per run, as
+        one line without the source location of the call that raised it."""
+        text = f"warning: {message}"
+        if text not in shown:
+            shown.add(text)
+            print(text, file=sys.stderr)
+
     with warnings.catch_warnings():
-        warnings.showwarning = _show_warning
+        warnings.showwarning = show_warning
         try:
             header, config = _resolve_config(args.command, args)
             return COMMANDS[args.command](header, config)

@@ -5,9 +5,13 @@ execution substrate for non-Clifford operations (arbitrary-angle string
 rotations, exact surface-Hamiltonian evolution).
 
 Basis convention: little-endian.  Qubit q is bit q of the amplitude index,
-so |q1 q0> = |1 0> sits at index 2.  Gates update amplitudes in place
-through strided views / index masks; no full operator matrices are built
-outside of dense_operator (test oracle only).
+so |q1 q0> = |1 0> sits at index 2.  Every Pauli action (strings, controlled
+strings, exponentials, the X Y Z CX CZ gates and the projections of
+from_tableau) goes through one kernel on the amplitudes viewed as an n-axis
+tensor of shape (2,)*n, axis n-1-q being qubit q: a flip of the X axes and
+one multiply by a sign tensor of size 2 on the Z axes only.  H S RZ RX work
+on the two halves of one qubit axis.  No index arrays are built, and no
+full operator matrices outside of dense_operator (test oracle only).
 """
 
 from __future__ import annotations
@@ -17,13 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._gf2 import gf2_solve
 from .errors import ConfigurationError, UsageError
-from .pauli import PauliString
+from .pauli import PauliString, multiply
 from .weyl import WeylString
 
 MAX_QUBITS = 22
 
 _SQ2 = 1.0 / math.sqrt(2.0)
+_SIGN = np.array([1.0, -1.0])
 
 
 @dataclass
@@ -58,6 +64,17 @@ class StateVector:
     def _axis_view(self, q: int) -> np.ndarray:
         return self.amps.reshape(1 << (self.n - q - 1), 2, 1 << q)
 
+    def _tensor(self) -> np.ndarray:
+        """The amplitudes as an n-axis view of shape (2,)*n; axis n-1-q is qubit q."""
+        return self.amps.reshape((2,) * self.n)
+
+
+def _check_qubits(s: StateVector, qubits) -> None:
+    """The one range check of every dense entry point."""
+    for q in qubits:
+        if not 0 <= q < s.n:
+            raise UsageError(f"qubit index {q} out of range for n={s.n}")
+
 
 def apply_gate(s: StateVector, gate: str, targets, theta: float | None = None) -> StateVector:
     """Apply a named gate in place and return the state.
@@ -67,9 +84,7 @@ def apply_gate(s: StateVector, gate: str, targets, theta: float | None = None) -
     """
     if isinstance(targets, int):
         targets = (targets,)
-    for q in targets:
-        if not 0 <= q < s.n:
-            raise UsageError(f"qubit index {q} out of range for n={s.n}")
+    _check_qubits(s, targets)
     gate = gate.upper()
     if gate in ("X", "Y", "Z"):
         (q,) = targets
@@ -80,67 +95,71 @@ def apply_gate(s: StateVector, gate: str, targets, theta: float | None = None) -
 
     (q,) = targets
     view = s._axis_view(q)
-    u = view[:, 0, :].copy()
-    v = view[:, 1, :].copy()
+    lo, hi = view[:, 0, :], view[:, 1, :]
     if gate == "H":
-        view[:, 0, :] = (u + v) * _SQ2
-        view[:, 1, :] = (u - v) * _SQ2
+        u = lo.copy()
+        lo += hi
+        lo *= _SQ2
+        np.subtract(u, hi, out=hi)
+        hi *= _SQ2
     elif gate == "S":
-        view[:, 1, :] = 1j * v
+        hi *= 1j
     elif gate == "RZ":
         if theta is None:
             raise UsageError("RZ needs theta")
-        view[:, 0, :] = np.exp(-0.5j * theta) * u
-        view[:, 1, :] = np.exp(0.5j * theta) * v
+        # not `lo *= c`: numpy's aliased in-place multiply rounds
+        # differently on one-qubit states
+        lo[...] = np.exp(-0.5j * theta) * lo
+        hi[...] = np.exp(0.5j * theta) * hi
     elif gate == "RX":
         if theta is None:
             raise UsageError("RX needs theta")
         c, si = math.cos(theta / 2), math.sin(theta / 2)
-        view[:, 0, :] = c * u - 1j * si * v
-        view[:, 1, :] = c * v - 1j * si * u
+        u = lo.copy()
+        lo[...] = c * u - 1j * si * hi
+        hi[...] = c * hi - 1j * si * u
     else:
         raise UsageError(f"unknown gate {gate!r}")
     return s
 
 
-def _masks(p: PauliString) -> tuple[int, int]:
-    xmask = 0
-    zmask = 0
-    for q, (x, z) in p.support.items():
-        if x:
-            xmask |= 1 << q
+def _apply_pauli(t: np.ndarray, p: PauliString) -> np.ndarray:
+    """p applied to a qubit tensor t, whose axis ndim-1-q is qubit q (new array).
+
+    (p t)[b] = i**phase (-1)**popcount(src & z) t[src] with src = b ^ x:
+    flipping the X axes reads t at src as a view, and one multiply applies
+    the sign tensor, of size 2 on the Z axes and 1 elsewhere.  The sign is
+    read from the source bit, so it is flipped on axes carrying X and Z.
+    """
+    last = t.ndim - 1
+    xaxes = tuple(last - q for q, (x, _) in p.support.items() if x)
+    sign = np.ones((1,) * t.ndim)
+    for q, (_, z) in p.support.items():
         if z:
-            zmask |= 1 << q
-    return xmask, zmask
+            shape = [1] * t.ndim
+            shape[last - q] = 2
+            sign = sign * _SIGN.reshape(shape)
+    return ((1j ** p.phase) * np.flip(sign, xaxes)) * np.flip(t, xaxes)
 
 
 def _pauli_action(s: StateVector, p: PauliString) -> np.ndarray:
     """Amplitudes of p|s> (new array; s untouched)."""
-    xmask, zmask = _masks(p)
-    idx = np.arange(s.amps.size, dtype=np.int64)
-    src = idx ^ xmask
-    signs = 1.0 - 2.0 * (np.bitwise_count(src & zmask) & 1)
-    return (1j ** p.phase) * signs * s.amps[src]
+    _check_qubits(s, p.support)
+    return _apply_pauli(s._tensor(), p).reshape(-1)
 
 
 def apply_pauli_string(s: StateVector, p: PauliString) -> StateVector:
-    if p.support and max(p.support) >= s.n:
-        raise UsageError("Pauli support exceeds qubit count")
     s.amps = _pauli_action(s, p)
     return s
 
 
 def apply_controlled_pauli(s: StateVector, control: int, p: PauliString) -> StateVector:
     """|1><1|_control (x) p  +  |0><0|_control (x) I, applied in place."""
+    _check_qubits(s, (control, *p.support))
     if control in p.support:
         raise UsageError("control qubit lies inside the string support")
-    xmask, zmask = _masks(p)
-    idx = np.arange(s.amps.size, dtype=np.int64)
-    sel = ((idx >> control) & 1) == 1
-    tgt = idx[sel]
-    src = tgt ^ xmask
-    signs = 1.0 - 2.0 * (np.bitwise_count(src & zmask) & 1)
-    s.amps[tgt] = (1j ** p.phase) * signs * s.amps[src]
+    slab = s._tensor()[(slice(None),) * (s.n - 1 - control) + (slice(1, 2),)]
+    slab[...] = _apply_pauli(slab, p)
     return s
 
 
@@ -149,7 +168,9 @@ def apply_pauli_exponential(s: StateVector, p: PauliString, theta: float) -> Sta
     if not p.is_hermitian():
         raise UsageError("exponential needs a Hermitian string")
     rotated = _pauli_action(s, p)
-    s.amps = math.cos(theta) * s.amps + 1j * math.sin(theta) * rotated
+    rotated *= 1j * math.sin(theta)
+    s.amps *= math.cos(theta)
+    s.amps += rotated
     return s
 
 
@@ -204,21 +225,35 @@ def dense_operator(p: WeylString, n_sites: int | None = None) -> np.ndarray:
 def from_tableau(t) -> StateVector:
     """Dense amplitudes of a stabilizer state (oracle; n <= MAX_QUBITS).
 
-    Projects a computational basis state onto the stabilizer group,
-    psi = prod_g (I + g)/2 |b>, scanning b until the projection is nonzero.
+    Row-reducing the generators' x bits leaves generators that are +-Z
+    strings; their signs fix the least basis state b with a nonzero overlap,
+    by one GF(2) solve (Aaronson and Gottesman, PRA 70, 052328, 2004).  Then
+    psi = prod_g (I + g)/2 |b>, normalised.
     """
     if t.n > MAX_QUBITS:
         raise ConfigurationError(f"{t.n} qubits exceeds dense cap {MAX_QUBITS}")
     gens = t.stabilizer_generators()
-    for b in range(1 << t.n):
-        s = StateVector.computational(t.n, b)
-        ok = True
-        for g in gens:
-            s.amps = 0.5 * (s.amps + _pauli_action(s, g))
-            if np.linalg.norm(s.amps) < 1e-12:
-                ok = False
-                break
-        if ok:
-            s.amps /= np.linalg.norm(s.amps)
-            return s
-    raise ConfigurationError("failed to project stabilizer state")  # pragma: no cover
+    rows = list(gens)
+    rank = 0
+    for q in range(t.n):
+        hits = [i for i in range(rank, len(rows)) if rows[i].support.get(q, (0, 0))[0]]
+        if not hits:
+            continue
+        pivot = rows[hits[0]]
+        rows[hits[0]], rows[rank] = rows[rank], pivot
+        for i in hits[1:]:
+            rows[i] = multiply(rows[i], pivot)
+        rank += 1
+    zrows = rows[rank:]
+    zmat = np.zeros((len(zrows), t.n), dtype=np.uint8)
+    for r, g in enumerate(zrows):
+        zmat[r, list(g.support)] = 1
+    # a Hermitian Z string has phase 0 or 2: (-1)**(phase/2) (-1)**(z.b) = +1
+    bits = gf2_solve(zmat, np.array([g.phase // 2 for g in zrows], dtype=np.uint8))
+    if bits is None:
+        raise ConfigurationError("stabilizer generators fix no basis state")
+    s = StateVector.computational(t.n, sum(int(v) << q for q, v in enumerate(bits)))
+    for g in gens:
+        s.amps = 0.5 * (s.amps + _pauli_action(s, g))
+    s.amps /= np.linalg.norm(s.amps)
+    return s

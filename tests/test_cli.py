@@ -247,7 +247,7 @@ def test_library_warnings_one_line(setting, code, warning, error):
     assert result.returncode == code
     assert ".py:" not in result.stderr and "Traceback" not in result.stderr
     lines = result.stderr.splitlines()
-    assert f"warning: {warning}" in lines
+    assert lines.count(f"warning: {warning}") == 1, lines
     if error is None:
         assert all(line.startswith("warning: ") for line in lines), lines
     else:

@@ -3,8 +3,9 @@ import pytest
 
 from anyonsim import lattice as lat
 from anyonsim import statevector as sv
+from anyonsim import tableau as tb
 from anyonsim.errors import ConfigurationError, UsageError
-from anyonsim.oracle import random_clifford_circuit, run_circuit
+from anyonsim.oracle import random_clifford_circuit, random_hermitian_pauli, run_circuit
 from anyonsim.pauli import PauliString, from_string_path
 
 
@@ -173,18 +174,82 @@ def test_from_tableau_random_circuits():
         assert abs(abs(sv.inner_product(sv.from_tableau(t), s)) - 1) < 1e-10
 
 
+def _any_phase_pauli(sites, rng) -> PauliString:
+    """The oracle's random string (Y included) moved onto the given sites,
+    with an arbitrary phase i**k."""
+    support = random_hermitian_pauli(len(sites), rng).support
+    return PauliString(int(rng.integers(4)), {sites[q]: v for q, v in support.items()})
+
+
+def test_pauli_action_matches_dense_operator():
+    rng = np.random.default_rng(7)
+    for _ in range(120):
+        n = int(rng.integers(1, 11))
+        p = _any_phase_pauli(range(n), rng)
+        s = _random_state(n, rng)
+        expected = sv.dense_operator(p, n) @ s.amps
+        assert np.allclose(sv._pauli_action(s, p), expected, rtol=0, atol=1e-13)
+        sv.apply_pauli_string(s, p)
+        assert np.allclose(s.amps, expected, rtol=0, atol=1e-13)
+
+
 def test_controlled_pauli_dense():
+    """kron(|1><1|, p) + kron(|0><0|, I) with the control below, between and
+    above the string support, from the dense matrix oracle."""
     rng = np.random.default_rng(6)
-    p = PauliString.from_ops({0: "X", 1: "Z"})
-    s = _random_state(3, rng)
-    expected = s.amps.copy()
-    mat = sv.dense_operator(p, 2)
-    # control = qubit 2 (high bit): apply p to the upper half
-    expected[4:] = mat @ expected[4:]
-    sv.apply_controlled_pauli(s, 2, p)
-    assert np.allclose(s.amps, expected, atol=1e-12)
+    n = 6
+    for control, sites in ((0, (1, 2, 3, 4, 5)), (3, (0, 1, 2, 4, 5)), (5, (0, 1, 2, 3, 4))):
+        z_c = sv.dense_operator(PauliString.from_ops({control: "Z"}), n)
+        one = (np.eye(1 << n) - z_c) / 2  # |1><1| on the control
+        for _ in range(20):
+            p = _any_phase_pauli(sites, rng)
+            mat = one @ sv.dense_operator(p, n) + (np.eye(1 << n) - one)
+            s = _random_state(n, rng)
+            expected = mat @ s.amps
+            sv.apply_controlled_pauli(s, control, p)
+            assert np.allclose(s.amps, expected, rtol=0, atol=1e-13)
     with pytest.raises(UsageError):
-        sv.apply_controlled_pauli(s, 1, p)
+        sv.apply_controlled_pauli(s, 1, PauliString.from_ops({0: "X", 1: "Z"}))
+
+
+@pytest.mark.parametrize("entry", ["_pauli_action", "apply_pauli_string",
+                                   "apply_controlled_pauli",
+                                   "apply_pauli_exponential"])
+def test_pauli_entry_points_check_qubit_range(entry):
+    s = _random_state(3, np.random.default_rng(8))
+    ref = s.amps.copy()
+    calls = {
+        "_pauli_action": lambda p: sv._pauli_action(s, p),
+        "apply_pauli_string": lambda p: sv.apply_pauli_string(s, p),
+        "apply_controlled_pauli": lambda p: sv.apply_controlled_pauli(s, 2, p),
+        "apply_pauli_exponential": lambda p: sv.apply_pauli_exponential(s, p, 0.3),
+    }
+    for bad in (3, 7, -1):
+        with pytest.raises(UsageError, match=f"qubit index {bad} out of range"):
+            calls[entry](PauliString.from_ops({0: "X", bad: "Z"}))
+    if entry == "apply_controlled_pauli":
+        for control in (5, 3, -1):
+            with pytest.raises(UsageError, match=f"qubit index {control} out of range"):
+                sv.apply_controlled_pauli(s, control, PauliString.from_ops({0: "X"}))
+    assert np.array_equal(s.amps, ref)
+
+
+@pytest.mark.parametrize("lattice", [lat.torus(2), lat.torus(3), lat.planar(3)],
+                         ids=["torus2", "torus3", "planar3"])
+def test_from_tableau_every_logical_sector(lattice):
+    """Every stabilizer and logical of the dense import agrees with the
+    tableau's exact expectation, in every logical sector."""
+    pairs = lat.logical_operators(lattice)
+    checks = ([PauliString.x_on(star) for star in lattice.stars]
+              + [PauliString.z_on(bnd) for bnd in lattice.boundaries]
+              + [from_string_path(path) for pair in pairs for path in pair])
+    for sector in range(1 << len(pairs)):
+        t = tb.prepare_ground_state(lattice, sector)
+        s = sv.from_tableau(t)
+        assert abs(s.norm() - 1) < 1e-12
+        for p in checks:
+            dense = np.vdot(s.amps, sv._pauli_action(s, p))
+            assert abs(dense - tb.expectation_pauli(t, p)) < 1e-10, (sector, str(p))
 
 
 def test_qubit_cap():
