@@ -172,8 +172,9 @@ def run_interferometry_dense(program: BraidProgram, initial: tb.Tableau,
         return Coherence(sv.inner_product(b0, b1))
 
     probe = base.n
-    state = sv.StateVector(probe + 1,
-                           np.concatenate([base.amps, base.amps]) / math.sqrt(2))
+    amps = np.concatenate([base.amps, base.amps])
+    amps /= math.sqrt(2)
+    state = sv.StateVector(probe + 1, amps)
     for step in program.steps:
         if isinstance(step, StringStep):
             sv.apply_controlled_pauli(state, probe, from_string_path(step.path))
@@ -298,7 +299,8 @@ def teleport_rotation(lattice: Lattice, memory: sv.StateVector, axis, theta: flo
             raise UsageError("rotation axis string must be Hermitian")
     probe = memory.n
     if circuit == "plus":
-        amps = np.concatenate([memory.amps, memory.amps]) / math.sqrt(2)
+        amps = np.concatenate([memory.amps, memory.amps])
+        amps /= math.sqrt(2)
         state = sv.StateVector(probe + 1, amps)
         sv.apply_controlled_pauli(state, probe, string)
         sv.apply_pauli_exponential(state, PauliString.from_ops({probe: "X"}), theta)
@@ -313,13 +315,13 @@ def teleport_rotation(lattice: Lattice, memory: sv.StateVector, axis, theta: flo
         state = sv.apply_gate(state, "H", probe)
 
     half = 1 << probe
-    p_one = float(np.linalg.norm(state.amps[half:]) ** 2)
+    nrm_one = np.linalg.norm(state.amps[half:])
     if force_outcome is None:
-        outcome = -1 if rng.random() < p_one else 1
+        outcome = -1 if rng.random() < float(nrm_one ** 2) else 1
     else:
         outcome = force_outcome
     block = state.amps[half:] if outcome == -1 else state.amps[:half]
-    nrm = np.linalg.norm(block)
+    nrm = nrm_one if outcome == -1 else np.linalg.norm(block)
     if nrm < 1e-12:
         raise ContractError("measurement branch has zero probability")
     out = sv.StateVector(memory.n, block / nrm)
@@ -445,7 +447,7 @@ def parse_program(lattice: Lattice, text: str,
                 steps.append(StringStep(path))
             elif head in ("ZEDGES", "XEDGES"):
                 edges = frozenset(int(e) for e in toks[1:])
-                if any(e >= lattice.n_edges for e in edges):
+                if not all(0 <= e < lattice.n_edges for e in edges):
                     raise UsageError("edge index out of range")
                 steps.append(StringStep(StringPath(
                     head[0].lower(), tuple(sorted(edges)), (None, None), True)))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, UsageError, require_finite
-from .lattice import Lattice, logical_operators, shortest_string, string_to_boundary
+from .lattice import Lattice, logical_operators
 from .pauli import PauliString, from_string_path
 
 _ONE = np.uint64(1)
@@ -220,6 +220,14 @@ def apply_controlled_string(t: Tableau, control: int, p: PauliString,
 
 def measure_pauli(t: Tableau, p: PauliString, rng) -> tuple[int, Tableau]:
     """Projective measurement of a Hermitian Pauli; returns (+-1, tableau)."""
+    return _project(t, p, rng=rng), t
+
+
+def _project(t: Tableau, p: PauliString, rng=None, want: int | None = None) -> int:
+    """Project t onto an eigenspace of the Hermitian Pauli p; returns its
+    eigenvalue +-1.  If the value is random it is ``want`` when given, else
+    drawn from rng; a determined value other than ``want`` has zero
+    probability and raises ContractError."""
     if not p.is_hermitian():
         raise UsageError("measurement needs a Hermitian Pauli")
     xs, zs = t._columns(p)
@@ -230,13 +238,16 @@ def measure_pauli(t: Tableau, p: PauliString, rng) -> tuple[int, Tableau]:
         antic[pivot >> 6] ^= _ONE << np.uint64(pivot & 63)
         t._rowmult_into(antic, pivot)
         t._set_row(pivot - t.n, *(np.flatnonzero(b) for b in t._row(pivot)), t.r[pivot])
-        outcome = 1 if int(rng.integers(2)) == 0 else -1
-        t._set_row(pivot, xs, zs, (p.phase + (0 if outcome == 1 else 2)) & 3)
-        return outcome, t
+        if want is None:
+            want = 1 if int(rng.integers(2)) == 0 else -1
+        t._set_row(pivot, xs, zs, (p.phase + (0 if want == 1 else 2)) & 3)
+        return want
     value = _deterministic_phase(t, p.phase, xs, zs, rows)
-    if value in (1, -1):
-        return int(value.real), t
-    raise ContractError("deterministic measurement with non-real phase")
+    if value not in (1, -1):
+        raise ContractError("deterministic measurement with non-real phase")
+    if want is not None and value != want:
+        raise ContractError(f"outcome {want} has zero probability")
+    return int(value.real)
 
 
 def expectation_pauli(t: Tableau, p: PauliString) -> int:
@@ -366,32 +377,18 @@ def prepare_ground_state(lattice: Lattice, logical_sector=0, n_ancillas: int = 0
                          rng=None) -> Tableau:
     """Ground state of H_surf in a chosen logical sector.
 
-    Starts from |0...0> (all H_f = +1), measures every H_v, pairs up the -1
-    outcomes with z-strings (to each other on a torus, to the rough boundary
-    on a planar code), then measures the logical Z operators and corrects
-    with logical X strings.  The resulting state is unique, so the outcome
-    does not depend on the rng; ancilla qubits (appended after the edge
-    qubits) stay in |0>.
+    Starts from |0...0>, where every H_f and logical Z reads +1, projects
+    every H_v onto +1 and flips each logical Z off its sector with the
+    logical X string.  Measuring H_v and pairing the -1 outcomes with
+    z-strings, as the paper's protocol does, gives the same state: the
+    strings flip only the stars at their ends and commute with every H_f
+    and logical Z, whose joint eigenstate is unique.  On a torus the last
+    star is already +1, the product of the others.  Ancilla qubits
+    (appended after the edge qubits) stay in |0>.  ``rng`` is not read.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     t = Tableau(lattice.n_edges + n_ancillas)
-
-    minus = []
-    for v in range(lattice.n_vertices):
-        outcome, _ = measure_pauli(t, PauliString.x_on(lattice.star(v)), rng)
-        if outcome == -1:
-            minus.append(v)
-    if lattice.is_torus:
-        if len(minus) % 2:
-            raise ContractError("odd number of flipped vertices on a torus")
-        for a, b in zip(minus[::2], minus[1::2]):
-            path = shortest_string(lattice, "z", a, b)
-            apply_pauli_string(t, from_string_path(path))
-    else:
-        for v in minus:
-            path = string_to_boundary(lattice, "z", v)
-            apply_pauli_string(t, from_string_path(path))
+    for star in lattice.stars:
+        _project(t, PauliString.x_on(star), want=1)
 
     pairs = logical_operators(lattice)
     if isinstance(logical_sector, int):
@@ -403,7 +400,6 @@ def prepare_ground_state(lattice: Lattice, logical_sector=0, n_ancillas: int = 0
         raise UsageError(f"need {len(pairs)} logical sector bits")
     for bit, (cz_path, cx_path) in zip(bits, pairs):
         want = 1 if bit == 0 else -1
-        outcome, _ = measure_pauli(t, from_string_path(cz_path), rng)
-        if outcome != want:
+        if expectation_pauli(t, from_string_path(cz_path)) != want:
             apply_pauli_string(t, from_string_path(cx_path))
     return t

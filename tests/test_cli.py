@@ -87,6 +87,10 @@ def test_braid_errors(tmp_path):
     bad.write_text("DELAY nan\n")  # alpha would be NaN
     result = run_cli(["braid", "--set", f"program={bad}"])
     assert result.returncode == 2 and "t must be finite" in result.stderr
+    bad.write_text("ZEDGES -19\nDELAY 0.5\n")  # a negative edge id
+    result = run_cli(["braid", "--set", "lattice=torus:3", "--set", f"program={bad}"])
+    assert result.returncode == 2 and "Traceback" not in result.stderr
+    assert "program line 1" in result.stderr
 
 
 def test_memory_roundtrip_cli():

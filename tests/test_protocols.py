@@ -264,5 +264,7 @@ def test_program_parse_forms(torus4):
         pr.parse_program(torus4, "DELAY abc")
     with pytest.raises(UsageError):
         pr.parse_program(torus4, "ZEDGES 99")
+    with pytest.raises(UsageError, match="program line 1"):
+        pr.parse_program(torus4, "ZEDGES -1")
     with pytest.raises(UsageError):
         pr.parse_program(torus4, "ECHO q")

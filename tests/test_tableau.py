@@ -137,6 +137,37 @@ def test_ground_state_deterministic_across_rngs():
         assert tb.expectation_pauli(t1, p) == tb.expectation_pauli(t2, p)
 
 
+def test_ground_state_leaves_rng_untouched():
+    rng = np.random.default_rng(3)
+    before = rng.bit_generator.state
+    for lattice in (lat.planar(3), lat.torus(3)):
+        tb.prepare_ground_state(lattice, 1, rng=rng)
+    assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("name, lattice, sector, n_ancillas", [
+    ("torus3_sector10_anc1", lat.torus(3), (1, 0), 1),
+    ("planar3_sector1", lat.planar(3), 1, 0),
+    ("torus4_sector01", lat.torus(4), (0, 1), 0)])
+def test_ground_state_stabilizers_golden(name, lattice, sector, n_ancillas):
+    # generator rows and signs as written by the measure-and-pair preparation
+    import pathlib
+    fixture = pathlib.Path(__file__).parent / "fixtures" / f"ground_{name}.dump"
+    t = tb.prepare_ground_state(lattice, sector, n_ancillas=n_ancillas)
+    assert t.dump() + "\n" == fixture.read_text()
+
+
+def test_projection_onto_impossible_outcome():
+    z = PauliString.from_ops({0: "Z"})
+    t = tb.Tableau(1)
+    assert tb._project(t, z, want=1) == 1
+    with pytest.raises(ContractError, match="zero probability"):
+        tb._project(t, z, want=-1)
+    plus = tb.Tableau(1).h(0)
+    assert tb._project(plus, z, want=-1) == -1
+    assert tb.expectation_pauli(plus, z) == -1
+
+
 def test_ground_state_matches_dense_diagonalization(planar2, planar2_ground):
     dim = 1 << planar2.n_edges
     ham = np.zeros((dim, dim), dtype=complex)
