@@ -41,7 +41,7 @@ print(f"\nwrote {out}")
 # exact refocusing of a static field, the idealized limit of the echo train
 static = df.StaticField(np.random.default_rng(0).normal(size=lattice.n_edges))
 sched = df.build_echo_schedule("z_pairs", 6.0, 2)
-s = df.survival(df.evolve_anyon(lattice, static, sched, 5, "x", dt=0.05), 5)
+s = df.evolve_anyon(lattice, static, sched, 5, "x", dt=0.05)[5]
 print(f"static field, z_pairs(2): |survival| = {abs(s):.12f} (exact refocus)")
 
 # independent check of the echo suppression: the second-order filter

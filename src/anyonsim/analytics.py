@@ -79,9 +79,9 @@ def qnd_error(n_spins: int, theta: float, delta: float, k: int = 1) -> float:
     return n_spins * theta * abs(delta) ** k
 
 
-def qnd_pulse_count(k: int, c: float = 1.0) -> float:
-    """Composite-pulse budget c * k**3 (c documented as 1)."""
-    return c * k ** 3
+def qnd_pulse_count(k: int) -> float:
+    """Composite-pulse budget k**3 (the published prefactor is 1)."""
+    return float(k ** 3)
 
 
 @dataclass(frozen=True)

@@ -73,8 +73,8 @@ def _number(key: str, text: str, kind=float, minimum=None):
 
 def _parse_taus(key: str, text: str) -> list[float]:
     taus = [_number(key, x, float, 0) for x in text.split(",") if x.strip()]
-    if not taus:
-        raise ConfigurationError(f"{key} needs at least one delay")
+    if not taus or max(taus) <= 0:
+        raise ConfigurationError(f"{key} needs at least one delay > 0, got {text!r}")
     return taus
 
 

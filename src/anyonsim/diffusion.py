@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, UsageError, require_finite
-from .lattice import Lattice, echo_mask
+from .lattice import ECHO_KINDS, Lattice, echo_mask
 
 COORDINATION = 4  # square lattice
 
@@ -48,6 +48,8 @@ class NoiseModel:
     def __post_init__(self):
         require_finite(self, "xi_h")
         require_finite(self, "tau_c", "dt", "duration", positive=True)
+        if self.xi_h < 0:  # the noise reads xi_h^2, but default_dt reads xi_h
+            raise ConfigurationError(f"xi_h must be >= 0, got {self.xi_h!r}")
 
     def diffusion_rate(self) -> float:
         """Gamma = 2 sqrt(pi) xi_h^2 / omega_c (rate to one neighbor)."""
@@ -63,7 +65,6 @@ class NoiseRealization:
 
     values: np.ndarray  # (n_edges, n_steps)
     dt: float
-    model: NoiseModel
 
     @property
     def n_steps(self) -> int:
@@ -117,7 +118,7 @@ def sample_noise(model: NoiseModel, lattice: Lattice, seed) -> NoiseRealization:
     if n_steps * lattice.n_edges > 200_000_000:
         raise ConfigurationError("noise realization too large")
     if model.xi_h == 0.0:
-        return NoiseRealization(np.zeros((lattice.n_edges, n_steps)), model.dt, model)
+        return NoiseRealization(np.zeros((lattice.n_edges, n_steps)), model.dt)
     sqrt_lam = _circulant_sqrt_spectrum(model, n_steps)
     length = sqrt_lam.size
     seed_list = list(np.atleast_1d(np.asarray(seed, dtype=np.int64)))
@@ -127,7 +128,7 @@ def sample_noise(model: NoiseModel, lattice: Lattice, seed) -> NoiseRealization:
         zeta = rng.standard_normal(length) + 1j * rng.standard_normal(length)
         series = np.fft.fft(sqrt_lam * zeta).real * math.sqrt(1.0 / length)
         values[e] = series[:n_steps]
-    return NoiseRealization(values, model.dt, model)
+    return NoiseRealization(values, model.dt)
 
 
 # -- echo schedules ----------------------------------------------------------
@@ -135,15 +136,17 @@ def sample_noise(model: NoiseModel, lattice: Lattice, seed) -> NoiseRealization:
 @dataclass(frozen=True)
 class Pulse:
     time: float
-    kind: str  # one of z, x, z_e, z_o, x_e, x_o
-    edges: frozenset[int] | None = None  # resolved lazily from the lattice
+    kind: str  # one of lattice.ECHO_KINDS
+
+    def __post_init__(self):
+        if self.kind not in ECHO_KINDS:
+            raise UsageError(f"unknown echo pulse kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
 class EchoSchedule:
     duration: float
     pulses: tuple[Pulse, ...]
-    label: str = ""
 
     def __post_init__(self):
         times = [p.time for p in self.pulses]
@@ -163,21 +166,22 @@ def build_echo_schedule(kind: str, duration: float, n: int = 1,
     boundary-masked operators, planar only).
     """
     if kind == "none":
-        return EchoSchedule(duration, (), "none")
+        return EchoSchedule(duration, ())
     if n < 1:
         raise UsageError("pulsed schedules need n >= 1")
     if kind == "z_pairs":
         step = duration / (2 * n)
         pulses = tuple(Pulse((k + 1) * step, "z") for k in range(2 * n))
-        return EchoSchedule(duration, pulses, f"z_pairs({n})")
+        return EchoSchedule(duration, pulses)
     if kind == "nested":
         step = duration / (4 * n)
         kinds = ("z", "x") * (2 * n)
         pulses = tuple(Pulse((k + 1) * step, kinds[k]) for k in range(4 * n))
-        return EchoSchedule(duration, pulses, f"nested({n})")
+        return EchoSchedule(duration, pulses)
     if kind == "boundary_w":
         if lattice is not None and lattice.is_torus:
-            raise UsageError("boundary_w needs a planar lattice (no boundary classes)")
+            raise UsageError("schedule boundary_w needs a planar lattice "
+                             "(no boundary classes)")
         pulses = []
         block = duration / 4.0
         for i, (za, xb) in enumerate((("z_e", "x_e"), ("z_e", "x_o"),
@@ -186,27 +190,11 @@ def build_echo_schedule(kind: str, duration: float, n: int = 1,
             quarter = block / 4.0
             for k, pk in enumerate((za, xb, za, xb)):
                 pulses.append(Pulse(t0 + (k + 1) * quarter, pk))
-        return EchoSchedule(duration, tuple(pulses), "boundary_w")
+        return EchoSchedule(duration, tuple(pulses))
     raise UsageError(f"unknown schedule kind {kind!r}")
 
 
 # -- one-particle dynamics ----------------------------------------------------
-
-@dataclass
-class HoppingState:
-    """Complex amplitude per cell of the chosen sector (unit norm)."""
-
-    sector: str
-    amplitudes: np.ndarray
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-
-def survival(state: HoppingState, start_cell: int) -> complex:
-    """Amplitude remaining at the start cell."""
-    return complex(state.amplitudes[start_cell])
-
 
 def hop_structure(lattice: Lattice, sector: str) -> tuple[int, np.ndarray, np.ndarray]:
     """(n_cells, cell pair array (m, 2), edge id array (m,)) for the sector.
@@ -240,11 +228,8 @@ class _SectorDynamics:
     def pulse_flips(self, pulse: Pulse) -> np.ndarray:
         """Hop terms flipped by a pulse: z-kind pulses anticommute with the
         sigma^x field terms (x-particle hops), x-kind with sigma^z terms."""
-        if pulse.kind.split("_")[0] != ("z" if self.sector == "x" else "x"):
+        if pulse.kind[0] != ("z" if self.sector == "x" else "x"):
             return np.zeros(self.edge_ids.size, dtype=bool)
-        if pulse.edges is not None:
-            support = np.fromiter(pulse.edges, dtype=int)
-            return np.isin(self.edge_ids, support)
         if pulse.kind not in self._masks:
             support = np.fromiter(echo_mask(self.lattice, pulse.kind), dtype=int)
             self._masks[pulse.kind] = np.isin(self.edge_ids, support)
@@ -372,15 +357,16 @@ def default_dt(model: NoiseModel) -> float:
 
 
 def evolve_anyon(lattice: Lattice, field, schedule: EchoSchedule, start_cell: int,
-                 sector: str, dt: float) -> HoppingState:
-    """Integrate one particle from a basis state under the field + echoes."""
+                 sector: str, dt: float) -> np.ndarray:
+    """Integrate one particle from a basis state under the field + echoes;
+    returns the complex amplitude per cell of the sector (unit norm)."""
     dyn = _SectorDynamics(lattice, sector)
     if not 0 <= start_cell < dyn.n_cells:
         raise UsageError("start cell outside the sector")
     col = np.zeros((dyn.n_cells, 1), dtype=np.complex128)
     col[start_cell, 0] = 1.0
     out = _evolve_columns(dyn, field, schedule, schedule.duration, col, dt)
-    return HoppingState(sector, out[0][:, 0])
+    return out[0][:, 0]
 
 
 def spread_cells(lattice: Lattice, sector: str, n_particles: int) -> list[int]:
@@ -412,7 +398,7 @@ class ContrastEstimate:
 def contrast_curve(lattice: Lattice, model: NoiseModel, schedule_family,
                    tau_grid, n_trials: int, n_particles: int, seed: int,
                    sector: str = "x", estimator: str = "amplitude",
-                   start_cells=None, dt: float | None = None
+                   dt: float | None = None
                    ) -> list[ContrastEstimate]:
     """Monte Carlo contrast versus delay for each schedule in the family.
 
@@ -431,8 +417,7 @@ def contrast_curve(lattice: Lattice, model: NoiseModel, schedule_family,
     if taus.size == 0 or taus.min() < 0:
         raise UsageError("tau grid must be non-negative")
     t_max = float(taus.max())
-    cells = list(start_cells) if start_cells is not None else \
-        spread_cells(lattice, sector, n_particles)
+    cells = spread_cells(lattice, sector, n_particles)
     if dt is None:
         dt = default_dt(model)
     run_model = NoiseModel(model.xi_h, model.tau_c, model.dt,
@@ -451,7 +436,7 @@ def contrast_curve(lattice: Lattice, model: NoiseModel, schedule_family,
             row = samples[lab][trial]
             if kind == "none":
                 blocks = _evolve_columns(dyn, realization,
-                                         EchoSchedule(t_max, (), "none"),
+                                         EchoSchedule(t_max, ()),
                                          t_max, columns, dt, checkpoints=taus)
                 for i, blk in enumerate(blocks):
                     row[i] = _contrast_sample(blk, cells, estimator)
@@ -501,6 +486,8 @@ class DiffusionParams:
 
     def __post_init__(self):
         require_finite(self, "xi_h", "tau_c", "t2_scale")
+        if self.xi_h < 0:
+            raise ConfigurationError(f"xi_h must be >= 0, got {self.xi_h!r}")
 
     @property
     def gamma(self) -> float:

@@ -36,6 +36,8 @@ from .errors import ConfigurationError, UsageError
 
 MAX_TORUS = 32
 MAX_PLANAR = 7
+# echo pulse kinds: global z and x, and the planar boundary masks (echo_mask)
+ECHO_KINDS = ("z", "x", "z_e", "z_o", "x_e", "x_o")
 
 
 @dataclass(frozen=True)
@@ -56,17 +58,14 @@ class LatticeSpec:
 class StringPath:
     """An edge path carrying a string operator.
 
-    kind "z": path on the lattice (endpoints are vertex ids);
-    kind "x": path on the dual lattice (endpoints are face ids).
-    An endpoint of None marks termination on a boundary (planar only).
+    kind "z": path on the lattice (between vertices);
+    kind "x": path on the dual lattice (between faces).
     ``edges`` is an ordered chain for freshly constructed paths; after
     deformation it is simply the operator's support (set semantics).
     """
 
     kind: str
     edges: tuple[int, ...]
-    endpoints: tuple[int | None, int | None]
-    closed: bool
 
     def __post_init__(self):
         if self.kind not in ("z", "x"):
@@ -147,17 +146,16 @@ class Lattice:
         return "\n".join(lines)
 
 
-def build_lattice(spec: LatticeSpec, max_torus: int = MAX_TORUS,
-                  max_planar: int = MAX_PLANAR) -> Lattice:
+def build_lattice(spec: LatticeSpec) -> Lattice:
     """Construct the incidence structure for a torus or planar code."""
     if spec.topology == "torus":
-        if spec.size > max_torus:
+        if spec.size > MAX_TORUS:
             raise ConfigurationError(
-                f"lattice torus:{spec.size} exceeds the maximum torus size {max_torus}")
+                f"lattice torus:{spec.size} exceeds the maximum torus size {MAX_TORUS}")
         return _build_torus(spec)
-    if spec.size > max_planar:
+    if spec.size > MAX_PLANAR:
         raise ConfigurationError(
-            f"lattice planar:{spec.size} exceeds the maximum distance {max_planar}")
+            f"lattice planar:{spec.size} exceeds the maximum distance {MAX_PLANAR}")
     return _build_planar(spec)
 
 
@@ -282,12 +280,14 @@ def _build_planar(spec: LatticeSpec) -> Lattice:
 def echo_mask(lattice: Lattice, kind: str) -> frozenset[int]:
     """Edge support of a global or boundary-masked echo pulse.
 
-    Kinds: "z" and "x" act on every edge.  On planar lattices the boundary
-    variants "z_e"/"z_o" drop the smooth-line edges (top/bottom rows,
-    corners included) of odd/even column, and "x_e"/"x_o" drop the
-    protruding rough edges of odd/even row.  Each masked pulse commutes
+    Kinds (ECHO_KINDS): "z" and "x" act on every edge.  On planar lattices
+    the boundary variants "z_e"/"z_o" drop the smooth-line edges
+    (top/bottom rows, corners included) of odd/even column, and "x_e"/"x_o"
+    drop the protruding rough edges of odd/even row.  Each masked pulse commutes
     with every stabilizer of the code.
     """
+    if kind not in ECHO_KINDS:
+        raise UsageError(f"unknown echo pulse kind {kind!r}")
     all_edges = frozenset(range(lattice.n_edges))
     if kind in ("z", "x"):
         return all_edges
@@ -302,12 +302,10 @@ def echo_mask(lattice: Lattice, kind: str) -> frozenset[int]:
         drop_parity = 1 if kind == "x_e" else 0  # x_e drops odd rough rows
         dropped = {h(r, c) for r in range(d) for c in (0, d - 1)
                    if r % 2 == drop_parity}
-    elif kind in ("z_e", "z_o"):
+    else:
         drop_parity = 1 if kind == "z_e" else 0  # z_e drops odd smooth columns
         dropped = {h(r, c) for r in (0, d - 1) for c in range(d)
                    if c % 2 == drop_parity}
-    else:
-        raise UsageError(f"unknown echo pulse kind {kind!r}")
     return all_edges - dropped
 
 
@@ -322,11 +320,11 @@ def shortest_string(lattice: Lattice, kind: str, a: int, b: int) -> StringPath:
     _check_cell(graph, kind, a)
     _check_cell(graph, kind, b)
     if a == b:
-        return StringPath(kind, (), (a, a), closed=True)
+        return StringPath(kind, ())
     dist = _bfs(graph, a)
     if dist[b] < 0:
         raise UsageError("endpoints are not connected")
-    return StringPath(kind, _walk(graph, dist, b)[::-1], (a, b), closed=False)
+    return StringPath(kind, _walk(graph, dist, b)[::-1])
 
 
 def string_to_boundary(lattice: Lattice, kind: str, a: int) -> StringPath:
@@ -342,7 +340,7 @@ def string_to_boundary(lattice: Lattice, kind: str, a: int) -> StringPath:
     dist = _bfs(graph, len(graph) - 1)
     if dist[a] < 0:
         raise UsageError("no boundary reachable")
-    return StringPath(kind, _walk(graph, dist, a), (a, None), closed=False)
+    return StringPath(kind, _walk(graph, dist, a))
 
 
 def _check_cell(graph, kind, cell):
@@ -381,12 +379,11 @@ def deform_string(path: StringPath, stabilizer_support) -> StringPath:
     """Deform a string by a stabilizer: symmetric difference of edge sets.
 
     z-strings deform by face boundaries, x-strings by vertex stars (pass the
-    support, e.g. ``lattice.boundary(f)``).  Endpoints and closed-ness are
-    unchanged; the result carries set semantics (sorted edge order).
+    support, e.g. ``lattice.boundary(f)``).  The result carries set semantics
+    (sorted edge order).
     """
     support = frozenset(stabilizer_support)
-    new_edges = tuple(sorted(path.edge_set ^ support))
-    return StringPath(path.kind, new_edges, path.endpoints, path.closed)
+    return StringPath(path.kind, tuple(sorted(path.edge_set ^ support)))
 
 
 def crossing_parity(zpath: StringPath, xpath: StringPath) -> int:
@@ -408,16 +405,16 @@ def logical_operators(lattice: Lattice) -> list[tuple[StringPath, StringPath]]:
     if lattice.is_torus:
         h = lambda r, c: r * n + c
         v = lambda r, c: n * n + r * n + c
-        z1 = StringPath("z", tuple(h(0, c) for c in range(n)), (0, 0), True)
-        x1 = StringPath("x", tuple(h(r, 0) for r in range(n)), (0, 0), True)
-        z2 = StringPath("z", tuple(v(r, 0) for r in range(n)), (0, 0), True)
-        x2 = StringPath("x", tuple(v(0, c) for c in range(n)), (0, 0), True)
+        z1 = StringPath("z", tuple(h(0, c) for c in range(n)))
+        x1 = StringPath("x", tuple(h(r, 0) for r in range(n)))
+        z2 = StringPath("z", tuple(v(r, 0) for r in range(n)))
+        x2 = StringPath("x", tuple(v(0, c) for c in range(n)))
         return [(z1, x1), (z2, x2)]
     d = n
     row = (d - 1) // 2
     col = (d - 1) // 2
-    cz = StringPath("z", tuple(row * d + c for c in range(d)), (None, None), True)
-    cx = StringPath("x", tuple(r * d + col for r in range(d)), (None, None), True)
+    cz = StringPath("z", tuple(row * d + c for c in range(d)))
+    cx = StringPath("x", tuple(r * d + col for r in range(d)))
     return [(cz, cx)]
 
 

@@ -15,11 +15,11 @@ import numpy as np
 from . import analytics, statevector as sv, tableau as tb
 from .diffusion import build_echo_schedule
 from .errors import ContractError, UsageError
-from .lattice import (Lattice, deform_string, planar, shortest_string,
-                      string_to_boundary, torus)
+from .lattice import (ECHO_KINDS, Lattice, StringPath, deform_string, planar,
+                      shortest_string, string_to_boundary, torus)
 from .pauli import PauliString, from_string_path, multiply
-from .protocols import (ECHO_KINDS, BraidProgram, DelayStep, EchoStep, StringStep,
-                        braiding_programs, run_interferometry)
+from .protocols import (BraidProgram, DelayStep, EchoStep, StringStep, braiding_programs,
+                        run_interferometry)
 from .weyl import WeylString, weyl_braiding_phase
 
 
@@ -322,14 +322,10 @@ def _block_loop_program(lattice: Lattice) -> tuple[BraidProgram, int, int]:
     half_z = len(zs) // 2
     half_x = len(xs) // 2
 
-    def pathify(kind, edges):
-        from .lattice import StringPath
-        return StringPath(kind, tuple(edges), (None, None), False)
-
-    steps = (StringStep(pathify("z", zs[:half_z])),
-             StringStep(pathify("x", xs[:half_x])),
-             StringStep(pathify("z", zs[half_z:])),
-             StringStep(pathify("x", xs[half_x:])))
+    steps = (StringStep(StringPath("z", tuple(zs[:half_z]))),
+             StringStep(StringPath("x", tuple(xs[:half_x]))),
+             StringStep(StringPath("z", tuple(zs[half_z:]))),
+             StringStep(StringPath("x", tuple(xs[half_x:]))))
     return BraidProgram(lattice, steps), len(faces), len(verts)
 
 
@@ -434,20 +430,22 @@ def _product(strings) -> PauliString:
 
 # -- echo filter oracle --------------------------------------------------------
 
-def echo_filter_variance(tau: float, n_pairs: int, xi_h: float, tau_c: float,
-                         n_grid: int = 1200) -> float:
+ECHO_FILTER_GRID = 1200  # midpoint-rule points on [0, tau]
+
+
+def echo_filter_variance(tau: float, n_pairs: int, xi_h: float, tau_c: float) -> float:
     """Exact second-order filter integral for the equally spaced echo train:
     Var = int int s(t) s(t') f(t - t') dt dt' with 2n sign flips in [0, tau].
 
     This is the independent oracle for the echo-suppressed decay: the
     per-particle log-contrast is -(z/2) Var to leading order.
     """
-    grid = (np.arange(n_grid) + 0.5) * (tau / n_grid)
+    grid = (np.arange(ECHO_FILTER_GRID) + 0.5) * (tau / ECHO_FILTER_GRID)
     sched = build_echo_schedule("z_pairs", tau, n_pairs)
-    signs = np.ones(n_grid)
+    signs = np.ones(ECHO_FILTER_GRID)
     for pulse in sched.pulses:
         signs[grid > pulse.time] *= -1.0
     diff = grid[:, None] - grid[None, :]
     cov = xi_h ** 2 * np.exp(-(diff / tau_c) ** 2)
-    w = signs * (tau / n_grid)
+    w = signs * (tau / ECHO_FILTER_GRID)
     return float(w @ cov @ w)

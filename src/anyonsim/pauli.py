@@ -87,9 +87,6 @@ class PauliString(WeylString):
     def __neg__(self) -> "PauliString":
         return PauliString(self.phase + 2, self.support)
 
-    def adjoint(self) -> "PauliString":
-        return self.inverse()
-
     # -- text form -------------------------------------------------------
     def __str__(self) -> str:
         if not self.support:

@@ -24,10 +24,9 @@ import numpy as np
 from . import statevector as sv
 from . import tableau as tb
 from .errors import ContractError, UsageError, require_finite
-from .lattice import Lattice, StringPath, echo_mask, logical_operators, shortest_string
+from .lattice import (ECHO_KINDS, Lattice, StringPath, echo_mask, logical_operators,
+                      shortest_string)
 from .pauli import PauliString, from_string_path, multiply
-
-ECHO_KINDS = ("z", "x", "z_e", "z_o", "x_e", "x_o")
 
 
 @dataclass(frozen=True)
@@ -62,9 +61,6 @@ class BraidProgram:
     lattice: Lattice
     steps: tuple[Step, ...]
     ledger: tb.EnergyLedger = field(default_factory=tb.EnergyLedger)
-
-    def strings(self) -> list[StringPath]:
-        return [s.path for s in self.steps if isinstance(s, StringStep)]
 
 
 @dataclass(frozen=True)
@@ -226,8 +222,8 @@ def _logical_pair(lattice: Lattice):
     return from_string_path(cz_path), from_string_path(cx_path)
 
 
-def swap_in(lattice: Lattice, t: tb.Tableau, probe_state: tuple[str, int] | None = None,
-            check: bool = True) -> tb.Tableau:
+def swap_in(lattice: Lattice, t: tb.Tableau, probe_state: tuple[str, int] | None = None
+            ) -> tb.Tableau:
     """Swap the probe qubit's state into memory initialized in logical |0>.
 
     The probe is the qubit at index lattice.n_edges.  The circuit is
@@ -238,11 +234,10 @@ def swap_in(lattice: Lattice, t: tb.Tableau, probe_state: tuple[str, int] | None
     if t.n < probe + 1:
         raise UsageError("tableau has no probe qubit")
     lz, lx = _logical_pair(lattice)
-    if check:
-        if tb.expectation_pauli(t, lz) != 1:
-            raise ContractError("swap_in expects memory in logical |0>")
-        if tb.syndrome(t, lattice).empty is False:
-            raise ContractError("swap_in expects a ground-state memory")
+    if tb.expectation_pauli(t, lz) != 1:
+        raise ContractError("swap_in expects memory in logical |0>")
+    if tb.syndrome(t, lattice).empty is False:
+        raise ContractError("swap_in expects a ground-state memory")
     if probe_state is not None:
         prepare_probe(t, probe, probe_state)
     tb.apply_controlled_string(t, probe, lx)
@@ -252,7 +247,7 @@ def swap_in(lattice: Lattice, t: tb.Tableau, probe_state: tuple[str, int] | None
     return t
 
 
-def swap_out(lattice: Lattice, t: tb.Tableau, check: bool = True) -> tb.Tableau:
+def swap_out(lattice: Lattice, t: tb.Tableau) -> tb.Tableau:
     """Swap the memory logical state back onto a |0> probe.
 
     Circuit Lambda[X~] H_A Lambda[Z~] H_A (rightmost first); composition
@@ -261,7 +256,7 @@ def swap_out(lattice: Lattice, t: tb.Tableau, check: bool = True) -> tb.Tableau:
     probe = lattice.n_edges
     if t.n < probe + 1:
         raise UsageError("tableau has no probe qubit")
-    if check and tb.expectation_pauli(t, PauliString.from_ops({probe: "Z"})) != 1:
+    if tb.expectation_pauli(t, PauliString.from_ops({probe: "Z"})) != 1:
         raise ContractError("swap_out expects the probe in |0>")
     lz, lx = _logical_pair(lattice)
     t.h(probe)
@@ -339,7 +334,6 @@ class GeometricGateSpec:
 
     alpha_amp: complex
     beta_amp: complex
-    target: PauliString | None = None
 
 
 def compose_displacements(displacements) -> tuple[complex, complex]:
@@ -442,15 +436,12 @@ def parse_program(lattice: Lattice, text: str,
                 edges: frozenset[int] = frozenset()
                 for a, b in zip(nodes, nodes[1:]):
                     edges ^= shortest_string(lattice, kind, a, b).edge_set
-                path = StringPath(kind, tuple(sorted(edges)),
-                                  (nodes[0], nodes[-1]), nodes[0] == nodes[-1])
-                steps.append(StringStep(path))
+                steps.append(StringStep(StringPath(kind, tuple(sorted(edges)))))
             elif head in ("ZEDGES", "XEDGES"):
                 edges = frozenset(int(e) for e in toks[1:])
                 if not all(0 <= e < lattice.n_edges for e in edges):
                     raise UsageError("edge index out of range")
-                steps.append(StringStep(StringPath(
-                    head[0].lower(), tuple(sorted(edges)), (None, None), True)))
+                steps.append(StringStep(StringPath(head[0].lower(), tuple(sorted(edges)))))
             elif head == "DELAY":
                 steps.append(DelayStep(float(toks[1])))
             elif head == "ECHO":
@@ -503,35 +494,28 @@ def braiding_programs(lattice: Lattice, delays: tuple[float, float, float] = (0,
             raise UsageError("braiding layout needs torus size >= 3")
         h = lambda r, c: (r % n) * n + (c % n)
         v = lambda r, c: n * n + (r % n) * n + (c % n)
-        vid = lambda r, c: (r % n) * n + (c % n)
-        fid = vid
         # z-loop around face (1,1); x-loop = star of its corner vertex (1,2)
-        l1 = StringPath("z", (h(2, 1), v(1, 2)), (vid(2, 1), vid(1, 2)), False)
-        l3 = StringPath("z", (h(1, 1), v(1, 1)), (vid(1, 2), vid(2, 1)), False)
-        l2 = StringPath("x", (h(1, 1), v(0, 2)), (fid(1, 1), fid(0, 2)), False)
-        l4 = StringPath("x", (h(1, 2), v(1, 2)), (fid(0, 2), fid(1, 1)), False)
+        l1 = StringPath("z", (h(2, 1), v(1, 2)))
+        l3 = StringPath("z", (h(1, 1), v(1, 1)))
+        l2 = StringPath("x", (h(1, 1), v(0, 2)))
+        l4 = StringPath("x", (h(1, 2), v(1, 2)))
         # untangled control: same shape around the far vertex (n-1, n-1)
-        u2 = StringPath("x", (h(n - 1, n - 1), v(n - 1, n - 1)),
-                        (fid(n - 2, n - 1), fid(n - 1, n - 2)), False)
-        u4 = StringPath("x", (h(n - 1, n - 2), v(n - 2, n - 1)),
-                        (fid(n - 1, n - 2), fid(n - 2, n - 1)), False)
+        u2 = StringPath("x", (h(n - 1, n - 1), v(n - 1, n - 1)))
+        u4 = StringPath("x", (h(n - 1, n - 2), v(n - 2, n - 1)))
     else:
         d = n
         if d < 3:
             raise UsageError("braiding layout needs planar distance >= 3")
         h = lambda r, c: r * d + c
         v = lambda r, c: d * d + r * (d - 1) + (c - 1)
-        vid = lambda r, c: r * (d - 1) + (c - 1)
-        fid = lambda r, c: r * d + c
         # z-loop around face (0,1); x-loop = star of smooth vertex (0,2)
-        l1 = StringPath("z", (h(1, 1), v(0, 2)), (vid(1, 1), vid(0, 2)), False)
-        l3 = StringPath("z", (h(0, 1), v(0, 1)), (vid(0, 2), vid(1, 1)), False)
-        l2 = StringPath("x", (h(0, 1),), (fid(0, 1), None), False)
-        l4 = StringPath("x", (v(0, 2), h(0, 2)), (fid(0, 1), None), False)
+        l1 = StringPath("z", (h(1, 1), v(0, 2)))
+        l3 = StringPath("z", (h(0, 1), v(0, 1)))
+        l2 = StringPath("x", (h(0, 1),))
+        l4 = StringPath("x", (v(0, 2), h(0, 2)))
         # untangled control around the far smooth vertex (d-1, d-1)
-        u2 = StringPath("x", (h(d - 1, d - 2),), (fid(d - 2, d - 2), None), False)
-        u4 = StringPath("x", (h(d - 1, d - 1), v(d - 2, d - 1)),
-                        (fid(d - 2, d - 2), None), False)
+        u2 = StringPath("x", (h(d - 1, d - 2),))
+        u4 = StringPath("x", (h(d - 1, d - 1), v(d - 2, d - 1)))
 
     tangled = interleave(l1, l2, l3, l4)
     untangled = interleave(l1, u2, l3, u4)

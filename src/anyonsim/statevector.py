@@ -9,7 +9,7 @@ so |q1 q0> = |1 0> sits at index 2.  Every Pauli action (strings, controlled
 strings, exponentials, the X Y Z CX CZ gates and the projections of
 from_tableau) goes through one kernel on the amplitudes viewed as an n-axis
 tensor of shape (2,)*n, axis n-1-q being qubit q: a flip of the X axes and
-one multiply by a sign tensor of size 2 on the Z axes only.  H S RZ RX work
+one multiply by a sign tensor of size 2 on the Z axes only.  H and S work
 on the two halves of one qubit axis.  No index arrays are built, and no
 full operator matrices outside of dense_operator (test oracle only).
 """
@@ -76,11 +76,11 @@ def _check_qubits(s: StateVector, qubits) -> None:
             raise UsageError(f"qubit index {q} out of range for n={s.n}")
 
 
-def apply_gate(s: StateVector, gate: str, targets, theta: float | None = None) -> StateVector:
+def apply_gate(s: StateVector, gate: str, targets) -> StateVector:
     """Apply a named gate in place and return the state.
 
-    Gates: H, S, X, Y, Z (one target), CX, CZ (control, target),
-    RZ(theta) = exp(-i theta Z / 2), RX(theta) = exp(-i theta X / 2).
+    Gates: H, S, X, Y, Z (one target), CX, CZ (control, target).  Rotations
+    are apply_pauli_exponential on a one-qubit string.
     """
     if isinstance(targets, int):
         targets = (targets,)
@@ -104,20 +104,6 @@ def apply_gate(s: StateVector, gate: str, targets, theta: float | None = None) -
         hi *= _SQ2
     elif gate == "S":
         hi *= 1j
-    elif gate == "RZ":
-        if theta is None:
-            raise UsageError("RZ needs theta")
-        # not `lo *= c`: numpy's aliased in-place multiply rounds
-        # differently on one-qubit states
-        lo[...] = np.exp(-0.5j * theta) * lo
-        hi[...] = np.exp(0.5j * theta) * hi
-    elif gate == "RX":
-        if theta is None:
-            raise UsageError("RX needs theta")
-        c, si = math.cos(theta / 2), math.sin(theta / 2)
-        u = lo.copy()
-        lo[...] = c * u - 1j * si * hi
-        hi[...] = c * hi - 1j * si * u
     else:
         raise UsageError(f"unknown gate {gate!r}")
     return s

@@ -124,9 +124,12 @@ def test_memory_error_and_crossover():
     (lambda: an.memory_error(_budget(), -1.0), "t"),
     (lambda: df.DiffusionParams(xi_h=math.nan, tau_c=1.0), "xi_h"),
     (lambda: df.DiffusionParams(xi_h=1.0, tau_c=-math.inf), "tau_c"),
+    (lambda: df.DiffusionParams(xi_h=-1.0, tau_c=10.0), "xi_h"),
+    (lambda: df.NoiseModel(xi_h=-1.0, tau_c=10.0, dt=0.05, duration=1.0), "xi_h"),
 ], ids=["ledger-u-nan", "ledger-j-inf", "cavity-g-inf", "budget-delta_h-nan",
         "budget-epsilon-inf", "budget-epsilon-negative", "memory_error-t-negative",
-        "diffusion-xi_h-nan", "diffusion-tau_c-inf"])
+        "diffusion-xi_h-nan", "diffusion-tau_c-inf", "diffusion-xi_h-negative",
+        "noise-xi_h-negative"])
 def test_parameters_rejected_when_built(build, field):
     with pytest.raises(ConfigurationError, match=f"^{field} must be"):
         build()

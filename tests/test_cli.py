@@ -150,6 +150,7 @@ def test_diffuse_non_finite_noise(setting):
     ("memory", "lattice=torus:4"), ("memory", "lattice=planar:4"),
     ("budget", "g=0"), ("budget", "kappa=-1"), ("budget", "gamma=0"), ("budget", "j=0"),
     ("budget", "n=0"), ("budget", "delta_h=2"), ("zd", "d=100000"),
+    ("diffuse", "xi_h=-1"), ("diffuse", "tau=0"), ("diffuse", "schedule=boundary_w"),
 ])
 def test_bad_numbers_exit_2(cmd, setting, tangled_program_file):
     args = [cmd, "--set", setting]

@@ -102,7 +102,7 @@ def test_shortest_string_matches_bfs_oracle(lattice, kind):
 def test_shortest_string_basics(torus4):
     assert len(lat.shortest_string(torus4, "x", 0, 1)) == 1  # adjacent faces
     empty = lat.shortest_string(torus4, "z", 3, 3)
-    assert empty.edges == () and empty.closed
+    assert empty.edges == ()
     assert len(lat.shortest_string(torus4, "x", 0, 2 * 4 + 2)) == 4
     # deterministic across calls
     p1 = lat.shortest_string(torus4, "z", 0, 10)
@@ -116,7 +116,6 @@ def test_shortest_string_basics(torus4):
 def test_string_to_boundary():
     p = lat.planar(3)
     path = lat.string_to_boundary(p, "z", 2)  # vertex (1, 1)
-    assert path.endpoints[1] is None
     ps = from_string_path(path)
     flips = [v for v in range(p.n_vertices)
              if commutation_phase(ps, PauliString.x_on(p.star(v))) == -1]
@@ -156,7 +155,7 @@ def test_deform_string(torus4):
     support = torus4.star(3)
     twice = lat.deform_string(lat.deform_string(path, support), support)
     assert twice.edge_set == path.edge_set
-    empty = lat.StringPath("z", (), (0, 0), True)
+    empty = lat.StringPath("z", ())
     loop = lat.deform_string(empty, torus4.boundary(7))
     assert loop.edge_set == frozenset(torus4.boundary(7))
 
@@ -286,8 +285,6 @@ def test_size_limits_and_override():
         lat.LatticeSpec("torus", 1)
     with pytest.raises(ConfigurationError):
         lat.LatticeSpec("klein", 3)
-    big = lat.build_lattice(lat.LatticeSpec("torus", 33), max_torus=64)
-    assert big.n_edges == 2 * 33 * 33
 
 
 def test_describe_dump(planar2):
@@ -299,13 +296,13 @@ def test_describe_dump(planar2):
 
 
 def test_enclosed_region(torus4):
-    loop = lat.StringPath("z", tuple(torus4.boundary(5)), (None, None), True)
+    loop = lat.StringPath("z", tuple(torus4.boundary(5)))
     assert lat.enclosed_region(torus4, loop) == frozenset({5})
     # two-face region
     edges = frozenset(torus4.boundary(5)) ^ frozenset(torus4.boundary(6))
-    loop2 = lat.StringPath("z", tuple(sorted(edges)), (None, None), True)
+    loop2 = lat.StringPath("z", tuple(sorted(edges)))
     assert lat.enclosed_region(torus4, loop2) == frozenset({5, 6})
-    star_loop = lat.StringPath("x", tuple(torus4.star(9)), (None, None), True)
+    star_loop = lat.StringPath("x", tuple(torus4.star(9)))
     assert lat.enclosed_region(torus4, star_loop) == frozenset({9})
     with pytest.raises(UsageError):
         open_path = lat.shortest_string(torus4, "z", 0, 1)

@@ -217,7 +217,7 @@ def test_probe_free_rotation_matches_exponential(planar2, planar2_ground):
     (cz, cx), = lat.logical_operators(planar2)
     lx = from_string_path(cx)
     a_amp, b_amp = 0.45, 0.3
-    spec = pr.GeometricGateSpec(a_amp, b_amp, target=lx)
+    spec = pr.GeometricGateSpec(a_amp, b_amp)
     theta = pr.verify_geometric_gate(spec).rotation_angle
     memory = sv.from_tableau(planar2_ground)
     sv.apply_pauli_exponential(memory, from_string_path(cz), 0.3)
@@ -255,7 +255,9 @@ def test_program_parse_forms(torus4):
     kinds = [type(s).__name__ for s in prog.steps]
     assert kinds == ["StringStep", "StringStep", "DelayStep", "EchoStep",
                      "StringStep"]
-    assert prog.steps[0].path.endpoints == (0, 5)
+    # the way-point legs 0-1 and 1-5, shared edges cancelled
+    leg1, leg2 = (lat.shortest_string(torus4, "z", a, b).edge_set for a, b in ((0, 1), (1, 5)))
+    assert prog.steps[0].path.edge_set == leg1 ^ leg2
     with pytest.raises(UsageError):
         pr.parse_program(torus4, "Z 0")
     with pytest.raises(UsageError):

@@ -20,13 +20,14 @@ def test_gate_identities():
     ref = s.clone()
     sv.apply_gate(sv.apply_gate(s, "H", 2), "H", 2)
     assert np.allclose(s.amps, ref.amps, atol=1e-12)
-    sv.apply_gate(s, "RZ", 1, theta=0.0)
+    z1, z3, x0 = (PauliString.from_ops({q: g}) for q, g in ((1, "Z"), (3, "Z"), (0, "X")))
+    sv.apply_pauli_exponential(s, z1, 0.0)
     assert np.allclose(s.amps, ref.amps, atol=1e-12)
     for theta in rng.uniform(-np.pi, np.pi, size=20):
-        sv.apply_gate(s, "RZ", 3, theta=float(theta))
-        sv.apply_gate(s, "RZ", 3, theta=-float(theta))
-        sv.apply_gate(s, "RX", 0, theta=float(theta))
-        sv.apply_gate(s, "RX", 0, theta=-float(theta))
+        sv.apply_pauli_exponential(s, z3, float(theta))
+        sv.apply_pauli_exponential(s, z3, -float(theta))
+        sv.apply_pauli_exponential(s, x0, float(theta))
+        sv.apply_pauli_exponential(s, x0, -float(theta))
     assert np.allclose(s.amps, ref.amps, atol=1e-10)
 
 
@@ -63,8 +64,8 @@ def test_norm_preserved_over_long_circuit():
     thetas = rng.uniform(-np.pi, np.pi, size=(len(ops), 2))
     for (gate, qs), (rz, rx) in zip(ops, thetas):
         sv.apply_gate(s, gate, qs)
-        sv.apply_gate(s, "RZ", qs[0], theta=float(rz))
-        sv.apply_gate(s, "RX", qs[-1], theta=float(rx))
+        sv.apply_pauli_exponential(s, PauliString.from_ops({qs[0]: "Z"}), float(rz))
+        sv.apply_pauli_exponential(s, PauliString.from_ops({qs[-1]: "X"}), float(rx))
     assert abs(s.norm() - 1.0) < 1e-10
 
 
