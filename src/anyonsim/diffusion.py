@@ -167,18 +167,18 @@ def build_echo_schedule(kind: str, duration: float, n: int = 1,
     """
     if kind == "none":
         return EchoSchedule(duration, ())
+    if kind not in ("z_pairs", "nested", "boundary_w"):
+        raise UsageError(f"unknown schedule kind {kind!r}")
     if n < 1:
-        raise UsageError("pulsed schedules need n >= 1")
+        raise UsageError(f"schedule {kind} needs n >= 1, got {n}")
     if kind == "z_pairs":
         step = duration / (2 * n)
-        pulses = tuple(Pulse((k + 1) * step, "z") for k in range(2 * n))
-        return EchoSchedule(duration, pulses)
-    if kind == "nested":
+        pulses = [Pulse((k + 1) * step, "z") for k in range(2 * n)]
+    elif kind == "nested":
         step = duration / (4 * n)
         kinds = ("z", "x") * (2 * n)
-        pulses = tuple(Pulse((k + 1) * step, kinds[k]) for k in range(4 * n))
-        return EchoSchedule(duration, pulses)
-    if kind == "boundary_w":
+        pulses = [Pulse((k + 1) * step, kinds[k]) for k in range(4 * n)]
+    else:
         if lattice is not None and lattice.is_torus:
             raise UsageError("schedule boundary_w needs a planar lattice "
                              "(no boundary classes)")
@@ -190,8 +190,9 @@ def build_echo_schedule(kind: str, duration: float, n: int = 1,
             quarter = block / 4.0
             for k, pk in enumerate((za, xb, za, xb)):
                 pulses.append(Pulse(t0 + (k + 1) * quarter, pk))
-        return EchoSchedule(duration, tuple(pulses))
-    raise UsageError(f"unknown schedule kind {kind!r}")
+    # at duration 0 every pulse falls at t = 0, where each pulse kind occurs
+    # an even number of times: the train is the identity
+    return EchoSchedule(duration, tuple(pulses) if duration else ())
 
 
 # -- one-particle dynamics ----------------------------------------------------
@@ -237,9 +238,9 @@ class _SectorDynamics:
 
 
 def _evolve_columns(dyn: _SectorDynamics, field, schedule: EchoSchedule,
-                    duration: float, columns: np.ndarray, dt: float,
-                    checkpoints=None) -> list[np.ndarray]:
-    """Propagate the given column vectors; optionally record at checkpoints.
+                    columns: np.ndarray, dt: float, checkpoints) -> list[np.ndarray]:
+    """Propagate the given column vectors and record them at each of the
+    sorted checkpoints; the last checkpoint ends the evolution.
 
     Midpoint piecewise-constant propagator per step; the per-step
     exponentials of the real symmetric hop matrices come from
@@ -247,24 +248,14 @@ def _evolve_columns(dyn: _SectorDynamics, field, schedule: EchoSchedule,
     Pulses flip the sign of their masked hop terms for all later times;
     pulse and checkpoint times are hit exactly (segment boundaries).
     """
-    tol = 1e-9 * max(1.0, duration)
-    pulse_at = {p.time: p for p in schedule.pulses if p.time <= duration + tol}
-    cp = sorted(t for t in (checkpoints if checkpoints is not None else []))
-    events = sorted(set(pulse_at) | set(cp) | {duration})
+    cp = sorted(checkpoints)
+    tol = 1e-9 * max(1.0, cp[-1])
+    pulse_at = {p.time: p for p in schedule.pulses}
     signs = np.ones(dyn.edge_ids.size)
     psi = columns.astype(np.complex128, copy=True)
     recorded = []
-    cp_idx = 0
-
-    def record(t):
-        nonlocal cp_idx
-        while cp_idx < len(cp) and cp[cp_idx] <= t + tol:
-            recorded.append(psi.copy())
-            cp_idx += 1
-
-    record(0.0)
     prev = 0.0
-    for t in events:
+    for t in sorted({0.0, *pulse_at, *cp}):
         seg = t - prev
         if seg > tol:
             n_sub = max(1, int(math.ceil(seg / dt - 1e-9)))
@@ -280,9 +271,10 @@ def _evolve_columns(dyn: _SectorDynamics, field, schedule: EchoSchedule,
             psi = _ordered_product(_propagators(hmat, dt_sub)) @ psi
         if t in pulse_at:
             signs[dyn.pulse_flips(pulse_at[t])] *= -1.0
-        record(t)
+        while len(recorded) < len(cp) and cp[len(recorded)] <= t + tol:
+            recorded.append(psi.copy())
         prev = t
-    return recorded if checkpoints is not None else [psi]
+    return recorded
 
 
 def _propagators(hmat: np.ndarray, dt: float) -> np.ndarray:
@@ -365,8 +357,7 @@ def evolve_anyon(lattice: Lattice, field, schedule: EchoSchedule, start_cell: in
         raise UsageError("start cell outside the sector")
     col = np.zeros((dyn.n_cells, 1), dtype=np.complex128)
     col[start_cell, 0] = 1.0
-    out = _evolve_columns(dyn, field, schedule, schedule.duration, col, dt)
-    return out[0][:, 0]
+    return _evolve_columns(dyn, field, schedule, col, dt, [schedule.duration])[0][:, 0]
 
 
 def spread_cells(lattice: Lattice, sector: str, n_particles: int) -> list[int]:
@@ -427,41 +418,29 @@ def contrast_curve(lattice: Lattice, model: NoiseModel, schedule_family,
     for j, c in enumerate(cells):
         columns[c, j] = 1.0
 
-    samples = {lab: np.zeros((n_trials, taus.size))
-               for lab in [_family_label(k, n) for k, n in schedule_family]}
+    # each member is (label, runs); a run is (schedule, its checkpoint delays).
+    # A pulsed train scales with its delay, so it takes one run per delay.
+    family = []
+    for kind, n in schedule_family:
+        if kind == "none":
+            family.append(("none", [(build_echo_schedule("none", t_max), taus)]))
+        else:
+            family.append((f"{kind}({n})", [(build_echo_schedule(kind, tau, n, lattice),
+                                             [tau]) for tau in taus]))
+    samples = np.zeros((len(family), n_trials, taus.size))
     for trial in range(n_trials):
         realization = sample_noise(run_model, lattice, [seed, trial])
-        for kind, n in schedule_family:
-            lab = _family_label(kind, n)
-            row = samples[lab][trial]
-            if kind == "none":
-                blocks = _evolve_columns(dyn, realization,
-                                         EchoSchedule(t_max, ()),
-                                         t_max, columns, dt, checkpoints=taus)
-                for i, blk in enumerate(blocks):
-                    row[i] = _contrast_sample(blk, cells, estimator)
-            else:
-                for i, tau in enumerate(taus):
-                    if tau == 0.0:
-                        row[i] = 1.0
-                        continue
-                    sched = build_echo_schedule(kind, float(tau), n, lattice)
-                    blk = _evolve_columns(dyn, realization, sched,
-                                          float(tau), columns, dt)[0]
-                    row[i] = _contrast_sample(blk, cells, estimator)
+        for row, (_, runs) in zip(samples[:, trial], family):
+            row[:] = [_contrast_sample(blk, cells, estimator) for sched, delays in runs
+                      for blk in _evolve_columns(dyn, realization, sched, columns, dt,
+                                                 delays)]
     out = []
-    for kind, n in schedule_family:
-        lab = _family_label(kind, n)
-        data = samples[lab]
+    for (label, _), data in zip(family, samples):
         mean = data.mean(axis=0)
         stderr = data.std(axis=0, ddof=1) / math.sqrt(n_trials) if n_trials > 1 \
             else np.zeros(taus.size)
-        out.append(ContrastEstimate(taus, mean, stderr, n_trials, lab, estimator))
+        out.append(ContrastEstimate(taus, mean, stderr, n_trials, label, estimator))
     return out
-
-
-def _family_label(kind: str, n: int) -> str:
-    return "none" if kind == "none" else f"{kind}({n})"
 
 
 def _contrast_sample(block: np.ndarray, cells, estimator: str) -> float:
