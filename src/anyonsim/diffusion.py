@@ -13,7 +13,12 @@ time grid (exact target covariance, O(T log T)).
 Integrator: piecewise-constant midpoint propagator per step; the hopping
 matrix H is real symmetric, so each step's exp(-i H dt) = cos(H dt) -
 i sin(H dt) is a Taylor series in (H dt)^2 truncated at rounding level,
-with scaling and squaring when ||H dt|| > 1 (real matmuls only).
+with scaling and squaring when ||H dt|| > 1 (real matmuls only).  Long
+segments are evolved in pieces, so the step stacks stay bounded.
+
+Monte Carlo: contrast_curve builds and checks the whole schedule family
+before the first trial.  Each run is one checkpointed integrator call: the
+no-pulse schedule once over the delay grid, a pulsed train once per delay.
 """
 
 from __future__ import annotations
@@ -237,6 +242,12 @@ class _SectorDynamics:
         return self._masks[pulse.kind]
 
 
+# Bytes of one real (steps, n_cells, n_cells) step stack; longer segments
+# are evolved in consecutive pieces, so the integrator holds about five
+# times this at most, whatever the lattice size and the delay.
+_STACK_BYTES = 8 << 20
+
+
 def _evolve_columns(dyn: _SectorDynamics, field, schedule: EchoSchedule,
                     columns: np.ndarray, dt: float, checkpoints) -> list[np.ndarray]:
     """Propagate the given column vectors and record them at each of the
@@ -244,7 +255,8 @@ def _evolve_columns(dyn: _SectorDynamics, field, schedule: EchoSchedule,
 
     Midpoint piecewise-constant propagator per step; the per-step
     exponentials of the real symmetric hop matrices come from
-    ``_propagators`` for the whole segment at once, accurate to rounding.
+    ``_propagators`` for a whole segment at once, or in consecutive pieces
+    of at most _STACK_BYTES per real step stack, accurate to rounding.
     Pulses flip the sign of their masked hop terms for all later times;
     pulse and checkpoint times are hit exactly (segment boundaries).
     """
@@ -252,6 +264,8 @@ def _evolve_columns(dyn: _SectorDynamics, field, schedule: EchoSchedule,
     tol = 1e-9 * max(1.0, cp[-1])
     pulse_at = {p.time: p for p in schedule.pulses}
     signs = np.ones(dyn.edge_ids.size)
+    size = dyn.n_cells * dyn.n_cells
+    piece = max(1, _STACK_BYTES // (8 * size))  # steps per piece
     psi = columns.astype(np.complex128, copy=True)
     recorded = []
     prev = 0.0
@@ -260,15 +274,16 @@ def _evolve_columns(dyn: _SectorDynamics, field, schedule: EchoSchedule,
         if seg > tol:
             n_sub = max(1, int(math.ceil(seg / dt - 1e-9)))
             dt_sub = seg / n_sub
-            mids = prev + (np.arange(n_sub) + 0.5) * dt_sub
-            h_all = field.at_many(mids)[dyn.edge_ids] * signs[:, None]
-            # summed, not assigned: on torus(2) two edges join each cell pair
-            size = dyn.n_cells * dyn.n_cells
-            hmat = np.bincount(
-                (np.arange(n_sub)[:, None] * size + dyn.hop_bins).ravel(),
-                np.tile(h_all, (2, 1)).T.ravel(), minlength=n_sub * size
-            ).reshape(n_sub, dyn.n_cells, dyn.n_cells)
-            psi = _ordered_product(_propagators(hmat, dt_sub)) @ psi
+            for lo in range(0, n_sub, piece):
+                steps = np.arange(lo, min(lo + piece, n_sub))
+                mids = prev + (steps + 0.5) * dt_sub
+                h_all = field.at_many(mids)[dyn.edge_ids] * signs[:, None]
+                # summed, not assigned: on torus(2) two edges join each cell pair
+                hmat = np.bincount(
+                    ((steps - lo)[:, None] * size + dyn.hop_bins).ravel(),
+                    np.tile(h_all, (2, 1)).T.ravel(), minlength=steps.size * size
+                ).reshape(steps.size, dyn.n_cells, dyn.n_cells)
+                psi = _ordered_product(_propagators(hmat, dt_sub)) @ psi
         if t in pulse_at:
             signs[dyn.pulse_flips(pulse_at[t])] *= -1.0
         while len(recorded) < len(cp) and cp[len(recorded)] <= t + tol:
@@ -464,7 +479,8 @@ class DiffusionParams:
     t2_scale: float = 1.0
 
     def __post_init__(self):
-        require_finite(self, "xi_h", "tau_c", "t2_scale")
+        require_finite(self, "xi_h")
+        require_finite(self, "tau_c", "z", "t2_scale", positive=True)
         if self.xi_h < 0:
             raise ConfigurationError(f"xi_h must be >= 0, got {self.xi_h!r}")
 
@@ -472,13 +488,15 @@ class DiffusionParams:
     def gamma(self) -> float:
         return _diffusion_rate(self.xi_h, self.tau_c)
 
+    # without a field nothing decays: both times are infinite at xi_h = 0
     @property
     def t2_star(self) -> float:
-        return 1.0 / (self.z * self.gamma)
+        return 1.0 / (self.z * self.gamma) if self.xi_h > 0 else math.inf
 
     @property
     def t2(self) -> float:
-        return self.t2_scale * math.sqrt(self.tau_c / self.xi_h)
+        return self.t2_scale * math.sqrt(self.tau_c / self.xi_h) if self.xi_h > 0 \
+            else math.inf
 
 
 def analytic_contrast(tau: float, params: DiffusionParams, kind: str = "free",

@@ -125,10 +125,16 @@ def test_memory_error_and_crossover():
     (lambda: df.DiffusionParams(xi_h=math.nan, tau_c=1.0), "xi_h"),
     (lambda: df.DiffusionParams(xi_h=1.0, tau_c=-math.inf), "tau_c"),
     (lambda: df.DiffusionParams(xi_h=-1.0, tau_c=10.0), "xi_h"),
+    (lambda: df.DiffusionParams(xi_h=1.0, tau_c=0.0), "tau_c"),
+    (lambda: df.DiffusionParams(xi_h=1.0, tau_c=-1.0), "tau_c"),
+    (lambda: df.DiffusionParams(xi_h=1.0, tau_c=10.0, t2_scale=0.0), "t2_scale"),
+    (lambda: df.DiffusionParams(xi_h=1.0, tau_c=10.0, z=0), "z"),
     (lambda: df.NoiseModel(xi_h=-1.0, tau_c=10.0, dt=0.05, duration=1.0), "xi_h"),
 ], ids=["ledger-u-nan", "ledger-j-inf", "cavity-g-inf", "budget-delta_h-nan",
         "budget-epsilon-inf", "budget-epsilon-negative", "memory_error-t-negative",
         "diffusion-xi_h-nan", "diffusion-tau_c-inf", "diffusion-xi_h-negative",
+        "diffusion-tau_c-zero", "diffusion-tau_c-negative", "diffusion-t2_scale-zero",
+        "diffusion-z-zero",
         "noise-xi_h-negative"])
 def test_parameters_rejected_when_built(build, field):
     with pytest.raises(ConfigurationError, match=f"^{field} must be"):

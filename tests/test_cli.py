@@ -151,6 +151,7 @@ def test_diffuse_non_finite_noise(setting):
     ("budget", "g=0"), ("budget", "kappa=-1"), ("budget", "gamma=0"), ("budget", "j=0"),
     ("budget", "n=0"), ("budget", "delta_h=2"), ("zd", "d=100000"),
     ("diffuse", "xi_h=-1"), ("diffuse", "tau=0"), ("diffuse", "schedule=boundary_w"),
+    ("diffuse", "schedule=z_pairs:0"),
 ])
 def test_bad_numbers_exit_2(cmd, setting, tangled_program_file):
     args = [cmd, "--set", setting]

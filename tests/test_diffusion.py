@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -284,6 +285,91 @@ def test_contrast_curve_determinism(torus4):
     assert np.array_equal(a.mean, b.mean) and np.array_equal(a.stderr, b.stderr)
 
 
+def test_schedules_checked_before_noise(torus4, monkeypatch):
+    # a bad family member fails before any trial, even when all delays are 0
+    def no_noise(*args):
+        raise AssertionError("noise sampled before the family was checked")
+
+    monkeypatch.setattr(df, "sample_noise", no_noise)
+    model = df.NoiseModel(xi_h=1.0, tau_c=1.0, dt=0.05, duration=1.0)
+    for family, taus in (([("none", 0), ("bogus", 1)], [1.0]),
+                         ([("z_pairs", 0)], [1.0]), ([("nested", 0)], [0.0])):
+        with pytest.raises(UsageError):
+            df.contrast_curve(torus4, model, family, taus, 1, 1, 0)
+
+
+# Noisy Monte Carlo values (the noiseless diffuse golden leaves this path
+# unpinned); compared at rtol 1e-12, as FFT round-off differs across machines.
+PINNED_TORUS = {
+    "none": ([1.0, 0.06493530304545865, 0.06493530304545865, 0.09825740799739589],
+             [0.0, 0.035576929692256135, 0.035576929692256135, 0.04867731828706555]),
+    "z_pairs(1)": ([1.0, 0.9178224121607764, 0.9178224121607764, 0.2562971532950426],
+                   [0.0, 0.013266801683626584, 0.013266801683626584,
+                    0.10796748404438437]),
+    "nested(1)": ([1.0, 0.9966653736271409, 0.9966653736271409, 0.6433702553150676],
+                  [0.0, 0.0014821835092700669, 0.0014821835092700669,
+                   0.06405050746659922]),
+}
+PINNED_PLANAR = {
+    "boundary_w(1)": ([1.0, 0.8933612168583812], [0.0, 0.02331991718986201]),
+    "none": ([1.0, 0.242523140764203], [0.0, 0.045920170057039675]),
+}
+PINNED_Z_PAIRS_2 = [
+    0.13127887302190447, -0.35559424972698284j, -0.01771574310495172,
+    0.18811303727265716j, 0.21000110953694123j, 0.5182826924168062,
+    0.1988984986877777j, -0.06586790408194262, 0.06967314517328145,
+    0.4345425113284227j, -0.11438563173082192, -0.01693896892299001j,
+    0.06481017584097236j, 0.5026713345776558, 0.007997455866706124j,
+    -0.002506861782494008]
+
+
+def test_noisy_monte_carlo_pinned(torus4, planar3):
+    model = df.NoiseModel(xi_h=1.0, tau_c=2.0, dt=0.05, duration=2.5)
+    ests = df.contrast_curve(torus4, model, [("none", 0), ("z_pairs", 1), ("nested", 1)],
+                             [0, 1, 1, 2.5], 3, 2, 5)
+    model = df.NoiseModel(xi_h=0.8, tau_c=1.0, dt=0.05, duration=2.0)
+    ests += df.contrast_curve(planar3, model, [("boundary_w", 1), ("none", 0)], [0, 2],
+                              3, 1, 11, sector="z", estimator="probability")
+    pinned = [*PINNED_TORUS.items(), *PINNED_PLANAR.items()]
+    assert [est.schedule for est in ests] == [label for label, _ in pinned]
+    for est, (label, (mean, stderr)) in zip(ests, pinned):
+        np.testing.assert_allclose(est.mean, mean, rtol=1e-12, err_msg=label)
+        np.testing.assert_allclose(est.stderr, stderr, rtol=1e-12, err_msg=label)
+    realization = df.sample_noise(df.NoiseModel(1.0, 2.0, 0.05, 3.0), torus4, [4, 0])
+    sched = df.build_echo_schedule("z_pairs", 3.0, 2)
+    state = df.evolve_anyon(torus4, realization, sched, 5, "x", dt=0.05)
+    np.testing.assert_allclose(state, PINNED_Z_PAIRS_2, rtol=1e-12)
+
+
+def test_step_stack_pieces_match_whole_segments(torus4, monkeypatch):
+    model = df.NoiseModel(xi_h=1.0, tau_c=2.0, dt=0.05, duration=2.5)
+    family = [("none", 0), ("z_pairs", 2)]
+    whole = df.contrast_curve(torus4, model, family, [0, 1, 2.5], 2, 2, 3)
+    # seven steps of the 16-cell x-sector per piece
+    monkeypatch.setattr(df, "_STACK_BYTES", 7 * 8 * 16 * 16)
+    pieces = df.contrast_curve(torus4, model, family, [0, 1, 2.5], 2, 2, 3)
+    for a, b in zip(whole, pieces):
+        assert np.abs(a.mean - b.mean).max() < 1e-12, a.schedule
+
+
+def test_step_stack_memory_bounded(monkeypatch):
+    # 500 steps of the 64-cell torus(8) x-sector in one segment would be
+    # ~16 MiB per stack; pieces of 32 steps keep the peak near five stacks
+    budget = 1 << 20
+    monkeypatch.setattr(df, "_STACK_BYTES", budget)
+    t8 = lat.torus(8)
+    static = df.StaticField(np.random.default_rng(2).normal(size=t8.n_edges))
+    sched = df.build_echo_schedule("z_pairs", 5.0, 1)
+    tracemalloc.start()
+    try:
+        state = df.evolve_anyon(t8, static, sched, 3, "x", dt=0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(abs(state[3]) - 1.0) < 1e-8
+    assert peak < 8 * budget, peak
+
+
 def test_fast_noise_against_master_equation(torus4):
     # the true fast-noise law: classical hopping with rate Gamma per edge,
     # return contributions included (see the published-formula discussion
@@ -335,6 +421,14 @@ def test_analytic_contrast_forms():
         pytest.approx(math.exp(-2 * 4 * params.gamma))
     with pytest.raises(UsageError):
         df.analytic_contrast(1.0, params, "gaussian")
+
+
+def test_analytic_laws_without_field():
+    # xi_h = 0 is allowed: nothing decays, so both laws stay at 1
+    params = df.DiffusionParams(xi_h=0.0, tau_c=10.0)
+    assert params.t2 == params.t2_star == math.inf
+    assert df.analytic_contrast(5.0, params, "free") == 1.0
+    assert df.analytic_contrast(5.0, params, "echo", 2) == 1.0
 
 
 def test_spread_cells(torus4):
