@@ -13,12 +13,16 @@ time grid (exact target covariance, O(T log T)).
 Integrator: piecewise-constant midpoint propagator per step; the hopping
 matrix H is real symmetric, so each step's exp(-i H dt) = cos(H dt) -
 i sin(H dt) is a Taylor series in (H dt)^2 truncated at rounding level,
-with scaling and squaring when ||H dt|| > 1 (real matmuls only).  Long
-segments are evolved in pieces, so the step stacks stay bounded.
+with scaling and squaring when ||H dt|| > 1 (real matmuls only).  A field
+may carry a leading trial axis; every trial then goes through the same step
+loop.  Long segments are evolved in pieces, so the step stacks stay bounded.
 
 Monte Carlo: contrast_curve builds and checks the whole schedule family
-before the first trial.  Each run is one checkpointed integrator call: the
-no-pulse schedule once over the delay grid, a pulsed train once per delay.
+before the first trial.  It samples the noise of each trial from its own
+stream, stacks the realizations of a chunk of trials (under _NOISE_BYTES)
+and evolves the chunk together.  Each run is one checkpointed integrator
+call: the no-pulse schedule once over the delay grid, a pulsed train once
+per delay.
 """
 
 from __future__ import annotations
@@ -56,28 +60,34 @@ class NoiseModel:
         if self.xi_h < 0:  # the noise reads xi_h^2, but default_dt reads xi_h
             raise ConfigurationError(f"xi_h must be >= 0, got {self.xi_h!r}")
 
+    @property
+    def n_steps(self) -> int:
+        """Samples per edge of a realization."""
+        return int(math.ceil(self.duration / self.dt))
+
     def diffusion_rate(self) -> float:
         """Gamma = 2 sqrt(pi) xi_h^2 / omega_c (rate to one neighbor)."""
         return _diffusion_rate(self.xi_h, self.tau_c)
 
 
 # Fields: ``at_many(times)`` returns the per-edge values at each time as an
-# (n_edges, len(times)) array.
+# (..., n_edges, len(times)) array; a leading axis holds one field per trial.
 
 @dataclass
 class NoiseRealization:
     """Sampled per-edge field series; sample k lives at t = (k + 1/2) dt."""
 
-    values: np.ndarray  # (n_edges, n_steps)
+    values: np.ndarray  # (n_edges, n_steps), or (trials, n_edges, n_steps)
     dt: float
 
     @property
     def n_steps(self) -> int:
-        return self.values.shape[1]
+        return self.values.shape[-1]
 
     def at_many(self, times: np.ndarray) -> np.ndarray:
-        idx = np.clip((times / self.dt).astype(int), 0, self.n_steps - 1)
-        return self.values[:, idx]
+        """Values at the times (all >= 0); the last sample holds beyond."""
+        idx = np.minimum((times / self.dt).astype(int), self.n_steps - 1)
+        return self.values[..., idx]
 
 
 @dataclass(frozen=True)
@@ -119,7 +129,7 @@ def sample_noise(model: NoiseModel, lattice: Lattice, seed) -> NoiseRealization:
     realization is reproducible per (seed, edge id)."""
     if model.dt > model.tau_c / 20 + 1e-15:
         raise ConfigurationError("sampler needs dt <= tau_c / 20")
-    n_steps = int(math.ceil(model.duration / model.dt))
+    n_steps = model.n_steps
     if n_steps * lattice.n_edges > 200_000_000:
         raise ConfigurationError("noise realization too large")
     if model.xi_h == 0.0:
@@ -168,7 +178,7 @@ def build_echo_schedule(kind: str, duration: float, n: int = 1,
     kind "none"; "z_pairs" (2n equally spaced global z pulses, the n = 1
     case hits tau/2 and tau); "nested" (alternating z/x at quarter-period
     marks, 4n pulses); "boundary_w" (the four-block W sequence with
-    boundary-masked operators, planar only).
+    boundary-masked operators, repeated n times, 16n pulses, planar only).
     """
     if kind == "none":
         return EchoSchedule(duration, ())
@@ -188,11 +198,11 @@ def build_echo_schedule(kind: str, duration: float, n: int = 1,
             raise UsageError("schedule boundary_w needs a planar lattice "
                              "(no boundary classes)")
         pulses = []
-        block = duration / 4.0
-        for i, (za, xb) in enumerate((("z_e", "x_e"), ("z_e", "x_o"),
-                                      ("z_o", "x_e"), ("z_o", "x_o"))):
+        block = duration / (4 * n)
+        quarter = block / 4.0
+        w_set = (("z_e", "x_e"), ("z_e", "x_o"), ("z_o", "x_e"), ("z_o", "x_o"))
+        for i, (za, xb) in enumerate(w_set * n):
             t0 = i * block
-            quarter = block / 4.0
             for k, pk in enumerate((za, xb, za, xb)):
                 pulses.append(Pulse(t0 + (k + 1) * quarter, pk))
     # at duration 0 every pulse falls at t = 0, where each pulse kind occurs
@@ -242,16 +252,22 @@ class _SectorDynamics:
         return self._masks[pulse.kind]
 
 
-# Bytes of one real (steps, n_cells, n_cells) step stack; longer segments
-# are evolved in consecutive pieces, so the integrator holds about five
-# times this at most, whatever the lattice size and the delay.
-_STACK_BYTES = 8 << 20
+# Bytes of one real (trials, steps, n_cells, n_cells) step stack; longer
+# segments are evolved in consecutive pieces of at least one step, so the
+# integrator holds about five times this at most (five one-step stacks if
+# one step of all trials is larger), whatever the delay.
+_STACK_BYTES = 128 << 10
+# Bytes of the stacked noise series of one chunk of Monte Carlo trials
+# (at least one trial per chunk); contrast_curve evolves a chunk together.
+_NOISE_BYTES = 2 << 20
 
 
 def _evolve_columns(dyn: _SectorDynamics, field, schedule: EchoSchedule,
                     columns: np.ndarray, dt: float, checkpoints) -> list[np.ndarray]:
-    """Propagate the given column vectors and record them at each of the
-    sorted checkpoints; the last checkpoint ends the evolution.
+    """Propagate the given column vectors, shape (..., n_cells, k), and
+    record them at each of the sorted checkpoints; the last checkpoint ends
+    the evolution.  A field with a leading trial axis evolves trial t of
+    the columns under its own values: columns (trials, n_cells, k).
 
     Midpoint piecewise-constant propagator per step; the per-step
     exponentials of the real symmetric hop matrices come from
@@ -264,9 +280,9 @@ def _evolve_columns(dyn: _SectorDynamics, field, schedule: EchoSchedule,
     tol = 1e-9 * max(1.0, cp[-1])
     pulse_at = {p.time: p for p in schedule.pulses}
     signs = np.ones(dyn.edge_ids.size)
-    size = dyn.n_cells * dyn.n_cells
-    piece = max(1, _STACK_BYTES // (8 * size))  # steps per piece
+    n = dyn.n_cells
     psi = columns.astype(np.complex128, copy=True)
+    piece = max(1, _STACK_BYTES // (8 * n * n * math.prod(psi.shape[:-2])))  # steps
     recorded = []
     prev = 0.0
     for t in sorted({0.0, *pulse_at, *cp}):
@@ -275,15 +291,15 @@ def _evolve_columns(dyn: _SectorDynamics, field, schedule: EchoSchedule,
             n_sub = max(1, int(math.ceil(seg / dt - 1e-9)))
             dt_sub = seg / n_sub
             for lo in range(0, n_sub, piece):
-                steps = np.arange(lo, min(lo + piece, n_sub))
-                mids = prev + (steps + 0.5) * dt_sub
-                h_all = field.at_many(mids)[dyn.edge_ids] * signs[:, None]
+                mids = prev + (np.arange(lo, min(lo + piece, n_sub)) + 0.5) * dt_sub
+                # (..., steps, hop terms): one bincount over every trial and step;
                 # summed, not assigned: on torus(2) two edges join each cell pair
-                hmat = np.bincount(
-                    ((steps - lo)[:, None] * size + dyn.hop_bins).ravel(),
-                    np.tile(h_all, (2, 1)).T.ravel(), minlength=steps.size * size
-                ).reshape(steps.size, dyn.n_cells, dyn.n_cells)
-                psi = _ordered_product(_propagators(hmat, dt_sub)) @ psi
+                h = np.swapaxes(field.at_many(mids)[..., dyn.edge_ids, :], -1, -2) * signs
+                bins = np.arange(h[..., 0].size)[:, None] * (n * n) + dyn.hop_bins
+                hmat = np.bincount(bins.ravel(), np.concatenate([h, h], axis=-1).ravel(),
+                                   minlength=bins.shape[0] * n * n)
+                psi = _ordered_product(_propagators(
+                    hmat.reshape(*h.shape[:-1], n, n), dt_sub)) @ psi
         if t in pulse_at:
             signs[dyn.pulse_flips(pulse_at[t])] *= -1.0
         while len(recorded) < len(cp) and cp[len(recorded)] <= t + tol:
@@ -297,7 +313,8 @@ def _propagators(hmat: np.ndarray, dt: float) -> np.ndarray:
     symmetric H, from the Taylor series of cos and sin truncated at degree
     m in B = A^2 and evaluated by Horner with real matmuls.
 
-    theta, the largest row-sum norm of A over the stack, bounds both tails
+    theta, the largest row-sum norm of A over the whole stack (every
+    trial and step), bounds both tails
     by theta^(2m+2) / (2m+2)! cosh(theta), and m is the least degree that
     puts this at or below 2^-53 (Moler and Van Loan 2003).  For theta > 1,
     A is halved s times first and the result squared s times.  At most
@@ -339,24 +356,25 @@ def _horner(b: np.ndarray, coefs: list[float], p: np.ndarray,
         coefs = coefs[:-1]
     else:
         p.fill(0.0)
-    p.reshape(len(p), -1)[:, ::n + 1] += coefs[-1]
+    p.reshape(-1, n * n)[:, ::n + 1] += coefs[-1]
     for c in reversed(coefs[:-1]):
         np.matmul(b, p, out=q)
-        q.reshape(len(q), -1)[:, ::n + 1] += c
+        q.reshape(-1, n * n)[:, ::n + 1] += c
         p, q = q, p
     return p, q
 
 
 def _ordered_product(mats: np.ndarray) -> np.ndarray:
-    """Time-ordered product mats[-1] @ ... @ mats[0] by pairwise reduction."""
-    while mats.shape[0] > 1:
-        m = mats.shape[0]
+    """Time-ordered product over the step axis of a (..., steps, n, n) stack,
+    mats[..., -1, :, :] @ ... @ mats[..., 0, :, :], by pairwise reduction."""
+    while mats.shape[-3] > 1:
+        m = mats.shape[-3]
         half = m // 2
-        paired = mats[1:2 * half:2] @ mats[0:2 * half:2]
+        paired = mats[..., 1:2 * half:2, :, :] @ mats[..., 0:2 * half:2, :, :]
         if m % 2:
-            paired = np.concatenate([paired, mats[-1:]], axis=0)
+            paired = np.concatenate([paired, mats[..., -1:, :, :]], axis=-3)
         mats = paired
-    return mats[0]
+    return mats[..., 0, :, :]
 
 
 def default_dt(model: NoiseModel) -> float:
@@ -442,13 +460,28 @@ def contrast_curve(lattice: Lattice, model: NoiseModel, schedule_family,
         else:
             family.append((f"{kind}({n})", [(build_echo_schedule(kind, tau, n, lattice),
                                              [tau]) for tau in taus]))
+    # the trials of a chunk are evolved together, their noise stacked in
+    # one buffer that every chunk reuses (allocated once sample_noise has
+    # accepted the size)
+    chunk = min(n_trials,
+                max(1, _NOISE_BYTES // (8 * lattice.n_edges * run_model.n_steps)))
+    values = None
     samples = np.zeros((len(family), n_trials, taus.size))
-    for trial in range(n_trials):
-        realization = sample_noise(run_model, lattice, [seed, trial])
-        for row, (_, runs) in zip(samples[:, trial], family):
-            row[:] = [_contrast_sample(blk, cells, estimator) for sched, delays in runs
-                      for blk in _evolve_columns(dyn, realization, sched, columns, dt,
-                                                 delays)]
+    for lo in range(0, n_trials, chunk):
+        trials = range(lo, min(lo + chunk, n_trials))
+        for i, trial in enumerate(trials):
+            noise = sample_noise(run_model, lattice, [seed, trial]).values
+            if values is None:
+                values = np.empty((chunk, *noise.shape))
+            values[i] = noise
+            del noise  # at most one realization lives beside the buffer
+        realization = NoiseRealization(values[:len(trials)], run_model.dt)
+        psi = np.broadcast_to(columns, (len(trials), *columns.shape))
+        for rows, (_, runs) in zip(samples[:, lo:trials.stop], family):
+            rows[:] = np.stack([_contrast_sample(blk, cells, estimator)
+                                for sched, delays in runs
+                                for blk in _evolve_columns(dyn, realization, sched, psi,
+                                                           dt, delays)], axis=-1)
     out = []
     for (label, _), data in zip(family, samples):
         mean = data.mean(axis=0)
@@ -458,11 +491,12 @@ def contrast_curve(lattice: Lattice, model: NoiseModel, schedule_family,
     return out
 
 
-def _contrast_sample(block: np.ndarray, cells, estimator: str) -> float:
-    surv = np.abs(block[cells, range(len(cells))])
+def _contrast_sample(block: np.ndarray, cells, estimator: str) -> np.ndarray:
+    """Per-trial contrast samples of a (trials, n_cells, particles) block."""
+    surv = np.abs(block[:, cells, range(len(cells))])
     if estimator == "probability":
         surv = surv ** 2
-    return float(np.prod(surv))
+    return np.prod(surv, axis=-1)
 
 
 # -- closed forms -------------------------------------------------------------

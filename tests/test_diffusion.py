@@ -190,6 +190,12 @@ def test_schedule_construction():
     assert kinds[8:12] == ["z_o", "x_e", "z_o", "x_e"]
     assert kinds[12:] == ["z_o", "x_o", "z_o", "x_o"]
     assert [p.time for p in w.pulses[:4]] == [1.0, 2.0, 3.0, 4.0]
+    # n repeats the four-block set within the same duration
+    w2 = df.build_echo_schedule("boundary_w", 16.0, 2, lattice=lat.planar(3))
+    assert len(w2.pulses) == 32
+    assert [p.kind for p in w2.pulses] == kinds * 2
+    assert [p.time for p in w2.pulses[:4]] == [0.5, 1.0, 1.5, 2.0]
+    assert w2.pulses[-1].time == 16.0
     with pytest.raises(UsageError):
         df.build_echo_schedule("boundary_w", 4.0, lattice=lat.torus(4))
     with pytest.raises(UsageError):
@@ -204,10 +210,11 @@ def test_boundary_w_refocuses_on_planar():
     p3 = lat.planar(3)
     rng = np.random.default_rng(5)
     static = df.StaticField(rng.normal(size=p3.n_edges))
-    sched = df.build_echo_schedule("boundary_w", 4.0, lattice=p3)
-    for sector in ("x", "z"):
-        s = df.evolve_anyon(p3, static, sched, 1, sector, dt=0.01)[1]
-        assert abs(abs(s) - 1.0) < 1e-8, (sector, s)
+    for n in (1, 2):
+        sched = df.build_echo_schedule("boundary_w", 4.0, n, lattice=p3)
+        for sector in ("x", "z"):
+            s = df.evolve_anyon(p3, static, sched, 1, sector, dt=0.01)[1]
+            assert abs(abs(s) - 1.0) < 1e-8, (n, sector, s)
 
 
 def test_masked_pulse_flip_structure():
@@ -272,6 +279,9 @@ def test_contrast_curve_basics(torus4):
     assert est.schedule == "none" and est.n_trials == 3
     with pytest.raises(UsageError):
         df.contrast_curve(torus4, model, [("none", 0)], [1.0], 0, 1, 0)
+    # the sampler's size check runs before any noise buffer is allocated
+    with pytest.raises(ConfigurationError, match="too large"):
+        df.contrast_curve(torus4, model, [("none", 0)], [1e9], 1, 1, 0)
     with pytest.raises(UsageError):
         df.contrast_curve(torus4, model, [("none", 0)], [1.0], 2, 1, 0,
                           estimator="median")
@@ -345,8 +355,8 @@ def test_step_stack_pieces_match_whole_segments(torus4, monkeypatch):
     model = df.NoiseModel(xi_h=1.0, tau_c=2.0, dt=0.05, duration=2.5)
     family = [("none", 0), ("z_pairs", 2)]
     whole = df.contrast_curve(torus4, model, family, [0, 1, 2.5], 2, 2, 3)
-    # seven steps of the 16-cell x-sector per piece
-    monkeypatch.setattr(df, "_STACK_BYTES", 7 * 8 * 16 * 16)
+    # seven steps of the 16-cell x-sector per piece, for both trials of the chunk
+    monkeypatch.setattr(df, "_STACK_BYTES", 2 * 7 * 8 * 16 * 16)
     pieces = df.contrast_curve(torus4, model, family, [0, 1, 2.5], 2, 2, 3)
     for a, b in zip(whole, pieces):
         assert np.abs(a.mean - b.mean).max() < 1e-12, a.schedule
@@ -368,6 +378,52 @@ def test_step_stack_memory_bounded(monkeypatch):
         tracemalloc.stop()
     assert abs(abs(state[3]) - 1.0) < 1e-8
     assert peak < 8 * budget, peak
+
+
+def test_trial_chunks_match_one_trial_chunks(torus4, planar3, monkeypatch):
+    # every trial of a chunk goes through one step loop; with one trial per
+    # chunk (and so longer step pieces) the curves agree to rounding, and the
+    # noise is still sampled once per trial from the stream (seed, trial)
+    model = df.NoiseModel(xi_h=1.0, tau_c=2.0, dt=0.05, duration=2.5)
+    planar_model = df.NoiseModel(xi_h=0.8, tau_c=1.0, dt=0.05, duration=2.0)
+
+    def curves():
+        return (df.contrast_curve(torus4, model, [("none", 0), ("z_pairs", 1), ("nested", 2)],
+                                  [0.5, 1, 2.5], 5, 2, 4)
+                + df.contrast_curve(planar3, planar_model, [("boundary_w", 2), ("none", 0)],
+                                    [1, 2], 5, 1, 6, sector="z", estimator="probability"))
+
+    seeds = []
+    sample_noise = df.sample_noise
+    monkeypatch.setattr(df, "sample_noise",
+                        lambda model, lattice, seed: seeds.append(seed)
+                        or sample_noise(model, lattice, seed))
+    batched = curves()
+    assert seeds == [[4, k] for k in range(5)] + [[6, k] for k in range(5)]
+    monkeypatch.setattr(df, "_NOISE_BYTES", 1)
+    single = curves()
+    assert len(seeds) == 20
+    for a, b in zip(batched, single):
+        assert a.schedule == b.schedule
+        assert np.abs(a.mean - b.mean).max() < 1e-13, a.schedule
+        assert np.abs(a.stderr - b.stderr).max() < 1e-13, a.schedule
+
+
+def test_trial_chunk_memory_bounded(torus4):
+    # 16 trials of ~1 MiB of noise each: stacked whole they would take 16 MiB,
+    # but the chunks of two trials share one buffer
+    model = df.NoiseModel(xi_h=0.5, tau_c=0.05, dt=0.0025, duration=10.0)
+    per_trial = 8 * torus4.n_edges * model.n_steps
+    assert df._NOISE_BYTES // per_trial == 2
+    tracemalloc.start()
+    try:
+        est, = df.contrast_curve(torus4, model, [("none", 0)], [10.0], 16, 1, 1,
+                                 estimator="probability", dt=0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < est.mean[0] < 1.0
+    assert peak < 3 * df._NOISE_BYTES, peak
 
 
 def test_fast_noise_against_master_equation(torus4):
