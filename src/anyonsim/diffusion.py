@@ -19,10 +19,10 @@ loop.  Long segments are evolved in pieces, so the step stacks stay bounded.
 
 Monte Carlo: contrast_curve builds and checks the whole schedule family
 before the first trial.  It samples the noise of each trial from its own
-stream, stacks the realizations of a chunk of trials (under _NOISE_BYTES)
-and evolves the chunk together.  Each run is one checkpointed integrator
-call: the no-pulse schedule once over the delay grid, a pulsed train once
-per delay.
+stream, stacks the realizations of a chunk of trials (under _NOISE_BYTES,
+and one step of the chunk under _STACK_BYTES) and evolves the chunk
+together.  Each run is one checkpointed integrator call: the no-pulse
+schedule once over the delay grid, a pulsed train once per delay.
 """
 
 from __future__ import annotations
@@ -254,11 +254,12 @@ class _SectorDynamics:
 
 # Bytes of one real (trials, steps, n_cells, n_cells) step stack; longer
 # segments are evolved in consecutive pieces of at least one step, so the
-# integrator holds about five times this at most (five one-step stacks if
-# one step of all trials is larger), whatever the delay.
+# integrator holds about five times this at most (five one-step stacks of
+# one trial if such a step is larger), whatever the delay.
 _STACK_BYTES = 128 << 10
-# Bytes of the stacked noise series of one chunk of Monte Carlo trials
-# (at least one trial per chunk); contrast_curve evolves a chunk together.
+# Bytes of the stacked noise series of one chunk of Monte Carlo trials;
+# contrast_curve evolves a chunk together.  A chunk holds at least one
+# trial, and no more trials than one step of them fits in _STACK_BYTES.
 _NOISE_BYTES = 2 << 20
 
 
@@ -463,8 +464,9 @@ def contrast_curve(lattice: Lattice, model: NoiseModel, schedule_family,
     # the trials of a chunk are evolved together, their noise stacked in
     # one buffer that every chunk reuses (allocated once sample_noise has
     # accepted the size)
-    chunk = min(n_trials,
-                max(1, _NOISE_BYTES // (8 * lattice.n_edges * run_model.n_steps)))
+    chunk = min(n_trials, max(1, min(
+        _NOISE_BYTES // (8 * lattice.n_edges * run_model.n_steps),
+        _STACK_BYTES // (8 * dyn.n_cells * dyn.n_cells))))
     values = None
     samples = np.zeros((len(family), n_trials, taus.size))
     for lo in range(0, n_trials, chunk):

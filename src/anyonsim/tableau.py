@@ -322,10 +322,7 @@ def syndrome(t: Tableau, lattice: Lattice) -> Syndrome:
     Stabilizers have weight <= 4, so the rows anticommuting with each one
     are the XOR of its few support columns, read 64 stabilizers at a time,
     instead of a full-tableau expectation (oracle.syndrome_by_expectation
-    keeps that slow path as the reference).  On a torus the stabilizers of
-    each kind multiply to the identity, so the last one's value is the
-    parity of the others (on the ground state the last star's member rows
-    are all the other stars).
+    keeps that slow path as the reference).
     """
     if lattice.n_edges > t.n:
         raise UsageError(f"lattice of {lattice.n_edges} edges outside tableau "
@@ -334,17 +331,12 @@ def syndrome(t: Tableau, lattice: Lattice) -> Syndrome:
     stabilizers = ([("vertex", v, list(s), []) for v, s in enumerate(lattice.stars)]
                    + [("face", f, [], list(b)) for f, b in enumerate(lattice.boundaries)])
     flipped = {"vertex": set(), "face": set()}
-    last = {"vertex": lattice.n_vertices - 1, "face": lattice.n_faces - 1} \
-        if lattice.is_torus else {}
     for first in range(0, len(stabilizers), _SYNDROME_BLOCK):
         block = stabilizers[first:first + _SYNDROME_BLOCK]
         rows = _row_bits(np.stack([t._anticommute(xs, zs) for _, _, xs, zs in block]))
         for (kind, i, xs, zs), antic in zip(block, rows):
-            if antic[t.n:].any():
-                value = 0
-            elif last.get(kind) == i:
-                value = -1 if len(flipped[kind]) % 2 else 1
-            else:
+            value = 0
+            if not antic[t.n:].any():
                 value = _deterministic_phase(t, 0, xs, zs, np.flatnonzero(antic[:t.n]))
             if value == -1:
                 flipped[kind].add(i)

@@ -426,6 +426,24 @@ def test_trial_chunk_memory_bounded(torus4):
     assert peak < 3 * df._NOISE_BYTES, peak
 
 
+def test_trial_chunk_step_stack_bounded(monkeypatch):
+    # one step of 32 torus(8) trials is 1 MiB of real hop matrices, and the
+    # integrator holds about five such stacks; a short delay keeps the noise
+    # small, so only the step budget can keep the chunk at two trials
+    monkeypatch.setattr(df, "_STACK_BYTES", 64 << 10)
+    t8 = lat.torus(8)
+    model = df.NoiseModel(xi_h=1.0, tau_c=2.0, dt=0.05, duration=0.5)
+    tracemalloc.start()
+    try:
+        none, z_pairs = df.contrast_curve(t8, model, [("none", 0), ("z_pairs", 1)],
+                                          [0.25, 0.5], 32, 2, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all((0.0 < none.mean) & (none.mean < z_pairs.mean) & (z_pairs.mean < 1.0))
+    assert peak < 3 << 20, peak
+
+
 def test_fast_noise_against_master_equation(torus4):
     # the true fast-noise law: classical hopping with rate Gamma per edge,
     # return contributions included (see the published-formula discussion
