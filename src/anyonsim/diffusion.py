@@ -8,7 +8,11 @@ they enter the reduced model as sign flips of the masked hopping terms.
 
 Noise: independent per-edge stationary Gaussian series with autocorrelation
 f(t) = xi_h^2 exp(-t^2/tau_c^2), synthesized by circulant embedding on the
-time grid (exact target covariance, O(T log T)).
+time grid (exact target covariance, O(T log T); Dietrich and Newsam 1997),
+of which the real part is kept.  Stream layout: edge e draws 2L normals
+from default_rng([*seed, e]), the first L the real parts and the next L the
+imaginary parts, with L the power of two >= 2 n_steps + pad.  The real part
+of that complex FFT is folded into one length-L real FFT per edge.
 
 Integrator: piecewise-constant midpoint propagator per step; the hopping
 matrix H is real symmetric, so each step's exp(-i H dt) = cos(H dt) -
@@ -27,6 +31,7 @@ schedule once over the delay grid, a pulsed train once per delay.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -110,7 +115,11 @@ class CallableField:
         return np.stack([self.fn(t) for t in times], axis=1)
 
 
+@functools.lru_cache(maxsize=8)
 def _circulant_sqrt_spectrum(model: NoiseModel, n_steps: int) -> np.ndarray:
+    """Square root of the circulant embedding's eigenvalues, length L (the
+    power of two >= 2 n_steps + pad), read-only and computed once per
+    (model, n_steps); a negative embedding raises on every call."""
     pad = int(math.ceil(8.0 * model.tau_c / model.dt))
     length = 1 << max(1, (2 * n_steps + pad - 1)).bit_length()
     lags = np.arange(length)
@@ -120,13 +129,23 @@ def _circulant_sqrt_spectrum(model: NoiseModel, n_steps: int) -> np.ndarray:
     if lam.min() < -1e-8 * max(lam.max(), 1e-300):
         raise ConfigurationError("circulant embedding not nonnegative; "
                                  "increase duration or reduce dt")
-    return np.sqrt(np.maximum(lam, 0.0))
+    sqrt_lam = np.sqrt(np.maximum(lam, 0.0))
+    sqrt_lam.flags.writeable = False
+    return sqrt_lam
 
 
 def sample_noise(model: NoiseModel, lattice: Lattice, seed) -> NoiseRealization:
     """Independent per-edge stationary Gaussian series with the target
-    autocorrelation.  Edge e uses the dedicated stream (seed, e), so a
-    realization is reproducible per (seed, edge id)."""
+    autocorrelation.
+
+    Stream layout: edge e draws 2L standard normals from
+    ``default_rng([*seed, e])``, the real parts a then the imaginary parts
+    b of zeta, where L is the power of two >= 2 n_steps + pad; its series
+    is the first n_steps samples of Re FFT(sqrt_lam * zeta) / sqrt(L).  So
+    values[e] depends only on (seed, e, model).  With u = sqrt_lam a and
+    v = sqrt_lam b, that real part is Re rfft(g) - Im rfft(g) for the real
+    g = even(u) + odd(v), so each edge takes one length-L real FFT.
+    """
     if model.dt > model.tau_c / 20 + 1e-15:
         raise ConfigurationError("sampler needs dt <= tau_c / 20")
     n_steps = model.n_steps
@@ -136,13 +155,25 @@ def sample_noise(model: NoiseModel, lattice: Lattice, seed) -> NoiseRealization:
         return NoiseRealization(np.zeros((lattice.n_edges, n_steps)), model.dt)
     sqrt_lam = _circulant_sqrt_spectrum(model, n_steps)
     length = sqrt_lam.size
-    seed_list = list(np.atleast_1d(np.asarray(seed, dtype=np.int64)))
+    seed_list = [int(s) for s in np.atleast_1d(np.asarray(seed, dtype=np.int64))]
+    # buffers reused for every edge: the draws, scaled in place to (u, v);
+    # 2 g (the 1/2 goes into the final scale); the half spectrum of g, of
+    # which the first n_steps <= L / 2 samples are read
+    draws = np.empty((2, length))
+    u, v = draws
+    g = np.empty(length)
+    spec = np.empty(length // 2 + 1, dtype=np.complex128)
     values = np.empty((lattice.n_edges, n_steps))
     for e in range(lattice.n_edges):
-        rng = np.random.default_rng([int(s) for s in seed_list] + [e])
-        zeta = rng.standard_normal(length) + 1j * rng.standard_normal(length)
-        series = np.fft.fft(sqrt_lam * zeta).real * math.sqrt(1.0 / length)
-        values[e] = series[:n_steps]
+        np.random.default_rng(seed_list + [e]).standard_normal(out=draws)
+        draws *= sqrt_lam
+        g[0] = 2.0 * u[0]
+        np.subtract(v[1:], v[:0:-1], out=g[1:])
+        g[1:] += u[1:]
+        g[1:] += u[:0:-1]
+        np.fft.rfft(g, out=spec)
+        np.subtract(spec.real[:n_steps], spec.imag[:n_steps], out=values[e])
+    values *= 0.5 * math.sqrt(1.0 / length)
     return NoiseRealization(values, model.dt)
 
 

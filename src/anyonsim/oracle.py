@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytics, statevector as sv, tableau as tb
-from .diffusion import build_echo_schedule
+from .diffusion import NoiseModel, _circulant_sqrt_spectrum, build_echo_schedule
 from .errors import ContractError, UsageError
 from .lattice import (ECHO_KINDS, Lattice, StringPath, deform_string, planar,
                       shortest_string, string_to_boundary, torus)
@@ -449,3 +449,23 @@ def echo_filter_variance(tau: float, n_pairs: int, xi_h: float, tau_c: float) ->
     cov = xi_h ** 2 * np.exp(-(diff / tau_c) ** 2)
     w = signs * (tau / ECHO_FILTER_GRID)
     return float(w @ cov @ w)
+
+
+# -- noise sampler reference ---------------------------------------------------
+
+def circulant_noise_reference(model: NoiseModel, lattice: Lattice, seed) -> np.ndarray:
+    """The circulant-embedding noise of ``diffusion.sample_noise`` from one
+    length-L complex FFT per edge: the first n_steps samples of
+    Re FFT(sqrt_lam * (a + i b)) / sqrt(L), with a and b the edge's two
+    length-L draws from ``default_rng([*seed, e])``.  Shape (n_edges, n_steps).
+    """
+    n_steps = model.n_steps
+    sqrt_lam = _circulant_sqrt_spectrum(model, n_steps)
+    length = sqrt_lam.size
+    seed_list = [int(s) for s in np.atleast_1d(np.asarray(seed, dtype=np.int64))]
+    values = np.empty((lattice.n_edges, n_steps))
+    for e in range(lattice.n_edges):
+        rng = np.random.default_rng(seed_list + [e])
+        zeta = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+        values[e] = (np.fft.fft(sqrt_lam * zeta).real * math.sqrt(1.0 / length))[:n_steps]
+    return values

@@ -66,6 +66,45 @@ def test_sampler_preconditions(torus4):
                 df.NoiseModel(*fields)
 
 
+# the two benchmark noise shapes; the criterion-6 one shortened from 45 to 5
+SAMPLER_SHAPES = {"mc_fast": df.NoiseModel(0.5, 0.05, 0.0025, 5.0),
+                  "mc_echo": df.NoiseModel(1.0, 10.0, 0.05, 12.0)}
+
+
+@pytest.mark.parametrize("shape", sorted(SAMPLER_SHAPES))
+@pytest.mark.parametrize("seed", [7, [3, 11]], ids=["int", "list"])
+@pytest.mark.parametrize("name", ["torus4", "planar3"])
+def test_sampler_matches_complex_fft_reference(shape, seed, name, request):
+    lattice = request.getfixturevalue(name)
+    model = SAMPLER_SHAPES[shape]
+    values = df.sample_noise(model, lattice, seed).values
+    reference = oracle.circulant_noise_reference(model, lattice, seed)
+    assert values.shape == reference.shape == (lattice.n_edges, model.n_steps)
+    assert np.max(np.abs(values - reference)) <= 1e-13
+
+
+def test_noise_rows_depend_only_on_seed_edge_and_model(torus4):
+    model = df.NoiseModel(xi_h=0.7, tau_c=0.5, dt=0.02, duration=5.0)
+    for seed in (5, [2, 9]):
+        small = df.sample_noise(model, torus4, seed).values
+        large = df.sample_noise(model, lat.torus(5), seed).values
+        assert np.array_equal(large[:torus4.n_edges], small)
+
+
+def test_spectrum_computed_once_and_checked_every_call(torus4, monkeypatch):
+    model = df.NoiseModel(xi_h=1.0, tau_c=1.0, dt=0.05, duration=3.0)
+    df._circulant_sqrt_spectrum.cache_clear()
+    fft = np.fft.fft
+    monkeypatch.setattr(np.fft, "fft", lambda x: -fft(x))  # a negative embedding
+    for _ in range(2):
+        with pytest.raises(ConfigurationError, match="not nonnegative"):
+            df.sample_noise(model, torus4, 0)
+    monkeypatch.undo()
+    first = df._circulant_sqrt_spectrum(model, model.n_steps)
+    assert df._circulant_sqrt_spectrum(model, model.n_steps) is first
+    assert not first.flags.writeable
+
+
 def test_static_refocusing_exact(torus4):
     rng = np.random.default_rng(3)
     static = df.StaticField(rng.normal(size=torus4.n_edges))
