@@ -2,8 +2,9 @@
 
 Modules: lattice (code geometry and string operators), pauli / weyl (exact
 operator algebra with phase tracking), tableau (stabilizer simulation),
-statevector (dense oracle and non-Clifford substrate), protocols
-(interferometry, SWAP access, teleported rotations, geometric phase gate),
+statevector (dense oracle and non-Clifford states), protocols
+(interferometry, SWAP access, teleported rotations on the dense memory,
+geometric phase gate),
 diffusion (stochastic anyon hopping with echo control), analytics (error
 budgets), oracle (cross-validation suites), cli (batch front-end).
 """

@@ -23,9 +23,9 @@ loop.  Long segments are evolved in pieces, so the step stacks stay bounded.
 
 Monte Carlo: contrast_curve builds and checks the whole schedule family
 before the first trial.  It samples the noise of each trial from its own
-stream, stacks the realizations of a chunk of trials (under _NOISE_BYTES,
-and one step of the chunk under _STACK_BYTES) and evolves the chunk
-together.  Each run is one checkpointed integrator call: the no-pulse
+stream straight into that trial's row of one buffer for a chunk of trials
+(under _NOISE_BYTES, and one step of the chunk under _STACK_BYTES) and
+evolves the chunk together.  Each run is one checkpointed integrator call: the no-pulse
 schedule once over the delay grid, a pulsed train once per delay.
 """
 
@@ -134,7 +134,16 @@ def _circulant_sqrt_spectrum(model: NoiseModel, n_steps: int) -> np.ndarray:
     return sqrt_lam
 
 
-def sample_noise(model: NoiseModel, lattice: Lattice, seed) -> NoiseRealization:
+def _check_noise(model: NoiseModel, lattice: Lattice) -> None:
+    """The sampler's preconditions: the time step, and the realization size."""
+    if model.dt > model.tau_c / 20 + 1e-15:
+        raise ConfigurationError("sampler needs dt <= tau_c / 20")
+    if model.n_steps * lattice.n_edges > 200_000_000:
+        raise ConfigurationError("noise realization too large")
+
+
+def sample_noise(model: NoiseModel, lattice: Lattice, seed, *,
+                 out: np.ndarray | None = None) -> NoiseRealization:
     """Independent per-edge stationary Gaussian series with the target
     autocorrelation.
 
@@ -145,14 +154,20 @@ def sample_noise(model: NoiseModel, lattice: Lattice, seed) -> NoiseRealization:
     values[e] depends only on (seed, e, model).  With u = sqrt_lam a and
     v = sqrt_lam b, that real part is Re rfft(g) - Im rfft(g) for the real
     g = even(u) + odd(v), so each edge takes one length-L real FFT.
+
+    out: a float64 array of shape (n_edges, n_steps) that receives the
+    series and becomes the realization's values; a new one by default.
     """
-    if model.dt > model.tau_c / 20 + 1e-15:
-        raise ConfigurationError("sampler needs dt <= tau_c / 20")
+    _check_noise(model, lattice)
     n_steps = model.n_steps
-    if n_steps * lattice.n_edges > 200_000_000:
-        raise ConfigurationError("noise realization too large")
+    shape = (lattice.n_edges, n_steps)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64:
+        raise UsageError(f"out must be a float64 array of shape {shape}")
     if model.xi_h == 0.0:
-        return NoiseRealization(np.zeros((lattice.n_edges, n_steps)), model.dt)
+        out.fill(0.0)
+        return NoiseRealization(out, model.dt)
     sqrt_lam = _circulant_sqrt_spectrum(model, n_steps)
     length = sqrt_lam.size
     seed_list = [int(s) for s in np.atleast_1d(np.asarray(seed, dtype=np.int64))]
@@ -163,7 +178,6 @@ def sample_noise(model: NoiseModel, lattice: Lattice, seed) -> NoiseRealization:
     u, v = draws
     g = np.empty(length)
     spec = np.empty(length // 2 + 1, dtype=np.complex128)
-    values = np.empty((lattice.n_edges, n_steps))
     for e in range(lattice.n_edges):
         np.random.default_rng(seed_list + [e]).standard_normal(out=draws)
         draws *= sqrt_lam
@@ -172,9 +186,9 @@ def sample_noise(model: NoiseModel, lattice: Lattice, seed) -> NoiseRealization:
         g[1:] += u[1:]
         g[1:] += u[:0:-1]
         np.fft.rfft(g, out=spec)
-        np.subtract(spec.real[:n_steps], spec.imag[:n_steps], out=values[e])
-    values *= 0.5 * math.sqrt(1.0 / length)
-    return NoiseRealization(values, model.dt)
+        np.subtract(spec.real[:n_steps], spec.imag[:n_steps], out=out[e])
+    out *= 0.5 * math.sqrt(1.0 / length)
+    return NoiseRealization(out, model.dt)
 
 
 # -- echo schedules ----------------------------------------------------------
@@ -492,22 +506,19 @@ def contrast_curve(lattice: Lattice, model: NoiseModel, schedule_family,
         else:
             family.append((f"{kind}({n})", [(build_echo_schedule(kind, tau, n, lattice),
                                              [tau]) for tau in taus]))
-    # the trials of a chunk are evolved together, their noise stacked in
-    # one buffer that every chunk reuses (allocated once sample_noise has
-    # accepted the size)
+    # the trials of a chunk are evolved together, each sampled straight into
+    # its row of one buffer that every chunk reuses (allocated once the
+    # sampler's checks have passed)
+    _check_noise(run_model, lattice)
     chunk = min(n_trials, max(1, min(
         _NOISE_BYTES // (8 * lattice.n_edges * run_model.n_steps),
         _STACK_BYTES // (8 * dyn.n_cells * dyn.n_cells))))
-    values = None
+    values = np.empty((chunk, lattice.n_edges, run_model.n_steps))
     samples = np.zeros((len(family), n_trials, taus.size))
     for lo in range(0, n_trials, chunk):
         trials = range(lo, min(lo + chunk, n_trials))
         for i, trial in enumerate(trials):
-            noise = sample_noise(run_model, lattice, [seed, trial]).values
-            if values is None:
-                values = np.empty((chunk, *noise.shape))
-            values[i] = noise
-            del noise  # at most one realization lives beside the buffer
+            sample_noise(run_model, lattice, [seed, trial], out=values[i])
         realization = NoiseRealization(values[:len(trials)], run_model.dt)
         psi = np.broadcast_to(columns, (len(trials), *columns.shape))
         for rows, (_, runs) in zip(samples[:, lo:trials.stop], family):

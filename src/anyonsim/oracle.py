@@ -1,5 +1,6 @@
 """Cross-validation suites: stabilizer engine vs dense statevector, closed
-formulas vs enumeration / Monte Carlo, and the reference braiding signs.
+formulas vs enumeration / Monte Carlo, the reference braiding signs, and
+the slow exact references of fast paths (syndrome, noise sampler, teleport).
 
 Each suite returns SuiteCheck rows so the command-line front-end and the
 acceptance tests share one implementation.
@@ -18,8 +19,8 @@ from .errors import ContractError, UsageError
 from .lattice import (ECHO_KINDS, Lattice, StringPath, deform_string, planar,
                       shortest_string, string_to_boundary, torus)
 from .pauli import PauliString, from_string_path, multiply
-from .protocols import (BraidProgram, DelayStep, EchoStep, StringStep, braiding_programs,
-                        run_interferometry)
+from .protocols import (BraidProgram, DelayStep, EchoStep, StringStep, _teleport_axis,
+                        braiding_programs, run_interferometry)
 from .weyl import WeylString, weyl_braiding_phase
 
 
@@ -469,3 +470,45 @@ def circulant_noise_reference(model: NoiseModel, lattice: Lattice, seed) -> np.n
         zeta = rng.standard_normal(length) + 1j * rng.standard_normal(length)
         values[e] = (np.fft.fft(sqrt_lam * zeta).real * math.sqrt(1.0 / length))[:n_steps]
     return values
+
+
+def teleport_circuit_reference(lattice: Lattice, memory: sv.StateVector, axis,
+                               theta: float, outcome: int
+                               ) -> tuple[sv.StateVector, float]:
+    """The gate-teleportation circuits of ``protocols.teleport_rotation``
+    with an explicit probe qubit, for a given outcome (+-1).
+
+    The memory is doubled to n + 1 dense qubits, the probe (qubit n)
+    prepared in |+> ("X" and strings) or |0> ("Z"), the controlled string,
+    the probe H gates and the probe rotation exp(i theta X_p) or
+    exp(i theta Z_p) applied, the probe measured and the -1 branch
+    corrected by the string.  Returns the corrected memory state and the -1
+    probability, the squared norm of the probe-|1> half.
+    """
+    string, circuit = _teleport_axis(lattice, axis)
+    probe = memory.n
+    if circuit == "plus":
+        amps = np.concatenate([memory.amps, memory.amps])
+        amps /= math.sqrt(2)
+        state = sv.StateVector(probe + 1, amps)
+        sv.apply_controlled_pauli(state, probe, string)
+        sv.apply_pauli_exponential(state, PauliString.from_ops({probe: "X"}), theta)
+    else:
+        amps = np.concatenate([memory.amps, np.zeros_like(memory.amps)])
+        state = sv.StateVector(probe + 1, amps)
+        # logical-controlled NOT onto the probe: H_A Lambda_A[Z~] H_A
+        state = sv.apply_gate(state, "H", probe)
+        sv.apply_controlled_pauli(state, probe, string)
+        state = sv.apply_gate(state, "H", probe)
+        sv.apply_pauli_exponential(state, PauliString.from_ops({probe: "Z"}), theta)
+        state = sv.apply_gate(state, "H", probe)
+
+    half = 1 << probe
+    block = state.amps[half:] if outcome == -1 else state.amps[:half]
+    nrm = np.linalg.norm(block)
+    if nrm < 1e-12:
+        raise ContractError("measurement branch has zero probability")
+    out = sv.StateVector(memory.n, block / nrm)
+    if outcome == -1:
+        sv.apply_pauli_string(out, string)
+    return out, float(np.linalg.norm(state.amps[half:]) ** 2)

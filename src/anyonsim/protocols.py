@@ -11,6 +11,10 @@ incidence: the initial syndrome is read once, and a branch syndrome is that
 syndrome flipped at the vertices and faces where the branch operator ends,
 at a cost of O(|string|) per delay.  A dense two-branch statevector path and
 an explicit-probe path exist for cross-validation on small lattices.
+
+A teleported rotation acts on the dense memory without a probe qubit: both
+probe branches follow from one Pauli action on the memory, and the
+explicit-probe circuits are the oracle (oracle.teleport_circuit_reference).
 """
 
 from __future__ import annotations
@@ -266,63 +270,67 @@ def swap_out(lattice: Lattice, t: tb.Tableau) -> tb.Tableau:
     return t
 
 
+def _teleport_axis(lattice: Lattice, axis) -> tuple[PauliString, str]:
+    """The rotation string of a teleport axis and its probe circuit: "plus"
+    (probe in |+>) for "X" and for a Hermitian string, "zero" for "Z"."""
+    if not isinstance(axis, str):
+        if not axis.is_hermitian():
+            raise UsageError("rotation axis string must be Hermitian")
+        return axis, "plus"
+    lz, lx = _logical_pair(lattice)
+    key = axis.upper()
+    if key == "X":
+        return lx, "plus"
+    if key == "Z":
+        return lz, "zero"
+    raise UsageError(f"unknown axis {axis!r}")
+
+
 def teleport_rotation(lattice: Lattice, memory: sv.StateVector, axis, theta: float,
                       rng=None, force_outcome: int | None = None
                       ) -> tuple[sv.StateVector, int]:
     """exp(i theta S~) on the memory via the gate-teleportation circuits.
 
     axis: "X" or "Z" for the logical generators, or any Hermitian
-    PauliString on the memory qubits.  Executes on the dense engine (the
-    probe rotation is non-Clifford).  Returns the corrected memory state
+    PauliString on the memory qubits.  Returns the corrected memory state
     and the probe measurement outcome (+-1); the -1 branch receives the
-    conditional logical Pauli correction.
-    """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    lz, lx = _logical_pair(lattice)
-    if isinstance(axis, str):
-        key = axis.upper()
-        if key == "X":
-            string, circuit = lx, "plus"
-        elif key == "Z":
-            string, circuit = lz, "zero"
-        else:
-            raise UsageError(f"unknown axis {axis!r}")
-    else:
-        string, circuit = axis, "plus"
-        if not string.is_hermitian():
-            raise UsageError("rotation axis string must be Hermitian")
-    probe = memory.n
-    if circuit == "plus":
-        amps = np.concatenate([memory.amps, memory.amps])
-        amps /= math.sqrt(2)
-        state = sv.StateVector(probe + 1, amps)
-        sv.apply_controlled_pauli(state, probe, string)
-        sv.apply_pauli_exponential(state, PauliString.from_ops({probe: "X"}), theta)
-    else:
-        amps = np.concatenate([memory.amps, np.zeros_like(memory.amps)])
-        state = sv.StateVector(probe + 1, amps)
-        # logical-controlled NOT onto the probe: H_A Lambda_A[Z~] H_A
-        state = sv.apply_gate(state, "H", probe)
-        sv.apply_controlled_pauli(state, probe, string)
-        state = sv.apply_gate(state, "H", probe)
-        sv.apply_pauli_exponential(state, PauliString.from_ops({probe: "Z"}), theta)
-        state = sv.apply_gate(state, "H", probe)
+    conditional correction S~.
 
-    half = 1 << probe
-    nrm_one = np.linalg.norm(state.amps[half:])
+    Both circuits (probe in |+> for X and strings, in |0> for Z) leave the
+    probe branches, with c = cos theta, s = sin theta and phi = S~ psi,
+    (c psi + i s phi)/sqrt(2) on outcome +1 and (i s psi + c phi)/sqrt(2) on
+    -1, which the correction S~ maps onto the first.  So no probe qubit is
+    built: one Pauli action on the memory gives phi, the -1 probability is
+    (s^2 |psi|^2 + c^2 |phi|^2 + 2 s c Im<psi|phi>)/2, and the result is
+    c psi + i s phi, normalised.  An unforced call compares one
+    rng.random() with that probability; a forced one draws nothing.  The
+    explicit-probe circuits are oracle.teleport_circuit_reference.
+    """
+    if not math.isfinite(theta):
+        raise UsageError(f"theta must be finite, got {theta!r}")
+    if force_outcome not in (None, 1, -1):
+        raise UsageError(f"force_outcome must be None, 1 or -1, got {force_outcome!r}")
+    string, _ = _teleport_axis(lattice, axis)
+    psi = memory.amps
+    phi = sv._pauli_action(memory, string)
+    c, s = math.cos(theta), math.sin(theta)
+    norm_psi = np.vdot(psi, psi).real
+    norm_phi = np.vdot(phi, phi).real
+    cross = 2.0 * s * c * np.vdot(psi, phi).imag
+    p_minus = 0.5 * (s * s * norm_psi + c * c * norm_phi + cross)
     if force_outcome is None:
-        outcome = -1 if rng.random() < float(nrm_one ** 2) else 1
+        if rng is None:
+            rng = np.random.default_rng(0)
+        outcome = -1 if rng.random() < p_minus else 1
     else:
-        outcome = force_outcome
-    block = state.amps[half:] if outcome == -1 else state.amps[:half]
-    nrm = nrm_one if outcome == -1 else np.linalg.norm(block)
-    if nrm < 1e-12:
+        outcome = int(force_outcome)
+    prob = p_minus if outcome == -1 else 0.5 * (c * c * norm_psi + s * s * norm_phi - cross)
+    if prob < 1e-24:
         raise ContractError("measurement branch has zero probability")
-    out = sv.StateVector(memory.n, block / nrm)
-    if outcome == -1:
-        sv.apply_pauli_string(out, string)
-    return out, outcome
+    scale = 1.0 / math.sqrt(2.0 * prob)
+    phi *= 1j * s * scale
+    phi += (c * scale) * psi
+    return sv.StateVector(memory.n, phi), outcome
 
 
 # -- geometric phase gate ----------------------------------------------------

@@ -1,8 +1,9 @@
 """Dense complex-amplitude simulator for <= 22 qubits.
 
-Serves as the brute-force oracle for the Clifford machinery and as the
-execution substrate for non-Clifford operations (arbitrary-angle string
-rotations, exact surface-Hamiltonian evolution).
+Serves as the brute-force oracle for the Clifford machinery and holds the
+states of the non-Clifford operations: arbitrary-angle string rotations
+(teleported ones included, which act on the memory alone, without a probe
+qubit) and exact surface-Hamiltonian evolution.
 
 Basis convention: little-endian.  Qubit q is bit q of the amplitude index,
 so |q1 q0> = |1 0> sits at index 2.  Every Pauli action (strings, controlled
@@ -50,7 +51,7 @@ class StateVector:
     @classmethod
     def from_amplitudes(cls, amps) -> "StateVector":
         amps = np.asarray(amps, dtype=np.complex128).reshape(-1)
-        n = int(amps.size).bit_length() - 1
+        n = max(int(amps.size).bit_length() - 1, 0)
         if 1 << n != amps.size:
             raise UsageError("amplitude array length is not a power of two")
         return cls(n, amps.copy())

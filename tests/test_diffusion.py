@@ -36,6 +36,14 @@ def test_noise_determinism_and_edge_streams(torus4):
     r1 = df.sample_noise(model, torus4, 123)
     r2 = df.sample_noise(model, torus4, 123)
     assert np.array_equal(r1.values, r2.values)
+    # out= receives the same series; a wrong buffer is refused
+    buf = np.full((2, *r1.values.shape), np.nan)
+    row = buf[1]
+    assert df.sample_noise(model, torus4, 123, out=row).values is row
+    assert np.array_equal(row, r1.values) and np.isnan(buf[0]).all()
+    for bad in (buf[:, 0], buf[1].astype(np.float32)):
+        with pytest.raises(UsageError, match="out must be"):
+            df.sample_noise(model, torus4, 123, out=bad)
     r3 = df.sample_noise(model, torus4, 124)
     assert not np.array_equal(r1.values, r3.values)
     # edges carry independent streams
@@ -46,6 +54,7 @@ def test_zero_amplitude_noise(torus4):
     model = df.NoiseModel(xi_h=0.0, tau_c=1.0, dt=0.05, duration=2.0)
     r = df.sample_noise(model, torus4, 0)
     assert np.all(r.values == 0)
+    assert np.all(df.sample_noise(model, torus4, 0, out=np.ones_like(r.values)).values == 0)
     sched = df.build_echo_schedule("none", 2.0)
     state = df.evolve_anyon(torus4, r, sched, 5, "x", dt=r.dt)
     assert state[5] == pytest.approx(1.0)
@@ -435,8 +444,8 @@ def test_trial_chunks_match_one_trial_chunks(torus4, planar3, monkeypatch):
     seeds = []
     sample_noise = df.sample_noise
     monkeypatch.setattr(df, "sample_noise",
-                        lambda model, lattice, seed: seeds.append(seed)
-                        or sample_noise(model, lattice, seed))
+                        lambda model, lattice, seed, **kw: seeds.append(seed)
+                        or sample_noise(model, lattice, seed, **kw))
     batched = curves()
     assert seeds == [[4, k] for k in range(5)] + [[6, k] for k in range(5)]
     monkeypatch.setattr(df, "_NOISE_BYTES", 1)

@@ -167,6 +167,64 @@ def test_teleport_rotation(planar2, planar2_ground):
                              0.3, rng=rng)
 
 
+class _FixedDraw:
+    """An rng whose random() always returns one value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
+@pytest.mark.parametrize("lattice", [lat.planar(2), lat.torus(3)], ids=["planar2", "torus3"])
+def test_teleport_matches_circuit_oracle(lattice):
+    lz, lx = [from_string_path(p) for p in lat.logical_operators(lattice)[0]]
+    memory = sv.from_tableau(tb.prepare_ground_state(lattice, 0))
+    sv.apply_pauli_exponential(memory, lx, 0.4)
+    sv.apply_pauli_exponential(memory, PauliString.from_ops({0: "Y", 3: "X"}), 0.3)
+    axes = ["X", "Z", PauliString.from_ops({0: "Y", 2: "Z"}),
+            PauliString(2, {1: (0, 1), 4: (1, 0)})]
+    for axis in axes:
+        for theta in (0.3, -2.1, math.pi / 2):
+            for outcome in (1, -1):
+                out, got = pr.teleport_rotation(lattice, memory.clone(), axis, theta,
+                                                force_outcome=outcome)
+                ref, p_minus = oracle.teleport_circuit_reference(lattice, memory.clone(),
+                                                                 axis, theta, outcome)
+                assert got == outcome
+                assert np.abs(out.amps - ref.amps).max() < 1e-12, (str(axis), theta)
+            # the -1 branch is taken exactly when the draw is below the
+            # oracle's -1 probability, to 1e-12
+            for draw, want in ((p_minus - 1e-12, -1), (p_minus + 1e-12, 1)):
+                _, got = pr.teleport_rotation(lattice, memory.clone(), axis, theta,
+                                              rng=_FixedDraw(draw))
+                assert got == want, (str(axis), theta)
+
+
+def test_teleport_rng_use(planar2, planar2_ground):
+    memory = sv.from_tableau(planar2_ground)
+    rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+    for k in range(6):
+        pr.teleport_rotation(planar2, memory.clone(), "XZ"[k % 2], 0.7, rng=rng)
+        ref.random()
+        assert rng.bit_generator.state == ref.bit_generator.state
+    for outcome in (1, -1):
+        pr.teleport_rotation(planar2, memory.clone(), "X", 0.7, rng=rng,
+                             force_outcome=outcome)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_teleport_rejects_bad_inputs(planar2, planar2_ground):
+    memory = sv.from_tableau(planar2_ground)
+    for theta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(UsageError, match="theta"):
+            pr.teleport_rotation(planar2, memory.clone(), "X", theta)
+    for outcome in (0, 2, -2, "1"):
+        with pytest.raises(UsageError, match="force_outcome"):
+            pr.teleport_rotation(planar2, memory.clone(), "Z", 0.3, force_outcome=outcome)
+
+
 def test_geometric_branch_phases():
     spec = pr.GeometricGateSpec(math.sqrt(math.pi / 4), math.sqrt(math.pi / 4))
     # ancilla |0>: no enclosed area on either string branch

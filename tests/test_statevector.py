@@ -258,3 +258,7 @@ def test_qubit_cap():
         sv.StateVector.computational(23)
     with pytest.raises(UsageError):
         sv.apply_gate(sv.StateVector.computational(2), "H", 5)
+    for amps in ([], [1, 0, 0]):
+        with pytest.raises(UsageError, match="not a power of two"):
+            sv.StateVector.from_amplitudes(amps)
+    assert sv.StateVector.from_amplitudes([1]).n == 0
