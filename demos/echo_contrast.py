@@ -38,8 +38,10 @@ with out.open("w") as fh:
             fh.write(f"{tau},{mean},{err},{est.n_trials},{est.schedule}\n")
 print(f"\nwrote {out}")
 
-# exact refocusing of a static field, the idealized limit of the echo train
-static = df.StaticField(np.random.default_rng(0).normal(size=lattice.n_edges))
+# exact refocusing of a static field, the idealized limit of the echo train:
+# a one-sample realization, whose last (only) sample holds for all times
+field = np.random.default_rng(0).normal(size=lattice.n_edges)
+static = df.NoiseRealization(field[:, None], 1.0)
 sched = df.build_echo_schedule("z_pairs", 6.0, 2)
 s = df.evolve_anyon(lattice, static, sched, 5, "x", dt=0.05)[5]
 print(f"static field, z_pairs(2): |survival| = {abs(s):.12f} (exact refocus)")

@@ -233,7 +233,7 @@ def cmd_memory(header: list[str], cfg: dict) -> int:
     for k in range(trials):
         theta = float(rng.uniform(-math.pi, math.pi))
         axis, string = (("X", lx) if k % 2 == 0 else ("Z", lz))
-        out, _ = pr.teleport_rotation(lattice, memory.clone(), axis, theta, rng=rng)
+        out, _ = pr.teleport_rotation(lattice, memory, axis, theta, rng=rng)
         ref = memory.clone()
         sv.apply_pauli_exponential(ref, string, theta)
         fid = abs(sv.inner_product(out, ref))

@@ -17,9 +17,10 @@ of that complex FFT is folded into one length-L real FFT per edge.
 Integrator: piecewise-constant midpoint propagator per step; the hopping
 matrix H is real symmetric, so each step's exp(-i H dt) = cos(H dt) -
 i sin(H dt) is a Taylor series in (H dt)^2 truncated at rounding level,
-with scaling and squaring when ||H dt|| > 1 (real matmuls only).  A field
-may carry a leading trial axis; every trial then goes through the same step
-loop.  Long segments are evolved in pieces, so the step stacks stay bounded.
+with scaling and squaring when ||H dt|| > 1 (real matmuls only).  The one
+field type, NoiseRealization, may carry a leading trial axis; every trial
+then goes through the same step loop.  Long segments are evolved in pieces,
+so the step stacks stay bounded.
 
 Monte Carlo: contrast_curve builds and checks the whole schedule family
 before the first trial.  It samples the noise of each trial from its own
@@ -77,6 +78,8 @@ class NoiseModel:
 
 # Fields: ``at_many(times)`` returns the per-edge values at each time as an
 # (..., n_edges, len(times)) array; a leading axis holds one field per trial.
+# NoiseRealization is the one field type: a static field v is the one-sample
+# NoiseRealization(v[:, None], dt), since the last sample holds.
 
 @dataclass
 class NoiseRealization:
@@ -93,26 +96,6 @@ class NoiseRealization:
         """Values at the times (all >= 0); the last sample holds beyond."""
         idx = np.minimum((times / self.dt).astype(int), self.n_steps - 1)
         return self.values[..., idx]
-
-
-@dataclass(frozen=True)
-class StaticField:
-    """Time-independent per-edge field (exact-refocusing tests)."""
-
-    edge_values: np.ndarray
-
-    def at_many(self, times: np.ndarray) -> np.ndarray:
-        return np.repeat(self.edge_values[:, None], len(times), axis=1)
-
-
-@dataclass(frozen=True)
-class CallableField:
-    """Smooth deterministic field t -> per-edge vector (integrator checks)."""
-
-    fn: object
-
-    def at_many(self, times: np.ndarray) -> np.ndarray:
-        return np.stack([self.fn(t) for t in times], axis=1)
 
 
 @functools.lru_cache(maxsize=8)
@@ -427,10 +410,16 @@ def default_dt(model: NoiseModel) -> float:
     return min(model.tau_c, 1.0 / model.xi_h if model.xi_h > 0 else model.tau_c) / 20.0
 
 
+def _check_dt(dt: float) -> None:
+    if not (math.isfinite(dt) and dt > 0):
+        raise UsageError(f"dt must be finite and > 0, got {dt!r}")
+
+
 def evolve_anyon(lattice: Lattice, field, schedule: EchoSchedule, start_cell: int,
                  sector: str, dt: float) -> np.ndarray:
     """Integrate one particle from a basis state under the field + echoes;
     returns the complex amplitude per cell of the sector (unit norm)."""
+    _check_dt(dt)
     dyn = _SectorDynamics(lattice, sector)
     if not 0 <= start_cell < dyn.n_cells:
         raise UsageError("start cell outside the sector")
@@ -443,8 +432,8 @@ def spread_cells(lattice: Lattice, sector: str, n_particles: int) -> list[int]:
     """Deterministic far-separated start cells (row-major stride plus a
     half-lattice column shift on alternating picks)."""
     n_cells, _, _ = hop_structure(lattice, sector)
-    if n_particles > n_cells:
-        raise UsageError("more particles than cells")
+    if not 1 <= n_particles <= n_cells:
+        raise UsageError(f"n_particles must be in 1..{n_cells}, got {n_particles!r}")
     cells = []
     for k in range(n_particles):
         base = (k * n_cells) // n_particles
@@ -490,6 +479,7 @@ def contrast_curve(lattice: Lattice, model: NoiseModel, schedule_family,
     cells = spread_cells(lattice, sector, n_particles)
     if dt is None:
         dt = default_dt(model)
+    _check_dt(dt)
     run_model = NoiseModel(model.xi_h, model.tau_c, model.dt,
                            max(t_max, model.dt) * (1 + 1e-12))
     dyn = _SectorDynamics(lattice, sector)

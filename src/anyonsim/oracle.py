@@ -1,6 +1,6 @@
 """Cross-validation suites: stabilizer engine vs dense statevector, closed
 formulas vs enumeration / Monte Carlo, the reference braiding signs, and
-the slow exact references of fast paths (syndrome, noise sampler, teleport).
+the slow exact references of fast paths (syndrome, sampler, probe circuits).
 
 Each suite returns SuiteCheck rows so the command-line front-end and the
 acceptance tests share one implementation.
@@ -19,8 +19,9 @@ from .errors import ContractError, UsageError
 from .lattice import (ECHO_KINDS, Lattice, StringPath, deform_string, planar,
                       shortest_string, string_to_boundary, torus)
 from .pauli import PauliString, from_string_path, multiply
-from .protocols import (BraidProgram, DelayStep, EchoStep, StringStep, _teleport_axis,
-                        braiding_programs, run_interferometry)
+from .protocols import (BraidProgram, Coherence, DelayStep, EchoStep, StringStep,
+                        _dense_memory, _echo_pauli, _teleport_axis, braiding_programs,
+                        run_interferometry)
 from .weyl import WeylString, weyl_braiding_phase
 
 
@@ -29,6 +30,17 @@ class SuiteCheck:
     name: str
     passed: bool
     detail: str = ""
+
+
+# the fixed sizes and tolerances of the suites
+CLIFFORD_MAX_QUBITS = 12
+CLIFFORD_PAULIS = 4    # exact expectation checks per circuit
+CLIFFORD_SAMPLED = 25  # the first circuits, each also sampled
+CLIFFORD_SHOTS = 400   # measurements per sampled circuit
+QUENCHED_SIZES = (2, 3, 4)  # torus sizes N enumerated
+WEYL_DIMENSIONS = range(2, 8)
+BUDGET_REL_TOL = 1e-9  # on both the optimal detuning and the minimal loss
+PERIMETER_SIDES = (1, 2, 3)  # face-block sides of the z-loops
 
 
 # -- random Clifford equivalence ---------------------------------------------
@@ -70,10 +82,7 @@ def random_hermitian_pauli(n: int, rng) -> PauliString:
     return p
 
 
-def clifford_equivalence_suite(n_circuits: int = 200, max_qubits: int = 12,
-                               seed: int = 0, paulis_per_circuit: int = 4,
-                               sampled_circuits: int = 25, n_samples: int = 400
-                               ) -> list[SuiteCheck]:
+def clifford_equivalence_suite(n_circuits: int = 200, seed: int = 0) -> list[SuiteCheck]:
     """Random circuits: exact expectation agreement and 3-sigma sampling."""
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -81,33 +90,33 @@ def clifford_equivalence_suite(n_circuits: int = 200, max_qubits: int = 12,
     z_worst = 0.0
     sampling_ok = True
     for k in range(n_circuits):
-        n = int(rng.integers(2, max_qubits + 1))
+        n = int(rng.integers(2, CLIFFORD_MAX_QUBITS + 1))
         ops = random_clifford_circuit(n, int(rng.integers(10, 40)), rng)
         t, s = run_circuit(n, ops)
-        for _ in range(paulis_per_circuit):
+        for _ in range(CLIFFORD_PAULIS):
             p = random_hermitian_pauli(n, rng)
             e_tab = tb.expectation_pauli(t, p)
             e_vec = float(np.real(np.vdot(s.amps, sv._pauli_action(s, p))))
             worst = max(worst, abs(e_tab - e_vec))
             if abs(e_tab - e_vec) > 1e-9:
                 exact_ok = False
-        if k < sampled_circuits:
+        if k < CLIFFORD_SAMPLED:
             p = random_hermitian_pauli(n, rng)
             e_vec = float(np.real(np.vdot(s.amps, sv._pauli_action(s, p))))
             prob_plus = (1.0 + e_vec) / 2.0
             hits = sum(tb.measure_pauli(t.clone(), p, rng)[0] == 1
-                       for _ in range(n_samples))
-            sigma = math.sqrt(max(prob_plus * (1 - prob_plus), 1e-12) / n_samples)
-            z = abs(hits / n_samples - prob_plus) / sigma
+                       for _ in range(CLIFFORD_SHOTS))
+            sigma = math.sqrt(max(prob_plus * (1 - prob_plus), 1e-12) / CLIFFORD_SHOTS)
+            z = abs(hits / CLIFFORD_SHOTS - prob_plus) / sigma
             z_worst = max(z_worst, z)
             if z > 3.0:
                 sampling_ok = False
     return [
         SuiteCheck("clifford_expectations_exact", exact_ok,
-                   f"{n_circuits} circuits <= {max_qubits} qubits, "
+                   f"{n_circuits} circuits <= {CLIFFORD_MAX_QUBITS} qubits, "
                    f"max deviation {worst:.2e}"),
         SuiteCheck("clifford_sampling_3sigma", sampling_ok,
-                   f"{sampled_circuits} circuits x {n_samples} shots, "
+                   f"{CLIFFORD_SAMPLED} circuits x {CLIFFORD_SHOTS} shots, "
                    f"worst z = {z_worst:.2f}"),
     ]
 
@@ -177,9 +186,9 @@ def syndrome_by_expectation(t: tb.Tableau, lattice: Lattice) -> tb.Syndrome:
 
 # -- formulas vs enumeration ---------------------------------------------------
 
-def quenched_formula_suite(sizes=(2, 3, 4)) -> list[SuiteCheck]:
+def quenched_formula_suite() -> list[SuiteCheck]:
     ok = True
-    for n in sizes:
+    for n in QUENCHED_SIZES:
         for m in range(n * n + 1):
             region = frozenset(range(m))
             if not math.isclose(analytics.quenched_enumeration_oracle(n, region),
@@ -187,7 +196,7 @@ def quenched_formula_suite(sizes=(2, 3, 4)) -> list[SuiteCheck]:
                                 rel_tol=0, abs_tol=1e-12):
                 ok = False
     return [SuiteCheck("quenched_enumeration_matches_formula", ok,
-                       f"all m, N in {tuple(sizes)}")]
+                       f"all m, N in {QUENCHED_SIZES}")]
 
 
 def braiding_sign_suite() -> list[SuiteCheck]:
@@ -203,9 +212,9 @@ def braiding_sign_suite() -> list[SuiteCheck]:
     return [SuiteCheck("braiding_statistics_signs", ok, "; ".join(detail))]
 
 
-def weyl_braiding_suite(d_range=range(2, 8)) -> list[SuiteCheck]:
+def weyl_braiding_suite() -> list[SuiteCheck]:
     ok = True
-    for d in d_range:
+    for d in WEYL_DIMENSIONS:
         for a in range(d):
             for b in range(d):
                 zs = WeylString.z_power(d, [0, 1], a)
@@ -213,11 +222,10 @@ def weyl_braiding_suite(d_range=range(2, 8)) -> list[SuiteCheck]:
                 if weyl_braiding_phase(zs, xs) != (a * b) % d:
                     ok = False
     return [SuiteCheck("weyl_braiding_phase_table", ok,
-                       f"d in {list(d_range)}")]
+                       f"d in {list(WEYL_DIMENSIONS)}")]
 
 
-def budget_minimization_suite(n_draws: int = 50, seed: int = 0,
-                              rel_tol: float = 1e-9) -> list[SuiteCheck]:
+def budget_minimization_suite(n_draws: int = 50, seed: int = 0) -> list[SuiteCheck]:
     """Numeric minimization of the loss over the detuning confirms the
     closed-form optimum.
 
@@ -246,7 +254,7 @@ def budget_minimization_suite(n_draws: int = 50, seed: int = 0,
         dev = max(abs(d_num - d_star) / d_star,
                   abs(loss_num - loss_closed) / loss_closed)
         worst = max(worst, dev)
-        if dev > rel_tol:
+        if dev > BUDGET_REL_TOL:
             ok = False
     return [SuiteCheck("photon_loss_minimization", ok,
                        f"{n_draws} draws, worst relative dev {worst:.2e}")]
@@ -372,8 +380,8 @@ class PerimeterMC:
     predicted_slope: float  # ln(1 - eps)
 
 
-def perimeter_law_mc(lattice: Lattice, eps: float, n_trials: int, seed: int,
-                     sides=(1, 2, 3)) -> PerimeterMC:
+def perimeter_law_mc(lattice: Lattice, eps: float, n_trials: int, seed: int
+                     ) -> PerimeterMC:
     """Depolarizing errors on string edges versus the length law.
 
     Each braid uses a z-loop around an s x s face block plus an x-loop
@@ -389,7 +397,7 @@ def perimeter_law_mc(lattice: Lattice, eps: float, n_trials: int, seed: int,
     perims = []
     means = []
     errs = []
-    for s in sides:
+    for s in PERIMETER_SIDES:
         zedges: frozenset[int] = frozenset()
         for r in range(1, 1 + s):
             for c in range(1, 1 + s):
@@ -411,8 +419,10 @@ def perimeter_law_mc(lattice: Lattice, eps: float, n_trials: int, seed: int,
                         letter = "XYZ"[int(rng.integers(3))]
                         op1 = multiply(PauliString.from_ops({edge: letter}), op1)
             vals[k] = tb.expectation_phase(ground, op1).real
-        clean = tb.expectation_phase(
-            ground, _product(strings)).real
+        clean_op = PauliString.identity()
+        for string in strings:
+            clean_op = multiply(string, clean_op)
+        clean = tb.expectation_phase(ground, clean_op).real
         perims.append(perimeter)
         means.append(float(np.mean(vals)) * clean)  # normalize sign
         errs.append(float(np.std(vals, ddof=1) / math.sqrt(n_trials)))
@@ -420,13 +430,6 @@ def perimeter_law_mc(lattice: Lattice, eps: float, n_trials: int, seed: int,
     means = np.array(means)
     slope = float(np.polyfit(perims, np.log(np.maximum(means, 1e-12)), 1)[0])
     return PerimeterMC(perims, means, np.array(errs), slope, math.log1p(-eps))
-
-
-def _product(strings) -> PauliString:
-    out = PauliString.identity()
-    for s in strings:
-        out = multiply(s, out)
-    return out
 
 
 # -- echo filter oracle --------------------------------------------------------
@@ -452,7 +455,7 @@ def echo_filter_variance(tau: float, n_pairs: int, xi_h: float, tau_c: float) ->
     return float(w @ cov @ w)
 
 
-# -- noise sampler reference ---------------------------------------------------
+# -- slow references of fast paths ---------------------------------------------
 
 def circulant_noise_reference(model: NoiseModel, lattice: Lattice, seed) -> np.ndarray:
     """The circulant-embedding noise of ``diffusion.sample_noise`` from one
@@ -472,36 +475,56 @@ def circulant_noise_reference(model: NoiseModel, lattice: Lattice, seed) -> np.n
     return values
 
 
+def _plus_probe(memory: sv.StateVector) -> sv.StateVector:
+    """The memory with a probe qubit n in |+>: the amplitudes doubled, /sqrt 2."""
+    amps = np.concatenate([memory.amps, memory.amps])
+    amps /= math.sqrt(2)
+    return sv.StateVector(memory.n + 1, amps)
+
+
+def interferometry_probe_reference(program: BraidProgram, initial: tb.Tableau
+                                   ) -> Coherence:
+    """``protocols.run_interferometry`` with a |+> probe qubit that controls
+    the strings; alpha is twice the overlap of the probe's |0> and |1> blocks."""
+    lattice = program.lattice
+    u, j = program.ledger.coupling_u, program.ledger.coupling_j
+    state = _plus_probe(_dense_memory(program, initial))
+    probe = state.n - 1
+    for step in program.steps:
+        if isinstance(step, StringStep):
+            sv.apply_controlled_pauli(state, probe, from_string_path(step.path))
+        elif isinstance(step, EchoStep):
+            sv.apply_pauli_string(state, _echo_pauli(lattice, step.kind))
+        else:
+            sv.evolve_hsurf(state, lattice, u, j, step.t)
+    half = 1 << probe
+    return Coherence(2.0 * complex(np.vdot(state.amps[:half], state.amps[half:])))
+
+
 def teleport_circuit_reference(lattice: Lattice, memory: sv.StateVector, axis,
                                theta: float, outcome: int
                                ) -> tuple[sv.StateVector, float]:
     """The gate-teleportation circuits of ``protocols.teleport_rotation``
     with an explicit probe qubit, for a given outcome (+-1).
 
-    The memory is doubled to n + 1 dense qubits, the probe (qubit n)
-    prepared in |+> ("X" and strings) or |0> ("Z"), the controlled string,
-    the probe H gates and the probe rotation exp(i theta X_p) or
+    The memory is doubled to n + 1 dense qubits with the probe (qubit n)
+    in |+> (for "Z", the |0> probe after its first H gate), the controlled
+    string, the probe H gates and the probe rotation exp(i theta X_p) or
     exp(i theta Z_p) applied, the probe measured and the -1 branch
     corrected by the string.  Returns the corrected memory state and the -1
     probability, the squared norm of the probe-|1> half.
     """
     string, circuit = _teleport_axis(lattice, axis)
     probe = memory.n
+    state = _plus_probe(memory)
+    sv.apply_controlled_pauli(state, probe, string)
     if circuit == "plus":
-        amps = np.concatenate([memory.amps, memory.amps])
-        amps /= math.sqrt(2)
-        state = sv.StateVector(probe + 1, amps)
-        sv.apply_controlled_pauli(state, probe, string)
         sv.apply_pauli_exponential(state, PauliString.from_ops({probe: "X"}), theta)
     else:
-        amps = np.concatenate([memory.amps, np.zeros_like(memory.amps)])
-        state = sv.StateVector(probe + 1, amps)
-        # logical-controlled NOT onto the probe: H_A Lambda_A[Z~] H_A
-        state = sv.apply_gate(state, "H", probe)
-        sv.apply_controlled_pauli(state, probe, string)
-        state = sv.apply_gate(state, "H", probe)
+        # H_A Lambda_A[Z~] H_A on the |0> probe is a logical-controlled NOT
+        sv.apply_gate(state, "H", probe)
         sv.apply_pauli_exponential(state, PauliString.from_ops({probe: "Z"}), theta)
-        state = sv.apply_gate(state, "H", probe)
+        sv.apply_gate(state, "H", probe)
 
     half = 1 << probe
     block = state.amps[half:] if outcome == -1 else state.amps[:half]

@@ -10,7 +10,7 @@ operators).  The delay phases come from an energy ledger kept by lattice
 incidence: the initial syndrome is read once, and a branch syndrome is that
 syndrome flipped at the vertices and faces where the branch operator ends,
 at a cost of O(|string|) per delay.  A dense two-branch statevector path and
-an explicit-probe path exist for cross-validation on small lattices.
+an explicit-probe oracle cross-validate it on small lattices.
 
 A teleported rotation acts on the dense memory without a probe qubit: both
 probe branches follow from one Pauli action on the memory, and the
@@ -143,48 +143,32 @@ def run_interferometry(program: BraidProgram, initial: tb.Tableau) -> Coherence:
     return Coherence(alpha)
 
 
-def run_interferometry_dense(program: BraidProgram, initial: tb.Tableau,
-                             materialize_probe: bool = False) -> Coherence:
-    """Dense oracle for the interferometer (lattice must fit the dense cap).
+def _dense_memory(program: BraidProgram, initial: tb.Tableau) -> sv.StateVector:
+    """The dense state of a bare memory tableau on the program's lattice."""
+    memory = sv.from_tableau(initial)
+    if memory.n != program.lattice.n_edges:
+        raise UsageError("dense interferometry needs a bare memory tableau")
+    return memory
 
-    Two-branch mode evolves the |0> and |1> conditional histories as
-    separate statevectors.  With materialize_probe the probe qubit is
-    represented explicitly and the strings applied via controlled-Pauli
-    gates; the coherence is then read from the probe block overlap.
-    """
+
+def run_interferometry_dense(program: BraidProgram, initial: tb.Tableau) -> Coherence:
+    """Dense oracle for the interferometer (lattice must fit the dense cap):
+    the |0> and |1> conditional histories evolve as separate statevectors."""
     lattice = program.lattice
     u, j = program.ledger.coupling_u, program.ledger.coupling_j
-    base = sv.from_tableau(initial)
-    if base.n != lattice.n_edges:
-        raise UsageError("dense interferometry needs a bare memory tableau")
-    if not materialize_probe:
-        b0, b1 = base.clone(), base.clone()
-        for step in program.steps:
-            if isinstance(step, StringStep):
-                sv.apply_pauli_string(b1, from_string_path(step.path))
-            elif isinstance(step, EchoStep):
-                p = _echo_pauli(lattice, step.kind)
-                sv.apply_pauli_string(b0, p)
-                sv.apply_pauli_string(b1, p)
-            else:
-                sv.evolve_hsurf(b0, lattice, u, j, step.t)
-                sv.evolve_hsurf(b1, lattice, u, j, step.t)
-        return Coherence(sv.inner_product(b0, b1))
-
-    probe = base.n
-    amps = np.concatenate([base.amps, base.amps])
-    amps /= math.sqrt(2)
-    state = sv.StateVector(probe + 1, amps)
+    b0 = _dense_memory(program, initial)
+    b1 = b0.clone()
     for step in program.steps:
         if isinstance(step, StringStep):
-            sv.apply_controlled_pauli(state, probe, from_string_path(step.path))
+            sv.apply_pauli_string(b1, from_string_path(step.path))
         elif isinstance(step, EchoStep):
-            sv.apply_pauli_string(state, _echo_pauli(lattice, step.kind))
+            p = _echo_pauli(lattice, step.kind)
+            sv.apply_pauli_string(b0, p)
+            sv.apply_pauli_string(b1, p)
         else:
-            sv.evolve_hsurf(state, lattice, u, j, step.t)
-    half = 1 << probe
-    alpha = 2.0 * complex(np.vdot(state.amps[:half], state.amps[half:]))
-    return Coherence(alpha)
+            sv.evolve_hsurf(b0, lattice, u, j, step.t)
+            sv.evolve_hsurf(b1, lattice, u, j, step.t)
+    return Coherence(sv.inner_product(b0, b1))
 
 
 def fringe(c: Coherence, phi_grid) -> FringeCurve:
@@ -383,11 +367,12 @@ class GeometricGateReport:
     required_product: float         # |alpha beta| that realizes Lambda[S]
     rotation_angle: float           # theta of the probe-free e^{i theta S}
     rotation_claimed_product: float  # coefficient |alpha beta| would claim
-    tolerance: float
 
 
-def verify_geometric_gate(spec: GeometricGateSpec, tolerance: float = 1e-12
-                          ) -> GeometricGateReport:
+GEOMETRIC_GATE_TOL = 1e-12  # phase-table equality, absolute
+
+
+def verify_geometric_gate(spec: GeometricGateSpec) -> GeometricGateReport:
     """Compare the four-branch phase table with Lambda[S].
 
     Equality is judged up to one global phase together with a free
@@ -399,9 +384,9 @@ def verify_geometric_gate(spec: GeometricGateSpec, tolerance: float = 1e-12
     """
     table = {(a, s): geometric_branch_phase(spec, a, s)
              for a in (0, 1) for s in (1, -1)}
-    ok_zero = abs(table[(0, 1)] - table[(0, -1)]) <= tolerance
+    ok_zero = abs(table[(0, 1)] - table[(0, -1)]) <= GEOMETRIC_GATE_TOL
     ratio = table[(1, 1)] / table[(1, -1)]
-    ok_one = abs(ratio + 1.0) <= tolerance
+    ok_one = abs(ratio + 1.0) <= GEOMETRIC_GATE_TOL
     re_ab = (spec.alpha_amp * spec.beta_amp.conjugate()).real
     cosd = re_ab / (abs(spec.alpha_amp * spec.beta_amp) or 1.0)
     required = math.inf if abs(cosd) < 1e-15 else (math.pi / 4) / abs(cosd)
@@ -413,7 +398,6 @@ def verify_geometric_gate(spec: GeometricGateSpec, tolerance: float = 1e-12
         required_product=required,
         rotation_angle=theta,
         rotation_claimed_product=abs(spec.alpha_amp * spec.beta_amp),
-        tolerance=tolerance,
     )
 
 

@@ -97,8 +97,7 @@ def test_criterion_2_dynamical_phase():
         program = oracle.random_braid_program(lattice, rng)
         a_ledger = pr.run_interferometry(program, ground).alpha
         a_dense = pr.run_interferometry_dense(program, ground).alpha
-        a_probe = pr.run_interferometry_dense(program, ground,
-                                              materialize_probe=True).alpha
+        a_probe = oracle.interferometry_probe_reference(program, ground).alpha
         worst = max(worst, abs(a_ledger - a_dense), abs(a_ledger - a_probe))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-10 and elapsed < 30.0
@@ -171,7 +170,7 @@ def test_criterion_4_memory_roundtrip():
 
 def test_criterion_5_geometric_gate():
     spec = pr.GeometricGateSpec(math.sqrt(math.pi / 4), math.sqrt(math.pi / 4))
-    report = pr.verify_geometric_gate(spec, tolerance=1e-12)
+    report = pr.verify_geometric_gate(spec)
     assert report.controlled_string_pass
     assert report.required_product == pytest.approx(math.pi / 4, abs=1e-12)
     doubled = pr.verify_geometric_gate(
@@ -256,7 +255,7 @@ def test_criterion_7_fig5_ordering_and_refocusing():
 
     # exact static refocusing
     rng = np.random.default_rng(3)
-    static = df.StaticField(rng.normal(size=torus.n_edges))
+    static = df.NoiseRealization(rng.normal(size=torus.n_edges)[:, None], 1.0)
     worst = 0.0
     for n in (1, 4, 10):
         sched = df.build_echo_schedule("z_pairs", 8.0, n)
@@ -305,7 +304,7 @@ def test_criterion_7_echo_scaling_law():
 
 def test_criterion_8_quenched_contrast():
     start = time.perf_counter()
-    checks = oracle.quenched_formula_suite((2, 3, 4))
+    checks = oracle.quenched_formula_suite()
     assert all(c.passed for c in checks)
     torus = lat.torus(4)
     details = []
@@ -324,7 +323,7 @@ def test_criterion_8_quenched_contrast():
 
 
 def test_criterion_9_budgets():
-    checks = oracle.budget_minimization_suite(n_draws=50, seed=9, rel_tol=1e-9)
+    checks = oracle.budget_minimization_suite(n_draws=50, seed=9)
     assert all(c.passed for c in checks), checks
     budget = an.MemoryBudget(delta_h=0.1, coupling_j=1.0, n_length=5,
                              q=2e-3, purcell=5e5, epsilon=1e-4)
@@ -337,7 +336,7 @@ def test_criterion_9_budgets():
 
 def test_criterion_10_zd_statistics():
     start = time.perf_counter()
-    checks = oracle.weyl_braiding_suite(range(2, 8))
+    checks = oracle.weyl_braiding_suite()
     assert all(c.passed for c in checks)
     # clock/shift matrix validation for d <= 5
     from anyonsim.weyl import WeylString, weyl_braiding_phase
@@ -360,8 +359,7 @@ def test_criterion_10_zd_statistics():
 
 
 def test_criterion_11_engine_equivalence():
-    checks = oracle.clifford_equivalence_suite(n_circuits=200, max_qubits=12,
-                                               seed=2718)
+    checks = oracle.clifford_equivalence_suite(n_circuits=200, seed=2718)
     for check in checks:
         assert check.passed, check
     _report(11, True, "; ".join(c.detail for c in checks))

@@ -157,7 +157,7 @@ def test_quenched_phase_prob():
 
 
 def test_enumeration_oracle_matches_formula():
-    checks = oracle.quenched_formula_suite((2, 3, 4))
+    checks = oracle.quenched_formula_suite()
     assert all(c.passed for c in checks)
     assert an.quenched_enumeration_oracle(2, {0, 1}) == pytest.approx(2 / 3)
     assert an.quenched_enumeration_oracle(4, set(range(16))) == 0.0

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -116,7 +117,7 @@ def test_spectrum_computed_once_and_checked_every_call(torus4, monkeypatch):
 
 def test_static_refocusing_exact(torus4):
     rng = np.random.default_rng(3)
-    static = df.StaticField(rng.normal(size=torus4.n_edges))
+    static = df.NoiseRealization(rng.normal(size=torus4.n_edges)[:, None], 1.0)
     for n in (1, 2, 5):
         sched = df.build_echo_schedule("z_pairs", 3.0, n)
         s = df.evolve_anyon(torus4, static, sched, 5, "x", dt=0.05)[5]
@@ -129,11 +130,11 @@ def test_static_refocusing_exact(torus4):
 
 def test_short_time_quadratic_decay(torus4):
     rng = np.random.default_rng(4)
-    static = df.StaticField(rng.normal(size=torus4.n_edges))
+    static = df.NoiseRealization(rng.normal(size=torus4.n_edges)[:, None], 1.0)
     tau = 0.15
     sched = df.build_echo_schedule("none", tau)
     s = df.evolve_anyon(torus4, static, sched, 5, "x", dt=1e-3)[5]
-    h2 = sum(static.edge_values[e] ** 2
+    h2 = sum(static.values[e, 0] ** 2
              for e in range(torus4.n_edges) if 5 in torus4.edge_faces[e])
     expected = 1 - tau ** 2 / 2 * h2
     assert abs(s.real - expected) < (tau * math.sqrt(h2)) ** 3
@@ -171,7 +172,8 @@ def test_static_evolution_matches_exact_exponential(spec, sector):
     evals, evecs = np.linalg.eigh(ham)
     exact = evecs @ (np.exp(-0.7j * evals) * evecs[0])
     sched = df.build_echo_schedule("none", 0.7)
-    state = df.evolve_anyon(lattice, df.StaticField(field), sched, 0, sector, dt=0.05)
+    state = df.evolve_anyon(lattice, df.NoiseRealization(field[:, None], 1.0), sched, 0,
+                             sector, dt=0.05)
     assert np.abs(state - exact).max() < 1e-12
 
 
@@ -214,9 +216,19 @@ def test_propagators_match_exact_exponential(theta):
         assert np.array_equal(props, np.broadcast_to(np.eye(n), props.shape))
 
 
+class CallableField:
+    """A smooth deterministic field t -> per-edge vector, read through the
+    integrator's ``at_many`` interface."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def at_many(self, times):
+        return np.stack([self.fn(t) for t in times], axis=1)
+
+
 def test_integrator_convergence(torus4):
-    smooth = df.CallableField(
-        lambda t: 0.3 * np.sin(1.7 * t + np.arange(torus4.n_edges)))
+    smooth = CallableField(lambda t: 0.3 * np.sin(1.7 * t + np.arange(torus4.n_edges)))
     sched = df.build_echo_schedule("z_pairs", 2.0, 1)
     s1 = df.evolve_anyon(torus4, smooth, sched, 3, "x", dt=1e-3)[3]
     s2 = df.evolve_anyon(torus4, smooth, sched, 3, "x", dt=5e-4)[3]
@@ -257,7 +269,7 @@ def test_boundary_w_refocuses_on_planar():
     # sectors with boundary-safe pulses
     p3 = lat.planar(3)
     rng = np.random.default_rng(5)
-    static = df.StaticField(rng.normal(size=p3.n_edges))
+    static = df.NoiseRealization(rng.normal(size=p3.n_edges)[:, None], 1.0)
     for n in (1, 2):
         sched = df.build_echo_schedule("boundary_w", 4.0, n, lattice=p3)
         for sector in ("x", "z"):
@@ -314,8 +326,10 @@ def test_x_z_duality_on_torus(torus4):
     dual_field = np.zeros_like(field)
     dual_field[perm] = field
     sched = df.build_echo_schedule("none", 1.5)
-    sx = df.evolve_anyon(torus4, df.StaticField(field), sched, 5, "x", dt=0.01)
-    sz = df.evolve_anyon(torus4, df.StaticField(dual_field), sched, 5, "z", dt=0.01)
+    sx = df.evolve_anyon(torus4, df.NoiseRealization(field[:, None], 1.0), sched, 5, "x",
+                         dt=0.01)
+    sz = df.evolve_anyon(torus4, df.NoiseRealization(dual_field[:, None], 1.0), sched, 5,
+                         "z", dt=0.01)
     assert np.allclose(sx, sz, atol=1e-9)
 
 
@@ -333,6 +347,45 @@ def test_contrast_curve_basics(torus4):
     with pytest.raises(UsageError):
         df.contrast_curve(torus4, model, [("none", 0)], [1.0], 2, 1, 0,
                           estimator="median")
+
+
+def _diffusion_calls(lattice):
+    """Each checked diffusion entry point with valid keyword arguments."""
+    model = df.NoiseModel(xi_h=1.0, tau_c=1.0, dt=0.05, duration=1.0)
+    field = df.NoiseRealization(np.zeros((lattice.n_edges, 1)), 1.0)
+    return {
+        "contrast_curve": (df.contrast_curve, dict(
+            lattice=lattice, model=model, schedule_family=[("none", 0)], tau_grid=[1.0],
+            n_trials=1, n_particles=1, seed=0, dt=0.05)),
+        "evolve_anyon": (df.evolve_anyon, dict(
+            lattice=lattice, field=field, schedule=df.build_echo_schedule("none", 1.0),
+            start_cell=0, sector="x", dt=0.05)),
+    }
+
+
+# (entry point, parameter, bad value)
+BAD_DIFFUSION_INPUTS = [
+    *[("contrast_curve", "dt", v) for v in (-1.0, 0.0, math.nan, math.inf)],
+    *[("contrast_curve", "n_particles", v) for v in (0, -1)],
+    *[("evolve_anyon", "dt", v) for v in (-0.1, 0.0, math.nan, -math.inf)],
+]
+
+
+@pytest.mark.parametrize("entry, param, value", BAD_DIFFUSION_INPUTS,
+                         ids=[f"{e}-{p}={v}" for e, p, v in BAD_DIFFUSION_INPUTS])
+def test_bad_diffusion_inputs_rejected(entry, param, value, torus4, monkeypatch):
+    # a UsageError naming the parameter, before any noise is drawn and
+    # without a numpy warning
+    def no_noise(*args, **kwargs):
+        raise AssertionError("noise sampled before the inputs were checked")
+
+    monkeypatch.setattr(df, "sample_noise", no_noise)
+    fn, kwargs = _diffusion_calls(torus4)[entry]
+    kwargs[param] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UsageError, match=rf"\b{param}\b"):
+            fn(**kwargs)
 
 
 def test_contrast_curve_determinism(torus4):
@@ -416,7 +469,8 @@ def test_step_stack_memory_bounded(monkeypatch):
     budget = 1 << 20
     monkeypatch.setattr(df, "_STACK_BYTES", budget)
     t8 = lat.torus(8)
-    static = df.StaticField(np.random.default_rng(2).normal(size=t8.n_edges))
+    field = np.random.default_rng(2).normal(size=t8.n_edges)
+    static = df.NoiseRealization(field[:, None], 1.0)
     sched = df.build_echo_schedule("z_pairs", 5.0, 1)
     tracemalloc.start()
     try:
