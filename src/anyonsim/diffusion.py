@@ -192,6 +192,8 @@ class EchoSchedule:
     pulses: tuple[Pulse, ...]
 
     def __post_init__(self):
+        if not (math.isfinite(self.duration) and self.duration >= 0):
+            raise UsageError(f"duration must be finite and >= 0, got {self.duration!r}")
         times = [p.time for p in self.pulses]
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
             raise UsageError("pulse times must be strictly increasing")
@@ -473,8 +475,8 @@ def contrast_curve(lattice: Lattice, model: NoiseModel, schedule_family,
     if estimator not in ("amplitude", "probability"):
         raise UsageError("estimator must be 'amplitude' or 'probability'")
     taus = np.asarray(sorted(tau_grid), dtype=float)
-    if taus.size == 0 or taus.min() < 0:
-        raise UsageError("tau grid must be non-negative")
+    if taus.size == 0 or not np.isfinite(taus).all() or taus.min() < 0:
+        raise UsageError(f"tau_grid must be finite and non-negative, got {list(tau_grid)!r}")
     t_max = float(taus.max())
     cells = spread_cells(lattice, sector, n_particles)
     if dt is None:

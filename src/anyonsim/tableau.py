@@ -13,6 +13,16 @@ block ``x[w]`` is contiguous.  Every read starts from the row bitset of the
 rows that anticommute with a Pauli, the XOR of its few support columns;
 gates are XORs and swaps of columns, so torus(32) = 2048 qubits stays cheap.
 
+A Pauli p that commutes with every stabilizer has <p> = i**(k_p - k_prod),
+where prod is the product of the stabilizer rows whose destabilizers
+anticommute with p.  _group_phases reads this for a whole batch of Paulis
+at once: it transposes only the 64-row blocks holding those rows into
+packed qubit words, and a segmented prefix XOR with a popcount gives every
+product's phase (the deterministic read of Aaronson and Gottesman, batched
+as in Gidney's Stim, Quantum 5, 497, 2021).  syndrome reads every
+stabilizer in one batch; expectation_phase and measurement read a batch of
+one.
+
 A Tableau is single-writer: gates and measurements mutate in place.  Clones
 are cheap and independent, which is how parallel Monte Carlo shares states.
 """
@@ -242,7 +252,7 @@ def _project(t: Tableau, p: PauliString, rng=None, want: int | None = None) -> i
             want = 1 if int(rng.integers(2)) == 0 else -1
         t._set_row(pivot, xs, zs, (p.phase + (0 if want == 1 else 2)) & 3)
         return want
-    value = _deterministic_phase(t, p.phase, xs, zs, rows)
+    value = _phase_one(t, p, xs, zs, antic)
     if value not in (1, -1):
         raise ContractError("deterministic measurement with non-real phase")
     if want is not None and value != want:
@@ -261,32 +271,90 @@ def expectation_pauli(t: Tableau, p: PauliString) -> int:
 def expectation_phase(t: Tableau, p: PauliString) -> complex:
     """<p> for any phase-tracked Pauli: 0, or a power of i."""
     xs, zs = t._columns(p)
-    rows = np.flatnonzero(_row_bits(t._anticommute(xs, zs)))
+    antic = t._anticommute(xs, zs)
+    rows = np.flatnonzero(_row_bits(antic))
     if rows.size and rows[-1] >= t.n:
         return 0j
-    return _deterministic_phase(t, p.phase, xs, zs, rows)
+    return _phase_one(t, p, xs, zs, antic)
 
 
-def _deterministic_phase(t, p_phase, xs, zs, members) -> complex:
-    """<p> = i**(k_p - k_prod) for a p in the stabilizer group, with x bits
-    on the qubits xs and z bits on zs.  prod is the product of the
-    stabilizer rows n+j for the destabilizers j in ``members`` (those
-    anticommuting with p), each read from its 64-row block; it must
-    reproduce p's bits."""
-    px = np.zeros(t.n, dtype=bool)
-    pz = np.zeros(t.n, dtype=bool)
-    phase = 0
-    for j in members:
-        row = t.n + int(j)
-        xb, zb = t._row(row)
-        phase += int(t.r[row]) + 2 * int(np.count_nonzero(pz & xb))
-        px ^= xb
-        pz ^= zb
-    px[xs] ^= True
-    pz[zs] ^= True
-    if np.count_nonzero(px) or np.count_nonzero(pz):
-        raise ContractError("operator commutes with the group but is not in it")
-    return 1j ** ((p_phase - phase) % 4)
+# i**k for k = 0..3, the values a phase-tracked expectation can take
+_I_POWERS = np.array([1j ** k for k in range(4)])
+_PASS_WORDS = 1 << 15  # words per member-row array in one kernel pass (256 KiB)
+_TILE_GROUP = 64       # 64x64-bit tiles transposed at once (256 KiB of bits)
+
+
+def _row_blocks(t: Tableau, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 64-row blocks holding ``rows``, transposed: ``table[s, i]`` holds
+    the x and z bits (2, ceil(n/64)) of row i of the block in slot s, packed
+    along the qubits, and ``slots`` gives each row's slot.  Each 64x64-bit
+    tile goes through bytes, a bounded group of tiles at a time."""
+    used = np.zeros(t.x.shape[0], dtype=bool)
+    used[rows >> 6] = True
+    blocks = used.nonzero()[0]
+    n_words = -(-t.n // 64)
+    tiles = np.zeros((len(blocks), 2, n_words * 64), dtype="<u8")
+    tiles[:, 0, :t.n] = t.x[blocks]
+    tiles[:, 1, :t.n] = t.z[blocks]
+    flat = tiles.reshape(-1, 64)  # word q of a tile: its qubit q's 64 row bits
+    for lo in range(0, len(flat), _TILE_GROUP):
+        group = flat[lo:lo + _TILE_GROUP]
+        bits = np.ascontiguousarray(_row_bits(group[..., None]).swapaxes(1, 2))
+        group[:] = np.packbits(bits, axis=-1, bitorder="little").view("<u8")[..., 0]
+    # word i of a tile now holds row i's bits on the tile's 64 qubits
+    table = tiles.reshape(len(blocks), 2, n_words, 64).transpose(0, 3, 1, 2)
+    return table, used.cumsum()[rows >> 6] - 1
+
+
+def _group_phases(t: Tableau, antic, targets, phases) -> np.ndarray:
+    """<p> = i**(k_p - k_prod) for k Paulis p in the stabilizer group.
+
+    ``antic`` (k, W) holds each p's row bitset (Tableau._anticommute), which
+    must set no stabilizer row, and ``phases`` its k_p.  ``targets`` lists
+    p's bits as (owner, side, qubit) arrays sorted by owner, side 0 for an
+    x bit and 1 for a z bit.  prod is the ordered product of the stabilizer
+    rows n+j over p's members, the destabilizers j that anticommute with p,
+    read by _row_blocks; it must reproduce p's bits.  Since
+    Z**z_i X**x_j = (-1)**(z_i . x_j) X**x_j Z**z_i,
+    k_prod = sum r + 2 sum_{i<j} z_i . x_j (mod 4): each member's x row
+    meets the segmented exclusive prefix XOR of the z rows before it.
+    Paulis are taken in passes of a bounded number of member rows.
+    """
+    owner, word = antic.nonzero()  # members in order within each Pauli
+    hit, bit = _row_bits(antic[owner, word, None]).nonzero()
+    owner, rows = owner[hit], t.n + 64 * word[hit] + bit
+    last = np.bincount(owner, minlength=len(antic)).cumsum()
+    first = np.concatenate(([0], last[:-1]))
+    n_words = -(-t.n // 64)
+    budget = _PASS_WORDS // (2 * n_words)
+    cuts = last.searchsorted(np.arange(budget, len(rows), budget), side="right")
+    cuts = sorted({0, len(antic), *cuts.tolist()})
+    table, slots = _row_blocks(t, rows)
+    values = np.empty(len(antic), dtype=complex)
+    for lo, hi in zip(cuts, cuts[1:]):
+        members = slice(first[lo], last[hi - 1])
+        xz = table[slots[members], rows[members] & 63]
+        acc = np.zeros((len(xz) + 1, *xz.shape[1:]), dtype=np.uint64)
+        np.bitwise_xor.accumulate(xz, axis=0, out=acc[1:])
+        start, end = first[lo:hi] - first[lo], last[lo:hi] - first[lo]
+        own, side, q = (a[slice(*targets[0].searchsorted([lo, hi]))] for a in targets)
+        want = np.zeros((hi - lo, 2, n_words), dtype=np.uint64)
+        np.bitwise_or.at(want, (own - lo, side, q >> 6), _ONE << (q & 63).astype(np.uint64))
+        if (acc[end] ^ acc[start] ^ want).any():
+            raise ContractError("operator commutes with the group but is not in it")
+        seg = owner[members] - lo
+        z_before = acc[:-1, 1] ^ acc[start[seg], 1]
+        terms = t.r[rows[members]] + 2 * np.bitwise_count(z_before & xz[:, 0]).sum(axis=1)
+        k_prod = np.bincount(seg, weights=terms, minlength=hi - lo).astype(np.int64)
+        values[lo:hi] = _I_POWERS[(np.asarray(phases[lo:hi]) - k_prod) % 4]
+    return values
+
+
+def _phase_one(t: Tableau, p: PauliString, xs, zs, antic) -> complex:
+    """_group_phases for the single Pauli p."""
+    sides = np.array([0] * len(xs) + [1] * len(zs), dtype=np.int64)
+    targets = (np.zeros_like(sides), sides, np.array(xs + zs, dtype=np.int64))
+    return complex(_group_phases(t, antic[None], targets, [p.phase])[0])
 
 
 @dataclass(frozen=True)
@@ -312,37 +380,48 @@ class EnergyLedger:
         require_finite(self, "coupling_u", "coupling_j")
 
 
-_SYNDROME_BLOCK = 64  # stabilizers per block; bounds the unpacked row bits
-
-
 def syndrome(t: Tableau, lattice: Lattice) -> Syndrome:
     """Anyon positions: stabilizers at -1.  The state must be an eigenstate
     of every stabilizer (guaranteed after Pauli strings on eigenstates).
 
     Stabilizers have weight <= 4, so the rows anticommuting with each one
-    are the XOR of its few support columns, read 64 stabilizers at a time,
-    instead of a full-tableau expectation (oracle.syndrome_by_expectation
-    keeps that slow path as the reference).
+    are the XOR of its few support columns, one reduceat per stabilizer
+    type, and every sign comes from one _group_phases batch, instead of a
+    full-tableau expectation each (oracle.syndrome_by_expectation keeps
+    that slow path as the reference).
     """
     if lattice.n_edges > t.n:
         raise UsageError(f"lattice of {lattice.n_edges} edges outside tableau "
                          f"of {t.n} qubits")
-    # X-type vertex stabilizers have x bits only, Z-type faces z bits only
-    stabilizers = ([("vertex", v, list(s), []) for v, s in enumerate(lattice.stars)]
-                   + [("face", f, [], list(b)) for f, b in enumerate(lattice.boundaries)])
-    flipped = {"vertex": set(), "face": set()}
-    for first in range(0, len(stabilizers), _SYNDROME_BLOCK):
-        block = stabilizers[first:first + _SYNDROME_BLOCK]
-        rows = _row_bits(np.stack([t._anticommute(xs, zs) for _, _, xs, zs in block]))
-        for (kind, i, xs, zs), antic in zip(block, rows):
-            value = 0
-            if not antic[t.n:].any():
-                value = _deterministic_phase(t, 0, xs, zs, np.flatnonzero(antic[:t.n]))
-            if value == -1:
-                flipped[kind].add(i)
-            elif value != 1:
-                raise ContractError(f"{kind} stabilizer {i} has no definite value")
-    return Syndrome(frozenset(flipped["vertex"]), frozenset(flipped["face"]))
+    n_v = lattice.n_vertices
+    k = n_v + lattice.n_faces
+    # X-type vertex stabilizers have x bits only, meeting the rows' z bits;
+    # Z-type faces z bits only, meeting their x bits
+    antic, owners, sides, qubits = [], [], [], []
+    for side, groups, cols in ((0, lattice.stars, t.z), (1, lattice.boundaries, t.x)):
+        sizes = [len(g) for g in groups]
+        flat = np.concatenate(groups)
+        antic.append(np.bitwise_xor.reduceat(cols[:, flat], np.cumsum([0, *sizes[:-1]]),
+                                             axis=1).T)
+        owners.append(side * n_v + np.repeat(np.arange(len(groups)), sizes))
+        sides.append(np.full(len(flat), side))
+        qubits.append(flat)
+    antic = np.concatenate(antic)
+    targets = [np.concatenate(a) for a in (owners, sides, qubits)]
+    # the batch stops at the first stabilizer that a stabilizer row
+    # anticommutes with: its value is not definite
+    low = np.uint64((1 << (t.n & 63)) - 1)
+    indefinite = np.flatnonzero((antic[:, t.n >> 6] & ~low).astype(bool)
+                                | antic[:, (t.n >> 6) + 1:].any(axis=1))
+    cut = int(indefinite[0]) if indefinite.size else k
+    values = _group_phases(t, antic[:cut], targets, np.zeros(cut, int))
+    bad = [*np.flatnonzero((values != 1) & (values != -1)), cut]
+    if bad[0] < k:
+        kind, i = ("vertex", bad[0]) if bad[0] < n_v else ("face", bad[0] - n_v)
+        raise ContractError(f"{kind} stabilizer {i} has no definite value")
+    flipped = np.flatnonzero(values == -1)
+    return Syndrome(frozenset(flipped[flipped < n_v].tolist()),
+                    frozenset((flipped[flipped >= n_v] - n_v).tolist()))
 
 
 def syndrome_after(s: Syndrome, lattice: Lattice, p: PauliString) -> Syndrome:
@@ -383,23 +462,31 @@ def prepare_ground_state(lattice: Lattice, logical_sector=0, n_ancillas: int = 0
     z-strings, as the paper's protocol does, gives the same state: the
     strings flip only the stars at their ends and commute with every H_f
     and logical Z, whose joint eigenstate is unique.  On a torus the last
-    star is already +1, the product of the others.  Ancilla qubits
-    (appended after the edge qubits) stay in |0>.  ``rng`` is not read.
+    star is already +1, the product of the others, and is not projected.
+    Ancilla qubits (appended after the edge qubits) stay in |0>.  ``rng``
+    is not read.
     """
-    t = Tableau(lattice.n_edges + n_ancillas)
-    for star in lattice.stars:
-        _project(t, PauliString.x_on(star), want=1)
-
+    if n_ancillas < 0:
+        raise UsageError(f"n_ancillas must be >= 0, got {n_ancillas}")
     pairs = logical_operators(lattice)
     if isinstance(logical_sector, int):
-        bits = [logical_sector] if len(pairs) == 1 else [
-            (logical_sector >> k) & 1 for k in range(len(pairs))]
+        if not 0 <= logical_sector < 2 ** len(pairs):
+            raise UsageError(f"logical_sector must lie in 0..{2 ** len(pairs) - 1}, "
+                             f"got {logical_sector}")
+        bits = [(logical_sector >> k) & 1 for k in range(len(pairs))]
     else:
         bits = list(logical_sector)
     if len(bits) != len(pairs):
         raise UsageError(f"need {len(pairs)} logical sector bits")
-    for bit, (cz_path, cx_path) in zip(bits, pairs):
-        want = 1 if bit == 0 else -1
-        if expectation_pauli(t, from_string_path(cz_path)) != want:
+    if any(bit not in (0, 1) for bit in bits):
+        raise UsageError(f"logical_sector bits must be 0 or 1, got {logical_sector!r}")
+
+    t = Tableau(lattice.n_edges + n_ancillas)
+    # on a torus the last star is the product of the others
+    for star in lattice.stars[:-1] if lattice.is_torus else lattice.stars:
+        _project(t, PauliString.x_on(star), want=1)
+    # every logical Z commutes with the stars, so it still reads +1
+    for bit, (_, cx_path) in zip(bits, pairs):
+        if bit:
             apply_pauli_string(t, from_string_path(cx_path))
     return t

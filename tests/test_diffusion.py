@@ -360,6 +360,7 @@ def _diffusion_calls(lattice):
         "evolve_anyon": (df.evolve_anyon, dict(
             lattice=lattice, field=field, schedule=df.build_echo_schedule("none", 1.0),
             start_cell=0, sector="x", dt=0.05)),
+        "build_echo_schedule": (df.build_echo_schedule, dict(kind="z_pairs", duration=1.0, n=1)),
     }
 
 
@@ -368,6 +369,8 @@ BAD_DIFFUSION_INPUTS = [
     *[("contrast_curve", "dt", v) for v in (-1.0, 0.0, math.nan, math.inf)],
     *[("contrast_curve", "n_particles", v) for v in (0, -1)],
     *[("evolve_anyon", "dt", v) for v in (-0.1, 0.0, math.nan, -math.inf)],
+    *[("contrast_curve", "tau_grid", [v]) for v in (math.nan, math.inf, -math.inf)],
+    *[("build_echo_schedule", "duration", v) for v in (math.nan, math.inf, -1.0)],
 ]
 
 

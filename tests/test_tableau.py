@@ -254,8 +254,11 @@ def _row_set(t, row):
     return rows
 
 
-@pytest.mark.parametrize("lattice", [lat.torus(4), lat.planar(2), lat.planar(3)],
-                         ids=["torus4", "planar2", "planar3"])
+# torus(6) (72 qubits) and torus(9) (162) put the destabilizer/stabilizer
+# split inside a 64-row word and leave a partly filled qubit word
+@pytest.mark.parametrize("lattice", [lat.torus(4), lat.torus(6), lat.torus(9),
+                                     lat.planar(2), lat.planar(3)],
+                         ids=["torus4", "torus6", "torus9", "planar2", "planar3"])
 def test_syndrome_matches_expectation_oracle(lattice):
     n_ancillas = 0 if lattice.is_torus else 1
     ground = tb.prepare_ground_state(lattice, 0, n_ancillas=n_ancillas)
@@ -281,6 +284,37 @@ def test_syndrome_matches_expectation_oracle(lattice):
             assert tb.syndrome(after, lattice) == want
             assert tb.syndrome(_mix_generators(after, rng), lattice) == want
             assert tb.syndrome_after(base, lattice, p) == want
+
+
+def test_syndrome_matches_expectation_oracle_torus32():
+    # the last star of the torus(32) ground state is the product of the
+    # other 1023 stabilizer rows: its sign is read through 1023 members
+    lattice = lat.torus(32)
+    t = tb.prepare_ground_state(lattice, 0)
+    last = lattice.n_vertices - 1
+    assert np.bitwise_count(t._anticommute(list(lattice.stars[last]), [])).sum() == 1023
+    rng = np.random.default_rng(3)
+    for kind, count in (("z", last), ("x", lattice.n_faces)):
+        for _ in range(3):
+            a, b = (int(v) for v in rng.choice(count, size=2, replace=False))
+            tb.apply_pauli_string(t, from_string_path(lat.shortest_string(lattice, kind, a, b)))
+    tb.apply_pauli_string(t, from_string_path(lat.shortest_string(lattice, "z", 0, last)))
+    syn = tb.syndrome(t, lattice)
+    assert last in syn.flipped_vertices and syn.flipped_faces
+    assert syn == syndrome_by_expectation(t, lattice)
+
+
+@pytest.mark.parametrize("lattice, kwargs, param", [
+    (lat.torus(2), dict(logical_sector=4), "logical_sector"),
+    (lat.torus(2), dict(logical_sector=5), "logical_sector"),
+    (lat.torus(2), dict(logical_sector=-1), "logical_sector"),
+    (lat.planar(2), dict(logical_sector=2), "logical_sector"),
+    (lat.torus(2), dict(logical_sector=(0, 2)), "logical_sector"),
+    (lat.torus(2), dict(n_ancillas=-1), "n_ancillas"),
+], ids=["torus-4", "torus-5", "torus--1", "planar-2", "torus-(0,2)", "ancillas--1"])
+def test_prepare_ground_state_rejects_bad_input(lattice, kwargs, param):
+    with pytest.raises(UsageError, match=rf"\b{param}\b"):
+        tb.prepare_ground_state(lattice, **kwargs)
 
 
 def test_measure_stabilizer_deterministic(planar2, planar2_ground):
@@ -473,3 +507,33 @@ def test_syndrome_rejects_indefinite_states(planar2):
         with pytest.raises(ContractError,
                            match="vertex stabilizer 0 has no definite value"):
             read(t, planar2)
+
+
+def test_syndrome_names_first_indefinite_face():
+    # sqrt(X) = H S H on an edge breaks the faces beside it and no star
+    lattice = lat.torus(3)
+    t = tb.prepare_ground_state(lattice, 0)
+    q = 7
+    t.h(q).s(q).h(q)
+    first = min(lattice.edge_faces[q])
+    for read in (tb.syndrome, syndrome_by_expectation):
+        with pytest.raises(ContractError,
+                           match=f"face stabilizer {first} has no definite value"):
+            read(t, lattice)
+
+
+def test_group_phase_contract_errors():
+    # corrupted tableaux: a determined value must be real, and the members'
+    # product must reproduce the operator, for one Pauli and for a batch
+    t = tb.Tableau(1)
+    t.r[1] = 1  # the stabilizer becomes i Z
+    with pytest.raises(ContractError, match="non-real phase"):
+        tb.measure_pauli(t, PauliString.z_on([0]), np.random.default_rng(0))
+    t._set_row(1, [], [], 0)  # the stabilizer row is lost
+    with pytest.raises(ContractError, match="commutes with the group but is not in it"):
+        tb.expectation_phase(t, PauliString.z_on([0]))
+    lattice = lat.torus(2)
+    t = tb.prepare_ground_state(lattice, 0)
+    t._set_row(t.n, [], [], 0)
+    with pytest.raises(ContractError, match="commutes with the group but is not in it"):
+        tb.syndrome(t, lattice)
