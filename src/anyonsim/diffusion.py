@@ -573,6 +573,8 @@ def analytic_contrast(tau: float, params: DiffusionParams, kind: str = "free",
                       n: int = 1) -> float:
     """Reference decay laws: free running exp(-tau/T2*), n echo pairs
     exp(-(tau/T2)^4 / n^3)."""
+    if not 0 <= tau < math.inf:
+        raise UsageError(f"tau must be finite and >= 0, got {tau!r}")
     if kind == "free":
         return math.exp(-tau / params.t2_star)
     if kind == "echo":
@@ -584,6 +586,8 @@ def analytic_contrast(tau: float, params: DiffusionParams, kind: str = "free",
 
 def analytic_survival_probability(tau: float, params: DiffusionParams) -> float:
     """Published fast-noise survival probability exp(-2 z Gamma tau)."""
+    if not 0 <= tau < math.inf:
+        raise UsageError(f"tau must be finite and >= 0, got {tau!r}")
     return math.exp(-2.0 * params.z * params.gamma * tau)
 
 
@@ -595,7 +599,13 @@ def master_equation_survival(n: int, gamma: float, tau) -> np.ndarray:
     the fast-noise limit of the averaged quantum survival probability,
     return contributions included.
     """
+    if n < 1:
+        raise UsageError(f"n must be >= 1, got {n!r}")
+    if not 0 <= gamma < math.inf:
+        raise UsageError(f"gamma must be finite and >= 0, got {gamma!r}")
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
+    if not np.all((tau >= 0) & (tau < math.inf)):
+        raise UsageError(f"tau must be finite and non-negative, got {tau.tolist()!r}")
     j = 2.0 * np.pi * np.arange(n) / n
     lam = 4.0 - 2.0 * np.cos(j)[:, None] - 2.0 * np.cos(j)[None, :]
     out = np.exp(-gamma * lam.reshape(-1)[:, None] * tau[None, :]).mean(axis=0)

@@ -5,7 +5,9 @@ vertex, face stabilizers with sigma^z on the boundary of a face.  String
 operators run along edge paths: z-strings connect vertices on the lattice,
 x-strings connect faces on the dual lattice.
 
-Indexing (row-major, fixed for reproducibility):
+Indexing (row-major, fixed for reproducibility; ``index_maps`` is its one
+implementation, and each builder writes only the edge ends from it, so the
+stars and face boundaries are derived):
 
 torus(N)
     vertex (r, c) -> r*N + c
@@ -26,6 +28,7 @@ boundary lines.  Boundary stabilizers have weight 3.
 
 from __future__ import annotations
 
+import numbers
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -50,6 +53,8 @@ class LatticeSpec:
     def __post_init__(self):
         if self.topology not in ("torus", "planar"):
             raise ConfigurationError(f"unknown lattice topology {self.topology!r}")
+        if not isinstance(self.size, numbers.Integral):
+            raise ConfigurationError(f"lattice size must be an integer, got {self.size!r}")
         if self.size < 2:
             raise ConfigurationError("lattice size must be >= 2")
 
@@ -87,11 +92,10 @@ class Lattice:
     n_edges: int
     n_vertices: int
     n_faces: int
-    stars: tuple[tuple[int, ...], ...]        # vertex id -> incident edges
-    boundaries: tuple[tuple[int, ...], ...]   # face id -> bounding edges
+    stars: tuple[tuple[int, ...], ...]        # vertex id -> incident edges, sorted
+    boundaries: tuple[tuple[int, ...], ...]   # face id -> bounding edges, sorted
     edge_vertices: tuple[tuple[int | None, int | None], ...]
     edge_faces: tuple[tuple[int | None, int | None], ...]
-    boundary_classes: dict[str, frozenset[int]] = field(default_factory=dict)
     _graphs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -167,114 +171,88 @@ def planar(d: int) -> Lattice:
     return build_lattice(LatticeSpec("planar", d))
 
 
+def index_maps(spec: LatticeSpec):
+    """The (h-edge, v-edge, vertex, face) id functions of (r, c).
+
+    They follow the table in the module docstring, the one statement of the
+    convention; the torus ones wrap r and c mod N.
+    """
+    n = spec.size
+    if spec.topology == "torus":
+        nn = n * n
+
+        def cell(r, c):
+            return (r % n) * n + c % n
+
+        def v_edge(r, c):
+            return nn + (r % n) * n + c % n
+
+        return cell, v_edge, cell, cell
+    m = n - 1
+
+    def h_edge(r, c):
+        return r * n + c
+
+    def v_edge(r, c):
+        return n * n + r * m + c - 1
+
+    def vertex(r, c):
+        return r * m + c - 1
+
+    return h_edge, v_edge, vertex, h_edge
+
+
 def _build_torus(spec: LatticeSpec) -> Lattice:
     n = spec.size
-    nn = n * n
-
-    def h(r, c):
-        return (r % n) * n + (c % n)
-
-    def v(r, c):
-        return nn + (r % n) * n + (c % n)
-
-    stars = []
+    h, v, vertex, face = index_maps(spec)
+    edge_vertices: list = [None] * (2 * n * n)
+    edge_faces: list = [None] * (2 * n * n)
     for r in range(n):
         for c in range(n):
-            stars.append((h(r, c), h(r, c - 1), v(r, c), v(r - 1, c)))
-    boundaries = []
-    for r in range(n):
-        for c in range(n):
-            boundaries.append((h(r, c), h(r + 1, c), v(r, c), v(r, c + 1)))
-
-    edge_vertices: list[tuple[int | None, int | None]] = [None] * (2 * nn)  # type: ignore
-    edge_faces: list[tuple[int | None, int | None]] = [None] * (2 * nn)  # type: ignore
-    for r in range(n):
-        for c in range(n):
-            edge_vertices[h(r, c)] = (r * n + c, r * n + (c + 1) % n)
-            edge_faces[h(r, c)] = (((r - 1) % n) * n + c, r * n + c)
-            edge_vertices[v(r, c)] = (r * n + c, ((r + 1) % n) * n + c)
-            edge_faces[v(r, c)] = (r * n + (c - 1) % n, r * n + c)
-
-    return Lattice(spec, 2 * nn, nn, nn, tuple(stars), tuple(boundaries),
-                   tuple(edge_vertices), tuple(edge_faces))
+            eh, ev, u, f = h(r, c), v(r, c), vertex(r, c), face(r, c)
+            edge_vertices[eh] = (u, vertex(r, c + 1))
+            edge_faces[eh] = (face(r - 1, c), f)
+            edge_vertices[ev] = (u, vertex(r + 1, c))
+            edge_faces[ev] = (face(r, c - 1), f)
+    return _from_edge_ends(spec, n * n, n * n, edge_vertices, edge_faces)
 
 
 def _build_planar(spec: LatticeSpec) -> Lattice:
     d = spec.size
-
-    def h(r, c):
-        return r * d + c
-
-    def v(r, c):
-        return d * d + r * (d - 1) + (c - 1)
-
-    def vid(r, c):  # vertex id, c in 1..d-1
-        return r * (d - 1) + (c - 1)
-
-    def fid(r, c):  # face id, r in 0..d-2
-        return r * d + c
-
+    h, v, vertex, face = index_maps(spec)
     n_edges = d * d + (d - 1) * (d - 1)
-    n_vertices = d * (d - 1)
-    n_faces = d * (d - 1)
-
-    stars = []
-    for r in range(d):
-        for c in range(1, d):
-            s = [h(r, c - 1), h(r, c)]
-            if r > 0:
-                s.append(v(r - 1, c))
-            if r < d - 1:
-                s.append(v(r, c))
-            stars.append(tuple(sorted(s)))
-
-    boundaries = []
-    for r in range(d - 1):
-        for c in range(d):
-            b = [h(r, c), h(r + 1, c)]
-            if c > 0:
-                b.append(v(r, c))
-            if c < d - 1:
-                b.append(v(r, c + 1))
-            boundaries.append(tuple(sorted(b)))
-
-    edge_vertices: list[tuple[int | None, int | None]] = []
-    edge_faces: list[tuple[int | None, int | None]] = []
+    edge_vertices: list = [None] * n_edges
+    edge_faces: list = [None] * n_edges
     for r in range(d):
         for c in range(d):
-            left = vid(r, c) if c >= 1 else None
-            right = vid(r, c + 1) if c + 1 <= d - 1 else None
-            edge_vertices.append((left, right))
-            above = fid(r - 1, c) if r - 1 >= 0 else None
-            below = fid(r, c) if r <= d - 2 else None
-            edge_faces.append((above, below))
+            edge_vertices[h(r, c)] = (vertex(r, c) if c > 0 else None,
+                                      vertex(r, c + 1) if c < d - 1 else None)
+            edge_faces[h(r, c)] = (face(r - 1, c) if r > 0 else None,
+                                   face(r, c) if r < d - 1 else None)
     for r in range(d - 1):
         for c in range(1, d):
-            edge_vertices.append((vid(r, c), vid(r + 1, c)))
-            edge_faces.append((fid(r, c - 1), fid(r, c)))
+            edge_vertices[v(r, c)] = (vertex(r, c), vertex(r + 1, c))
+            edge_faces[v(r, c)] = (face(r, c - 1), face(r, c))
+    return _from_edge_ends(spec, d * (d - 1), d * (d - 1), edge_vertices, edge_faces)
 
-    # Boundary edge classes.  Protruding (rough) edges are classed by row
-    # parity; the remaining smooth-line edges by column parity.  The four
-    # corner edges are both protruding and on the smooth line; they are
-    # assigned to the rough classes so the classes stay disjoint (echo masks
-    # treat them by geometry, see echo_mask).
-    even_rough, odd_rough, even_smooth, odd_smooth = set(), set(), set(), set()
-    for r in range(d):
-        for c in (0, d - 1):
-            (even_rough if r % 2 == 0 else odd_rough).add(h(r, c))
-    for r in (0, d - 1):
-        for c in range(1, d - 1):
-            (even_smooth if c % 2 == 0 else odd_smooth).add(h(r, c))
-    classes = {
-        "even_rough": frozenset(even_rough),
-        "odd_rough": frozenset(odd_rough),
-        "even_smooth": frozenset(even_smooth),
-        "odd_smooth": frozenset(odd_smooth),
-    }
 
-    return Lattice(spec, n_edges, n_vertices, n_faces, tuple(stars),
-                   tuple(boundaries), tuple(edge_vertices), tuple(edge_faces),
-                   classes)
+def _from_edge_ends(spec, n_vertices, n_faces, edge_vertices, edge_faces) -> Lattice:
+    """The lattice whose stars and face boundaries are the edges having that
+    vertex or face as an end, in edge order (free ends belong to no cell)."""
+
+    def incidence(n_cells, ends):
+        cells: list[list[int]] = [[] for _ in range(n_cells)]
+        for e, pair in enumerate(ends):
+            for cell in pair:
+                if cell is not None:
+                    cells[cell].append(e)
+        # from a sized list, so the tuple is drawn from CPython's free list; a
+        # tuple grown from an iterator is not, and would fill that list
+        return tuple([tuple(c) for c in cells])
+
+    return Lattice(spec, len(edge_vertices), n_vertices, n_faces,
+                   incidence(n_vertices, edge_vertices), incidence(n_faces, edge_faces),
+                   tuple(edge_vertices), tuple(edge_faces))
 
 
 def echo_mask(lattice: Lattice, kind: str) -> frozenset[int]:
@@ -294,10 +272,7 @@ def echo_mask(lattice: Lattice, kind: str) -> frozenset[int]:
     if lattice.is_torus:
         raise UsageError("boundary-masked echo pulses need a planar lattice")
     d = lattice.size
-
-    def h(r, c):
-        return r * d + c
-
+    h, _, _, _ = index_maps(lattice.spec)
     if kind in ("x_e", "x_o"):
         drop_parity = 1 if kind == "x_e" else 0  # x_e drops odd rough rows
         dropped = {h(r, c) for r in range(d) for c in (0, d - 1)
@@ -402,19 +377,16 @@ def logical_operators(lattice: Lattice) -> list[tuple[StringPath, StringPath]]:
     vertical one.
     """
     n = lattice.size
+    h, v, _, _ = index_maps(lattice.spec)
     if lattice.is_torus:
-        h = lambda r, c: r * n + c
-        v = lambda r, c: n * n + r * n + c
         z1 = StringPath("z", tuple(h(0, c) for c in range(n)))
         x1 = StringPath("x", tuple(h(r, 0) for r in range(n)))
         z2 = StringPath("z", tuple(v(r, 0) for r in range(n)))
         x2 = StringPath("x", tuple(v(0, c) for c in range(n)))
         return [(z1, x1), (z2, x2)]
-    d = n
-    row = (d - 1) // 2
-    col = (d - 1) // 2
-    cz = StringPath("z", tuple(row * d + c for c in range(d)))
-    cx = StringPath("x", tuple(r * d + col for r in range(d)))
+    mid = (n - 1) // 2
+    cz = StringPath("z", tuple(h(mid, c) for c in range(n)))
+    cx = StringPath("x", tuple(h(r, mid) for r in range(n)))
     return [(cz, cx)]
 
 

@@ -16,8 +16,8 @@ import numpy as np
 from . import analytics, statevector as sv, tableau as tb
 from .diffusion import NoiseModel, _circulant_sqrt_spectrum, build_echo_schedule
 from .errors import ContractError, UsageError
-from .lattice import (ECHO_KINDS, Lattice, StringPath, deform_string, planar,
-                      shortest_string, string_to_boundary, torus)
+from .lattice import (ECHO_KINDS, Lattice, StringPath, deform_string, index_maps,
+                      planar, shortest_string, string_to_boundary, torus)
 from .pauli import PauliString, from_string_path, multiply
 from .protocols import (BraidProgram, Coherence, DelayStep, EchoStep, StringStep,
                         _dense_memory, _echo_pauli, _teleport_axis, braiding_programs,
@@ -318,11 +318,12 @@ def _block_loop_program(lattice: Lattice) -> tuple[BraidProgram, int, int]:
     a 2-vertex block (torus only); loops split into fixed halves."""
     if not lattice.is_torus or lattice.size < 4:
         raise UsageError("block-loop program needs a torus of size >= 4")
+    _, _, vertex, face = index_maps(lattice.spec)
     zedges: frozenset[int] = frozenset()
-    faces = [lattice.size * r + c for r in (1, 2) for c in (1, 2)]
+    faces = [face(r, c) for r in (1, 2) for c in (1, 2)]
     for f in faces:
         zedges ^= frozenset(lattice.boundary(f))
-    verts = [lattice.size * 1 + 2, lattice.size * 2 + 2]
+    verts = [vertex(1, 2), vertex(2, 2)]
     xedges: frozenset[int] = frozenset()
     for v in verts:
         xedges ^= frozenset(lattice.star(v))
@@ -394,6 +395,7 @@ def perimeter_law_mc(lattice: Lattice, eps: float, n_trials: int, seed: int
         raise UsageError("perimeter study uses a torus")
     rng = np.random.default_rng(seed)
     ground = tb.prepare_ground_state(lattice, 0)
+    _, _, _, face = index_maps(lattice.spec)
     perims = []
     means = []
     errs = []
@@ -401,7 +403,7 @@ def perimeter_law_mc(lattice: Lattice, eps: float, n_trials: int, seed: int
         zedges: frozenset[int] = frozenset()
         for r in range(1, 1 + s):
             for c in range(1, 1 + s):
-                zedges ^= frozenset(lattice.boundary(lattice.size * r + c))
+                zedges ^= frozenset(lattice.boundary(face(r, c)))
         xedges = frozenset(lattice.star(0))
         zs, xs = sorted(zedges), sorted(xedges)
         strings = [PauliString.z_on(zs[:len(zs) // 2]),

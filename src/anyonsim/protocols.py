@@ -27,9 +27,9 @@ import numpy as np
 
 from . import statevector as sv
 from . import tableau as tb
-from .errors import ContractError, UsageError, require_finite
-from .lattice import (ECHO_KINDS, Lattice, StringPath, echo_mask, logical_operators,
-                      shortest_string)
+from .errors import ConfigurationError, ContractError, UsageError, require_finite
+from .lattice import (ECHO_KINDS, Lattice, StringPath, echo_mask, index_maps,
+                      logical_operators, shortest_string)
 from .pauli import PauliString, from_string_path, multiply
 
 
@@ -40,10 +40,14 @@ class StringStep:
 
 @dataclass(frozen=True)
 class DelayStep:
+    """Free evolution under H_surf for a waiting time ``t``, finite and >= 0."""
+
     t: float
 
     def __post_init__(self):
         require_finite(self, "t")
+        if self.t < 0:
+            raise ConfigurationError(f"t must be >= 0, got {self.t!r}")
 
 
 @dataclass(frozen=True)
@@ -481,11 +485,10 @@ def braiding_programs(lattice: Lattice, delays: tuple[float, float, float] = (0,
             s for s in steps if not (isinstance(s, DelayStep) and s.t == 0)), ledger)
 
     n = lattice.size
+    h, v, _, _ = index_maps(lattice.spec)
     if lattice.is_torus:
         if n < 3:
             raise UsageError("braiding layout needs torus size >= 3")
-        h = lambda r, c: (r % n) * n + (c % n)
-        v = lambda r, c: n * n + (r % n) * n + (c % n)
         # z-loop around face (1,1); x-loop = star of its corner vertex (1,2)
         l1 = StringPath("z", (h(2, 1), v(1, 2)))
         l3 = StringPath("z", (h(1, 1), v(1, 1)))
@@ -498,8 +501,6 @@ def braiding_programs(lattice: Lattice, delays: tuple[float, float, float] = (0,
         d = n
         if d < 3:
             raise UsageError("braiding layout needs planar distance >= 3")
-        h = lambda r, c: r * d + c
-        v = lambda r, c: d * d + r * (d - 1) + (c - 1)
         # z-loop around face (0,1); x-loop = star of smooth vertex (0,2)
         l1 = StringPath("z", (h(1, 1), v(0, 2)))
         l3 = StringPath("z", (h(0, 1), v(0, 1)))

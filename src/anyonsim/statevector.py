@@ -42,8 +42,12 @@ class StateVector:
 
     @classmethod
     def computational(cls, n: int, index: int = 0) -> "StateVector":
+        if n < 0:
+            raise UsageError(f"n must be >= 0, got {n!r}")
         if n > MAX_QUBITS:
             raise ConfigurationError(f"{n} qubits exceeds dense cap {MAX_QUBITS}")
+        if not 0 <= index < 1 << n:
+            raise UsageError(f"index must be in 0..{(1 << n) - 1}, got {index!r}")
         amps = np.zeros(1 << n, dtype=np.complex128)
         amps[index] = 1.0
         return cls(n, amps)
@@ -54,6 +58,10 @@ class StateVector:
         n = max(int(amps.size).bit_length() - 1, 0)
         if 1 << n != amps.size:
             raise UsageError("amplitude array length is not a power of two")
+        if not np.isfinite(amps).all():
+            raise UsageError("amps must be finite")
+        if not amps.any():
+            raise UsageError("amps must not all be zero")
         return cls(n, amps.copy())
 
     def clone(self) -> "StateVector":
@@ -152,6 +160,8 @@ def apply_controlled_pauli(s: StateVector, control: int, p: PauliString) -> Stat
 
 def apply_pauli_exponential(s: StateVector, p: PauliString, theta: float) -> StateVector:
     """exp(i theta p) |s> via cos(theta) I + i sin(theta) p (needs p**2 = I)."""
+    if not math.isfinite(theta):
+        raise UsageError(f"theta must be finite, got {theta!r}")
     if not p.is_hermitian():
         raise UsageError("exponential needs a Hermitian string")
     rotated = _pauli_action(s, p)
@@ -170,6 +180,9 @@ def evolve_hsurf(s: StateVector, lattice, coupling_u: float, coupling_j: float,
     """
     if lattice.n_edges > s.n:
         raise UsageError("state has fewer qubits than the lattice has edges")
+    for name, value in (("coupling_u", coupling_u), ("coupling_j", coupling_j), ("t", t)):
+        if not math.isfinite(value):
+            raise UsageError(f"{name} must be finite, got {value!r}")
     for star in lattice.stars:
         apply_pauli_exponential(s, PauliString.x_on(star), coupling_u * t)
     for bnd in lattice.boundaries:

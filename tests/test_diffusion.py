@@ -314,8 +314,7 @@ def test_x_z_duality_on_torus(torus4):
     # relabeling faces <-> vertices and mapping edges h(r,c) -> v(r-1,c),
     # v(r,c) -> h(r,c-1) maps the x-sector onto the z-sector
     n = torus4.size
-    h = lambda r, c: (r % n) * n + (c % n)
-    v = lambda r, c: n * n + (r % n) * n + (c % n)
+    h, v, _, _ = lat.index_maps(torus4.spec)
     perm = np.zeros(torus4.n_edges, dtype=int)
     for r in range(n):
         for c in range(n):
@@ -361,6 +360,12 @@ def _diffusion_calls(lattice):
             lattice=lattice, field=field, schedule=df.build_echo_schedule("none", 1.0),
             start_cell=0, sector="x", dt=0.05)),
         "build_echo_schedule": (df.build_echo_schedule, dict(kind="z_pairs", duration=1.0, n=1)),
+        "analytic_contrast": (df.analytic_contrast, dict(
+            tau=1.0, params=df.DiffusionParams(1.0, 10.0), kind="free")),
+        "analytic_survival_probability": (df.analytic_survival_probability, dict(
+            tau=1.0, params=df.DiffusionParams(1.0, 10.0))),
+        "master_equation_survival": (df.master_equation_survival,
+                                     dict(n=4, gamma=1.0, tau=[1.0])),
     }
 
 
@@ -371,6 +376,11 @@ BAD_DIFFUSION_INPUTS = [
     *[("evolve_anyon", "dt", v) for v in (-0.1, 0.0, math.nan, -math.inf)],
     *[("contrast_curve", "tau_grid", [v]) for v in (math.nan, math.inf, -math.inf)],
     *[("build_echo_schedule", "duration", v) for v in (math.nan, math.inf, -1.0)],
+    *[(entry, "tau", v) for entry in ("analytic_contrast", "analytic_survival_probability")
+      for v in (-1.0, math.nan, math.inf)],
+    *[("master_equation_survival", "gamma", v) for v in (-1.0, math.nan, math.inf)],
+    *[("master_equation_survival", "n", v) for v in (0, -2)],
+    *[("master_equation_survival", "tau", [v]) for v in (-1.0, math.nan)],
 ]
 
 

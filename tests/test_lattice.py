@@ -223,21 +223,39 @@ def test_degeneracy():
         lat.degeneracy(-1, 0)
 
 
-def test_boundary_classes_disjoint_and_cover():
-    for d in (2, 3, 4, 5):
-        p = lat.planar(d)
-        classes = p.boundary_classes
-        all_classified = set()
-        total = 0
-        for name, edges in classes.items():
-            total += len(edges)
-            all_classified |= edges
-        assert total == len(all_classified)  # disjoint
-        protruding = {e for e in range(p.n_edges)
-                      if None in p.edge_vertices[e]}
-        smooth_line = {r * d + c for r in (0, d - 1) for c in range(d)}
-        assert all_classified == protruding | smooth_line
-        assert classes["even_rough"] | classes["odd_rough"] == protruding
+@pytest.mark.parametrize("spec", [("torus", n) for n in range(2, 7)]
+                         + [("planar", d) for d in range(2, 8)],
+                         ids=lambda spec: f"{spec[0]}{spec[1]}")
+def test_derived_incidence_matches_index_table(spec):
+    """Stars and face boundaries, derived from the edge ends, are the sets
+    the module docstring's table lists, in edge order.  On torus(2) pairs of
+    parallel edges join the same two cells, and each edge still counts once."""
+    lattice = lat.build_lattice(lat.LatticeSpec(*spec))
+    n = lattice.size
+    h, v, vertex, face = lat.index_maps(lattice.spec)
+    grid = [(r, c) for r in range(n) for c in range(n)]
+    if lattice.is_torus:
+        h_cells = v_cells = vertex_cells = face_cells = grid
+        star = lambda r, c: {h(r, c), h(r, c - 1), v(r, c), v(r - 1, c)}
+        bnd = lambda r, c: {h(r, c), h(r + 1, c), v(r, c), v(r, c + 1)}
+    else:
+        h_cells = grid
+        vertex_cells = [(r, c) for r, c in grid if c > 0]
+        face_cells = [(r, c) for r, c in grid if r < n - 1]
+        v_cells = [(r, c) for r, c in face_cells if c > 0]
+        star = lambda r, c: ({h(r, c - 1), h(r, c)}
+                             | {v(row, c) for row in (r - 1, r) if 0 <= row < n - 1})
+        bnd = lambda r, c: ({h(r, c), h(r + 1, c)}
+                            | {v(r, col) for col in (c, c + 1) if 0 < col < n})
+    # each map hits every id exactly once
+    edges = [h(r, c) for r, c in h_cells] + [v(r, c) for r, c in v_cells]
+    assert sorted(edges) == list(range(lattice.n_edges))
+    assert sorted(vertex(r, c) for r, c in vertex_cells) == list(range(lattice.n_vertices))
+    assert sorted(face(r, c) for r, c in face_cells) == list(range(lattice.n_faces))
+    for r, c in vertex_cells:
+        assert lattice.star(vertex(r, c)) == tuple(sorted(star(r, c)))
+    for r, c in face_cells:
+        assert lattice.boundary(face(r, c)) == tuple(sorted(bnd(r, c)))
 
 
 def test_echo_masks_commute_with_all_stabilizers():
@@ -285,6 +303,10 @@ def test_size_limits_and_override():
         lat.LatticeSpec("torus", 1)
     with pytest.raises(ConfigurationError):
         lat.LatticeSpec("klein", 3)
+    for build, size in ((lat.torus, 2.5), (lat.planar, 3.0), (lat.torus, "3")):
+        with pytest.raises(ConfigurationError, match="size must be an integer"):
+            build(size)
+    assert lat.torus(np.int64(3)).n_edges == 18
 
 
 def test_describe_dump(planar2):

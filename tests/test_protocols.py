@@ -9,7 +9,7 @@ from anyonsim import oracle
 from anyonsim import protocols as pr
 from anyonsim import statevector as sv
 from anyonsim import tableau as tb
-from anyonsim.errors import ContractError, UsageError
+from anyonsim.errors import ConfigurationError, ContractError, UsageError
 from anyonsim.pauli import PauliString, from_string_path
 
 
@@ -339,3 +339,12 @@ def test_program_parse_forms(torus4):
         pr.parse_program(torus4, "ZEDGES -1")
     with pytest.raises(UsageError):
         pr.parse_program(torus4, "ECHO q")
+
+
+def test_delay_is_a_waiting_time(torus4):
+    for t in (-1.0, -1e-300, math.nan, math.inf):
+        with pytest.raises(ConfigurationError, match=r"\bt must be"):
+            pr.DelayStep(t)
+    with pytest.raises(UsageError, match=r"program line 2: t must be >= 0"):
+        pr.parse_program(torus4, "ZEDGES 4\nDELAY -1")
+    assert pr.parse_program(torus4, "DELAY 0").steps == (pr.DelayStep(0.0),)

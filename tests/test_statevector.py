@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -262,3 +264,35 @@ def test_qubit_cap():
         with pytest.raises(UsageError, match="not a power of two"):
             sv.StateVector.from_amplitudes(amps)
     assert sv.StateVector.from_amplitudes([1]).n == 0
+
+
+# (entry point, parameter, bad value); each call is otherwise valid
+BAD_DENSE_INPUTS = [
+    ("computational", "n", -1),
+    *[("computational", "index", v) for v in (9, 4, -1)],
+    *[("from_amplitudes", "amps", v) for v in ([0, 0], [np.nan, 1], [np.inf, 0])],
+    *[("apply_pauli_exponential", "theta", v) for v in (np.nan, np.inf)],
+    *[("evolve_hsurf", key, np.nan) for key in ("t", "coupling_u", "coupling_j")],
+    ("evolve_hsurf", "t", -np.inf),
+]
+
+
+@pytest.mark.parametrize("entry, param, value", BAD_DENSE_INPUTS,
+                         ids=[f"{e}-{p}={v}" for e, p, v in BAD_DENSE_INPUTS])
+def test_bad_dense_inputs_rejected(entry, param, value, planar2):
+    s = sv.StateVector.computational(planar2.n_edges)
+    calls = {
+        "computational": (sv.StateVector.computational, dict(n=2, index=0)),
+        "from_amplitudes": (sv.StateVector.from_amplitudes, dict(amps=[1, 0])),
+        "apply_pauli_exponential": (sv.apply_pauli_exponential,
+                                    dict(s=s, p=PauliString.from_ops({0: "X"}), theta=0.3)),
+        "evolve_hsurf": (sv.evolve_hsurf, dict(s=s, lattice=planar2, coupling_u=1.0,
+                                               coupling_j=1.0, t=0.3)),
+    }
+    fn, kwargs = calls[entry]
+    kwargs[param] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UsageError, match=rf"\b{param}\b"):
+            fn(**kwargs)
+    assert s.amps[0] == 1 and not s.amps[1:].any()
