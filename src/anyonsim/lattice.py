@@ -134,7 +134,8 @@ class Lattice:
                 incident[u].append((e, w))
                 if w != u:
                     incident[w].append((e, u))
-            graph = self._graphs[kind] = tuple(map(tuple, incident))
+            # from a sized list, as in the incidence helper below
+            graph = self._graphs[kind] = tuple([tuple(c) for c in incident])
         return graph
 
     def describe(self) -> str:

@@ -1,6 +1,7 @@
 """Cross-validation suites: stabilizer engine vs dense statevector, closed
 formulas vs enumeration / Monte Carlo, the reference braiding signs, and
-the slow exact references of fast paths (syndrome, sampler, probe circuits).
+the slow exact references of fast paths (ground state, syndrome, sampler,
+probe circuits).
 
 Each suite returns SuiteCheck rows so the command-line front-end and the
 acceptance tests share one implementation.
@@ -182,6 +183,21 @@ def syndrome_by_expectation(t: tb.Tableau, lattice: Lattice) -> tb.Syndrome:
         if e == -1:
             flipped_f.add(f)
     return tb.Syndrome(frozenset(flipped_v), frozenset(flipped_f))
+
+
+# -- ground-state reference ----------------------------------------------------
+
+def ground_state_by_projection(lattice: Lattice, logical_sector=0,
+                               n_ancillas: int = 0) -> tb.Tableau:
+    """Reference for tableau.prepare_ground_state: each star projected onto
+    +1 in turn, one measurement update each."""
+    flips = tb._sector_flips(lattice, logical_sector)
+    t = tb.Tableau(lattice.n_edges + n_ancillas)
+    for star in tb._projected_stars(lattice):
+        tb._project(t, PauliString.x_on(star), want=1)
+    for flip in flips:
+        tb.apply_pauli_string(t, flip)
+    return t
 
 
 # -- formulas vs enumeration ---------------------------------------------------
@@ -411,8 +427,8 @@ def perimeter_law_mc(lattice: Lattice, eps: float, n_trials: int, seed: int
                    PauliString.z_on(zs[len(zs) // 2:]),
                    PauliString.x_on(xs[len(xs) // 2:])]
         perimeter = len(zs) + len(xs)
-        vals = np.empty(n_trials)
-        for k in range(n_trials):
+        ops = []
+        for _ in range(n_trials):
             op1 = PauliString.identity()
             for string in strings:
                 op1 = multiply(string, op1)
@@ -420,11 +436,12 @@ def perimeter_law_mc(lattice: Lattice, eps: float, n_trials: int, seed: int
                     if rng.random() < eps:
                         letter = "XYZ"[int(rng.integers(3))]
                         op1 = multiply(PauliString.from_ops({edge: letter}), op1)
-            vals[k] = tb.expectation_phase(ground, op1).real
+            ops.append(op1)
         clean_op = PauliString.identity()
         for string in strings:
             clean_op = multiply(string, clean_op)
-        clean = tb.expectation_phase(ground, clean_op).real
+        values = tb.expectations(ground, [*ops, clean_op]).real
+        vals, clean = values[:-1], values[-1]
         perims.append(perimeter)
         means.append(float(np.mean(vals)) * clean)  # normalize sign
         errs.append(float(np.std(vals, ddof=1) / math.sqrt(n_trials)))

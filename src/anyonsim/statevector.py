@@ -28,6 +28,7 @@ from .pauli import PauliString, multiply
 from .weyl import WeylString
 
 MAX_QUBITS = 22
+NORM_TOL = 1e-10  # from_amplitudes: |norm - 1| beyond this is not rounding
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 _SIGN = np.array([1.0, -1.0])
@@ -60,8 +61,9 @@ class StateVector:
             raise UsageError("amplitude array length is not a power of two")
         if not np.isfinite(amps).all():
             raise UsageError("amps must be finite")
-        if not amps.any():
-            raise UsageError("amps must not all be zero")
+        norm = float(np.linalg.norm(amps))
+        if abs(norm - 1.0) > NORM_TOL:
+            raise UsageError(f"amps must have norm 1, got {norm!r}")
         return cls(n, amps.copy())
 
     def clone(self) -> "StateVector":

@@ -20,8 +20,14 @@ at once: it transposes only the 64-row blocks holding those rows into
 packed qubit words, and a segmented prefix XOR with a popcount gives every
 product's phase (the deterministic read of Aaronson and Gottesman, batched
 as in Gidney's Stim, Quantum 5, 497, 2021).  syndrome reads every
-stabilizer in one batch; expectation_phase and measurement read a batch of
-one.
+stabilizer in one batch, expectations any list of Paulis;
+expectation_phase and measurement read a batch of one.
+
+prepare_ground_state projects the stars with one row-greedy GF(2)
+Gauss-Jordan pass over the packed rows of the star incidence, kept in the
+layout of the tableau's z columns, and writes the result once
+(_star_tableau); oracle.ground_state_by_projection, one measurement update
+per star, is its reference.
 
 A Tableau is single-writer: gates and measurements mutate in place.  Clones
 are cheap and independent, which is how parallel Monte Carlo shares states.
@@ -30,6 +36,7 @@ are cheap and independent, which is how parallel Monte Carlo shares states.
 from __future__ import annotations
 
 import copy
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +46,11 @@ from .lattice import Lattice, logical_operators
 from .pauli import PauliString, from_string_path
 
 _ONE = np.uint64(1)
+
+
+def _bit(idx: np.ndarray) -> np.ndarray:
+    """The word bit of each row or qubit index: 1 << (idx mod 64)."""
+    return _ONE << (idx & 63).astype(np.uint64)
 
 
 def _row_bits(words: np.ndarray) -> np.ndarray:
@@ -59,8 +71,8 @@ class Tableau:
         self.z = np.zeros_like(self.x)
         self.r = np.zeros(2 * n, dtype=np.uint8)
         q = np.arange(n)
-        self.x[q >> 6, q] = _ONE << (q & 63).astype(np.uint64)
-        self.z[(n + q) >> 6, q] = _ONE << ((n + q) & 63).astype(np.uint64)
+        self.x[q >> 6, q] = _bit(q)
+        self.z[(n + q) >> 6, q] = _bit(n + q)
 
     def clone(self) -> "Tableau":
         return copy.deepcopy(self)
@@ -252,7 +264,7 @@ def _project(t: Tableau, p: PauliString, rng=None, want: int | None = None) -> i
             want = 1 if int(rng.integers(2)) == 0 else -1
         t._set_row(pivot, xs, zs, (p.phase + (0 if want == 1 else 2)) & 3)
         return want
-    value = _phase_one(t, p, xs, zs, antic)
+    value = _read_phases(t, antic[None], [(xs, zs)], [p.phase])[0]
     if value not in (1, -1):
         raise ContractError("deterministic measurement with non-real phase")
     if want is not None and value != want:
@@ -270,12 +282,43 @@ def expectation_pauli(t: Tableau, p: PauliString) -> int:
 
 def expectation_phase(t: Tableau, p: PauliString) -> complex:
     """<p> for any phase-tracked Pauli: 0, or a power of i."""
-    xs, zs = t._columns(p)
-    antic = t._anticommute(xs, zs)
-    rows = np.flatnonzero(_row_bits(antic))
-    if rows.size and rows[-1] >= t.n:
-        return 0j
-    return _phase_one(t, p, xs, zs, antic)
+    return complex(expectations(t, [p])[0])
+
+
+def expectations(t: Tableau, paulis) -> np.ndarray:
+    """<p> for each phase-tracked Pauli of ``paulis`` (0, or a power of i),
+    read through one _group_phases batch."""
+    cols = [t._columns(p) for p in paulis]
+    antic = np.array([t._anticommute(*c) for c in cols], dtype=np.uint64)
+    return _read_phases(t, antic.reshape(len(cols), t.x.shape[0]), cols,
+                        [p.phase for p in paulis])
+
+
+def _indefinite(t: Tableau, antic: np.ndarray) -> np.ndarray:
+    """Whether each row bitset of ``antic`` (k, W) holds a stabilizer row:
+    the Pauli it belongs to has no definite value."""
+    low = np.uint64((1 << (t.n & 63)) - 1)
+    return ((antic[:, t.n >> 6] & ~low).astype(bool)
+            | antic[:, (t.n >> 6) + 1:].any(axis=1))
+
+
+def _read_phases(t: Tableau, antic: np.ndarray, cols, phases) -> np.ndarray:
+    """<p> for k Paulis given by their row bitsets ``antic`` (k, W), their
+    (x qubits, z qubits) ``cols`` and their phases: 0 for those without a
+    definite value, which are left out of the one _group_phases batch that
+    reads the rest."""
+    values = np.zeros(len(cols), dtype=complex)
+    keep = (~_indefinite(t, antic)).nonzero()[0].tolist()
+    if keep:
+        owner, side, qubit = [], [], []
+        for i, k in enumerate(keep):
+            xs, zs = cols[k]
+            owner += [i] * (len(xs) + len(zs))
+            side += [0] * len(xs) + [1] * len(zs)
+            qubit += xs + zs
+        targets = tuple(np.array(a, dtype=np.int64) for a in (owner, side, qubit))
+        values[keep] = _group_phases(t, antic[keep], targets, [phases[k] for k in keep])
+    return values
 
 
 # i**k for k = 0..3, the values a phase-tracked expectation can take
@@ -339,7 +382,7 @@ def _group_phases(t: Tableau, antic, targets, phases) -> np.ndarray:
         start, end = first[lo:hi] - first[lo], last[lo:hi] - first[lo]
         own, side, q = (a[slice(*targets[0].searchsorted([lo, hi]))] for a in targets)
         want = np.zeros((hi - lo, 2, n_words), dtype=np.uint64)
-        np.bitwise_or.at(want, (own - lo, side, q >> 6), _ONE << (q & 63).astype(np.uint64))
+        np.bitwise_or.at(want, (own - lo, side, q >> 6), _bit(q))
         if (acc[end] ^ acc[start] ^ want).any():
             raise ContractError("operator commutes with the group but is not in it")
         seg = owner[members] - lo
@@ -348,13 +391,6 @@ def _group_phases(t: Tableau, antic, targets, phases) -> np.ndarray:
         k_prod = np.bincount(seg, weights=terms, minlength=hi - lo).astype(np.int64)
         values[lo:hi] = _I_POWERS[(np.asarray(phases[lo:hi]) - k_prod) % 4]
     return values
-
-
-def _phase_one(t: Tableau, p: PauliString, xs, zs, antic) -> complex:
-    """_group_phases for the single Pauli p."""
-    sides = np.array([0] * len(xs) + [1] * len(zs), dtype=np.int64)
-    targets = (np.zeros_like(sides), sides, np.array(xs + zs, dtype=np.int64))
-    return complex(_group_phases(t, antic[None], targets, [p.phase])[0])
 
 
 @dataclass(frozen=True)
@@ -410,9 +446,7 @@ def syndrome(t: Tableau, lattice: Lattice) -> Syndrome:
     targets = [np.concatenate(a) for a in (owners, sides, qubits)]
     # the batch stops at the first stabilizer that a stabilizer row
     # anticommutes with: its value is not definite
-    low = np.uint64((1 << (t.n & 63)) - 1)
-    indefinite = np.flatnonzero((antic[:, t.n >> 6] & ~low).astype(bool)
-                                | antic[:, (t.n >> 6) + 1:].any(axis=1))
+    indefinite = np.flatnonzero(_indefinite(t, antic))
     cut = int(indefinite[0]) if indefinite.size else k
     values = _group_phases(t, antic[:cut], targets, np.zeros(cut, int))
     bad = [*np.flatnonzero((values != 1) & (values != -1)), cut]
@@ -463,30 +497,97 @@ def prepare_ground_state(lattice: Lattice, logical_sector=0, n_ancillas: int = 0
     strings flip only the stars at their ends and commute with every H_f
     and logical Z, whose joint eigenstate is unique.  On a torus the last
     star is already +1, the product of the others, and is not projected.
-    Ancilla qubits (appended after the edge qubits) stay in |0>.  ``rng``
-    is not read.
+    The projections are one elimination (_star_tableau), which writes the
+    tableau that projecting the stars one at a time would leave
+    (oracle.ground_state_by_projection).  Ancilla qubits (appended after
+    the edge qubits) stay in |0>.  ``rng`` is not read.
     """
-    if n_ancillas < 0:
-        raise UsageError(f"n_ancillas must be >= 0, got {n_ancillas}")
+    if not isinstance(n_ancillas, numbers.Integral) or n_ancillas < 0:
+        raise UsageError(f"n_ancillas must be an integer >= 0, got {n_ancillas!r}")
+    flips = _sector_flips(lattice, logical_sector)
+    t = _star_tableau(lattice.n_edges + int(n_ancillas), _projected_stars(lattice))
+    for flip in flips:
+        apply_pauli_string(t, flip)
+    return t
+
+
+def _projected_stars(lattice: Lattice) -> tuple[tuple[int, ...], ...]:
+    """The stars a ground-state preparation projects: on a torus the last
+    star is the product of the others and is left out."""
+    return lattice.stars[:-1] if lattice.is_torus else lattice.stars
+
+
+def _sector_flips(lattice: Lattice, logical_sector) -> list[PauliString]:
+    """The logical X strings that take the all-+1 logical Z sector to
+    ``logical_sector``: an integer whose bit k is logical qubit k, or one
+    0/1 per logical qubit."""
     pairs = logical_operators(lattice)
-    if isinstance(logical_sector, int):
+    if isinstance(logical_sector, numbers.Integral):
         if not 0 <= logical_sector < 2 ** len(pairs):
             raise UsageError(f"logical_sector must lie in 0..{2 ** len(pairs) - 1}, "
                              f"got {logical_sector}")
-        bits = [(logical_sector >> k) & 1 for k in range(len(pairs))]
+        bits = [(int(logical_sector) >> k) & 1 for k in range(len(pairs))]
     else:
-        bits = list(logical_sector)
+        try:
+            bits = list(logical_sector)
+        except TypeError:
+            raise UsageError("logical_sector must be an integer or a sequence of "
+                             f"bits, got {logical_sector!r}") from None
     if len(bits) != len(pairs):
-        raise UsageError(f"need {len(pairs)} logical sector bits")
+        raise UsageError(f"logical_sector needs {len(pairs)} bits, got {logical_sector!r}")
     if any(bit not in (0, 1) for bit in bits):
         raise UsageError(f"logical_sector bits must be 0 or 1, got {logical_sector!r}")
+    # every logical Z commutes with the stars, so it reads +1 until flipped
+    return [from_string_path(cx_path) for bit, (_, cx_path) in zip(bits, pairs) if bit]
 
-    t = Tableau(lattice.n_edges + n_ancillas)
-    # on a torus the last star is the product of the others
-    for star in lattice.stars[:-1] if lattice.is_torus else lattice.stars:
-        _project(t, PauliString.x_on(star), want=1)
-    # every logical Z commutes with the stars, so it still reads +1
-    for bit, (_, cx_path) in zip(bits, pairs):
-        if bit:
-            apply_pauli_string(t, from_string_path(cx_path))
+
+def _star_tableau(n: int, stars) -> Tableau:
+    """The tableau of |0...0> on n qubits projected onto +1 of each star's
+    X, in order, as _project leaves it one star at a time, from one
+    row-greedy Gauss-Jordan pass over the packed rows of [S | I].
+
+    S is the star-qubit incidence.  Star j's pivot p_j is the lowest qubit
+    of its row once reduced by the stars before it, which is the qubit
+    whose Z stabilizer row _project would replace.  With P the pivot
+    qubits, every row stays Z- or X-type with phase 0, and:
+    - destabilizer p_j is Z on S_P^-1 e_j;
+    - stabilizer n + p_j is star j;
+    - stabilizer n + q of a free qubit q is Z_q times Z on S_P^-1 S_q;
+    - destabilizer q of a free qubit stays X_q, and its stabilizer Z_q.
+    So the z column of p_j, a bitset over the 2n rows, is row j of the
+    reduced I part read through i -> p_i, then row j of the reduced S part
+    without its pivot bit, shifted by n.  Each star's row is kept in that
+    layout from the start (its I bit is placed at p_j once p_j is known;
+    no other row holds it before), so the reduced rows are the z columns.
+    A star that reduces to zero is a product of the stars before it and
+    raises ContractError.
+    """
+    m, n_words = len(stars), -(-2 * n // 64)
+    sizes = [len(s) for s in stars]
+    owner, qubits = np.repeat(np.arange(m), sizes), np.concatenate(stars)
+    # bits 0..n-1 of a row: its I part by pivot qubit; bits n + q: its S part
+    mat = np.zeros((m, n_words), dtype=np.uint64)
+    np.bitwise_or.at(mat, (owner, (n + qubits) >> 6), _bit(n + qubits))
+    pivots = np.empty(m, dtype=np.int64)
+    for row in range(m):
+        s_part = int.from_bytes(mat[row, n >> 6:].tobytes(), "little") >> (n & 63)
+        if not s_part:
+            raise ContractError(f"star {row} is a product of the stars before it")
+        p = (s_part & -s_part).bit_length() - 1
+        pivots[row] = p
+        mat[row, p >> 6] |= np.uint64(1 << (p & 63))
+        hit = (mat[:, (n + p) >> 6] & np.uint64(1 << ((n + p) & 63))).nonzero()[0]
+        hit = hit[hit != row]
+        mat[hit] ^= mat[row]
+    mat[np.arange(m), (n + pivots) >> 6] ^= _bit(n + pivots)
+    # allocated after the elimination: allocated before it, the tableau left
+    # the malloc heap with about 4 MiB it could not return, and the peak RSS
+    # of a torus:32 braid benchmark run rose by about 3 MiB in most runs
+    t = Tableau(n)
+    t.z[:, pivots] = mat.T
+    del mat
+    # X on star j in stabilizer row n + p_j; no X left in destabilizer p_j
+    t.x[pivots >> 6, pivots] = 0
+    stab = n + pivots[owner]
+    np.bitwise_or.at(t.x, (stab >> 6, qubits), _bit(stab))
     return t

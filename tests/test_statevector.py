@@ -270,7 +270,8 @@ def test_qubit_cap():
 BAD_DENSE_INPUTS = [
     ("computational", "n", -1),
     *[("computational", "index", v) for v in (9, 4, -1)],
-    *[("from_amplitudes", "amps", v) for v in ([0, 0], [np.nan, 1], [np.inf, 0])],
+    *[("from_amplitudes", "amps", v)
+      for v in ([0, 0], [np.nan, 1], [np.inf, 0], [2, 0], [0.6, 0.6], [1, 1e-4])],
     *[("apply_pauli_exponential", "theta", v) for v in (np.nan, np.inf)],
     *[("evolve_hsurf", key, np.nan) for key in ("t", "coupling_u", "coupling_j")],
     ("evolve_hsurf", "t", -np.inf),

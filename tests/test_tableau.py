@@ -6,8 +6,8 @@ from anyonsim import protocols as pr
 from anyonsim import statevector as sv
 from anyonsim import tableau as tb
 from anyonsim.errors import ContractError, UsageError
-from anyonsim.oracle import (random_braid_program, random_clifford_circuit,
-                             random_hermitian_pauli, run_circuit,
+from anyonsim.oracle import (ground_state_by_projection, random_braid_program,
+                             random_clifford_circuit, random_hermitian_pauli, run_circuit,
                              syndrome_by_expectation)
 from anyonsim.pauli import PauliString, from_string_path, multiply
 
@@ -155,6 +155,46 @@ def test_ground_state_stabilizers_golden(name, lattice, sector, n_ancillas):
     fixture = pathlib.Path(__file__).parent / "fixtures" / f"ground_{name}.dump"
     t = tb.prepare_ground_state(lattice, sector, n_ancillas=n_ancillas)
     assert t.dump() + "\n" == fixture.read_text()
+
+
+def _same_tableau(a, b):
+    return all(np.array_equal(getattr(a, k), getattr(b, k)) for k in "xzr")
+
+
+# torus(6) and torus(9) put the destabilizer/stabilizer split inside a
+# 64-row word; 0-2 ancillas move it further
+@pytest.mark.parametrize("lattice", [lat.torus(n) for n in range(2, 10)]
+                         + [lat.planar(d) for d in range(2, 8)],
+                         ids=[f"torus{n}" for n in range(2, 10)]
+                         + [f"planar{d}" for d in range(2, 8)])
+def test_ground_state_matches_projection_oracle(lattice):
+    for sector in range(2 ** len(lat.logical_operators(lattice))):
+        for n_ancillas in range(3):
+            t = tb.prepare_ground_state(lattice, sector, n_ancillas=n_ancillas)
+            ref = ground_state_by_projection(lattice, sector, n_ancillas)
+            assert _same_tableau(t, ref), (sector, n_ancillas)
+
+
+def test_ground_state_matches_projection_oracle_torus32():
+    lattice = lat.torus(32)
+    assert _same_tableau(tb.prepare_ground_state(lattice, 0),
+                         ground_state_by_projection(lattice, 0))
+
+
+def test_dependent_star_raises():
+    # every star of a torus: the last is the product of the others
+    lattice = lat.torus(3)
+    with pytest.raises(ContractError, match=r"star 8 is a product of the stars before it"):
+        tb._star_tableau(lattice.n_edges, lattice.stars)
+    planar = lat.planar(3)
+    with pytest.raises(ContractError, match=r"star 1 is a product"):
+        tb._star_tableau(planar.n_edges, planar.stars[:1] * 2)
+
+
+def test_ground_state_accepts_numpy_integers():
+    lattice = lat.torus(2)
+    assert _same_tableau(tb.prepare_ground_state(lattice, np.int64(1), n_ancillas=np.int32(1)),
+                         tb.prepare_ground_state(lattice, 1, n_ancillas=1))
 
 
 def test_projection_onto_impossible_outcome():
@@ -310,8 +350,14 @@ def test_syndrome_matches_expectation_oracle_torus32():
     (lat.torus(2), dict(logical_sector=-1), "logical_sector"),
     (lat.planar(2), dict(logical_sector=2), "logical_sector"),
     (lat.torus(2), dict(logical_sector=(0, 2)), "logical_sector"),
+    (lat.torus(2), dict(logical_sector=1.5), "logical_sector"),
+    (lat.torus(2), dict(logical_sector=None), "logical_sector"),
+    (lat.torus(2), dict(logical_sector=(0, 1, 0)), "logical_sector"),
     (lat.torus(2), dict(n_ancillas=-1), "n_ancillas"),
-], ids=["torus-4", "torus-5", "torus--1", "planar-2", "torus-(0,2)", "ancillas--1"])
+    (lat.torus(2), dict(n_ancillas=1.5), "n_ancillas"),
+    (lat.torus(2), dict(n_ancillas="1"), "n_ancillas"),
+], ids=["torus-4", "torus-5", "torus--1", "planar-2", "torus-(0,2)", "torus-1.5",
+        "torus-None", "torus-(0,1,0)", "ancillas--1", "ancillas-1.5", "ancillas-'1'"])
 def test_prepare_ground_state_rejects_bad_input(lattice, kwargs, param):
     with pytest.raises(UsageError, match=rf"\b{param}\b"):
         tb.prepare_ground_state(lattice, **kwargs)
@@ -491,6 +537,33 @@ def test_expectation_phase_imaginary():
     assert tb.expectation_pauli(t, y) == 1
     iy = PauliString(y.phase + 1, y.support)  # iY
     assert tb.expectation_phase(t, iy) == 1j
+
+
+def test_batched_expectations_match_dense():
+    # an entangled probe, then products of generators (determined, any
+    # phase) among random Paulis (mostly undetermined), read in one batch
+    lattice = lat.torus(2)
+    t = tb.prepare_ground_state(lattice, 1, n_ancillas=1)
+    probe = lattice.n_edges
+    t.h(probe)
+    tb.apply_controlled_string(t, probe, from_string_path(lat.logical_operators(lattice)[0][1]))
+    t.s(probe)
+    rng = np.random.default_rng(4)
+    gens = t.stabilizer_generators()
+    paulis = [PauliString.identity()]
+    for _ in range(30):
+        p = PauliString.identity()
+        for g in rng.choice(len(gens), size=4, replace=False):
+            p = multiply(gens[int(g)], p)
+        paulis += [PauliString(p.phase + int(rng.integers(4)), p.support),
+                   random_hermitian_pauli(t.n, rng)]
+    values = tb.expectations(t, paulis)
+    assert np.count_nonzero(values) > len(paulis) // 2
+    psi = sv.from_tableau(t)
+    for p, value in zip(paulis, values):
+        assert abs(np.vdot(psi.amps, sv._pauli_action(psi, p)) - value) < 1e-10, str(p)
+        assert tb.expectation_phase(t, p) == value
+    assert tb.expectations(t, []).shape == (0,)
 
 
 def test_measure_requires_hermitian():
