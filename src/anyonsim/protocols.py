@@ -191,21 +191,14 @@ PROBE_STATES = {
 }
 
 
-def _probe_gates(state: tuple[str, int]) -> tuple[str, ...]:
-    """The gates that rotate |0> into the single-qubit stabilizer state
-    (P, sign)."""
+def prepare_probe(t: tb.Tableau, qubit: int, state: tuple[str, int]) -> tb.Tableau:
+    """Rotate a |0> probe into the single-qubit stabilizer state (P, sign)."""
     key = (state[0].upper(), int(state[1]))
     if key not in PROBE_STATES:
         raise UsageError(f"unknown probe state {state!r}")
-    return PROBE_STATES[key]
-
-
-def prepare_probe(t: tb.Tableau, qubit: int, state: tuple[str, int]) -> tb.Tableau:
-    """Rotate a |0> probe into the single-qubit stabilizer state (P, sign)."""
-    gates = _probe_gates(state)
-    if tb.expectations(t, [PauliString.z_on([qubit])])[0] != 1:
+    if tb.expectation_pauli(t, PauliString.from_ops({qubit: "Z"})) != 1:
         raise ContractError("probe preparation expects the probe in |0>")
-    for g in gates:
+    for g in PROBE_STATES[key]:
         tb.apply_gate(t, g, qubit)
     return t
 
@@ -233,19 +226,13 @@ def swap_in(lattice: Lattice, t: tb.Tableau, probe_state: tuple[str, int] | None
     probe = lattice.n_edges
     if t.n < probe + 1:
         raise UsageError("tableau has no probe qubit")
-    gates = None if probe_state is None else _probe_gates(probe_state)
     lz, lx = _logical_pair(lattice)
-    # one batch: the memory's logical Z, and the probe's Z if it is prepared
-    values = tb.expectations(t, [lz] if gates is None else [lz, PauliString.z_on([probe])])
-    if values[0] != 1:
+    if tb.expectation_pauli(t, lz) != 1:
         raise ContractError("swap_in expects memory in logical |0>")
     if tb.syndrome(t, lattice).empty is False:
         raise ContractError("swap_in expects a ground-state memory")
-    if gates is not None:
-        if values[1] != 1:
-            raise ContractError("probe preparation expects the probe in |0>")
-        for g in gates:
-            tb.apply_gate(t, g, probe)
+    if probe_state is not None:
+        prepare_probe(t, probe, probe_state)
     tb.apply_controlled_string(t, probe, lx)
     t.h(probe)
     tb.apply_controlled_string(t, probe, lz)
@@ -262,7 +249,7 @@ def swap_out(lattice: Lattice, t: tb.Tableau) -> tb.Tableau:
     probe = lattice.n_edges
     if t.n < probe + 1:
         raise UsageError("tableau has no probe qubit")
-    if tb.expectations(t, [PauliString.z_on([probe])])[0] != 1:
+    if tb.expectation_pauli(t, PauliString.from_ops({probe: "Z"})) != 1:
         raise ContractError("swap_out expects the probe in |0>")
     lz, lx = _logical_pair(lattice)
     t.h(probe)

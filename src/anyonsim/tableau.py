@@ -264,7 +264,7 @@ def _project(t: Tableau, p: PauliString, rng=None, want: int | None = None) -> i
             want = 1 if int(rng.integers(2)) == 0 else -1
         t._set_row(pivot, xs, zs, (p.phase + (0 if want == 1 else 2)) & 3)
         return want
-    value = _read_phases(t, antic[None], [(xs, zs)], [p.phase])[0]
+    value = complex(_group_phases(t, antic[None], _targets([(xs, zs)]), [p.phase])[0])
     if value not in (1, -1):
         raise ContractError("deterministic measurement with non-real phase")
     if want is not None and value != want:
@@ -286,12 +286,18 @@ def expectation_phase(t: Tableau, p: PauliString) -> complex:
 
 
 def expectations(t: Tableau, paulis) -> np.ndarray:
-    """<p> for each phase-tracked Pauli of ``paulis`` (0, or a power of i),
-    read through one _group_phases batch."""
+    """<p> for each phase-tracked Pauli of ``paulis``: 0 for those without a
+    definite value, which are left out of the one _group_phases batch that
+    reads the rest (each a power of i)."""
     cols = [t._columns(p) for p in paulis]
     antic = np.array([t._anticommute(*c) for c in cols], dtype=np.uint64)
-    return _read_phases(t, antic.reshape(len(cols), t.x.shape[0]), cols,
-                        [p.phase for p in paulis])
+    antic = antic.reshape(len(cols), t.x.shape[0])
+    values = np.zeros(len(cols), dtype=complex)
+    keep = (~_indefinite(t, antic)).nonzero()[0].tolist()
+    if keep:
+        values[keep] = _group_phases(t, antic[keep], _targets([cols[k] for k in keep]),
+                                     [paulis[k].phase for k in keep])
+    return values
 
 
 def _indefinite(t: Tableau, antic: np.ndarray) -> np.ndarray:
@@ -302,23 +308,15 @@ def _indefinite(t: Tableau, antic: np.ndarray) -> np.ndarray:
             | antic[:, (t.n >> 6) + 1:].any(axis=1))
 
 
-def _read_phases(t: Tableau, antic: np.ndarray, cols, phases) -> np.ndarray:
-    """<p> for k Paulis given by their row bitsets ``antic`` (k, W), their
-    (x qubits, z qubits) ``cols`` and their phases: 0 for those without a
-    definite value, which are left out of the one _group_phases batch that
-    reads the rest."""
-    values = np.zeros(len(cols), dtype=complex)
-    keep = (~_indefinite(t, antic)).nonzero()[0].tolist()
-    if keep:
-        owner, side, qubit = [], [], []
-        for i, k in enumerate(keep):
-            xs, zs = cols[k]
-            owner += [i] * (len(xs) + len(zs))
-            side += [0] * len(xs) + [1] * len(zs)
-            qubit += xs + zs
-        targets = tuple(np.array(a, dtype=np.int64) for a in (owner, side, qubit))
-        values[keep] = _group_phases(t, antic[keep], targets, [phases[k] for k in keep])
-    return values
+def _targets(cols) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (owner, side, qubit) arrays of _group_phases for Paulis given by
+    their (x qubits, z qubits) ``cols``."""
+    owner, side, qubit = [], [], []
+    for i, (xs, zs) in enumerate(cols):
+        owner += [i] * (len(xs) + len(zs))
+        side += [0] * len(xs) + [1] * len(zs)
+        qubit += xs + zs
+    return tuple(np.array(a, dtype=np.int64) for a in (owner, side, qubit))
 
 
 # i**k for k = 0..3, the values a phase-tracked expectation can take
