@@ -164,15 +164,23 @@ class QuenchedModel:
     p: float
 
     def __post_init__(self):
+        _require_pair_room(self.n)
         if not 0 <= self.m <= self.n ** 2 or not 0 <= self.m_prime <= self.n ** 2:
             raise UsageError("enclosed counts must lie in [0, N^2]")
         if not 0.0 <= self.p <= 1.0:
             raise UsageError("pair probability must lie in [0, 1]")
 
 
+def _require_pair_room(n: int) -> None:
+    """A pair sits on two distinct cells of the N x N torus, so N >= 2."""
+    if not n >= 2:
+        raise UsageError(f"n must be >= 2 to hold a pair, got {n!r}")
+
+
 def quenched_phase_prob(n: int, m: int) -> float:
     """q_m = 2 m (N^2 - m) / (N^2 (N^2 - 1)): probability that a uniformly
     placed pair straddles a region of m cells."""
+    _require_pair_room(n)
     cells = n * n
     if not 0 <= m <= cells:
         raise UsageError("m must lie in [0, N^2]")
@@ -191,6 +199,7 @@ def quenched_contrast(model: QuenchedModel, diffusive: bool = False) -> float:
 def quenched_enumeration_oracle(n: int, region) -> float:
     """Exact fraction of the N^2-choose-2 pair placements with an odd number
     of anyons inside the region (equals q_m for |region| = m)."""
+    _require_pair_room(n)
     if n > 8:
         raise ConfigurationError("enumeration oracle capped at N = 8")
     cells = n * n

@@ -182,6 +182,8 @@ class Pulse:
     kind: str  # one of lattice.ECHO_KINDS
 
     def __post_init__(self):
+        if not math.isfinite(self.time):  # UsageError, as in EchoSchedule
+            raise UsageError(f"time must be finite, got {self.time!r}")
         if self.kind not in ECHO_KINDS:
             raise UsageError(f"unknown echo pulse kind {self.kind!r}")
 
@@ -210,8 +212,9 @@ def build_echo_schedule(kind: str, duration: float, n: int = 1,
     marks, 4n pulses); "boundary_w" (the four-block W sequence with
     boundary-masked operators, repeated n times, 16n pulses, planar only).
     """
+    empty = EchoSchedule(duration, ())  # checks duration before pulses are placed
     if kind == "none":
-        return EchoSchedule(duration, ())
+        return empty
     if kind not in ("z_pairs", "nested", "boundary_w"):
         raise UsageError(f"unknown schedule kind {kind!r}")
     if n < 1:
@@ -237,7 +240,7 @@ def build_echo_schedule(kind: str, duration: float, n: int = 1,
                 pulses.append(Pulse(t0 + (k + 1) * quarter, pk))
     # at duration 0 every pulse falls at t = 0, where each pulse kind occurs
     # an even number of times: the train is the identity
-    return EchoSchedule(duration, tuple(pulses) if duration else ())
+    return EchoSchedule(duration, tuple(pulses)) if duration else empty
 
 
 # -- one-particle dynamics ----------------------------------------------------

@@ -32,9 +32,6 @@ import numbers
 from collections import deque
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from ._gf2 import gf2_solve
 from .errors import ConfigurationError, UsageError
 
 MAX_TORUS = 32
@@ -401,29 +398,35 @@ def degeneracy(genus: int, holes: int) -> int:
 def enclosed_region(lattice: Lattice, path: StringPath) -> frozenset[int]:
     """Cells enclosed by a closed string: faces for a z-loop, vertices for x.
 
-    Solves boundary(region) = path over GF(2).  On a torus the two
-    complementary solutions are both valid; the smaller one is returned
-    (ties broken toward the region not containing cell 0).
+    The region's boundary is the path when every edge of the cell graph
+    joins cells on the same side, or on opposite sides for a path edge: a
+    BFS 2-colours the graph with side[other] = side[node] ^ (edge in path),
+    from the boundary node at side 0 (planar) or from cell 0 (torus), and a
+    contradiction means the path bounds no region.  On a torus the two
+    complementary regions are both valid; the smaller one is returned, the
+    one containing cell 0 on a tie.
     """
-    if path.kind == "z":
-        supports = lattice.boundaries
-        n_cells = lattice.n_faces
-    else:
-        supports = lattice.stars
-        n_cells = lattice.n_vertices
-    mat = np.zeros((lattice.n_edges, n_cells), dtype=np.uint8)
-    for cell, edges in enumerate(supports):
-        for e in edges:
-            mat[e, cell] ^= 1
-    rhs = np.zeros(lattice.n_edges, dtype=np.uint8)
-    for e in path.edge_set:
-        rhs[e] = 1
-    sol = gf2_solve(mat, rhs)
-    if sol is None:
-        raise UsageError("path is not the boundary of any cell region")
-    region = frozenset(np.nonzero(sol)[0].tolist())
-    if lattice.is_torus:
-        complement = frozenset(range(n_cells)) - region
-        if (len(complement), 0 in region) < (len(region), 0 in complement):
-            region = complement
+    bad = [e for e in path.edges
+           if not (isinstance(e, numbers.Integral) and 0 <= e < lattice.n_edges)]
+    if bad:
+        raise UsageError(f"path edge ids must lie in 0..{lattice.n_edges - 1}, got {bad!r}")
+    edges = path.edge_set
+    graph = lattice.cell_graph("x" if path.kind == "z" else "z")
+    n_cells = len(graph) - 1
+    start = 0 if lattice.is_torus else n_cells
+    side = [-1] * len(graph)
+    side[start] = 0
+    queue = deque([start])
+    while queue:
+        node = queue.popleft()
+        for e, other in graph[node]:
+            want = side[node] ^ (e in edges)
+            if side[other] < 0:
+                side[other] = want
+                queue.append(other)
+            elif side[other] != want:
+                raise UsageError("path is not the boundary of any cell region")
+    region = frozenset(c for c in range(n_cells) if side[c] == 1)
+    if lattice.is_torus and 2 * len(region) >= n_cells:
+        region = frozenset(range(n_cells)) - region  # the side holding cell 0
     return region

@@ -56,11 +56,12 @@ class PauliString(WeylString):
         """Build from {site: letter}; a Y site adds one i to the phase."""
         support = {}
         for q, letter in ops.items():
-            x, z = _LETTER_BITS[letter.upper()]
-            if x or z:
-                support[q] = (x, z)
-            if letter.upper() == "Y":
-                phase += 1
+            bits = _LETTER_BITS.get(str(letter).upper())
+            if bits is None:
+                raise UsageError(f"unknown Pauli letter {letter!r} at site {q}")
+            if any(bits):
+                support[q] = bits
+            phase += bits[0] & bits[1]  # Y = i X Z
         return cls(phase, support)
 
     @classmethod

@@ -13,6 +13,11 @@ tensor of shape (2,)*n, axis n-1-q being qubit q: a flip of the X axes and
 one multiply by a sign tensor of size 2 on the Z axes only.  H and S work
 on the two halves of one qubit axis.  No index arrays are built, and no
 full operator matrices outside of dense_operator (test oracle only).
+
+from_tableau reads the least basis state with a nonzero overlap from the
+tableau's measurement update, so the package's GF(2) elimination lives in
+tableau.py alone; the generators' projections, done in place, then give
+the state with its first nonzero amplitude real and > 0.
 """
 
 from __future__ import annotations
@@ -22,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._gf2 import gf2_solve
+from . import tableau as tb
 from .errors import ConfigurationError, UsageError
-from .pauli import PauliString, multiply
+from .pauli import PauliString
 from .weyl import WeylString
 
 MAX_QUBITS = 22
@@ -93,8 +98,7 @@ def apply_gate(s: StateVector, gate: str, targets) -> StateVector:
     Gates: H, S, X, Y, Z (one target), CX, CZ (control, target).  Rotations
     are apply_pauli_exponential on a one-qubit string.
     """
-    if isinstance(targets, int):
-        targets = (targets,)
+    targets = tb._gate_targets(gate, targets)
     _check_qubits(s, targets)
     gate = gate.upper()
     if gate in ("X", "Y", "Z"):
@@ -227,35 +231,28 @@ def dense_operator(p: WeylString, n_sites: int | None = None) -> np.ndarray:
 def from_tableau(t) -> StateVector:
     """Dense amplitudes of a stabilizer state (oracle; n <= MAX_QUBITS).
 
-    Row-reducing the generators' x bits leaves generators that are +-Z
-    strings; their signs fix the least basis state b with a nonzero overlap,
-    by one GF(2) solve (Aaronson and Gottesman, PRA 70, 052328, 2004).  Then
-    psi = prod_g (I + g)/2 |b>, normalised.
+    The least basis state b with a nonzero overlap is read from the
+    tableau's own measurement update (Aaronson and Gottesman, PRA 70,
+    052328, 2004): Z_q is measured on a clone from the highest qubit down,
+    a determined value is bit q, and an undetermined one is projected onto
+    +1, so bit q is 0.  Then psi = prod_g (I + g)/2 |b>, normalised, whose
+    first nonzero amplitude, at b, is real and > 0.
     """
     if t.n > MAX_QUBITS:
         raise ConfigurationError(f"{t.n} qubits exceeds dense cap {MAX_QUBITS}")
-    gens = t.stabilizer_generators()
-    rows = list(gens)
-    rank = 0
-    for q in range(t.n):
-        hits = [i for i in range(rank, len(rows)) if rows[i].support.get(q, (0, 0))[0]]
-        if not hits:
-            continue
-        pivot = rows[hits[0]]
-        rows[hits[0]], rows[rank] = rows[rank], pivot
-        for i in hits[1:]:
-            rows[i] = multiply(rows[i], pivot)
-        rank += 1
-    zrows = rows[rank:]
-    zmat = np.zeros((len(zrows), t.n), dtype=np.uint8)
-    for r, g in enumerate(zrows):
-        zmat[r, list(g.support)] = 1
-    # a Hermitian Z string has phase 0 or 2: (-1)**(phase/2) (-1)**(z.b) = +1
-    bits = gf2_solve(zmat, np.array([g.phase // 2 for g in zrows], dtype=np.uint8))
-    if bits is None:
-        raise ConfigurationError("stabilizer generators fix no basis state")
-    s = StateVector.computational(t.n, sum(int(v) << q for q, v in enumerate(bits)))
-    for g in gens:
-        s.amps = 0.5 * (s.amps + _pauli_action(s, g))
+    probe = t.clone()
+    index = 0
+    for q in range(t.n - 1, -1, -1):
+        z = PauliString.z_on((q,))
+        value = tb.expectation_pauli(probe, z)
+        if value == 0:
+            tb._project(probe, z, want=1)
+        elif value < 0:
+            index |= 1 << q
+    s = StateVector.computational(t.n, index)
+    for g in t.stabilizer_generators():
+        # in place: one full-size temporary per generator
+        s.amps += _pauli_action(s, g)
+        s.amps *= 0.5
     s.amps /= np.linalg.norm(s.amps)
     return s

@@ -194,6 +194,17 @@ _GATE_METHODS = {"H": "h", "S": "s", "X": "x_gate", "Y": "y_gate",
                  "Z": "z_gate", "CX": "cx", "CZ": "cz"}
 
 
+def _gate_targets(gate: str, targets) -> tuple:
+    """The targets of a named gate as a tuple, checked for its arity: one
+    qubit (or a bare int), or (control, target) for CX and CZ.  Both
+    engines' apply_gate read their targets through here."""
+    targets = (targets,) if isinstance(targets, numbers.Integral) else tuple(targets)
+    arity = 2 if gate.upper() in ("CX", "CZ") else 1
+    if len(targets) != arity:
+        raise UsageError(f"gate {gate!r} takes {arity} qubit(s), got targets={targets!r}")
+    return targets
+
+
 def apply_gate(t: Tableau, gate: str, targets) -> Tableau:
     """Apply a named Clifford gate in place and return the tableau.
 
@@ -203,9 +214,7 @@ def apply_gate(t: Tableau, gate: str, targets) -> Tableau:
     method = _GATE_METHODS.get(gate.upper())
     if method is None:
         raise UsageError(f"unknown Clifford gate {gate!r}")
-    if isinstance(targets, int):
-        targets = (targets,)
-    return getattr(t, method)(*targets)
+    return getattr(t, method)(*_gate_targets(gate, targets))
 
 
 # -- state operations -------------------------------------------------------
@@ -468,6 +477,8 @@ def syndrome_after(s: Syndrome, lattice: Lattice, p: PauliString) -> Syndrome:
     vertices = set(s.flipped_vertices)
     faces = set(s.flipped_faces)
     for q, (xb, zb) in p.support.items():
+        if q < 0:
+            raise UsageError(f"Pauli site {q} is negative")
         if q >= lattice.n_edges:
             continue
         if zb:

@@ -168,6 +168,17 @@ def test_enumeration_oracle_matches_formula():
         an.quenched_enumeration_oracle(9, {0})
 
 
+@pytest.mark.parametrize("n", [1, 0, -2])
+def test_quenched_formulas_need_two_cells(n):
+    # a pair needs two cells: N < 2 is a UsageError naming n, not a
+    # division by zero
+    for call in (lambda: an.quenched_phase_prob(n, 0),
+                 lambda: an.QuenchedModel(n, 0, 0, 0.5),
+                 lambda: an.quenched_enumeration_oracle(n, [])):
+        with pytest.raises(UsageError, match=r"\bn\b"):
+            call()
+
+
 def test_quenched_contrast():
     model = an.QuenchedModel(n=4, m=4, m_prime=2, p=0.3)
     q4 = an.quenched_phase_prob(4, 4)

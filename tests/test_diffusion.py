@@ -366,6 +366,7 @@ def _diffusion_calls(lattice):
             tau=1.0, params=df.DiffusionParams(1.0, 10.0))),
         "master_equation_survival": (df.master_equation_survival,
                                      dict(n=4, gamma=1.0, tau=[1.0])),
+        "Pulse": (df.Pulse, dict(time=0.5, kind="z")),
     }
 
 
@@ -381,6 +382,7 @@ BAD_DIFFUSION_INPUTS = [
     *[("master_equation_survival", "gamma", v) for v in (-1.0, math.nan, math.inf)],
     *[("master_equation_survival", "n", v) for v in (0, -2)],
     *[("master_equation_survival", "tau", [v]) for v in (-1.0, math.nan)],
+    *[("Pulse", "time", v) for v in (math.nan, math.inf, -math.inf)],
 ]
 
 

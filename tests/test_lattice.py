@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from anyonsim import lattice as lat
-from anyonsim._gf2 import gf2_rank
 from anyonsim.errors import ConfigurationError, UsageError
 from anyonsim.pauli import PauliString, commutation_phase, from_string_path
 
@@ -31,20 +30,25 @@ def test_planar_counts():
         assert p.n_edges - p.n_vertices - p.n_faces == 1
 
 
+def _gf2_rank(rows):
+    """Rank over GF(2) of rows given as integer bitmasks."""
+    pivots = {}
+    for row in rows:
+        while row:
+            top = row.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = row
+                break
+            row ^= pivots[top]
+    return len(pivots)
+
+
 def test_torus4_independent_stabilizers_and_degeneracy():
     t = lat.torus(4)
-    rows = []
-    for v in range(t.n_vertices):
-        row = np.zeros(2 * t.n_edges, dtype=np.uint8)
-        for e in t.star(v):
-            row[e] = 1
-        rows.append(row)
-    for f in range(t.n_faces):
-        row = np.zeros(2 * t.n_edges, dtype=np.uint8)
-        for e in t.boundary(f):
-            row[t.n_edges + e] = 1
-        rows.append(row)
-    rank = gf2_rank(np.array(rows))
+    # x bits of a star on bits 0..n_edges-1, z bits of a face above them
+    rows = [sum(1 << e for e in t.star(v)) for v in range(t.n_vertices)]
+    rows += [sum(1 << (t.n_edges + e) for e in t.boundary(f)) for f in range(t.n_faces)]
+    rank = _gf2_rank(rows)
     assert rank == 2 * 16 - 2 == 30
     assert t.n_edges - rank == 2  # two logical qubits -> degeneracy 4
 
@@ -329,3 +333,38 @@ def test_enclosed_region(torus4):
     with pytest.raises(UsageError):
         open_path = lat.shortest_string(torus4, "z", 0, 1)
         lat.enclosed_region(torus4, open_path)
+
+
+@pytest.mark.parametrize("lattice", [lat.torus(4), lat.planar(3)], ids=["torus4", "planar3"])
+@pytest.mark.parametrize("kind", ["z", "x"])
+def test_enclosed_region_is_the_cells_whose_boundary_is_the_path(lattice, kind):
+    # every region's boundary gives the region back (its complement's too,
+    # on a torus, which takes the smaller side); one more edge bounds nothing
+    supports = lattice.boundaries if kind == "z" else lattice.stars
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        cells = frozenset(np.flatnonzero(rng.random(len(supports)) < rng.random()).tolist())
+        edges = frozenset()
+        for c in cells:
+            edges ^= frozenset(supports[c])
+        path = lat.StringPath(kind, tuple(sorted(edges)))
+        region = lat.enclosed_region(lattice, path)
+        if lattice.is_torus:
+            others = frozenset(range(len(supports))) - cells
+            assert region in (cells, others)
+            assert len(region) <= len(supports) // 2
+        else:
+            assert region == cells
+        with pytest.raises(UsageError, match="not the boundary"):
+            lat.enclosed_region(lattice, lat.StringPath(kind, tuple(edges ^ {0})))
+
+
+@pytest.mark.parametrize("kind", ["z", "x"])
+def test_enclosed_region_rejects_edge_ids_outside_lattice(torus4, kind):
+    # a negative id must not wrap around: the wrapped loop names a closed
+    # loop's first edge by its id minus n_edges
+    loop = (torus4.boundaries if kind == "z" else torus4.stars)[5]
+    wrapped = (loop[0] - torus4.n_edges, *loop[1:])
+    for edges in ((999,), (32,), (-1,), (1.5,), wrapped):
+        with pytest.raises(UsageError, match=r"\bpath\b.*0\.\.31"):
+            lat.enclosed_region(torus4, lat.StringPath(kind, edges))

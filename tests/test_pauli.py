@@ -144,6 +144,13 @@ def test_text_round_trip():
         PauliString.from_text("X3 X3")
 
 
+def test_from_ops_rejects_unknown_letters():
+    assert PauliString.from_ops({0: "y", 2: "i"}) == PauliString.from_ops({0: "Y"})
+    for letter in ("Q", "XZ", "", 3):
+        with pytest.raises(UsageError, match=f"letter {letter!r}"):
+            PauliString.from_ops({0: "X", 1: letter})
+
+
 def test_from_string_path(planar2):
     empty = lat.StringPath("z", ())
     assert from_string_path(empty).is_identity()

@@ -177,6 +177,28 @@ def test_from_tableau_random_circuits():
         assert abs(abs(sv.inner_product(sv.from_tableau(t), s)) - 1) < 1e-10
 
 
+def _from_tableau_cases():
+    yield tb.prepare_ground_state(lat.planar(2), 0)
+    yield tb.prepare_ground_state(lat.planar(3), 1)
+    yield tb.prepare_ground_state(lat.torus(2), 3, n_ancillas=1)
+    yield tb.prepare_ground_state(lat.torus(3), (1, 0), n_ancillas=1)
+    rng = np.random.default_rng(12)
+    for _ in range(30):
+        n = int(rng.integers(1, 9))
+        yield run_circuit(n, random_clifford_circuit(n, 30, rng))[0]
+
+
+def test_from_tableau_global_phase_convention():
+    # the first nonzero amplitude is the least basis index with a nonzero
+    # overlap, and it is real and > 0: the global phase every dense golden
+    # (cli memory, the braid alpha) rests on
+    for t in _from_tableau_cases():
+        amps = sv.from_tableau(t).amps
+        first = int(np.flatnonzero(np.abs(amps) > 1e-12)[0])
+        assert not amps[:first].any()
+        assert amps[first].imag == 0 and amps[first].real > 0
+
+
 def _any_phase_pauli(sites, rng) -> PauliString:
     """The oracle's random string (Y included) moved onto the given sites,
     with an arbitrary phase i**k."""

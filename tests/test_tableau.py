@@ -67,6 +67,24 @@ def test_apply_gate_rejects_bad_input(gate, targets):
         sv.apply_gate(sv.StateVector.computational(3), gate, targets)
 
 
+@pytest.mark.parametrize("gate, targets", [("H", (0, 1)), ("X", ()), ("CX", 0),
+                                            ("CZ", (0,)), ("CX", (0, 1, 2))])
+@pytest.mark.parametrize("engine", ["tableau", "statevector"])
+def test_apply_gate_checks_arity(engine, gate, targets):
+    # the wrong number of targets is a UsageError naming them, in both
+    # engines, and leaves the state as it was
+    if engine == "tableau":
+        state, apply = tb.Tableau(3), tb.apply_gate
+        before = lambda: (state.x.copy(), state.z.copy(), state.r.copy())
+    else:
+        state, apply = sv.StateVector.computational(3), sv.apply_gate
+        before = lambda: (state.amps.copy(),)
+    saved = before()
+    with pytest.raises(UsageError, match=r"\btargets\b"):
+        apply(state, gate, targets)
+    assert all(np.array_equal(a, b) for a, b in zip(saved, before()))
+
+
 @pytest.mark.parametrize("gate, targets", [("h", (3,)), ("h", (-1,)),
                                             ("cx", (0, 3)), ("cx", (-1, 0)),
                                             ("cz", (3, 0)), ("cz", (0, -1))])
@@ -324,6 +342,14 @@ def test_syndrome_matches_expectation_oracle(lattice):
             assert tb.syndrome(after, lattice) == want
             assert tb.syndrome(_mix_generators(after, rng), lattice) == want
             assert tb.syndrome_after(base, lattice, p) == want
+
+
+def test_syndrome_after_rejects_negative_sites(torus4):
+    # site -1 is no edge; it must not be read as the last one
+    empty = tb.Syndrome(frozenset(), frozenset())
+    for ops in ({-1: "Z"}, {0: "X", -3: "Y"}):
+        with pytest.raises(UsageError, match="site -"):
+            tb.syndrome_after(empty, torus4, PauliString.from_ops(ops))
 
 
 def test_syndrome_matches_expectation_oracle_torus32():
