@@ -9,6 +9,7 @@ are exposed as parameters with the published defaults (2*pi single photon,
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from itertools import combinations
@@ -42,6 +43,8 @@ def optimal_detuning(params: CavityParams, n_spins: int) -> float:
 
 def photon_loss_at(params: CavityParams, n_spins: int, detuning: float) -> float:
     """kappa tau + N (g/Delta)^2 gamma tau at the QND time tau = pi Delta / g**2."""
+    if not (math.isfinite(detuning) and detuning > 0):
+        raise UsageError(f"detuning must be finite and > 0, got {detuning!r}")
     tau = math.pi * detuning / params.g ** 2
     return params.kappa * tau + n_spins * (params.g / detuning) ** 2 * params.gamma * tau
 
@@ -51,6 +54,8 @@ def min_photon_loss(n_spins: int, purcell: float, prefactor: float = 2.0 * math.
     """Minimal single-photon loss probability, prefactor * sqrt(N/P)."""
     if n_spins < 1 or purcell <= 0:
         raise UsageError("need N >= 1 and P > 0")
+    if not math.isfinite(purcell):
+        raise UsageError(f"purcell must be finite, got {purcell!r}")
     loss = prefactor * math.sqrt(n_spins / purcell)
     if loss >= 1.0:
         warnings.warn("photon loss estimate >= 1: outside the validity regime",
@@ -64,6 +69,8 @@ def geometric_gate_loss(n_spins: int, purcell: float, alpha_sq: float) -> float:
     entering twice; both conventions are recoverable from this form)."""
     if alpha_sq < 0:
         raise UsageError("alpha_sq must be non-negative")
+    if not math.isfinite(alpha_sq):
+        raise UsageError(f"alpha_sq must be finite, got {alpha_sq!r}")
     if alpha_sq == 0:
         return 0.0
     return alpha_sq * min_photon_loss(n_spins, purcell)
@@ -76,12 +83,23 @@ def qnd_error(n_spins: int, theta: float, delta: float, k: int = 1) -> float:
         raise UsageError("|delta| must be < 1")
     if k < 1:
         raise UsageError("composite-pulse order k must be >= 1")
+    _require_order(k)
+    for name, value in (("theta", theta), ("delta", delta)):
+        if not math.isfinite(value):
+            raise UsageError(f"{name} must be finite, got {value!r}")
     return n_spins * theta * abs(delta) ** k
 
 
 def qnd_pulse_count(k: int) -> float:
     """Composite-pulse budget k**3 (the published prefactor is 1)."""
+    _require_order(k)
     return float(k ** 3)
+
+
+def _require_order(k) -> None:
+    """A composite-pulse order is an integer >= 1."""
+    if not (isinstance(k, numbers.Integral) and k >= 1):
+        raise UsageError(f"composite-pulse order k must be an integer >= 1, got {k!r}")
 
 
 @dataclass(frozen=True)
@@ -91,8 +109,7 @@ class MemoryBudget:
     delta_h/J: noise perturbation over gap; N: minimal logical string
     length; q: unprotected decoherence rate; purcell: cavity figure of
     merit; lam: loss prefactor (2*pi single photon, pi^2-type geometric);
-    epsilon: residual per-spin gate error; k: composite-pulse order;
-    delta: relative QND deviation.
+    epsilon: residual per-spin gate error.
     """
 
     delta_h: float
@@ -102,11 +119,9 @@ class MemoryBudget:
     purcell: float
     lam: float = 2.0 * math.pi
     epsilon: float = 0.0
-    k: int = 1
-    delta: float = 0.0
 
     def __post_init__(self):
-        require_finite(self, "delta_h", "lam", "epsilon", "delta")
+        require_finite(self, "delta_h", "lam", "epsilon")
         require_finite(self, "coupling_j", "q", "purcell", positive=True)
         if self.epsilon < 0:
             raise ConfigurationError(f"epsilon must be >= 0, got {self.epsilon!r}")
@@ -184,6 +199,8 @@ def quenched_phase_prob(n: int, m: int) -> float:
     cells = n * n
     if not 0 <= m <= cells:
         raise UsageError("m must lie in [0, N^2]")
+    if not isinstance(m, numbers.Integral):
+        raise UsageError(f"m must be an integer, got {m!r}")
     return 2.0 * m * (cells - m) / (cells * (cells - 1))
 
 
@@ -206,6 +223,8 @@ def quenched_enumeration_oracle(n: int, region) -> float:
     region = frozenset(region)
     if any(not 0 <= c < cells for c in region):
         raise UsageError("region cell outside the lattice")
+    if not all(isinstance(c, numbers.Integral) for c in region):
+        raise UsageError(f"region cells must be integers, got {sorted(region)!r}")
     odd = sum(1 for a, b in combinations(range(cells), 2)
               if (a in region) != (b in region))
     return odd / math.comb(cells, 2)
@@ -229,5 +248,7 @@ def contrast_vs_loop(perimeter: int, eps_s: float, model: QuenchedModel
     1 - p (q_m + q_m') (area law)."""
     if not 0.0 <= eps_s < 1.0:
         raise UsageError("per-edge error rate must lie in [0, 1)")
+    if not (isinstance(perimeter, numbers.Integral) and perimeter >= 0):
+        raise UsageError(f"perimeter must be an integer >= 0, got {perimeter!r}")
     return LoopContrastReport(perimeter, (1.0 - eps_s) ** perimeter,
                               quenched_contrast(model))

@@ -266,7 +266,7 @@ def cmd_budget(header: list[str], cfg: dict) -> int:
     params = analytics.CavityParams(cfg["g"], cfg["kappa"], cfg["gamma"])
     budget = analytics.MemoryBudget(
         delta_h=cfg["delta_h"], coupling_j=cfg["j"], n_length=n, q=cfg["q"],
-        purcell=params.purcell, epsilon=cfg["epsilon"], k=cfg["k"], delta=cfg["delta"])
+        purcell=params.purcell, epsilon=cfg["epsilon"])
     rows = [
         ("purcell_factor", params.purcell),
         ("optimal_detuning", analytics.optimal_detuning(params, n)),

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,6 +183,8 @@ class Pulse:
     kind: str  # one of lattice.ECHO_KINDS
 
     def __post_init__(self):
+        if not isinstance(self.time, numbers.Real):
+            raise UsageError(f"time must be a number, got {self.time!r}")
         if not math.isfinite(self.time):  # UsageError, as in EchoSchedule
             raise UsageError(f"time must be finite, got {self.time!r}")
         if self.kind not in ECHO_KINDS:
@@ -219,6 +222,8 @@ def build_echo_schedule(kind: str, duration: float, n: int = 1,
         raise UsageError(f"unknown schedule kind {kind!r}")
     if n < 1:
         raise UsageError(f"schedule {kind} needs n >= 1, got {n}")
+    if not isinstance(n, numbers.Integral):
+        raise UsageError(f"schedule {kind} needs an integer n, got {n!r}")
     if kind == "z_pairs":
         step = duration / (2 * n)
         pulses = [Pulse((k + 1) * step, "z") for k in range(2 * n)]
@@ -437,7 +442,7 @@ def spread_cells(lattice: Lattice, sector: str, n_particles: int) -> list[int]:
     """Deterministic far-separated start cells (row-major stride plus a
     half-lattice column shift on alternating picks)."""
     n_cells, _, _ = hop_structure(lattice, sector)
-    if not 1 <= n_particles <= n_cells:
+    if not (isinstance(n_particles, numbers.Integral) and 1 <= n_particles <= n_cells):
         raise UsageError(f"n_particles must be in 1..{n_cells}, got {n_particles!r}")
     cells = []
     for k in range(n_particles):

@@ -290,8 +290,8 @@ def shortest_string(lattice: Lattice, kind: str, a: int, b: int) -> StringPath:
     a == b yields the empty path (identity operator).
     """
     graph = lattice.cell_graph(kind)
-    _check_cell(graph, kind, a)
-    _check_cell(graph, kind, b)
+    _check_cell(graph, kind, "a", a)
+    _check_cell(graph, kind, "b", b)
     if a == b:
         return StringPath(kind, ())
     dist = _bfs(graph, a)
@@ -309,16 +309,19 @@ def string_to_boundary(lattice: Lattice, kind: str, a: int) -> StringPath:
     if lattice.is_torus:
         raise UsageError("a torus has no boundary")
     graph = lattice.cell_graph(kind)
-    _check_cell(graph, kind, a)
+    _check_cell(graph, kind, "a", a)
     dist = _bfs(graph, len(graph) - 1)
     if dist[a] < 0:
         raise UsageError("no boundary reachable")
     return StringPath(kind, _walk(graph, dist, a))
 
 
-def _check_cell(graph, kind, cell):
+def _check_cell(graph, kind, name, cell):
     if not 0 <= cell < len(graph) - 1:
         raise UsageError(f"invalid {kind}-string endpoint")
+    if not isinstance(cell, numbers.Integral):
+        raise UsageError(f"{kind}-string endpoint {name} must be an integer, "
+                         f"got {cell!r}")
 
 
 def _bfs(graph, source):
@@ -392,6 +395,9 @@ def degeneracy(genus: int, holes: int) -> int:
     """Ground-space dimension 2**(2g + h)."""
     if genus < 0 or holes < 0:
         raise UsageError("genus and holes must be non-negative")
+    for name, value in (("genus", genus), ("holes", holes)):
+        if not isinstance(value, numbers.Integral):
+            raise UsageError(f"{name} must be an integer, got {value!r}")
     return 2 ** (2 * genus + holes)
 
 

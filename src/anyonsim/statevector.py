@@ -23,6 +23,7 @@ the state with its first nonzero amplitude real and > 0.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +53,12 @@ class StateVector:
             raise UsageError(f"n must be >= 0, got {n!r}")
         if n > MAX_QUBITS:
             raise ConfigurationError(f"{n} qubits exceeds dense cap {MAX_QUBITS}")
+        if not isinstance(n, numbers.Integral):
+            raise UsageError(f"n must be an integer, got {n!r}")
         if not 0 <= index < 1 << n:
             raise UsageError(f"index must be in 0..{(1 << n) - 1}, got {index!r}")
+        if not isinstance(index, numbers.Integral):
+            raise UsageError(f"index must be an integer, got {index!r}")
         amps = np.zeros(1 << n, dtype=np.complex128)
         amps[index] = 1.0
         return cls(n, amps)

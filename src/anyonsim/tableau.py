@@ -9,19 +9,21 @@ maintained but never read.
 The x and z bits are stored per qubit column and packed along the rows:
 bit b of ``x[w, q]`` is the x bit of qubit q in row 64w + b.  A qubit's
 column ``x[:, q]`` is therefore a bitset over all 2n rows, and each 64-row
-block ``x[w]`` is contiguous.  Every read starts from the row bitset of the
-rows that anticommute with a Pauli, the XOR of its few support columns;
-gates are XORs and swaps of columns, so torus(32) = 2048 qubits stays cheap.
+block ``x[w]`` is contiguous.  Gates are XORs and swaps of columns, so
+torus(32) = 2048 qubits stays cheap.
 
-A Pauli p that commutes with every stabilizer has <p> = i**(k_p - k_prod),
-where prod is the product of the stabilizer rows whose destabilizers
-anticommute with p.  _group_phases reads this for a whole batch of Paulis
-at once: it transposes only the 64-row blocks holding those rows into
-packed qubit words, and a segmented prefix XOR with a popcount gives every
-product's phase (the deterministic read of Aaronson and Gottesman, batched
-as in Gidney's Stim, Quantum 5, 497, 2021).  syndrome reads every
-stabilizer in one batch, expectations any list of Paulis;
-expectation_phase and measurement read a batch of one.
+Every read and Pauli update starts from the row bitsets of the rows that
+anticommute with a batch of Paulis: _targets lists the batch's x and z
+bits and _antic XORs each Pauli's few support columns, one reduceat per
+side.  _group_phases reads the batch: 0 for a Pauli that a stabilizer row
+anticommutes with, else <p> = i**(k_p - k_prod), where prod is the product
+of the stabilizer rows whose destabilizers anticommute with p.  It
+transposes only the 64-row blocks holding those rows into packed qubit
+words, and a segmented prefix XOR with a popcount gives every product's
+phase (the deterministic read of Aaronson and Gottesman, batched as in
+Gidney's Stim, Quantum 5, 497, 2021).  syndrome reads every stabilizer in
+one batch, expectations any list of Paulis; expectation_phase and
+measurement read a batch of one.
 
 prepare_ground_state projects the stars with one row-greedy GF(2)
 Gauss-Jordan pass over the packed rows of the star incidence, kept in the
@@ -66,6 +68,8 @@ class Tableau:
     def __init__(self, n: int):
         if n < 1:
             raise UsageError("need at least one qubit")
+        if not isinstance(n, numbers.Integral):
+            raise UsageError(f"n must be an integer, got {n!r}")
         self.n = n
         self.x = np.zeros(((2 * n + 63) // 64, n), dtype=np.uint64)
         self.z = np.zeros_like(self.x)
@@ -104,24 +108,6 @@ class Tableau:
         return "\n".join(str(g) for g in self.stabilizer_generators())
 
     # -- row algebra -----------------------------------------------------
-    def _columns(self, p: PauliString) -> tuple[list[int], list[int]]:
-        """The qubits where p has an x bit, and those where it has a z bit."""
-        for q in p.support:
-            if not 0 <= q < self.n:
-                raise UsageError(f"site {q} outside tableau of {self.n} qubits")
-        return ([q for q, (xb, _) in p.support.items() if xb],
-                [q for q, (_, zb) in p.support.items() if zb])
-
-    def _anticommute(self, xs, zs) -> np.ndarray:
-        """Row bitset of the rows anticommuting with the Pauli that has x
-        bits on the qubits xs and z bits on zs: a row's z bits meet the x
-        bits and its x bits the z bits."""
-        rows = np.zeros(self.x.shape[0], dtype=np.uint64)
-        for bits, cols in ((self.z, xs), (self.x, zs)):
-            if len(cols):  # an empty reduce costs as much as a short one
-                rows ^= np.bitwise_xor.reduce(bits[:, cols], axis=1)
-        return rows
-
     def _add_phase(self, k: int, rows: np.ndarray) -> None:
         """r <- r + k on every row of the bitset ``rows``."""
         self.r = (self.r + k * _row_bits(rows)[:2 * self.n]) & 3
@@ -130,7 +116,8 @@ class Tableau:
         """row <- row * row_src for every row of the bitset ``rows``
         (which must not hold src)."""
         sx, sz = (np.flatnonzero(bits) for bits in self._row(src))
-        # Z**z_row X**x_src = (-1)**(z_row . x_src) X**x_src Z**z_row
+        # Z**z_row X**x_src = (-1)**(z_row . x_src) X**x_src Z**z_row; one
+        # direct reduce, as _antic's target set-up would slow each measurement
         cross = np.bitwise_xor.reduce(self.z[:, sx], axis=1) & rows
         self._add_phase(int(self.r[src]), rows)
         self._add_phase(2, cross)
@@ -221,7 +208,7 @@ def apply_gate(t: Tableau, gate: str, targets) -> Tableau:
 
 def apply_pauli_string(t: Tableau, p: PauliString) -> Tableau:
     """Multiply the state by p: only stabilizer signs change."""
-    t._add_phase(2, t._anticommute(*t._columns(p)))
+    t._add_phase(2, _antic(t, _targets(t, [p]), 1)[0])
     return t
 
 
@@ -261,19 +248,20 @@ def _project(t: Tableau, p: PauliString, rng=None, want: int | None = None) -> i
     probability and raises ContractError."""
     if not p.is_hermitian():
         raise UsageError("measurement needs a Hermitian Pauli")
-    xs, zs = t._columns(p)
-    antic = t._anticommute(xs, zs)
-    rows = np.flatnonzero(_row_bits(antic))
+    targets = _targets(t, [p])
+    antic = _antic(t, targets, 1)
+    rows = np.flatnonzero(_row_bits(antic[0]))
     if rows.size and rows[-1] >= t.n:
         pivot = int(rows[rows >= t.n][0])
-        antic[pivot >> 6] ^= _ONE << np.uint64(pivot & 63)
-        t._rowmult_into(antic, pivot)
+        antic[0, pivot >> 6] ^= _ONE << np.uint64(pivot & 63)
+        t._rowmult_into(antic[0], pivot)
         t._set_row(pivot - t.n, *(np.flatnonzero(b) for b in t._row(pivot)), t.r[pivot])
         if want is None:
             want = 1 if int(rng.integers(2)) == 0 else -1
+        (_, xs, _), (_, zs, _) = targets
         t._set_row(pivot, xs, zs, (p.phase + (0 if want == 1 else 2)) & 3)
         return want
-    value = complex(_group_phases(t, antic[None], _targets([(xs, zs)]), [p.phase])[0])
+    value = complex(_group_phases(t, antic, targets, [p.phase])[0])
     if value not in (1, -1):
         raise ContractError("deterministic measurement with non-real phase")
     if want is not None and value != want:
@@ -285,8 +273,7 @@ def expectation_pauli(t: Tableau, p: PauliString) -> int:
     """Exact <p> for a Hermitian Pauli: 0 if undetermined, else +-1."""
     if not p.is_hermitian():
         raise UsageError("expectation needs a Hermitian Pauli")
-    out = expectation_phase(t, p)
-    return int(out.real)
+    return int(expectation_phase(t, p).real)
 
 
 def expectation_phase(t: Tableau, p: PauliString) -> complex:
@@ -295,18 +282,42 @@ def expectation_phase(t: Tableau, p: PauliString) -> complex:
 
 
 def expectations(t: Tableau, paulis) -> np.ndarray:
-    """<p> for each phase-tracked Pauli of ``paulis``: 0 for those without a
-    definite value, which are left out of the one _group_phases batch that
-    reads the rest (each a power of i)."""
-    cols = [t._columns(p) for p in paulis]
-    antic = np.array([t._anticommute(*c) for c in cols], dtype=np.uint64)
-    antic = antic.reshape(len(cols), t.x.shape[0])
-    values = np.zeros(len(cols), dtype=complex)
-    keep = (~_indefinite(t, antic)).nonzero()[0].tolist()
-    if keep:
-        values[keep] = _group_phases(t, antic[keep], _targets([cols[k] for k in keep]),
-                                     [paulis[k].phase for k in keep])
-    return values
+    """<p> for each phase-tracked Pauli of ``paulis``, in one _group_phases
+    batch: 0 for those without a definite value, else a power of i."""
+    targets = _targets(t, paulis)
+    return _group_phases(t, _antic(t, targets, len(paulis)), targets,
+                         [p.phase for p in paulis])
+
+
+def _targets(t: Tableau, paulis) -> tuple:
+    """The bits of a batch of Paulis as _antic and _group_phases read them:
+    an x side and a z side, each an (owner, qubit, starts) triple of arrays
+    holding each bit's Pauli (sorted) and qubit, and the index of the first
+    bit of each Pauli that has bits on that side."""
+    sides = ([], [], []), ([], [], [])
+    for i, p in enumerate(paulis):
+        for q in p.support:
+            if not 0 <= q < t.n:
+                raise UsageError(f"site {q} outside tableau of {t.n} qubits")
+        for side, (owner, qubit, starts) in enumerate(sides):
+            cols = [q for q, bits in p.support.items() if bits[side]]
+            if cols:
+                starts.append(len(qubit))
+                owner += [i] * len(cols)
+                qubit += cols
+    return tuple(tuple(np.array(a, dtype=np.int64) for a in side) for side in sides)
+
+
+def _antic(t: Tableau, targets, k: int) -> np.ndarray:
+    """The (k, W) bitsets of the rows anticommuting with each of the k Paulis
+    of ``targets`` (_targets): an x bit meets the rows' z columns and a z
+    bit their x columns, one gather and one reduceat at the starts per side."""
+    parts = [(owner[starts], np.bitwise_xor.reduceat(cols[:, qubit], starts, axis=1))
+             for cols, (owner, qubit, starts) in zip((t.z, t.x), targets) if len(qubit)]
+    antic = np.zeros((k, t.x.shape[0]), dtype=np.uint64)
+    for owners, rows in parts:  # a side on every Pauli skips the fancy index
+        antic[owners if len(owners) < k else slice(None)] ^= rows.T
+    return antic
 
 
 def _indefinite(t: Tableau, antic: np.ndarray) -> np.ndarray:
@@ -315,17 +326,6 @@ def _indefinite(t: Tableau, antic: np.ndarray) -> np.ndarray:
     low = np.uint64((1 << (t.n & 63)) - 1)
     return ((antic[:, t.n >> 6] & ~low).astype(bool)
             | antic[:, (t.n >> 6) + 1:].any(axis=1))
-
-
-def _targets(cols) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (owner, side, qubit) arrays of _group_phases for Paulis given by
-    their (x qubits, z qubits) ``cols``."""
-    owner, side, qubit = [], [], []
-    for i, (xs, zs) in enumerate(cols):
-        owner += [i] * (len(xs) + len(zs))
-        side += [0] * len(xs) + [1] * len(zs)
-        qubit += xs + zs
-    return tuple(np.array(a, dtype=np.int64) for a in (owner, side, qubit))
 
 
 # i**k for k = 0..3, the values a phase-tracked expectation can take
@@ -357,19 +357,26 @@ def _row_blocks(t: Tableau, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _group_phases(t: Tableau, antic, targets, phases) -> np.ndarray:
-    """<p> = i**(k_p - k_prod) for k Paulis p in the stabilizer group.
+    """<p> for k Paulis p: 0 if undetermined, else i**(k_p - k_prod).
 
-    ``antic`` (k, W) holds each p's row bitset (Tableau._anticommute), which
-    must set no stabilizer row, and ``phases`` its k_p.  ``targets`` lists
-    p's bits as (owner, side, qubit) arrays sorted by owner, side 0 for an
-    x bit and 1 for a z bit.  prod is the ordered product of the stabilizer
-    rows n+j over p's members, the destabilizers j that anticommute with p,
-    read by _row_blocks; it must reproduce p's bits.  Since
+    ``antic`` (k, W) holds each p's row bitset (_antic), ``targets`` its
+    bits (_targets) and ``phases`` its k_p.  A p whose bitset holds a
+    stabilizer row reads 0, with no members and no product check; this is
+    the one place a read is found undetermined.  For every other p, prod is
+    the ordered product of the stabilizer rows n+j over p's members, the
+    destabilizers j that anticommute with p, read by _row_blocks; it must
+    reproduce p's bits.  Since
     Z**z_i X**x_j = (-1)**(z_i . x_j) X**x_j Z**z_i,
     k_prod = sum r + 2 sum_{i<j} z_i . x_j (mod 4): each member's x row
     meets the segmented exclusive prefix XOR of the z rows before it.
     Paulis are taken in passes of a bounded number of member rows.
     """
+    indefinite = _indefinite(t, antic)
+    if indefinite.all():  # an empty batch too
+        return np.zeros(len(antic), dtype=complex)
+    if indefinite.any():  # no members and no bits to check
+        antic = np.where(indefinite[:, None], np.uint64(0), antic)
+        targets = [(own[~indefinite[own]], q[~indefinite[own]]) for own, q, _ in targets]
     owner, word = antic.nonzero()  # members in order within each Pauli
     hit, bit = _row_bits(antic[owner, word, None]).nonzero()
     owner, rows = owner[hit], t.n + 64 * word[hit] + bit
@@ -387,9 +394,12 @@ def _group_phases(t: Tableau, antic, targets, phases) -> np.ndarray:
         acc = np.zeros((len(xz) + 1, *xz.shape[1:]), dtype=np.uint64)
         np.bitwise_xor.accumulate(xz, axis=0, out=acc[1:])
         start, end = first[lo:hi] - first[lo], last[lo:hi] - first[lo]
-        own, side, q = (a[slice(*targets[0].searchsorted([lo, hi]))] for a in targets)
         want = np.zeros((hi - lo, 2, n_words), dtype=np.uint64)
-        np.bitwise_or.at(want, (own - lo, side, q >> 6), _bit(q))
+        for side, (own, q, *_) in enumerate(targets):
+            if len(q):  # an empty ufunc.at costs as much as a short one
+                span = slice(*own.searchsorted([lo, hi]))
+                own, q = own[span], q[span]
+                np.bitwise_or.at(want[:, side], (own - lo, q >> 6), _bit(q))
         if (acc[end] ^ acc[start] ^ want).any():
             raise ContractError("operator commutes with the group but is not in it")
         seg = owner[members] - lo
@@ -397,6 +407,7 @@ def _group_phases(t: Tableau, antic, targets, phases) -> np.ndarray:
         terms = t.r[rows[members]] + 2 * np.bitwise_count(z_before & xz[:, 0]).sum(axis=1)
         k_prod = np.bincount(seg, weights=terms, minlength=hi - lo).astype(np.int64)
         values[lo:hi] = _I_POWERS[(np.asarray(phases[lo:hi]) - k_prod) % 4]
+    values[indefinite] = 0
     return values
 
 
@@ -427,37 +438,24 @@ def syndrome(t: Tableau, lattice: Lattice) -> Syndrome:
     """Anyon positions: stabilizers at -1.  The state must be an eigenstate
     of every stabilizer (guaranteed after Pauli strings on eigenstates).
 
-    Stabilizers have weight <= 4, so the rows anticommuting with each one
-    are the XOR of its few support columns, one reduceat per stabilizer
-    type, and every sign comes from one _group_phases batch, instead of a
-    full-tableau expectation each (oracle.syndrome_by_expectation keeps
-    that slow path as the reference).
+    Every stabilizer is read in one _group_phases batch, its targets built
+    from the lattice's stars and boundaries (oracle.syndrome_by_expectation,
+    one expectation per stabilizer, is the reference).
     """
     if lattice.n_edges > t.n:
         raise UsageError(f"lattice of {lattice.n_edges} edges outside tableau "
                          f"of {t.n} qubits")
     n_v = lattice.n_vertices
     k = n_v + lattice.n_faces
-    # X-type vertex stabilizers have x bits only, meeting the rows' z bits;
-    # Z-type faces z bits only, meeting their x bits
-    antic, owners, sides, qubits = [], [], [], []
-    for side, groups, cols in ((0, lattice.stars, t.z), (1, lattice.boundaries, t.x)):
+    # X-type vertex stabilizers have x bits only, Z-type faces z bits only
+    targets = []
+    for first, groups in ((0, lattice.stars), (n_v, lattice.boundaries)):
         sizes = [len(g) for g in groups]
-        flat = np.concatenate(groups)
-        antic.append(np.bitwise_xor.reduceat(cols[:, flat], np.cumsum([0, *sizes[:-1]]),
-                                             axis=1).T)
-        owners.append(side * n_v + np.repeat(np.arange(len(groups)), sizes))
-        sides.append(np.full(len(flat), side))
-        qubits.append(flat)
-    antic = np.concatenate(antic)
-    targets = [np.concatenate(a) for a in (owners, sides, qubits)]
-    # the batch stops at the first stabilizer that a stabilizer row
-    # anticommutes with: its value is not definite
-    indefinite = np.flatnonzero(_indefinite(t, antic))
-    cut = int(indefinite[0]) if indefinite.size else k
-    values = _group_phases(t, antic[:cut], targets, np.zeros(cut, int))
-    bad = [*np.flatnonzero((values != 1) & (values != -1)), cut]
-    if bad[0] < k:
+        targets.append((first + np.repeat(np.arange(len(groups)), sizes),
+                        np.concatenate(groups), np.cumsum([0, *sizes[:-1]])))
+    values = _group_phases(t, _antic(t, targets, k), targets, np.zeros(k, int))
+    bad = np.flatnonzero((values != 1) & (values != -1))
+    if bad.size:
         kind, i = ("vertex", bad[0]) if bad[0] < n_v else ("face", bad[0] - n_v)
         raise ContractError(f"{kind} stabilizer {i} has no definite value")
     flipped = np.flatnonzero(values == -1)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -201,6 +202,46 @@ def test_contrast_vs_loop():
         pytest.approx(2 * math.log(r1.string_factor), rel=1e-9)
     with pytest.raises(UsageError):
         an.contrast_vs_loop(10, 1.0, model)
+
+
+BAD_ANALYTICS_INPUTS = [
+    *[("contrast_vs_loop", "perimeter", v) for v in (-1, 2.5)],
+    *[("qnd_error", "theta", v) for v in (math.nan, math.inf)],
+    ("qnd_error", "delta", math.nan),
+    ("qnd_error", "k", 1.5),
+    *[("qnd_pulse_count", "k", v) for v in (-1, 0, 1.5)],
+    *[("photon_loss_at", "detuning", v) for v in (0.0, -1.0, math.nan, math.inf)],
+    *[("min_photon_loss", "purcell", v) for v in (math.nan, math.inf)],
+    *[("geometric_gate_loss", "alpha_sq", v) for v in (math.nan, math.inf)],
+    ("quenched_enumeration_oracle", "region", [1.5]),
+    ("quenched_phase_prob", "m", 1.5),
+]
+
+
+@pytest.mark.parametrize("entry, param, value", BAD_ANALYTICS_INPUTS,
+                         ids=[f"{e}-{p}={v}" for e, p, v in BAD_ANALYTICS_INPUTS])
+def test_bad_analytics_inputs_rejected(entry, param, value):
+    # a UsageError naming the parameter, not a nan, a negative loss or a
+    # bare ZeroDivisionError
+    calls = {
+        "contrast_vs_loop": dict(perimeter=4, eps_s=0.1,
+                                 model=an.QuenchedModel(4, 1, 1, 0.1)),
+        "qnd_error": dict(n_spins=4, theta=1.0, delta=0.1, k=1),
+        "qnd_pulse_count": dict(k=2),
+        "photon_loss_at": dict(params=an.CavityParams(1.0, 1.0, 1.0), n_spins=4,
+                               detuning=1.0),
+        "min_photon_loss": dict(n_spins=4, purcell=1e6),
+        "geometric_gate_loss": dict(n_spins=4, purcell=1e6, alpha_sq=0.5),
+        "quenched_enumeration_oracle": dict(n=2, region=[1]),
+        "quenched_phase_prob": dict(n=4, m=2),
+    }
+    kwargs = calls[entry]
+    getattr(an, entry)(**kwargs)
+    kwargs[param] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UsageError, match=rf"\b{param}\b"):
+            getattr(an, entry)(**kwargs)
 
 
 def test_perimeter_law_monte_carlo(torus4):

@@ -367,6 +367,7 @@ def _diffusion_calls(lattice):
         "master_equation_survival": (df.master_equation_survival,
                                      dict(n=4, gamma=1.0, tau=[1.0])),
         "Pulse": (df.Pulse, dict(time=0.5, kind="z")),
+        "spread_cells": (df.spread_cells, dict(lattice=lattice, sector="x", n_particles=1)),
     }
 
 
@@ -377,12 +378,14 @@ BAD_DIFFUSION_INPUTS = [
     *[("evolve_anyon", "dt", v) for v in (-0.1, 0.0, math.nan, -math.inf)],
     *[("contrast_curve", "tau_grid", [v]) for v in (math.nan, math.inf, -math.inf)],
     *[("build_echo_schedule", "duration", v) for v in (math.nan, math.inf, -1.0)],
+    *[("build_echo_schedule", "n", v) for v in (1.5, math.nan)],
     *[(entry, "tau", v) for entry in ("analytic_contrast", "analytic_survival_probability")
       for v in (-1.0, math.nan, math.inf)],
     *[("master_equation_survival", "gamma", v) for v in (-1.0, math.nan, math.inf)],
     *[("master_equation_survival", "n", v) for v in (0, -2)],
     *[("master_equation_survival", "tau", [v]) for v in (-1.0, math.nan)],
-    *[("Pulse", "time", v) for v in (math.nan, math.inf, -math.inf)],
+    *[("Pulse", "time", v) for v in (math.nan, math.inf, -math.inf, "1")],
+    ("spread_cells", "n_particles", 1.5),
 ]
 
 

@@ -130,6 +130,12 @@ def test_string_to_boundary():
     for cell in (-1, p.n_vertices):
         with pytest.raises(UsageError, match="invalid z-string endpoint"):
             lat.string_to_boundary(p, "z", cell)
+    # a non-integer endpoint is named, not a bare TypeError
+    for read in (lambda c: lat.string_to_boundary(p, "z", c),
+                 lambda c: lat.shortest_string(p, "z", c, 0),
+                 lambda c: lat.shortest_string(lat.torus(4), "z", 0, c)):
+        with pytest.raises(UsageError, match=r"endpoint [ab] must be an integer"):
+            read(1.5)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -225,6 +231,9 @@ def test_degeneracy():
     assert lat.degeneracy(2, 3) == 2 ** 7
     with pytest.raises(UsageError):
         lat.degeneracy(-1, 0)
+    for genus, holes, name in ((1.5, 0, "genus"), (0, 0.5, "holes")):
+        with pytest.raises(UsageError, match=rf"^{name} must be an integer"):
+            lat.degeneracy(genus, holes)
 
 
 @pytest.mark.parametrize("spec", [("torus", n) for n in range(2, 7)]

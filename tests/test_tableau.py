@@ -17,6 +17,8 @@ def test_initial_state_generators():
     gens = t.stabilizer_generators()
     assert [str(g) for g in gens] == ["+ Z0", "+ Z1", "+ Z2"]
     assert "+ Z0" in t.dump()
+    with pytest.raises(UsageError, match=r"^n must be an integer"):
+        tb.Tableau(2.5)
 
 
 def test_gates_match_dense_oracle():
@@ -358,7 +360,8 @@ def test_syndrome_matches_expectation_oracle_torus32():
     lattice = lat.torus(32)
     t = tb.prepare_ground_state(lattice, 0)
     last = lattice.n_vertices - 1
-    assert np.bitwise_count(t._anticommute(list(lattice.stars[last]), [])).sum() == 1023
+    star = tb._targets(t, [PauliString.x_on(lattice.stars[last])])
+    assert np.bitwise_count(tb._antic(t, star, 1)).sum() == 1023
     rng = np.random.default_rng(3)
     for kind, count in (("z", last), ("x", lattice.n_faces)):
         for _ in range(3):
@@ -583,6 +586,8 @@ def test_batched_expectations_match_dense():
             p = multiply(gens[int(g)], p)
         paulis += [PauliString(p.phase + int(rng.integers(4)), p.support),
                    random_hermitian_pauli(t.n, rng)]
+    # determined with one side empty: x bits only, z bits only
+    paulis += [PauliString.x_on(lattice.star(1)), PauliString.z_on(lattice.boundary(0))]
     values = tb.expectations(t, paulis)
     assert np.count_nonzero(values) > len(paulis) // 2
     psi = sv.from_tableau(t)
@@ -590,6 +595,9 @@ def test_batched_expectations_match_dense():
         assert abs(np.vdot(psi.amps, sv._pauli_action(psi, p)) - value) < 1e-10, str(p)
         assert tb.expectation_phase(t, p) == value
     assert tb.expectations(t, []).shape == (0,)
+    outside = PauliString.z_on([0, t.n])
+    with pytest.raises(UsageError, match=f"site {t.n} outside tableau of {t.n} qubits"):
+        tb.expectations(t, [paulis[1], outside])
 
 
 def test_measure_requires_hermitian():
@@ -611,14 +619,15 @@ def test_syndrome_rejects_indefinite_states(planar2):
 def test_syndrome_names_first_indefinite_face():
     # sqrt(X) = H S H on an edge breaks the faces beside it and no star
     lattice = lat.torus(3)
-    t = tb.prepare_ground_state(lattice, 0)
-    q = 7
-    t.h(q).s(q).h(q)
-    first = min(lattice.edge_faces[q])
-    for read in (tb.syndrome, syndrome_by_expectation):
-        with pytest.raises(ContractError,
-                           match=f"face stabilizer {first} has no definite value"):
-            read(t, lattice)
+    ground = tb.prepare_ground_state(lattice, 0)
+    for q in (0, 7, 17):
+        t = ground.clone()
+        t.h(q).s(q).h(q)
+        first = min(lattice.edge_faces[q])
+        for read in (tb.syndrome, syndrome_by_expectation):
+            with pytest.raises(ContractError,
+                               match=f"face stabilizer {first} has no definite value"):
+                read(t, lattice)
 
 
 def test_group_phase_contract_errors():
