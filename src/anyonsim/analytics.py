@@ -36,13 +36,13 @@ class CavityParams:
 
 def optimal_detuning(params: CavityParams, n_spins: int) -> float:
     """Detuning minimizing the photon loss: Delta* = g sqrt(N gamma / kappa)."""
-    if n_spins < 1:
-        raise UsageError("need at least one spin")
+    _require_spins(n_spins)
     return params.g * math.sqrt(n_spins * params.gamma / params.kappa)
 
 
 def photon_loss_at(params: CavityParams, n_spins: int, detuning: float) -> float:
     """kappa tau + N (g/Delta)^2 gamma tau at the QND time tau = pi Delta / g**2."""
+    _require_spins(n_spins)
     if not (math.isfinite(detuning) and detuning > 0):
         raise UsageError(f"detuning must be finite and > 0, got {detuning!r}")
     tau = math.pi * detuning / params.g ** 2
@@ -52,8 +52,9 @@ def photon_loss_at(params: CavityParams, n_spins: int, detuning: float) -> float
 def min_photon_loss(n_spins: int, purcell: float, prefactor: float = 2.0 * math.pi
                     ) -> float:
     """Minimal single-photon loss probability, prefactor * sqrt(N/P)."""
-    if n_spins < 1 or purcell <= 0:
-        raise UsageError("need N >= 1 and P > 0")
+    _require_spins(n_spins)
+    if purcell <= 0:
+        raise UsageError(f"purcell must be > 0, got {purcell!r}")
     if not math.isfinite(purcell):
         raise UsageError(f"purcell must be finite, got {purcell!r}")
     loss = prefactor * math.sqrt(n_spins / purcell)
@@ -79,6 +80,7 @@ def geometric_gate_loss(n_spins: int, purcell: float, alpha_sq: float) -> float:
 def qnd_error(n_spins: int, theta: float, delta: float, k: int = 1) -> float:
     """Residual error of the QND interaction with relative coupling deviation
     delta, suppressed to order k by composite pulses: N * theta * |delta|**k."""
+    _require_spins(n_spins)
     if abs(delta) >= 1:
         raise UsageError("|delta| must be < 1")
     if k < 1:
@@ -94,6 +96,12 @@ def qnd_pulse_count(k: int) -> float:
     """Composite-pulse budget k**3 (the published prefactor is 1)."""
     _require_order(k)
     return float(k ** 3)
+
+
+def _require_spins(n_spins) -> None:
+    """A spin count N is an integer >= 1."""
+    if not (isinstance(n_spins, numbers.Integral) and n_spins >= 1):
+        raise UsageError(f"n_spins must be an integer >= 1, got {n_spins!r}")
 
 
 def _require_order(k) -> None:
@@ -179,9 +187,14 @@ class QuenchedModel:
     p: float
 
     def __post_init__(self):
+        for name in ("n", "m", "m_prime"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise UsageError(f"{name} must be an integer, got {value!r}")
         _require_pair_room(self.n)
-        if not 0 <= self.m <= self.n ** 2 or not 0 <= self.m_prime <= self.n ** 2:
-            raise UsageError("enclosed counts must lie in [0, N^2]")
+        for name, value in (("m", self.m), ("m_prime", self.m_prime)):
+            if not 0 <= value <= self.n ** 2:
+                raise UsageError(f"{name} must lie in [0, N^2], got {value!r}")
         if not 0.0 <= self.p <= 1.0:
             raise UsageError("pair probability must lie in [0, 1]")
 

@@ -19,15 +19,25 @@ matrix H is real symmetric, so each step's exp(-i H dt) = cos(H dt) -
 i sin(H dt) is a Taylor series in (H dt)^2 truncated at rounding level,
 with scaling and squaring when ||H dt|| > 1 (real matmuls only).  The one
 field type, NoiseRealization, may carry a leading trial axis; every trial
-then goes through the same step loop.  Long segments are evolved in pieces,
-so the step stacks stay bounded.
+then goes through the same step loop.  All runs of a family share one step
+grid: the noise-cell boundaries of the field plus every pulse time and
+checkpoint of every run.  A dt of at least one cell gives steps of
+floor(dt / cell) whole cells and a smaller dt splits each cell into equal
+steps, so a step never straddles a pulse.  Each step's propagator
+is computed once per sign pattern of the hop terms, a pattern and its
+negation sharing it as complex conjugates (on a torus a z pulse flips
+every hop).  Each pattern keeps one running prefix product Q, and a run
+holds only its state phi in that frame (psi = Q phi), changed with two
+small matmuls at each of its pulses and read at its checkpoints.  The
+grid is evolved in pieces, so the step stacks stay bounded.
 
 Monte Carlo: contrast_curve builds and checks the whole schedule family
 before the first trial.  It samples the noise of each trial from its own
 stream straight into that trial's row of one buffer for a chunk of trials
-(under _NOISE_BYTES, and one step of the chunk under _STACK_BYTES) and
-evolves the chunk together.  Each run is one checkpointed integrator call: the no-pulse
-schedule once over the delay grid, a pulsed train once per delay.
+(its noise and run frame states under _NOISE_BYTES, and one step of the
+chunk under _STACK_BYTES) and evolves the chunk together: one integrator
+pass over the shared grid carries the no-pulse schedule over the whole
+delay grid and each pulsed train at each delay.
 """
 
 from __future__ import annotations
@@ -79,6 +89,8 @@ class NoiseModel:
 
 # Fields: ``at_many(times)`` returns the per-edge values at each time as an
 # (..., n_edges, len(times)) array; a leading axis holds one field per trial.
+# ``dt`` is the length of the cells the values are constant on, and the
+# integrator's steps lie on that cell grid.
 # NoiseRealization is the one field type: a static field v is the one-sample
 # NoiseRealization(v[:, None], dt), since the last sample holds.
 
@@ -290,61 +302,145 @@ class _SectorDynamics:
         return self._masks[pulse.kind]
 
 
-# Bytes of one real (trials, steps, n_cells, n_cells) step stack; longer
-# segments are evolved in consecutive pieces of at least one step, so the
-# integrator holds about five times this at most (five one-step stacks of
-# one trial if such a step is larger), whatever the delay.
+# Bytes of the real (trials, steps, n_cells, n_cells) step stacks of one
+# piece, summed over the family's sign patterns: the shared step grid is
+# evolved in consecutive pieces of at least one step, so the integrator
+# holds about five times this at most (five one-step stacks of one trial
+# if such a step is larger), whatever the delay.  Besides the pieces it
+# holds one (trials, n_cells, n_cells) prefix product per sign pattern of
+# the family and one (trials, n_cells, particles) frame state per
+# unfinished run.
 _STACK_BYTES = 128 << 10
-# Bytes of the stacked noise series of one chunk of Monte Carlo trials;
+# Bytes of the per-trial state of one chunk of Monte Carlo trials: the
+# stacked noise series and the complex frame states of the family's runs;
 # contrast_curve evolves a chunk together.  A chunk holds at least one
 # trial, and no more trials than one step of them fits in _STACK_BYTES.
 _NOISE_BYTES = 2 << 20
 
 
-def _evolve_columns(dyn: _SectorDynamics, field, schedule: EchoSchedule,
-                    columns: np.ndarray, dt: float, checkpoints) -> list[np.ndarray]:
-    """Propagate the given column vectors, shape (..., n_cells, k), and
-    record them at each of the sorted checkpoints; the last checkpoint ends
-    the evolution.  A field with a leading trial axis evolves trial t of
-    the columns under its own values: columns (trials, n_cells, k).
+def _step_grid(cell: float, dt: float, events: np.ndarray, tol: float) -> np.ndarray:
+    """Sorted step boundaries from 0 to events[-1]: the event times plus the
+    grid of the field's cells.  For dt of at least one cell a step spans
+    floor(dt / cell) whole cells, for a smaller dt each cell is split into
+    ceil(cell / dt) equal steps (both ratios rounded with a tolerance); grid
+    points within tol of an event are dropped."""
+    ratio = dt / cell
+    width = cell * math.floor(ratio + 1e-9) if ratio > 1 - 1e-9 \
+        else cell / math.ceil(1 / ratio - 1e-9)
+    grid = width * np.arange(1, math.ceil(events[-1] / width))
+    grid = grid[grid < events[-1] - tol]
+    at = np.searchsorted(events, grid)  # events[at - 1] < grid <= events[at]
+    clear = (grid - events[at - 1] > tol) & (events[at] - grid > tol)
+    return np.sort(np.concatenate([events, grid[clear]]))
 
-    Midpoint piecewise-constant propagator per step; the per-step
-    exponentials of the real symmetric hop matrices come from
-    ``_propagators`` for a whole segment at once, or in consecutive pieces
-    of at most _STACK_BYTES per real step stack, accurate to rounding.
-    Pulses flip the sign of their masked hop terms for all later times;
-    pulse and checkpoint times are hit exactly (segment boundaries).
+
+def _evolve_runs(dyn: _SectorDynamics, field, runs, columns: np.ndarray, dt: float,
+                 read) -> list[list]:
+    """Propagate the column vectors, shape (..., n_cells, k), under each run
+    (schedule, checkpoints) of a family, and return for each run ``read``
+    of its states at its sorted checkpoints; a run's last checkpoint ends
+    it.  A field with a leading trial axis evolves trial t of the columns
+    under its own values: columns (trials, n_cells, k).
+
+    All runs share one step grid (``_step_grid`` over every pulse and
+    checkpoint of the family), and each step reads the field at its
+    midpoint.  A sign pattern of the hop terms and its negation share one
+    running prefix product Q of step propagators (exp(+i H dt) is the
+    conjugate of exp(-i H dt) for real H), advanced one segment between
+    events at a time by the pairwise ``_ordered_product``; the step
+    propagators come from ``_propagators`` for consecutive pieces of the
+    grid of at most _STACK_BYTES of real step stacks.  A run holds only its
+    state phi in the frame of its pattern, psi = Q phi (conj(Q) phi on the
+    negated pattern), and changes frame at its own pulses.
     """
-    cp = sorted(checkpoints)
-    tol = 1e-9 * max(1.0, cp[-1])
-    pulse_at = {p.time: p for p in schedule.pulses}
-    signs = np.ones(dyn.edge_ids.size)
+    ends = [max(cp) for _, cp in runs]
+    tol = 1e-9 * max(1.0, max(ends))
+    events = np.sort([0.0, *(t for _, cp in runs for t in cp),
+                      *(p.time for (s, _), end in zip(runs, ends)
+                        for p in s.pulses if p.time < end)])
+    events = events[np.r_[True, np.diff(events) > tol]]  # one time per cluster
+
+    def event(t):  # the event cluster holding time t
+        return int(np.searchsorted(events, t + tol)) - 1
+
+    def pattern(signs):  # (key shared with the negation: its signs' bytes, negated?)
+        neg = bool(signs.size) and signs[0] < 0
+        return (-signs if neg else signs).tobytes(), neg
+
+    # per event: (run, None) records the run's state, (run, (key, negated))
+    # moves it to that pattern's frame
+    key0 = np.ones(dyn.edge_ids.size).tobytes()
+    keys = {key0}
+    stops = [event(end) for end in ends]
+    plan = [[] for _ in events]
+    for r, (schedule, checkpoints) in enumerate(runs):
+        for t in sorted(checkpoints):
+            plan[event(t)].append((r, None))
+        signs = np.ones(dyn.edge_ids.size)
+        for p in schedule.pulses:
+            i, flips = event(p.time), dyn.pulse_flips(p)
+            if i < stops[r] and flips.any():
+                signs[flips] *= -1.0
+                key, neg = pattern(signs)
+                keys.add(key)
+                plan[i].append((r, (key, neg)))
+
+    bounds = _step_grid(field.dt, dt, events, tol)
+    at = np.searchsorted(bounds, events)  # first step of each event's segment
+    lengths = np.diff(bounds)
+    mids = bounds[:-1] + 0.5 * lengths
     n = dyn.n_cells
-    psi = columns.astype(np.complex128, copy=True)
-    piece = max(1, _STACK_BYTES // (8 * n * n * math.prod(psi.shape[:-2])))  # steps
-    recorded = []
-    prev = 0.0
-    for t in sorted({0.0, *pulse_at, *cp}):
-        seg = t - prev
-        if seg > tol:
-            n_sub = max(1, int(math.ceil(seg / dt - 1e-9)))
-            dt_sub = seg / n_sub
-            for lo in range(0, n_sub, piece):
-                mids = prev + (np.arange(lo, min(lo + piece, n_sub)) + 0.5) * dt_sub
-                # (..., steps, hop terms): one bincount over every trial and step;
-                # summed, not assigned: on torus(2) two edges join each cell pair
-                h = np.swapaxes(field.at_many(mids)[..., dyn.edge_ids, :], -1, -2) * signs
-                bins = np.arange(h[..., 0].size)[:, None] * (n * n) + dyn.hop_bins
-                hmat = np.bincount(bins.ravel(), np.concatenate([h, h], axis=-1).ravel(),
-                                   minlength=bins.shape[0] * n * n)
-                psi = _ordered_product(_propagators(
-                    hmat.reshape(*h.shape[:-1], n, n), dt_sub)) @ psi
-        if t in pulse_at:
-            signs[dyn.pulse_flips(pulse_at[t])] *= -1.0
-        while len(recorded) < len(cp) and cp[len(recorded)] <= t + tol:
-            recorded.append(psi.copy())
-        prev = t
+    batch = columns.shape[:-2]
+    piece = max(1, _STACK_BYTES // (8 * n * n * math.prod(batch) * len(keys)))
+    eye = np.broadcast_to(np.eye(n, dtype=np.complex128), (*batch, n, n))
+    frames = dict.fromkeys(keys, eye)  # key -> Q, the product of its steps so far
+    phi = [columns.astype(np.complex128)] * len(runs)
+    frame_of = [(key0, False)] * len(runs)
+    recorded = [[] for _ in runs]
+    props, lo, hi = {}, 0, 0
+    for i in range(events.size):
+        for r, move in plan[i]:
+            q, neg = frames[frame_of[r][0]], frame_of[r][1]
+            psi = np.conj(q @ np.conj(phi[r])) if neg else q @ phi[r]
+            if move is None:
+                recorded[r].append(read(psi))
+                continue
+            qt, neg = np.swapaxes(frames[move[0]], -1, -2), move[1]
+            phi[r] = qt @ psi if neg else np.conj(qt @ np.conj(psi))
+            frame_of[r] = move
+        for r, _ in plan[i]:
+            if stops[r] == i:
+                phi[r] = None
+        s, stop = (at[i], at[i + 1]) if i + 1 < events.size else (0, 0)
+        while s < stop:
+            if s >= hi:
+                props = None  # free the last piece first
+                lo, hi = s, min(s + piece, lengths.size)
+                props = _piece_propagators(dyn, field, keys, mids[lo:hi], lengths[lo:hi])
+            e = min(stop, hi)
+            for key in frames:  # no name outlives the loop to hold a piece
+                frames[key] = _ordered_product(props[key][..., s - lo:e - lo, :, :]) \
+                    @ frames[key]
+            s = e
     return recorded
+
+
+def _piece_propagators(dyn, field, keys, mids, lengths) -> dict:
+    """{key: propagator stack} of one piece of the step grid for each sign
+    pattern key."""
+    n = dyn.n_cells
+    # (..., steps, hop terms) times each step's length: one bincount per
+    # pattern over every trial and step gives A = H dt; summed, not
+    # assigned: on torus(2) two edges join each cell pair
+    h = np.swapaxes(field.at_many(mids)[..., dyn.edge_ids, :], -1, -2) * lengths[:, None]
+    bins = (np.arange(h[..., 0].size)[:, None] * (n * n) + dyn.hop_bins).ravel()
+    out = {}
+    for key in keys:
+        hk = h * np.frombuffer(key)
+        hmat = np.bincount(bins, np.concatenate([hk, hk], axis=-1).ravel(),
+                           minlength=h[..., 0].size * n * n)
+        out[key] = _propagators(hmat.reshape(*h.shape[:-1], n, n), 1.0)
+    return out
 
 
 def _propagators(hmat: np.ndarray, dt: float) -> np.ndarray:
@@ -435,7 +531,8 @@ def evolve_anyon(lattice: Lattice, field, schedule: EchoSchedule, start_cell: in
         raise UsageError("start cell outside the sector")
     col = np.zeros((dyn.n_cells, 1), dtype=np.complex128)
     col[start_cell, 0] = 1.0
-    return _evolve_columns(dyn, field, schedule, col, dt, [schedule.duration])[0][:, 0]
+    return _evolve_runs(dyn, field, [(schedule, [schedule.duration])], col, dt,
+                        lambda psi: psi[:, 0])[0][0]
 
 
 def spread_cells(lattice: Lattice, sector: str, n_particles: int) -> list[int]:
@@ -506,13 +603,14 @@ def contrast_curve(lattice: Lattice, model: NoiseModel, schedule_family,
         else:
             family.append((f"{kind}({n})", [(build_echo_schedule(kind, tau, n, lattice),
                                              [tau]) for tau in taus]))
+    runs = [run for _, member in family for run in member]
     # the trials of a chunk are evolved together, each sampled straight into
     # its row of one buffer that every chunk reuses (allocated once the
     # sampler's checks have passed)
     _check_noise(run_model, lattice)
-    chunk = min(n_trials, max(1, min(
-        _NOISE_BYTES // (8 * lattice.n_edges * run_model.n_steps),
-        _STACK_BYTES // (8 * dyn.n_cells * dyn.n_cells))))
+    per_trial = 8 * lattice.n_edges * run_model.n_steps + 16 * columns.size * len(runs)
+    chunk = min(n_trials, max(1, min(_NOISE_BYTES // per_trial,
+                                     _STACK_BYTES // (8 * dyn.n_cells * dyn.n_cells))))
     values = np.empty((chunk, lattice.n_edges, run_model.n_steps))
     samples = np.zeros((len(family), n_trials, taus.size))
     for lo in range(0, n_trials, chunk):
@@ -521,11 +619,11 @@ def contrast_curve(lattice: Lattice, model: NoiseModel, schedule_family,
             sample_noise(run_model, lattice, [seed, trial], out=values[i])
         realization = NoiseRealization(values[:len(trials)], run_model.dt)
         psi = np.broadcast_to(columns, (len(trials), *columns.shape))
-        for rows, (_, runs) in zip(samples[:, lo:trials.stop], family):
-            rows[:] = np.stack([_contrast_sample(blk, cells, estimator)
-                                for sched, delays in runs
-                                for blk in _evolve_columns(dyn, realization, sched, psi,
-                                                           dt, delays)], axis=-1)
+        reads = iter(_evolve_runs(dyn, realization, runs, psi, dt,
+                                  functools.partial(_contrast_sample, cells=cells,
+                                                    estimator=estimator)))
+        for rows, (_, member) in zip(samples[:, lo:trials.stop], family):
+            rows[:] = np.stack([sample for _ in member for sample in next(reads)], axis=-1)
     out = []
     for (label, _), data in zip(family, samples):
         mean = data.mean(axis=0)

@@ -215,6 +215,10 @@ BAD_ANALYTICS_INPUTS = [
     *[("geometric_gate_loss", "alpha_sq", v) for v in (math.nan, math.inf)],
     ("quenched_enumeration_oracle", "region", [1.5]),
     ("quenched_phase_prob", "m", 1.5),
+    *[("QuenchedModel", name, v) for name, v in (("n", 2.5), ("m", 1.5), ("m_prime", 1.5))],
+    *[(entry, "n_spins", v) for entry in ("photon_loss_at", "qnd_error")
+      for v in (0, -4, 2.5)],
+    *[(entry, "n_spins", 2.5) for entry in ("optimal_detuning", "min_photon_loss")],
 ]
 
 
@@ -234,6 +238,8 @@ def test_bad_analytics_inputs_rejected(entry, param, value):
         "geometric_gate_loss": dict(n_spins=4, purcell=1e6, alpha_sq=0.5),
         "quenched_enumeration_oracle": dict(n=2, region=[1]),
         "quenched_phase_prob": dict(n=4, m=2),
+        "QuenchedModel": dict(n=4, m=1, m_prime=1, p=0.1),
+        "optimal_detuning": dict(params=an.CavityParams(1.0, 1.0, 1.0), n_spins=4),
     }
     kwargs = calls[entry]
     getattr(an, entry)(**kwargs)

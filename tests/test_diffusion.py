@@ -218,17 +218,20 @@ def test_propagators_match_exact_exponential(theta):
 
 class CallableField:
     """A smooth deterministic field t -> per-edge vector, read through the
-    integrator's ``at_many`` interface."""
+    integrator's ``at_many`` interface; its cell length ``dt`` only sets the
+    step grid, each step reading the function at its midpoint."""
 
-    def __init__(self, fn):
+    def __init__(self, fn, dt):
         self.fn = fn
+        self.dt = dt
 
     def at_many(self, times):
         return np.stack([self.fn(t) for t in times], axis=1)
 
 
 def test_integrator_convergence(torus4):
-    smooth = CallableField(lambda t: 0.3 * np.sin(1.7 * t + np.arange(torus4.n_edges)))
+    smooth = CallableField(lambda t: 0.3 * np.sin(1.7 * t + np.arange(torus4.n_edges)),
+                           dt=5e-4)
     sched = df.build_echo_schedule("z_pairs", 2.0, 1)
     s1 = df.evolve_anyon(torus4, smooth, sched, 3, "x", dt=1e-3)[3]
     s2 = df.evolve_anyon(torus4, smooth, sched, 3, "x", dt=5e-4)[3]
@@ -435,12 +438,12 @@ PINNED_TORUS = {
     "z_pairs(1)": ([1.0, 0.9178224121607764, 0.9178224121607764, 0.2562971532950426],
                    [0.0, 0.013266801683626584, 0.013266801683626584,
                     0.10796748404438437]),
-    "nested(1)": ([1.0, 0.9966653736271409, 0.9966653736271409, 0.6433702553150676],
-                  [0.0, 0.0014821835092700669, 0.0014821835092700669,
-                   0.06405050746659922]),
+    "nested(1)": ([1.0, 0.9966653736271412, 0.9966653736271412, 0.6205978942632911],
+                  [0.0, 0.00148218350926987, 0.00148218350926987,
+                   0.06570386108521764]),
 }
 PINNED_PLANAR = {
-    "boundary_w(1)": ([1.0, 0.8933612168583812], [0.0, 0.02331991718986201]),
+    "boundary_w(1)": ([1.0, 0.8935079480268481], [0.0, 0.02330023287770585]),
     "none": ([1.0, 0.242523140764203], [0.0, 0.045920170057039675]),
 }
 PINNED_Z_PAIRS_2 = [
@@ -562,6 +565,89 @@ def test_trial_chunk_step_stack_bounded(monkeypatch):
         tracemalloc.stop()
     assert np.all((0.0 < none.mean) & (none.mean < z_pairs.mean) & (z_pairs.mean < 1.0))
     assert peak < 3 << 20, peak
+
+
+FIG5_FAMILY = [("none", 0), ("z_pairs", 1), ("z_pairs", 4), ("z_pairs", 10)]
+FIG5_TAUS = [1.0, 2.0, 3.0, 4.0, 6.0, 9.0, 12.0]
+
+
+def test_fig5_family_propagators_once_per_step(torus4, monkeypatch):
+    # the whole family shares one step grid: the 240 noise cells up to
+    # tau = 12 and 10 cells that pulses split, one propagator each per trial
+    # (z pulses reuse them as complex conjugates); one grid per run would
+    # take 2472
+    shapes = []
+    propagators = df._propagators
+    monkeypatch.setattr(df, "_propagators", lambda hmat, dt: shapes.append(hmat.shape[:-2])
+                        or propagators(hmat, dt))
+    model = df.NoiseModel(xi_h=1.0, tau_c=10.0, dt=0.05, duration=12.0)
+    df.contrast_curve(torus4, model, FIG5_FAMILY, FIG5_TAUS, 3, 2, 0)
+    assert all(trials == 3 for trials, _ in shapes)
+    assert sum(steps for _, steps in shapes) == 250
+
+
+def test_cell_grid_matches_fine_noise_reference(torus4, monkeypatch):
+    # z_pairs(4) at tau = 9 puts its pulses 22.5 noise cells apart.  The
+    # coarse field is the middle sample of each 11 of a field sampled 11
+    # times finer, so both runs see the same noise.  Equal steps between
+    # pulses straddle cell boundaries, read some cells twice and skip others,
+    # which biases the coarse contrast by +1.2e-2 (on 0.3); on the cell grid
+    # the two agree to about 1e-3
+    fine_dt = 0.05 / 11
+    fine_model = df.NoiseModel(xi_h=1.0, tau_c=10.0, dt=fine_dt, duration=9.1)
+    sample_noise = df.sample_noise
+    fine = {}
+
+    def from_fine(model, lattice, seed, *, out):
+        if tuple(seed) not in fine:
+            fine[tuple(seed)] = sample_noise(fine_model, lattice, seed).values
+        values = fine[tuple(seed)] if model.dt == fine_dt else fine[tuple(seed)][:, 5::11]
+        out[:] = values[:, :out.shape[-1]]
+        return df.NoiseRealization(out, model.dt)
+
+    monkeypatch.setattr(df, "sample_noise", from_fine)
+    kw = dict(n_trials=16, n_particles=2, seed=11)
+    coarse_model = df.NoiseModel(xi_h=1.0, tau_c=10.0, dt=0.05, duration=9.0)
+    coarse, = df.contrast_curve(torus4, coarse_model, [("z_pairs", 4)], [9.0], **kw)
+    reference, = df.contrast_curve(torus4, fine_model, [("z_pairs", 4)], [9.0],
+                                   dt=fine_dt, **kw)
+    assert abs(coarse.mean[0] - reference.mean[0]) < 4e-3, (coarse.mean, reference.mean)
+
+
+def test_runs_independent_of_their_family(torus4, planar3):
+    # with steps of one noise cell, the steps that other runs' pulses split
+    # read the cell they split: each member alone gives its family curve
+    def curves(lattice, family, taus, **kw):
+        model = df.NoiseModel(xi_h=1.0, tau_c=1.0, dt=0.05, duration=max(taus))
+        together = df.contrast_curve(lattice, model, family, taus, 3, 1, 2, **kw)
+        alone = [df.contrast_curve(lattice, model, [member], taus, 3, 1, 2, **kw)[0]
+                 for member in family]
+        for a, b in zip(together, alone):
+            assert a.schedule == b.schedule
+            assert np.abs(a.mean - b.mean).max() < 1e-12, a.schedule
+
+    curves(torus4, [("none", 0), ("z_pairs", 1), ("nested", 1), ("z_pairs", 3)],
+           [0.7, 1.3, 2.5])
+    curves(planar3, [("boundary_w", 1), ("none", 0), ("boundary_w", 2)], [1.1, 2.0],
+           sector="z")
+
+
+def test_trial_chunk_frame_states_bounded(torus4):
+    # 200 pulsed runs of 4 particles each hold a (trials, 16, 4) complex
+    # frame state: 64 trials of them would be 13 MiB, so the noise budget,
+    # which also counts the frame states, keeps the chunk at 9 trials
+    model = df.NoiseModel(xi_h=1.0, tau_c=2.0, dt=0.05, duration=1.0)
+    taus = np.linspace(0.01, 1.0, 100)
+    tracemalloc.start()
+    try:
+        z1, z2 = df.contrast_curve(torus4, model, [("z_pairs", 1), ("z_pairs", 2)], taus,
+                                   64, 4, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for est in (z1, z2):
+        assert np.all((0.0 < est.mean) & (est.mean < 1.0 + 1e-12)), est.schedule
+    assert peak < 2 * df._NOISE_BYTES, peak
 
 
 def test_fast_noise_against_master_equation(torus4):
