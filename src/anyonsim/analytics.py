@@ -133,6 +133,9 @@ class MemoryBudget:
         require_finite(self, "coupling_j", "q", "purcell", positive=True)
         if self.epsilon < 0:
             raise ConfigurationError(f"epsilon must be >= 0, got {self.epsilon!r}")
+        if not (isinstance(self.n_length, numbers.Integral) and self.n_length >= 1):
+            raise ConfigurationError("n_length must be an integer >= 1, "
+                                     f"got {self.n_length!r}")
 
     @property
     def protection(self) -> float:

@@ -21,15 +21,16 @@ with scaling and squaring when ||H dt|| > 1 (real matmuls only).  The one
 field type, NoiseRealization, may carry a leading trial axis; every trial
 then goes through the same step loop.  All runs of a family share one step
 grid: the noise-cell boundaries of the field plus every pulse time and
-checkpoint of every run.  A dt of at least one cell gives steps of
-floor(dt / cell) whole cells and a smaller dt splits each cell into equal
-steps, so a step never straddles a pulse.  Each step's propagator
-is computed once per sign pattern of the hop terms, a pattern and its
-negation sharing it as complex conjugates (on a torus a z pulse flips
-every hop).  Each pattern keeps one running prefix product Q, and a run
-holds only its state phi in that frame (psi = Q phi), changed with two
-small matmuls at each of its pulses and read at its checkpoints.  The
-grid is evolved in pieces, so the step stacks stay bounded.
+checkpoint of every run.  A step spans max(1, floor(dt / cell)) whole
+cells, split where a pulse or checkpoint falls inside it, so a step never
+straddles a pulse (the field is constant on a cell, so a shorter step would
+only repeat a propagator).  Each step's propagator is computed once per
+sign pattern of the hop terms, a pattern and its negation sharing it as
+complex conjugates (on a torus a z pulse flips every hop).  Each pattern
+keeps one running prefix product Q, and a run holds only its state phi
+in that frame (psi = Q phi), changed with two small matmuls at each of its
+pulses and read at its checkpoints.  The grid is evolved in pieces, so
+the step stacks stay bounded.  The closed forms read a NoiseModel.
 
 Monte Carlo: contrast_curve builds and checks the whole schedule family
 before the first trial.  It samples the noise of each trial from its own
@@ -55,11 +56,6 @@ from .lattice import ECHO_KINDS, Lattice, echo_mask
 COORDINATION = 4  # square lattice
 
 
-def _diffusion_rate(xi_h: float, tau_c: float) -> float:
-    """Gamma = 2 sqrt(pi) xi_h^2 / omega_c with omega_c = 2 / tau_c."""
-    return 2.0 * math.sqrt(math.pi) * xi_h ** 2 / (2.0 / tau_c)
-
-
 @dataclass(frozen=True)
 class NoiseModel:
     """Gaussian-correlated field: amplitude xi_h, correlation time tau_c,
@@ -83,8 +79,9 @@ class NoiseModel:
         return int(math.ceil(self.duration / self.dt))
 
     def diffusion_rate(self) -> float:
-        """Gamma = 2 sqrt(pi) xi_h^2 / omega_c (rate to one neighbor)."""
-        return _diffusion_rate(self.xi_h, self.tau_c)
+        """Gamma = 2 sqrt(pi) xi_h^2 / omega_c with omega_c = 2 / tau_c (rate
+        to one neighbor)."""
+        return 2.0 * math.sqrt(math.pi) * self.xi_h ** 2 / (2.0 / self.tau_c)
 
 
 # Fields: ``at_many(times)`` returns the per-edge values at each time as an
@@ -262,6 +259,13 @@ def build_echo_schedule(kind: str, duration: float, n: int = 1,
 
 # -- one-particle dynamics ----------------------------------------------------
 
+def _cell_graph(lattice: Lattice, sector: str):
+    """The lattice's cell graph of the sector, its last node the boundary."""
+    if sector not in ("x", "z"):
+        raise UsageError("sector must be 'x' or 'z'")
+    return lattice.cell_graph(sector)
+
+
 def hop_structure(lattice: Lattice, sector: str) -> tuple[int, np.ndarray, np.ndarray]:
     """(n_cells, cell pair array (m, 2), edge id array (m,)) for the sector.
 
@@ -269,9 +273,7 @@ def hop_structure(lattice: Lattice, sector: str) -> tuple[int, np.ndarray, np.nd
     boundary would not conserve particle number and drop out.  Each hop edge
     is listed once, in edge order, as (lower cell, higher cell).
     """
-    if sector not in ("x", "z"):
-        raise UsageError("sector must be 'x' or 'z'")
-    graph = lattice.cell_graph(sector)
+    graph = _cell_graph(lattice, sector)
     n_cells = len(graph) - 1
     hops = np.array(sorted((e, a, b) for a in range(n_cells) for e, b in graph[a]
                            if a < b < n_cells), dtype=int).reshape(-1, 3)
@@ -319,14 +321,11 @@ _NOISE_BYTES = 2 << 20
 
 
 def _step_grid(cell: float, dt: float, events: np.ndarray, tol: float) -> np.ndarray:
-    """Sorted step boundaries from 0 to events[-1]: the event times plus the
-    grid of the field's cells.  For dt of at least one cell a step spans
-    floor(dt / cell) whole cells, for a smaller dt each cell is split into
-    ceil(cell / dt) equal steps (both ratios rounded with a tolerance); grid
-    points within tol of an event are dropped."""
-    ratio = dt / cell
-    width = cell * math.floor(ratio + 1e-9) if ratio > 1 - 1e-9 \
-        else cell / math.ceil(1 / ratio - 1e-9)
+    """Sorted step boundaries from 0 to events[-1]: the event times plus a
+    grid of steps of max(1, floor(dt / cell)) whole cells of the field (the
+    ratio rounded with a tolerance); grid points within tol of an event are
+    dropped."""
+    width = cell * max(1, math.floor(dt / cell + 1e-9))
     grid = width * np.arange(1, math.ceil(events[-1] / width))
     grid = grid[grid < events[-1] - tol]
     at = np.searchsorted(events, grid)  # events[at - 1] < grid <= events[at]
@@ -439,14 +438,15 @@ def _piece_propagators(dyn, field, keys, mids, lengths) -> dict:
         hk = h * np.frombuffer(key)
         hmat = np.bincount(bins, np.concatenate([hk, hk], axis=-1).ravel(),
                            minlength=h[..., 0].size * n * n)
-        out[key] = _propagators(hmat.reshape(*h.shape[:-1], n, n), 1.0)
+        out[key] = _propagators(hmat.reshape(*h.shape[:-1], n, n))
     return out
 
 
-def _propagators(hmat: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i H dt) = cos A - i sin A, A = H dt, for a stack of real
-    symmetric H, from the Taylor series of cos and sin truncated at degree
-    m in B = A^2 and evaluated by Horner with real matmuls.
+def _propagators(hmat: np.ndarray) -> np.ndarray:
+    """exp(-i A) = cos A - i sin A for a stack of real symmetric A = H dt
+    (each step's length folded in), from the Taylor series of cos and sin
+    truncated at degree m in B = A^2 and evaluated by Horner with real
+    matmuls.
 
     theta, the largest row-sum norm of A over the whole stack (every
     trial and step), bounds both tails
@@ -454,9 +454,9 @@ def _propagators(hmat: np.ndarray, dt: float) -> np.ndarray:
     puts this at or below 2^-53 (Moler and Van Loan 2003).  For theta > 1,
     A is halved s times first and the result squared s times.  At most
     five step-stack arrays are alive at once, counting hmat and the complex
-    result as one and two; a zero H gives exactly the identity.
+    result as one and two; a zero A gives exactly the identity.
     """
-    a = hmat * dt
+    a = hmat.copy()
     theta = float(np.abs(a).sum(axis=-1).max())
     squarings = math.ceil(math.log2(theta)) if theta > 1.0 else 0
     if squarings:
@@ -527,8 +527,9 @@ def evolve_anyon(lattice: Lattice, field, schedule: EchoSchedule, start_cell: in
     returns the complex amplitude per cell of the sector (unit norm)."""
     _check_dt(dt)
     dyn = _SectorDynamics(lattice, sector)
-    if not 0 <= start_cell < dyn.n_cells:
-        raise UsageError("start cell outside the sector")
+    if not (isinstance(start_cell, numbers.Integral) and 0 <= start_cell < dyn.n_cells):
+        raise UsageError(f"start_cell must be an integer in 0..{dyn.n_cells - 1}, "
+                         f"got {start_cell!r}")
     col = np.zeros((dyn.n_cells, 1), dtype=np.complex128)
     col[start_cell, 0] = 1.0
     return _evolve_runs(dyn, field, [(schedule, [schedule.duration])], col, dt,
@@ -538,7 +539,7 @@ def evolve_anyon(lattice: Lattice, field, schedule: EchoSchedule, start_cell: in
 def spread_cells(lattice: Lattice, sector: str, n_particles: int) -> list[int]:
     """Deterministic far-separated start cells (row-major stride plus a
     half-lattice column shift on alternating picks)."""
-    n_cells, _, _ = hop_structure(lattice, sector)
+    n_cells = len(_cell_graph(lattice, sector)) - 1
     if not (isinstance(n_particles, numbers.Integral) and 1 <= n_particles <= n_cells):
         raise UsageError(f"n_particles must be in 1..{n_cells}, got {n_particles!r}")
     cells = []
@@ -572,11 +573,13 @@ def contrast_curve(lattice: Lattice, model: NoiseModel, schedule_family,
     ("z_pairs", 1), ("z_pairs", 4)].  Per trial, all particles and all
     schedules share one noise realization; the contrast sample is the
     product over particles of |survival| ("amplitude" estimator) or
-    |survival|^2 ("probability").  Deterministic per seed: trial k uses the
-    noise stream (seed, k).
+    |survival|^2 ("probability").  Deterministic per seed, an integer >= 0:
+    trial k uses the noise stream (seed, k).
     """
-    if n_trials < 1:
-        raise UsageError("need at least one trial")
+    if not (isinstance(n_trials, numbers.Integral) and n_trials >= 1):
+        raise UsageError(f"n_trials must be an integer >= 1, got {n_trials!r}")
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise UsageError(f"seed must be an integer >= 0, got {seed!r}")
     if estimator not in ("amplitude", "probability"):
         raise UsageError("estimator must be 'amplitude' or 'probability'")
     taus = np.asarray(sorted(tau_grid), dtype=float)
@@ -597,7 +600,12 @@ def contrast_curve(lattice: Lattice, model: NoiseModel, schedule_family,
     # each member is (label, runs); a run is (schedule, its checkpoint delays).
     # A pulsed train scales with its delay, so it takes one run per delay.
     family = []
-    for kind, n in schedule_family:
+    for member in schedule_family:
+        try:
+            kind, n = member
+        except (TypeError, ValueError):
+            raise UsageError("schedule_family items must be (kind, n) pairs, "
+                             f"got {member!r}") from None
         if kind == "none":
             family.append(("none", [(build_echo_schedule("none", t_max), taus)]))
         else:
@@ -643,58 +651,28 @@ def _contrast_sample(block: np.ndarray, cells, estimator: str) -> np.ndarray:
 
 # -- closed forms -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DiffusionParams:
-    """Inputs of the analytic contrast laws.  t2_scale calibrates
-    T2 = t2_scale * sqrt(tau_c / xi_h) (the scaling is exact only up to a
-    constant, fitted once from Monte Carlo at n = 1)."""
-
-    xi_h: float
-    tau_c: float
-    z: int = COORDINATION
-    t2_scale: float = 1.0
-
-    def __post_init__(self):
-        require_finite(self, "xi_h")
-        require_finite(self, "tau_c", "z", "t2_scale", positive=True)
-        if self.xi_h < 0:
-            raise ConfigurationError(f"xi_h must be >= 0, got {self.xi_h!r}")
-
-    @property
-    def gamma(self) -> float:
-        return _diffusion_rate(self.xi_h, self.tau_c)
-
-    # without a field nothing decays: both times are infinite at xi_h = 0
-    @property
-    def t2_star(self) -> float:
-        return 1.0 / (self.z * self.gamma) if self.xi_h > 0 else math.inf
-
-    @property
-    def t2(self) -> float:
-        return self.t2_scale * math.sqrt(self.tau_c / self.xi_h) if self.xi_h > 0 \
-            else math.inf
-
-
-def analytic_contrast(tau: float, params: DiffusionParams, kind: str = "free",
+def analytic_contrast(tau: float, model: NoiseModel, kind: str = "free",
                       n: int = 1) -> float:
-    """Reference decay laws: free running exp(-tau/T2*), n echo pairs
-    exp(-(tau/T2)^4 / n^3)."""
+    """Reference decay laws: free running exp(-tau/T2*) with
+    T2* = 1/(z Gamma), n echo pairs exp(-(tau/T2)^4 / n^3) with
+    T2 = sqrt(tau_c / xi_h); without a field (xi_h = 0) both times are
+    infinite and nothing decays."""
     if not 0 <= tau < math.inf:
         raise UsageError(f"tau must be finite and >= 0, got {tau!r}")
     if kind == "free":
-        return math.exp(-tau / params.t2_star)
+        return math.exp(-tau * COORDINATION * model.diffusion_rate())
     if kind == "echo":
-        if n < 1:
-            raise UsageError("echo law needs n >= 1")
-        return math.exp(-((tau / params.t2) ** 4) / n ** 3)
+        if not (isinstance(n, numbers.Integral) and n >= 1):
+            raise UsageError(f"echo law needs an integer n >= 1, got {n!r}")
+        return math.exp(-(tau ** 4) * (model.xi_h / model.tau_c) ** 2 / n ** 3)
     raise UsageError(f"unknown analytic kind {kind!r}")
 
 
-def analytic_survival_probability(tau: float, params: DiffusionParams) -> float:
+def analytic_survival_probability(tau: float, model: NoiseModel) -> float:
     """Published fast-noise survival probability exp(-2 z Gamma tau)."""
     if not 0 <= tau < math.inf:
         raise UsageError(f"tau must be finite and >= 0, got {tau!r}")
-    return math.exp(-2.0 * params.z * params.gamma * tau)
+    return math.exp(-2.0 * COORDINATION * model.diffusion_rate() * tau)
 
 
 def master_equation_survival(n: int, gamma: float, tau) -> np.ndarray:
@@ -705,8 +683,8 @@ def master_equation_survival(n: int, gamma: float, tau) -> np.ndarray:
     the fast-noise limit of the averaged quantum survival probability,
     return contributions included.
     """
-    if n < 1:
-        raise UsageError(f"n must be >= 1, got {n!r}")
+    if not (isinstance(n, numbers.Integral) and n >= 1):
+        raise UsageError(f"n must be an integer >= 1, got {n!r}")
     if not 0 <= gamma < math.inf:
         raise UsageError(f"gamma must be finite and >= 0, got {gamma!r}")
     tau = np.atleast_1d(np.asarray(tau, dtype=float))

@@ -20,11 +20,15 @@ class ContractError(RuntimeError):
 
 
 def require_finite(obj, *names: str, positive: bool = False) -> None:
-    """Reject NaN or infinity (and values <= 0 if ``positive``) in obj's
-    fields ``names``, naming the field."""
+    """Reject a non-number, NaN or infinity (and values <= 0 if
+    ``positive``) in obj's fields ``names``, naming the field."""
     for name in names:
         value = getattr(obj, name)
-        if not math.isfinite(value):
+        try:
+            finite = math.isfinite(value)
+        except TypeError:
+            raise ConfigurationError(f"{name} must be a number, got {value!r}") from None
+        if not finite:
             raise ConfigurationError(f"{name} must be finite, got {value!r}")
         if positive and value <= 0:
             raise ConfigurationError(f"{name} must be > 0, got {value!r}")

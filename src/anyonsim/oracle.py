@@ -1,7 +1,7 @@
 """Cross-validation suites: stabilizer engine vs dense statevector, closed
 formulas vs enumeration / Monte Carlo, the reference braiding signs, and
 the slow exact references of fast paths (ground state, syndrome, sampler,
-probe circuits).
+probe circuits), and the explicit matrices of Weyl and Pauli strings.
 
 Each suite returns SuiteCheck rows so the command-line front-end and the
 acceptance tests share one implementation.
@@ -16,7 +16,7 @@ import numpy as np
 
 from . import analytics, statevector as sv, tableau as tb
 from .diffusion import NoiseModel, _circulant_sqrt_spectrum, build_echo_schedule
-from .errors import ContractError, UsageError
+from .errors import ConfigurationError, ContractError, UsageError
 from .lattice import (ECHO_KINDS, Lattice, StringPath, deform_string, index_maps,
                       planar, shortest_string, string_to_boundary, torus)
 from .pauli import PauliString, from_string_path, multiply
@@ -198,6 +198,33 @@ def ground_state_by_projection(lattice: Lattice, logical_sector=0,
     for flip in flips:
         tb.apply_pauli_string(t, flip)
     return t
+
+
+# -- explicit operator matrices ------------------------------------------------
+
+def dense_operator(p: WeylString, n_sites: int | None = None) -> np.ndarray:
+    """Explicit matrix of a Weyl string, a Pauli string at d = 2 (Z_d
+    clock/shift matrices, for any d).
+
+    Site 0 is the least significant digit of the basis index.
+    """
+    d = p.d
+    sites = (max(p.support) + 1) if p.support else 1
+    if n_sites is not None:
+        sites = max(sites, n_sites)
+    if d ** sites > 4096:
+        raise ConfigurationError("dense operator capped at 4096 dimensions")
+    omega = np.exp(2j * np.pi / d)
+    clock = np.diag(omega ** np.arange(d))
+    shift = np.zeros((d, d), dtype=complex)
+    for j in range(d):
+        shift[(j + 1) % d, j] = 1.0
+    mat = np.array([[np.exp(1j * np.pi * p.phase / d)]], dtype=complex)
+    for q in range(sites - 1, -1, -1):
+        a, b = p.support.get(q, (0, 0))
+        site_op = np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)
+        mat = np.kron(mat, site_op)
+    return mat
 
 
 # -- formulas vs enumeration ---------------------------------------------------

@@ -11,8 +11,8 @@ strings, exponentials, the X Y Z CX CZ gates and the projections of
 from_tableau) goes through one kernel on the amplitudes viewed as an n-axis
 tensor of shape (2,)*n, axis n-1-q being qubit q: a flip of the X axes and
 one multiply by a sign tensor of size 2 on the Z axes only.  H and S work
-on the two halves of one qubit axis.  No index arrays are built, and no
-full operator matrices outside of dense_operator (test oracle only).
+on the two halves of one qubit axis.  No index arrays and no full operator
+matrices are built (oracle.dense_operator writes those out).
 
 from_tableau reads the least basis state with a nonzero overlap from the
 tableau's measurement update, so the package's GF(2) elimination lives in
@@ -31,7 +31,6 @@ import numpy as np
 from . import tableau as tb
 from .errors import ConfigurationError, UsageError
 from .pauli import PauliString
-from .weyl import WeylString
 
 MAX_QUBITS = 22
 NORM_TOL = 1e-10  # from_amplitudes: |norm - 1| beyond this is not rounding
@@ -206,31 +205,6 @@ def inner_product(s1: StateVector, s2: StateVector) -> complex:
     if s1.n != s2.n:
         raise UsageError("dimension mismatch")
     return complex(np.vdot(s1.amps, s2.amps))
-
-
-def dense_operator(p: WeylString, n_sites: int | None = None) -> np.ndarray:
-    """Explicit matrix of a Weyl string, a Pauli string at d = 2 (test
-    oracle only).
-
-    Site 0 is the least significant digit of the basis index.
-    """
-    d = p.d
-    sites = (max(p.support) + 1) if p.support else 1
-    if n_sites is not None:
-        sites = max(sites, n_sites)
-    if d ** sites > 4096:
-        raise ConfigurationError("dense operator capped at 4096 dimensions")
-    omega = np.exp(2j * np.pi / d)
-    clock = np.diag(omega ** np.arange(d))
-    shift = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        shift[(j + 1) % d, j] = 1.0
-    mat = np.array([[np.exp(1j * np.pi * p.phase / d)]], dtype=complex)
-    for q in range(sites - 1, -1, -1):
-        a, b = p.support.get(q, (0, 0))
-        site_op = np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)
-        mat = np.kron(mat, site_op)
-    return mat
 
 
 def from_tableau(t) -> StateVector:

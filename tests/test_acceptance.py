@@ -346,9 +346,9 @@ def test_criterion_10_zd_statistics():
             for b in range(d):
                 zs = WeylString.z_power(d, [0, 1], a)
                 xs = WeylString.x_power(d, [1, 2], b)
-                mat = sv.dense_operator(zs.inverse(), 3) \
-                    @ sv.dense_operator(xs.inverse(), 3) \
-                    @ sv.dense_operator(zs, 3) @ sv.dense_operator(xs, 3)
+                mat = oracle.dense_operator(zs.inverse(), 3) \
+                    @ oracle.dense_operator(xs.inverse(), 3) \
+                    @ oracle.dense_operator(zs, 3) @ oracle.dense_operator(xs, 3)
                 k = weyl_braiding_phase(zs, xs)
                 assert np.allclose(mat, omega ** k * np.eye(d ** 3)), (d, a, b)
     elapsed = time.perf_counter() - start

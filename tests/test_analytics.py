@@ -7,6 +7,7 @@ import pytest
 from anyonsim import analytics as an
 from anyonsim import diffusion as df
 from anyonsim import oracle
+from anyonsim import protocols as pr
 from anyonsim import tableau as tb
 from anyonsim.errors import ConfigurationError, UsageError
 
@@ -115,27 +116,33 @@ def test_memory_error_and_crossover():
         an.memory_error(_budget(delta_h=2.0), 1.0)
 
 
+def _noise(xi_h, tau_c):
+    return df.NoiseModel(xi_h=xi_h, tau_c=tau_c, dt=0.05, duration=1.0)
+
+
 @pytest.mark.parametrize("build, field", [
     (lambda: tb.EnergyLedger(math.nan, 1.0), "coupling_u"),
     (lambda: tb.EnergyLedger(1.0, math.inf), "coupling_j"),
+    (lambda: tb.EnergyLedger("1", 1.0), "coupling_u"),
+    (lambda: pr.DelayStep("1"), "t"),
     (lambda: an.CavityParams(g=math.inf, kappa=1e-3, gamma=1e-3), "g"),
     (lambda: _budget(delta_h=math.nan), "delta_h"),
     (lambda: _budget(epsilon=-math.inf), "epsilon"),
     (lambda: _budget(epsilon=-5.0), "epsilon"),
+    (lambda: _budget(n_length=2.5), "n_length"),
+    (lambda: _budget(n_length=-1), "n_length"),
     (lambda: an.memory_error(_budget(), -1.0), "t"),
-    (lambda: df.DiffusionParams(xi_h=math.nan, tau_c=1.0), "xi_h"),
-    (lambda: df.DiffusionParams(xi_h=1.0, tau_c=-math.inf), "tau_c"),
-    (lambda: df.DiffusionParams(xi_h=-1.0, tau_c=10.0), "xi_h"),
-    (lambda: df.DiffusionParams(xi_h=1.0, tau_c=0.0), "tau_c"),
-    (lambda: df.DiffusionParams(xi_h=1.0, tau_c=-1.0), "tau_c"),
-    (lambda: df.DiffusionParams(xi_h=1.0, tau_c=10.0, t2_scale=0.0), "t2_scale"),
-    (lambda: df.DiffusionParams(xi_h=1.0, tau_c=10.0, z=0), "z"),
+    (lambda: _noise(xi_h=math.nan, tau_c=1.0), "xi_h"),
+    (lambda: _noise(xi_h=1.0, tau_c=-math.inf), "tau_c"),
+    (lambda: _noise(xi_h=-1.0, tau_c=10.0), "xi_h"),
+    (lambda: _noise(xi_h=1.0, tau_c=0.0), "tau_c"),
+    (lambda: _noise(xi_h=1.0, tau_c=-1.0), "tau_c"),
     (lambda: df.NoiseModel(xi_h=-1.0, tau_c=10.0, dt=0.05, duration=1.0), "xi_h"),
-], ids=["ledger-u-nan", "ledger-j-inf", "cavity-g-inf", "budget-delta_h-nan",
-        "budget-epsilon-inf", "budget-epsilon-negative", "memory_error-t-negative",
+], ids=["ledger-u-nan", "ledger-j-inf", "ledger-u-text", "delay-t-text", "cavity-g-inf",
+        "budget-delta_h-nan", "budget-epsilon-inf", "budget-epsilon-negative",
+        "budget-n_length-fraction", "budget-n_length-negative", "memory_error-t-negative",
         "diffusion-xi_h-nan", "diffusion-tau_c-inf", "diffusion-xi_h-negative",
-        "diffusion-tau_c-zero", "diffusion-tau_c-negative", "diffusion-t2_scale-zero",
-        "diffusion-z-zero",
+        "diffusion-tau_c-zero", "diffusion-tau_c-negative",
         "noise-xi_h-negative"])
 def test_parameters_rejected_when_built(build, field):
     with pytest.raises(ConfigurationError, match=f"^{field} must be"):

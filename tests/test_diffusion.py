@@ -207,7 +207,7 @@ def test_propagators_match_exact_exponential(theta):
         hmat = rng.normal(size=(40, 16, 16))
         hmat = hmat + np.transpose(hmat, (0, 2, 1))
         hmat *= theta / (dt * np.abs(hmat).sum(axis=-1).max())
-    props = df._propagators(hmat, dt)
+    props = df._propagators(hmat * dt)
     assert np.abs(props - _exact_propagators(hmat, dt)).max() < 1e-13
     n = hmat.shape[-1]
     drift = props @ np.conj(np.transpose(props, (0, 2, 1))) - np.eye(n)
@@ -363,10 +363,11 @@ def _diffusion_calls(lattice):
             lattice=lattice, field=field, schedule=df.build_echo_schedule("none", 1.0),
             start_cell=0, sector="x", dt=0.05)),
         "build_echo_schedule": (df.build_echo_schedule, dict(kind="z_pairs", duration=1.0, n=1)),
-        "analytic_contrast": (df.analytic_contrast, dict(
-            tau=1.0, params=df.DiffusionParams(1.0, 10.0), kind="free")),
+        "analytic_contrast": (df.analytic_contrast, dict(tau=1.0, model=model, kind="free")),
+        "analytic_contrast(echo)": (df.analytic_contrast, dict(
+            tau=1.0, model=model, kind="echo", n=1)),
         "analytic_survival_probability": (df.analytic_survival_probability, dict(
-            tau=1.0, params=df.DiffusionParams(1.0, 10.0))),
+            tau=1.0, model=model)),
         "master_equation_survival": (df.master_equation_survival,
                                      dict(n=4, gamma=1.0, tau=[1.0])),
         "Pulse": (df.Pulse, dict(time=0.5, kind="z")),
@@ -378,6 +379,10 @@ def _diffusion_calls(lattice):
 BAD_DIFFUSION_INPUTS = [
     *[("contrast_curve", "dt", v) for v in (-1.0, 0.0, math.nan, math.inf)],
     *[("contrast_curve", "n_particles", v) for v in (0, -1)],
+    ("contrast_curve", "n_trials", 1.5),
+    *[("contrast_curve", "seed", v) for v in (-1, 1.5)],
+    *[("contrast_curve", "schedule_family", [v]) for v in (("none",), ("z_pairs", 1, 2))],
+    ("evolve_anyon", "start_cell", 1.5),
     *[("evolve_anyon", "dt", v) for v in (-0.1, 0.0, math.nan, -math.inf)],
     *[("contrast_curve", "tau_grid", [v]) for v in (math.nan, math.inf, -math.inf)],
     *[("build_echo_schedule", "duration", v) for v in (math.nan, math.inf, -1.0)],
@@ -385,7 +390,8 @@ BAD_DIFFUSION_INPUTS = [
     *[(entry, "tau", v) for entry in ("analytic_contrast", "analytic_survival_probability")
       for v in (-1.0, math.nan, math.inf)],
     *[("master_equation_survival", "gamma", v) for v in (-1.0, math.nan, math.inf)],
-    *[("master_equation_survival", "n", v) for v in (0, -2)],
+    *[("analytic_contrast(echo)", "n", v) for v in (1.5, math.nan)],
+    *[("master_equation_survival", "n", v) for v in (0, -2, 2.5)],
     *[("master_equation_survival", "tau", [v]) for v in (-1.0, math.nan)],
     *[("Pulse", "time", v) for v in (math.nan, math.inf, -math.inf, "1")],
     ("spread_cells", "n_particles", 1.5),
@@ -485,13 +491,14 @@ def test_step_stack_pieces_match_whole_segments(torus4, monkeypatch):
 
 
 def test_step_stack_memory_bounded(monkeypatch):
-    # 500 steps of the 64-cell torus(8) x-sector in one segment would be
-    # ~16 MiB per stack; pieces of 32 steps keep the peak near five stacks
+    # 500 steps of the 64-cell torus(8) x-sector in one segment (a constant
+    # field sampled on 500 cells of 0.01, one step each) would be ~16 MiB
+    # per stack; pieces of 32 steps keep the peak near five stacks
     budget = 1 << 20
     monkeypatch.setattr(df, "_STACK_BYTES", budget)
     t8 = lat.torus(8)
     field = np.random.default_rng(2).normal(size=t8.n_edges)
-    static = df.NoiseRealization(field[:, None], 1.0)
+    static = df.NoiseRealization(np.repeat(field[:, None], 500, axis=1), 0.01)
     sched = df.build_echo_schedule("z_pairs", 5.0, 1)
     tracemalloc.start()
     try:
@@ -571,19 +578,43 @@ FIG5_FAMILY = [("none", 0), ("z_pairs", 1), ("z_pairs", 4), ("z_pairs", 10)]
 FIG5_TAUS = [1.0, 2.0, 3.0, 4.0, 6.0, 9.0, 12.0]
 
 
-def test_fig5_family_propagators_once_per_step(torus4, monkeypatch):
+@pytest.fixture
+def count_propagators(monkeypatch):
+    """The (trials, steps) shape of every step stack whose propagators are
+    computed, in call order."""
+    shapes = []
+    propagators = df._propagators
+    monkeypatch.setattr(df, "_propagators", lambda hmat: shapes.append(hmat.shape[:-2])
+                        or propagators(hmat))
+    return shapes
+
+
+def test_fig5_family_propagators_once_per_step(torus4, count_propagators):
     # the whole family shares one step grid: the 240 noise cells up to
     # tau = 12 and 10 cells that pulses split, one propagator each per trial
     # (z pulses reuse them as complex conjugates); one grid per run would
     # take 2472
-    shapes = []
-    propagators = df._propagators
-    monkeypatch.setattr(df, "_propagators", lambda hmat, dt: shapes.append(hmat.shape[:-2])
-                        or propagators(hmat, dt))
     model = df.NoiseModel(xi_h=1.0, tau_c=10.0, dt=0.05, duration=12.0)
     df.contrast_curve(torus4, model, FIG5_FAMILY, FIG5_TAUS, 3, 2, 0)
-    assert all(trials == 3 for trials, _ in shapes)
-    assert sum(steps for _, steps in shapes) == 250
+    assert all(trials == 3 for trials, _ in count_propagators)
+    assert sum(steps for _, steps in count_propagators) == 250
+
+
+def test_sub_cell_dt_steps_whole_cells(torus4, count_propagators):
+    # default_dt is half a noise cell here, but the field is constant on a
+    # cell: one step per cell, so one propagator per trial for each of the
+    # 240 cells up to tau = 12 and the 4 cells that z_pairs(4) pulses split
+    # at tau = 1 (halving every cell would take 480), and the curves of a
+    # run at dt = cell
+    model = df.NoiseModel(xi_h=2.0, tau_c=10.0, dt=0.05, duration=12.0)
+    assert df.default_dt(model) == model.dt / 2
+    family = [("none", 0), ("z_pairs", 1), ("z_pairs", 4)]
+    taus = [1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0]
+    fine = df.contrast_curve(torus4, model, family, taus, 8, 2, 0)
+    assert sum(trials * steps for trials, steps in count_propagators) == 8 * 244
+    whole = df.contrast_curve(torus4, model, family, taus, 8, 2, 0, dt=model.dt)
+    for a, b in zip(fine, whole):
+        assert np.abs(a.mean - b.mean).max() < 1e-12, a.schedule
 
 
 def test_cell_grid_matches_fine_noise_reference(torus4, monkeypatch):
@@ -687,28 +718,30 @@ def test_echo_filter_oracle_matches_mc(torus4):
 
 
 def test_analytic_contrast_forms():
-    params = df.DiffusionParams(xi_h=1.0, tau_c=10.0, t2_scale=1.3)
-    assert df.analytic_contrast(0.0, params, "free") == 1.0
-    assert df.analytic_contrast(params.t2_star, params, "free") == \
-        pytest.approx(math.exp(-1))
-    assert df.analytic_contrast(0.0, params, "echo", 3) == 1.0
+    model = df.NoiseModel(xi_h=1.0, tau_c=10.0, dt=0.05, duration=1.0)
+    gamma = model.diffusion_rate()
+    assert gamma == pytest.approx(2 * math.sqrt(math.pi) * 1.0 / 0.2)
+    t2_star, t2 = 1 / (4 * gamma), math.sqrt(10.0)
+    assert df.analytic_contrast(0.0, model, "free") == 1.0
+    assert df.analytic_contrast(t2_star, model, "free") == pytest.approx(math.exp(-1))
+    assert df.analytic_contrast(0.0, model, "echo", 3) == 1.0
+    assert df.analytic_contrast(t2, model, "echo", 1) == pytest.approx(math.exp(-1))
     tau = 2.0
-    c1 = df.analytic_contrast(tau, params, "echo", 1)
-    c2 = df.analytic_contrast(tau, params, "echo", 2)
-    assert c2 / c1 == pytest.approx(math.exp((1 - 1 / 8) * (tau / params.t2) ** 4))
-    assert params.gamma == pytest.approx(2 * math.sqrt(math.pi) * 1.0 / 0.2)
-    assert df.analytic_survival_probability(1.0, params) == \
-        pytest.approx(math.exp(-2 * 4 * params.gamma))
+    c1 = df.analytic_contrast(tau, model, "echo", 1)
+    c2 = df.analytic_contrast(tau, model, "echo", 2)
+    assert c2 / c1 == pytest.approx(math.exp((1 - 1 / 8) * (tau / t2) ** 4))
+    assert df.analytic_survival_probability(1.0, model) == \
+        pytest.approx(math.exp(-2 * 4 * gamma))
     with pytest.raises(UsageError):
-        df.analytic_contrast(1.0, params, "gaussian")
+        df.analytic_contrast(1.0, model, "gaussian")
 
 
 def test_analytic_laws_without_field():
-    # xi_h = 0 is allowed: nothing decays, so both laws stay at 1
-    params = df.DiffusionParams(xi_h=0.0, tau_c=10.0)
-    assert params.t2 == params.t2_star == math.inf
-    assert df.analytic_contrast(5.0, params, "free") == 1.0
-    assert df.analytic_contrast(5.0, params, "echo", 2) == 1.0
+    # xi_h = 0 is allowed: T2* and T2 are infinite, so both laws stay at 1
+    model = df.NoiseModel(xi_h=0.0, tau_c=10.0, dt=0.05, duration=1.0)
+    assert df.analytic_contrast(5.0, model, "free") == 1.0
+    assert df.analytic_contrast(5.0, model, "echo", 2) == 1.0
+    assert df.analytic_survival_probability(5.0, model) == 1.0
 
 
 def test_spread_cells(torus4):

@@ -3,10 +3,10 @@ import pytest
 
 from anyonsim import lattice as lat
 from anyonsim.errors import UsageError
-from anyonsim.oracle import random_hermitian_pauli
+from anyonsim.oracle import dense_operator, random_hermitian_pauli
 from anyonsim.pauli import (PauliString, basis_change_conjugate,
                             commutation_phase, from_string_path, multiply)
-from anyonsim.statevector import StateVector, _pauli_action, dense_operator
+from anyonsim.statevector import StateVector, _pauli_action
 
 
 def _any_phase_pauli(n, rng):

@@ -6,7 +6,7 @@ from anyonsim import protocols as pr
 from anyonsim import statevector as sv
 from anyonsim import tableau as tb
 from anyonsim.errors import ContractError, UsageError
-from anyonsim.oracle import (ground_state_by_projection, random_braid_program,
+from anyonsim.oracle import (dense_operator, ground_state_by_projection, random_braid_program,
                              random_clifford_circuit, random_hermitian_pauli, run_circuit,
                              syndrome_by_expectation)
 from anyonsim.pauli import PauliString, from_string_path, multiply
@@ -232,9 +232,9 @@ def test_ground_state_matches_dense_diagonalization(planar2, planar2_ground):
     dim = 1 << planar2.n_edges
     ham = np.zeros((dim, dim), dtype=complex)
     for v in range(planar2.n_vertices):
-        ham -= sv.dense_operator(PauliString.x_on(planar2.star(v)), 5)
+        ham -= dense_operator(PauliString.x_on(planar2.star(v)), 5)
     for f in range(planar2.n_faces):
-        ham -= sv.dense_operator(PauliString.z_on(planar2.boundary(f)), 5)
+        ham -= dense_operator(PauliString.z_on(planar2.boundary(f)), 5)
     evals, evecs = np.linalg.eigh(ham)
     ground_space = evecs[:, evals < evals.min() + 1e-9]
     assert ground_space.shape[1] == 2  # one logical qubit
@@ -452,9 +452,9 @@ def test_relative_energy(planar2, planar2_ground):
     uu, jj = 1.3, 0.7
     ham = np.zeros((dim, dim), dtype=complex)
     for v in range(planar2.n_vertices):
-        ham -= uu * sv.dense_operator(PauliString.x_on(planar2.star(v)), 5)
+        ham -= uu * dense_operator(PauliString.x_on(planar2.star(v)), 5)
     for f in range(planar2.n_faces):
-        ham -= jj * sv.dense_operator(PauliString.z_on(planar2.boundary(f)), 5)
+        ham -= jj * dense_operator(PauliString.z_on(planar2.boundary(f)), 5)
     e0 = np.linalg.eigvalsh(ham).min()
     t2 = planar2_ground.clone()
     tb.apply_pauli_string(t2, PauliString.z_on([4]))

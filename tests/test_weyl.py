@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from anyonsim.errors import UsageError
-from anyonsim.oracle import random_hermitian_pauli
+from anyonsim.oracle import dense_operator, random_hermitian_pauli
 from anyonsim.pauli import PauliString, commutation_phase, multiply
-from anyonsim.statevector import dense_operator
 from anyonsim.weyl import (WeylString, weyl_braiding_phase, weyl_gate_count,
                            weyl_multiply)
 
