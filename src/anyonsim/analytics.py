@@ -9,12 +9,11 @@ are exposed as parameters with the published defaults (2*pi single photon,
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import ConfigurationError, UsageError, require_finite
+from .errors import ConfigurationError, UsageError, require
 
 
 @dataclass(frozen=True)
@@ -27,7 +26,13 @@ class CavityParams:
     gamma: float
 
     def __post_init__(self):
-        require_finite(self, "g", "kappa", "gamma", positive=True)
+        # g enters squared: g^2 stays a finite float up to g = 1e154
+        require(self.g, "g", gt=0, le=1e154, error=ConfigurationError)
+        for name in ("kappa", "gamma"):
+            require(getattr(self, name), name, gt=0, error=ConfigurationError)
+        if self.kappa * self.gamma == 0:  # underflow; the Purcell factor divides by it
+            raise ConfigurationError(f"kappa * gamma must be > 0, got {self.kappa!r} * "
+                                     f"{self.gamma!r}")
 
     @property
     def purcell(self) -> float:
@@ -43,8 +48,7 @@ def optimal_detuning(params: CavityParams, n_spins: int) -> float:
 def photon_loss_at(params: CavityParams, n_spins: int, detuning: float) -> float:
     """kappa tau + N (g/Delta)^2 gamma tau at the QND time tau = pi Delta / g**2."""
     _require_spins(n_spins)
-    if not (math.isfinite(detuning) and detuning > 0):
-        raise UsageError(f"detuning must be finite and > 0, got {detuning!r}")
+    require(detuning, "detuning", gt=0)
     tau = math.pi * detuning / params.g ** 2
     return params.kappa * tau + n_spins * (params.g / detuning) ** 2 * params.gamma * tau
 
@@ -53,10 +57,8 @@ def min_photon_loss(n_spins: int, purcell: float, prefactor: float = 2.0 * math.
                     ) -> float:
     """Minimal single-photon loss probability, prefactor * sqrt(N/P)."""
     _require_spins(n_spins)
-    if purcell <= 0:
-        raise UsageError(f"purcell must be > 0, got {purcell!r}")
-    if not math.isfinite(purcell):
-        raise UsageError(f"purcell must be finite, got {purcell!r}")
+    require(purcell, "purcell", gt=0)
+    require(prefactor, "prefactor", ge=0)
     loss = prefactor * math.sqrt(n_spins / purcell)
     if loss >= 1.0:
         warnings.warn("photon loss estimate >= 1: outside the validity regime",
@@ -68,11 +70,7 @@ def geometric_gate_loss(n_spins: int, purcell: float, alpha_sq: float) -> float:
     """Loss of the coherent-state gate: |alpha|^2 times the single-photon
     minimum (the published bold constant corresponds to alpha_sq = pi/2
     entering twice; both conventions are recoverable from this form)."""
-    if alpha_sq < 0:
-        raise UsageError("alpha_sq must be non-negative")
-    if not math.isfinite(alpha_sq):
-        raise UsageError(f"alpha_sq must be finite, got {alpha_sq!r}")
-    if alpha_sq == 0:
+    if require(alpha_sq, "alpha_sq", ge=0) == 0:
         return 0.0
     return alpha_sq * min_photon_loss(n_spins, purcell)
 
@@ -81,14 +79,9 @@ def qnd_error(n_spins: int, theta: float, delta: float, k: int = 1) -> float:
     """Residual error of the QND interaction with relative coupling deviation
     delta, suppressed to order k by composite pulses: N * theta * |delta|**k."""
     _require_spins(n_spins)
-    if abs(delta) >= 1:
-        raise UsageError("|delta| must be < 1")
-    if k < 1:
-        raise UsageError("composite-pulse order k must be >= 1")
+    require(theta, "theta")
+    require(delta, "delta", gt=-1, lt=1)
     _require_order(k)
-    for name, value in (("theta", theta), ("delta", delta)):
-        if not math.isfinite(value):
-            raise UsageError(f"{name} must be finite, got {value!r}")
     return n_spins * theta * abs(delta) ** k
 
 
@@ -100,14 +93,12 @@ def qnd_pulse_count(k: int) -> float:
 
 def _require_spins(n_spins) -> None:
     """A spin count N is an integer >= 1."""
-    if not (isinstance(n_spins, numbers.Integral) and n_spins >= 1):
-        raise UsageError(f"n_spins must be an integer >= 1, got {n_spins!r}")
+    require(n_spins, "n_spins", integer=True, ge=1)
 
 
 def _require_order(k) -> None:
     """A composite-pulse order is an integer >= 1."""
-    if not (isinstance(k, numbers.Integral) and k >= 1):
-        raise UsageError(f"composite-pulse order k must be an integer >= 1, got {k!r}")
+    require(k, "k", integer=True, ge=1)
 
 
 @dataclass(frozen=True)
@@ -129,23 +120,23 @@ class MemoryBudget:
     epsilon: float = 0.0
 
     def __post_init__(self):
-        require_finite(self, "delta_h", "lam", "epsilon")
-        require_finite(self, "coupling_j", "q", "purcell", positive=True)
-        if self.epsilon < 0:
-            raise ConfigurationError(f"epsilon must be >= 0, got {self.epsilon!r}")
-        if not (isinstance(self.n_length, numbers.Integral) and self.n_length >= 1):
-            raise ConfigurationError("n_length must be an integer >= 1, "
-                                     f"got {self.n_length!r}")
+        for name in ("delta_h", "lam", "epsilon"):
+            require(getattr(self, name), name, ge=0, error=ConfigurationError)
+        for name in ("coupling_j", "q", "purcell"):
+            require(getattr(self, name), name, gt=0, error=ConfigurationError)
+        require(self.n_length, "n_length", integer=True, ge=1, error=ConfigurationError)
 
     @property
     def protection(self) -> float:
-        return (self.delta_h / self.coupling_j) ** self.n_length
+        try:
+            return (self.delta_h / self.coupling_j) ** self.n_length
+        except OverflowError:  # a ratio > 1 whose power passes the float range
+            return math.inf
 
 
 def memory_error(budget: MemoryBudget, t: float) -> float:
     """p_topo(t) = (dh/J)^N q t + 4 lam sqrt(N/P) + N epsilon."""
-    if not t >= 0:
-        raise ConfigurationError(f"t must be >= 0, got {t!r}")
+    require(t, "t", ge=0, error=ConfigurationError)
     if budget.protection >= 1.0:
         warnings.warn("delta_h/J >= 1: outside the protection regime",
                       stacklevel=2)
@@ -157,6 +148,7 @@ def memory_error(budget: MemoryBudget, t: float) -> float:
 def crossover_time(budget: MemoryBudget, tol: float = 1e-12) -> float:
     """Storage time beyond which the protected memory beats a bare spin:
     the fixed point p_topo(t*) = q t*, found by bisection."""
+    require(tol, "tol", gt=0)
     if budget.protection >= 1.0:
         raise UsageError("no crossover: protection factor "
                          f"(delta_h / coupling_j)**n_length = {budget.protection:g} >= 1")
@@ -190,22 +182,15 @@ class QuenchedModel:
     p: float
 
     def __post_init__(self):
-        for name in ("n", "m", "m_prime"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
-                raise UsageError(f"{name} must be an integer, got {value!r}")
         _require_pair_room(self.n)
-        for name, value in (("m", self.m), ("m_prime", self.m_prime)):
-            if not 0 <= value <= self.n ** 2:
-                raise UsageError(f"{name} must lie in [0, N^2], got {value!r}")
-        if not 0.0 <= self.p <= 1.0:
-            raise UsageError("pair probability must lie in [0, 1]")
+        for name in ("m", "m_prime"):
+            require(getattr(self, name), name, integer=True, ge=0, le=self.n ** 2)
+        require(self.p, "p", ge=0, le=1)
 
 
 def _require_pair_room(n: int) -> None:
     """A pair sits on two distinct cells of the N x N torus, so N >= 2."""
-    if not n >= 2:
-        raise UsageError(f"n must be >= 2 to hold a pair, got {n!r}")
+    require(n, "n", integer=True, ge=2)
 
 
 def quenched_phase_prob(n: int, m: int) -> float:
@@ -213,10 +198,7 @@ def quenched_phase_prob(n: int, m: int) -> float:
     placed pair straddles a region of m cells."""
     _require_pair_room(n)
     cells = n * n
-    if not 0 <= m <= cells:
-        raise UsageError("m must lie in [0, N^2]")
-    if not isinstance(m, numbers.Integral):
-        raise UsageError(f"m must be an integer, got {m!r}")
+    require(m, "m", integer=True, ge=0, le=cells)
     return 2.0 * m * (cells - m) / (cells * (cells - 1))
 
 
@@ -236,11 +218,8 @@ def quenched_enumeration_oracle(n: int, region) -> float:
     if n > 8:
         raise ConfigurationError("enumeration oracle capped at N = 8")
     cells = n * n
-    region = frozenset(region)
-    if any(not 0 <= c < cells for c in region):
-        raise UsageError("region cell outside the lattice")
-    if not all(isinstance(c, numbers.Integral) for c in region):
-        raise UsageError(f"region cells must be integers, got {sorted(region)!r}")
+    region = frozenset(require(c, "region cell", integer=True, ge=0, le=cells - 1)
+                       for c in region)
     odd = sum(1 for a, b in combinations(range(cells), 2)
               if (a in region) != (b in region))
     return odd / math.comb(cells, 2)
@@ -262,9 +241,7 @@ def contrast_vs_loop(perimeter: int, eps_s: float, model: QuenchedModel
     """Contrast budget of one braid experiment: string errors cost
     (1 - eps_s)^perimeter (length law), quenched initialization anyons cost
     1 - p (q_m + q_m') (area law)."""
-    if not 0.0 <= eps_s < 1.0:
-        raise UsageError("per-edge error rate must lie in [0, 1)")
-    if not (isinstance(perimeter, numbers.Integral) and perimeter >= 0):
-        raise UsageError(f"perimeter must be an integer >= 0, got {perimeter!r}")
+    require(perimeter, "perimeter", integer=True, ge=0)
+    require(eps_s, "eps_s", ge=0, lt=1)
     return LoopContrastReport(perimeter, (1.0 - eps_s) ** perimeter,
                               quenched_contrast(model))

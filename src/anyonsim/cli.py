@@ -24,7 +24,7 @@ import numpy as np
 
 from . import analytics, diffusion as df, oracle, protocols as pr, statevector as sv
 from . import tableau as tb
-from .errors import ConfigurationError, ContractError, UsageError
+from .errors import ConfigurationError, ContractError, UsageError, require
 from .lattice import LatticeSpec, build_lattice, logical_operators
 from .pauli import from_string_path
 from .weyl import WeylString, weyl_braiding_phase, weyl_gate_count
@@ -42,37 +42,35 @@ def _parse_lattice(key: str, text: str):
     return build_lattice(LatticeSpec(topo.strip(), size))
 
 
-def _read_text(path: str) -> str:
-    """The contents of a UTF-8 input file; any other file is a UsageError
-    naming it."""
+def _read_text(key: str, path: str) -> str:
+    """The contents of a UTF-8 input file; an unreadable or other file is a
+    UsageError naming the key and the path."""
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
-        raise UsageError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+        raise UsageError(f"{key}: {path}: not UTF-8 text (byte {exc.start})") from None
+    except OSError as exc:
+        raise UsageError(f"{key}: {exc}") from None
 
 
-def _number(key: str, text: str, kind=float, minimum=None):
-    """Parse one config value as a 64-bit int or a finite float, at least
-    ``minimum`` if given; anything else is a ConfigurationError naming the
-    key."""
+def _number(key: str, text: str, kind=float, **bounds):
+    """Parse one config value as a 64-bit int or a float, and check it with
+    errors.require within ``bounds`` (ge, gt, le, lt); anything else is a
+    ConfigurationError naming the key."""
     try:
         value = kind(text)
     except ValueError:
         what = "an integer" if kind is int else "a number"
         raise ConfigurationError(f"{key} must be {what}, got {text!r}") from None
-    if kind is float and not math.isfinite(value):
-        raise ConfigurationError(f"{key} must be finite, got {text!r}")
     if kind is int and not -2**63 <= value < 2**63:
         # counts and seeds go to numpy as C integers
         raise ConfigurationError(f"{key} must fit in 64 bits, got {text!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigurationError(f"{key} must be >= {minimum}, got {text!r}")
-    return value
+    return require(value, key, integer=kind is int, error=ConfigurationError, **bounds)
 
 
 def _parse_taus(key: str, text: str) -> list[float]:
-    taus = [_number(key, x, float, 0) for x in text.split(",") if x.strip()]
+    taus = [_number(key, x, ge=0) for x in text.split(",") if x.strip()]
     if not taus or max(taus) <= 0:
         raise ConfigurationError(f"{key} needs at least one delay > 0, got {text!r}")
     return taus
@@ -81,7 +79,7 @@ def _parse_taus(key: str, text: str) -> list[float]:
 def _parse_schedule(key: str, text: str) -> list[tuple[str, int]]:
     """``kind:n`` items; a bare kind means n = 1, or n = 0 for ``none``."""
     items = [x.strip().partition(":") for x in text.split(",") if x.strip()]
-    return [(kind.strip(), _number(key, n, int, 0) if sep else int(kind != "none"))
+    return [(kind.strip(), _number(key, n, int, ge=0) if sep else int(kind != "none"))
             for kind, sep, n in items]
 
 
@@ -90,29 +88,15 @@ def _optional_number(key: str, text: str):
     return _number(key, text) if text else None
 
 
-def _positive(key: str, text: str) -> float:
-    """A finite float > 0."""
-    value = _number(key, text)
-    if value <= 0:
-        raise ConfigurationError(f"{key} must be > 0, got {text!r}")
-    return value
-
-
-def _zd_dimension(key: str, text: str) -> int:
-    """An int d with 2 <= d <= ZD_MAX_D."""
-    d = _number(key, text, int, 2)
-    if d > ZD_MAX_D:
-        raise ConfigurationError(f"{key} must be <= {ZD_MAX_D}, got {text!r}")
-    return d
-
-
 def _text(key: str, text: str) -> str:
     return text
 
 
 _int = partial(_number, kind=int)
-_count = partial(_number, kind=int, minimum=1)
-_SEED = ("0", partial(_number, kind=int, minimum=0))
+_count = partial(_number, kind=int, ge=1)
+_positive = partial(_number, gt=0)
+_zd_dimension = partial(_number, kind=int, ge=2, le=ZD_MAX_D)
+_SEED = ("0", partial(_number, kind=int, ge=0))
 _OUT = ("", _text)
 _LATTICE = ("torus:4", _parse_lattice)
 
@@ -150,7 +134,7 @@ def _resolve_config(cmd: str, args) -> tuple[list[str], dict]:
         config["seed"] = os.environ[SEED_ENV]
     pairs = []
     if args.config:
-        for lineno, raw in enumerate(_read_text(args.config).split("\n"), 1):
+        for lineno, raw in enumerate(_read_text("--config", args.config).split("\n"), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -191,7 +175,7 @@ def cmd_braid(header: list[str], cfg: dict) -> int:
     if not cfg["program"]:
         raise UsageError("braid needs program=<path> (step-per-line format)")
     ledger = tb.EnergyLedger(cfg["u"], cfg["j"])
-    program = pr.parse_program(cfg["lattice"], _read_text(cfg["program"]), ledger)
+    program = pr.parse_program(cfg["lattice"], _read_text("program", cfg["program"]), ledger)
     ground = tb.prepare_ground_state(cfg["lattice"], 0)
     coherence = pr.run_interferometry(program, ground)
     a = coherence.alpha

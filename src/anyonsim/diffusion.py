@@ -45,12 +45,11 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, UsageError, require_finite
+from .errors import ConfigurationError, UsageError, require
 from .lattice import ECHO_KINDS, Lattice, echo_mask
 
 COORDINATION = 4  # square lattice
@@ -68,10 +67,11 @@ class NoiseModel:
     duration: float
 
     def __post_init__(self):
-        require_finite(self, "xi_h")
-        require_finite(self, "tau_c", "dt", "duration", positive=True)
-        if self.xi_h < 0:  # the noise reads xi_h^2, but default_dt reads xi_h
-            raise ConfigurationError(f"xi_h must be >= 0, got {self.xi_h!r}")
+        # the noise reads xi_h^2 (a finite float up to xi_h = 1e154), but
+        # default_dt reads xi_h
+        require(self.xi_h, "xi_h", ge=0, le=1e154, error=ConfigurationError)
+        for name in ("tau_c", "dt", "duration"):
+            require(getattr(self, name), name, gt=0, error=ConfigurationError)
 
     @property
     def n_steps(self) -> int:
@@ -87,7 +87,8 @@ class NoiseModel:
 # Fields: ``at_many(times)`` returns the per-edge values at each time as an
 # (..., n_edges, len(times)) array; a leading axis holds one field per trial.
 # ``dt`` is the length of the cells the values are constant on, and the
-# integrator's steps lie on that cell grid.
+# integrator's steps lie on that cell grid; past its first ``n_steps`` cells
+# the field holds its last value.
 # NoiseRealization is the one field type: a static field v is the one-sample
 # NoiseRealization(v[:, None], dt), since the last sample holds.
 
@@ -108,13 +109,17 @@ class NoiseRealization:
         return self.values[..., idx]
 
 
+# Samples of one circulant embedding: the sampler holds about 7 float64
+# arrays of this length while it builds a spectrum and draws an edge.
+_MAX_EMBEDDING = 1 << 24
+
+
 @functools.lru_cache(maxsize=8)
 def _circulant_sqrt_spectrum(model: NoiseModel, n_steps: int) -> np.ndarray:
     """Square root of the circulant embedding's eigenvalues, length L (the
     power of two >= 2 n_steps + pad), read-only and computed once per
     (model, n_steps); a negative embedding raises on every call."""
-    pad = int(math.ceil(8.0 * model.tau_c / model.dt))
-    length = 1 << max(1, (2 * n_steps + pad - 1)).bit_length()
+    length = 1 << max(1, (_embedded_span(model, n_steps) - 1)).bit_length()
     lags = np.arange(length)
     lags = np.minimum(lags, length - lags) * model.dt
     cov = model.xi_h ** 2 * np.exp(-(lags / model.tau_c) ** 2)
@@ -127,12 +132,24 @@ def _circulant_sqrt_spectrum(model: NoiseModel, n_steps: int) -> np.ndarray:
     return sqrt_lam
 
 
-def _check_noise(model: NoiseModel, lattice: Lattice) -> None:
-    """The sampler's preconditions: the time step, and the realization size."""
+def _embedded_span(model: NoiseModel, n_steps: int) -> int:
+    """Samples the circulant embedding must hold: 2 n_steps + a pad of
+    8 tau_c / dt."""
+    return 2 * n_steps + int(math.ceil(8.0 * model.tau_c / model.dt))
+
+
+def _check_noise(model: NoiseModel, lattice: Lattice, span: str = "duration") -> None:
+    """The sampler's preconditions: the time step, the realization size and
+    the embedding length (``span`` names what set the duration)."""
     if model.dt > model.tau_c / 20 + 1e-15:
         raise ConfigurationError("sampler needs dt <= tau_c / 20")
-    if model.n_steps * lattice.n_edges > 200_000_000:
-        raise ConfigurationError("noise realization too large")
+    n_steps, embedded = model.n_steps, _embedded_span(model, model.n_steps)
+    if n_steps * lattice.n_edges > 200_000_000 or embedded > _MAX_EMBEDDING:
+        raise ConfigurationError(
+            f"noise realization too large: {span} {model.duration!r} and tau_c "
+            f"{model.tau_c!r} over dt {model.dt!r} need {n_steps} samples on each of "
+            f"{lattice.n_edges} edges and an embedding of {embedded} (at most 200000000 "
+            f"in all and {_MAX_EMBEDDING})")
 
 
 def sample_noise(model: NoiseModel, lattice: Lattice, seed, *,
@@ -148,10 +165,13 @@ def sample_noise(model: NoiseModel, lattice: Lattice, seed, *,
     v = sqrt_lam b, that real part is Re rfft(g) - Im rfft(g) for the real
     g = even(u) + odd(v), so each edge takes one length-L real FFT.
 
-    out: a float64 array of shape (n_edges, n_steps) that receives the
-    series and becomes the realization's values; a new one by default.
+    seed: an integer >= 0 or a sequence of them.  out: a float64 array of
+    shape (n_edges, n_steps) that receives the series and becomes the
+    realization's values; a new one by default.
     """
     _check_noise(model, lattice)
+    seed_list = [int(require(s, "seed", integer=True, ge=0))
+                 for s in np.asarray(seed, dtype=object).ravel()]
     n_steps = model.n_steps
     shape = (lattice.n_edges, n_steps)
     if out is None:
@@ -163,7 +183,6 @@ def sample_noise(model: NoiseModel, lattice: Lattice, seed, *,
         return NoiseRealization(out, model.dt)
     sqrt_lam = _circulant_sqrt_spectrum(model, n_steps)
     length = sqrt_lam.size
-    seed_list = [int(s) for s in np.atleast_1d(np.asarray(seed, dtype=np.int64))]
     # buffers reused for every edge: the draws, scaled in place to (u, v);
     # 2 g (the 1/2 goes into the final scale); the half spectrum of g, of
     # which the first n_steps <= L / 2 samples are read
@@ -192,10 +211,7 @@ class Pulse:
     kind: str  # one of lattice.ECHO_KINDS
 
     def __post_init__(self):
-        if not isinstance(self.time, numbers.Real):
-            raise UsageError(f"time must be a number, got {self.time!r}")
-        if not math.isfinite(self.time):  # UsageError, as in EchoSchedule
-            raise UsageError(f"time must be finite, got {self.time!r}")
+        require(self.time, "time")  # UsageError, as in EchoSchedule
         if self.kind not in ECHO_KINDS:
             raise UsageError(f"unknown echo pulse kind {self.kind!r}")
 
@@ -206,8 +222,7 @@ class EchoSchedule:
     pulses: tuple[Pulse, ...]
 
     def __post_init__(self):
-        if not (math.isfinite(self.duration) and self.duration >= 0):
-            raise UsageError(f"duration must be finite and >= 0, got {self.duration!r}")
+        require(self.duration, "duration", ge=0)
         times = [p.time for p in self.pulses]
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
             raise UsageError("pulse times must be strictly increasing")
@@ -229,10 +244,7 @@ def build_echo_schedule(kind: str, duration: float, n: int = 1,
         return empty
     if kind not in ("z_pairs", "nested", "boundary_w"):
         raise UsageError(f"unknown schedule kind {kind!r}")
-    if n < 1:
-        raise UsageError(f"schedule {kind} needs n >= 1, got {n}")
-    if not isinstance(n, numbers.Integral):
-        raise UsageError(f"schedule {kind} needs an integer n, got {n!r}")
+    require(n, f"n of schedule {kind}", integer=True, ge=1)
     if kind == "z_pairs":
         step = duration / (2 * n)
         pulses = [Pulse((k + 1) * step, "z") for k in range(2 * n)]
@@ -318,16 +330,23 @@ _STACK_BYTES = 128 << 10
 # contrast_curve evolves a chunk together.  A chunk holds at least one
 # trial, and no more trials than one step of them fits in _STACK_BYTES.
 _NOISE_BYTES = 2 << 20
+# Largest xi_h times the step length that contrast_curve integrates: the
+# field's phase over a step, whose propagator the doubling in _propagators
+# reproduces to about its norm times 2^-53 (2^25 here, a 6-sigma field
+# summed over 4 hops, so about 4e-9 rad per step).
+_MAX_STEP_PHASE = 2.0 ** 20
 
 
-def _step_grid(cell: float, dt: float, events: np.ndarray, tol: float) -> np.ndarray:
+def _step_grid(cell: float, dt: float, events: np.ndarray, tol: float,
+               last: float) -> np.ndarray:
     """Sorted step boundaries from 0 to events[-1]: the event times plus a
     grid of steps of max(1, floor(dt / cell)) whole cells of the field (the
-    ratio rounded with a tolerance); grid points within tol of an event are
-    dropped."""
+    ratio rounded with a tolerance); grid points within tol of an event, or
+    more than tol past ``last``, where the field's last sample starts to
+    hold, are dropped."""
     width = cell * max(1, math.floor(dt / cell + 1e-9))
-    grid = width * np.arange(1, math.ceil(events[-1] / width))
-    grid = grid[grid < events[-1] - tol]
+    grid = width * np.arange(1, math.ceil(min(events[-1], last + tol) / width) + 1)
+    grid = grid[(grid < events[-1] - tol) & (grid <= last + tol)]
     at = np.searchsorted(events, grid)  # events[at - 1] < grid <= events[at]
     clear = (grid - events[at - 1] > tol) & (events[at] - grid > tol)
     return np.sort(np.concatenate([events, grid[clear]]))
@@ -384,7 +403,7 @@ def _evolve_runs(dyn: _SectorDynamics, field, runs, columns: np.ndarray, dt: flo
                 keys.add(key)
                 plan[i].append((r, (key, neg)))
 
-    bounds = _step_grid(field.dt, dt, events, tol)
+    bounds = _step_grid(field.dt, dt, events, tol, (field.n_steps - 1) * field.dt)
     at = np.searchsorted(bounds, events)  # first step of each event's segment
     lengths = np.diff(bounds)
     mids = bounds[:-1] + 0.5 * lengths
@@ -516,20 +535,13 @@ def default_dt(model: NoiseModel) -> float:
     return min(model.tau_c, 1.0 / model.xi_h if model.xi_h > 0 else model.tau_c) / 20.0
 
 
-def _check_dt(dt: float) -> None:
-    if not (math.isfinite(dt) and dt > 0):
-        raise UsageError(f"dt must be finite and > 0, got {dt!r}")
-
-
 def evolve_anyon(lattice: Lattice, field, schedule: EchoSchedule, start_cell: int,
                  sector: str, dt: float) -> np.ndarray:
     """Integrate one particle from a basis state under the field + echoes;
     returns the complex amplitude per cell of the sector (unit norm)."""
-    _check_dt(dt)
+    require(dt, "dt", gt=0)
     dyn = _SectorDynamics(lattice, sector)
-    if not (isinstance(start_cell, numbers.Integral) and 0 <= start_cell < dyn.n_cells):
-        raise UsageError(f"start_cell must be an integer in 0..{dyn.n_cells - 1}, "
-                         f"got {start_cell!r}")
+    require(start_cell, "start_cell", integer=True, ge=0, le=dyn.n_cells - 1)
     col = np.zeros((dyn.n_cells, 1), dtype=np.complex128)
     col[start_cell, 0] = 1.0
     return _evolve_runs(dyn, field, [(schedule, [schedule.duration])], col, dt,
@@ -540,14 +552,20 @@ def spread_cells(lattice: Lattice, sector: str, n_particles: int) -> list[int]:
     """Deterministic far-separated start cells (row-major stride plus a
     half-lattice column shift on alternating picks)."""
     n_cells = len(_cell_graph(lattice, sector)) - 1
-    if not (isinstance(n_particles, numbers.Integral) and 1 <= n_particles <= n_cells):
-        raise UsageError(f"n_particles must be in 1..{n_cells}, got {n_particles!r}")
+    require(n_particles, "n_particles", integer=True, ge=1, le=n_cells)
     cells = []
     for k in range(n_particles):
         base = (k * n_cells) // n_particles
         shift = (k * (lattice.size // 2)) % max(1, lattice.size)
         cells.append((base + shift) % n_cells)
     return cells
+
+
+def _delays(values, name: str) -> np.ndarray:
+    """A delay or a sequence of delays as a flat float array, each element
+    checked as a finite real >= 0 named ``name``."""
+    return np.array([require(t, name, ge=0)
+                     for t in np.asarray(values, dtype=object).ravel()], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -576,20 +594,22 @@ def contrast_curve(lattice: Lattice, model: NoiseModel, schedule_family,
     |survival|^2 ("probability").  Deterministic per seed, an integer >= 0:
     trial k uses the noise stream (seed, k).
     """
-    if not (isinstance(n_trials, numbers.Integral) and n_trials >= 1):
-        raise UsageError(f"n_trials must be an integer >= 1, got {n_trials!r}")
-    if not (isinstance(seed, numbers.Integral) and seed >= 0):
-        raise UsageError(f"seed must be an integer >= 0, got {seed!r}")
+    require(n_trials, "n_trials", integer=True, ge=1)
+    require(seed, "seed", integer=True, ge=0)
     if estimator not in ("amplitude", "probability"):
         raise UsageError("estimator must be 'amplitude' or 'probability'")
-    taus = np.asarray(sorted(tau_grid), dtype=float)
-    if taus.size == 0 or not np.isfinite(taus).all() or taus.min() < 0:
-        raise UsageError(f"tau_grid must be finite and non-negative, got {list(tau_grid)!r}")
+    taus = np.sort(_delays(tau_grid, "tau_grid"))
+    if taus.size == 0:
+        raise UsageError("tau_grid must hold at least one delay, got none")
     t_max = float(taus.max())
     cells = spread_cells(lattice, sector, n_particles)
     if dt is None:
         dt = default_dt(model)
-    _check_dt(dt)
+    require(dt, "dt", gt=0)
+    step = max(dt, model.dt)  # the longest step of the grid
+    if model.xi_h * step > _MAX_STEP_PHASE:
+        raise ConfigurationError(f"xi_h * dt must be <= 2^20 (the field's phase over one "
+                                 f"step), got xi_h {model.xi_h!r} and dt {step!r}")
     run_model = NoiseModel(model.xi_h, model.tau_c, model.dt,
                            max(t_max, model.dt) * (1 + 1e-12))
     dyn = _SectorDynamics(lattice, sector)
@@ -611,11 +631,13 @@ def contrast_curve(lattice: Lattice, model: NoiseModel, schedule_family,
         else:
             family.append((f"{kind}({n})", [(build_echo_schedule(kind, tau, n, lattice),
                                              [tau]) for tau in taus]))
+    if not family:
+        raise UsageError("schedule_family must hold at least one schedule, got none")
     runs = [run for _, member in family for run in member]
     # the trials of a chunk are evolved together, each sampled straight into
     # its row of one buffer that every chunk reuses (allocated once the
     # sampler's checks have passed)
-    _check_noise(run_model, lattice)
+    _check_noise(run_model, lattice, "tau_grid's longest delay tau")
     per_trial = 8 * lattice.n_edges * run_model.n_steps + 16 * columns.size * len(runs)
     chunk = min(n_trials, max(1, min(_NOISE_BYTES // per_trial,
                                      _STACK_BYTES // (8 * dyn.n_cells * dyn.n_cells))))
@@ -657,21 +679,19 @@ def analytic_contrast(tau: float, model: NoiseModel, kind: str = "free",
     T2* = 1/(z Gamma), n echo pairs exp(-(tau/T2)^4 / n^3) with
     T2 = sqrt(tau_c / xi_h); without a field (xi_h = 0) both times are
     infinite and nothing decays."""
-    if not 0 <= tau < math.inf:
-        raise UsageError(f"tau must be finite and >= 0, got {tau!r}")
+    require(tau, "tau", ge=0)
     if kind == "free":
         return math.exp(-tau * COORDINATION * model.diffusion_rate())
     if kind == "echo":
-        if not (isinstance(n, numbers.Integral) and n >= 1):
-            raise UsageError(f"echo law needs an integer n >= 1, got {n!r}")
-        return math.exp(-(tau ** 4) * (model.xi_h / model.tau_c) ** 2 / n ** 3)
+        require(n, "n", integer=True, ge=1)
+        phase = model.xi_h / model.tau_c * tau * tau  # (tau / T2)^2, inf past the range
+        return math.exp(-phase * phase / n ** 3)
     raise UsageError(f"unknown analytic kind {kind!r}")
 
 
 def analytic_survival_probability(tau: float, model: NoiseModel) -> float:
     """Published fast-noise survival probability exp(-2 z Gamma tau)."""
-    if not 0 <= tau < math.inf:
-        raise UsageError(f"tau must be finite and >= 0, got {tau!r}")
+    require(tau, "tau", ge=0)
     return math.exp(-2.0 * COORDINATION * model.diffusion_rate() * tau)
 
 
@@ -683,13 +703,9 @@ def master_equation_survival(n: int, gamma: float, tau) -> np.ndarray:
     the fast-noise limit of the averaged quantum survival probability,
     return contributions included.
     """
-    if not (isinstance(n, numbers.Integral) and n >= 1):
-        raise UsageError(f"n must be an integer >= 1, got {n!r}")
-    if not 0 <= gamma < math.inf:
-        raise UsageError(f"gamma must be finite and >= 0, got {gamma!r}")
-    tau = np.atleast_1d(np.asarray(tau, dtype=float))
-    if not np.all((tau >= 0) & (tau < math.inf)):
-        raise UsageError(f"tau must be finite and non-negative, got {tau.tolist()!r}")
+    require(n, "n", integer=True, ge=1)
+    require(gamma, "gamma", ge=0)
+    tau = _delays(tau, "tau")
     j = 2.0 * np.pi * np.arange(n) / n
     lam = 4.0 - 2.0 * np.cos(j)[:, None] - 2.0 * np.cos(j)[None, :]
     out = np.exp(-gamma * lam.reshape(-1)[:, None] * tau[None, :]).mean(axis=0)

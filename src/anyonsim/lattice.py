@@ -28,11 +28,10 @@ boundary lines.  Boundary stabilizers have weight 3.
 
 from __future__ import annotations
 
-import numbers
 from collections import deque
 from dataclasses import dataclass, field
 
-from .errors import ConfigurationError, UsageError
+from .errors import ConfigurationError, UsageError, require
 
 MAX_TORUS = 32
 MAX_PLANAR = 7
@@ -50,10 +49,7 @@ class LatticeSpec:
     def __post_init__(self):
         if self.topology not in ("torus", "planar"):
             raise ConfigurationError(f"unknown lattice topology {self.topology!r}")
-        if not isinstance(self.size, numbers.Integral):
-            raise ConfigurationError(f"lattice size must be an integer, got {self.size!r}")
-        if self.size < 2:
-            raise ConfigurationError("lattice size must be >= 2")
+        require(self.size, "lattice size", integer=True, ge=2, error=ConfigurationError)
 
 
 @dataclass(frozen=True)
@@ -317,11 +313,8 @@ def string_to_boundary(lattice: Lattice, kind: str, a: int) -> StringPath:
 
 
 def _check_cell(graph, kind, name, cell):
-    if not 0 <= cell < len(graph) - 1:
-        raise UsageError(f"invalid {kind}-string endpoint")
-    if not isinstance(cell, numbers.Integral):
-        raise UsageError(f"{kind}-string endpoint {name} must be an integer, "
-                         f"got {cell!r}")
+    require(cell, f"invalid {kind}-string endpoint {name}", integer=True, ge=0,
+            le=len(graph) - 2)
 
 
 def _bfs(graph, source):
@@ -393,11 +386,8 @@ def logical_operators(lattice: Lattice) -> list[tuple[StringPath, StringPath]]:
 
 def degeneracy(genus: int, holes: int) -> int:
     """Ground-space dimension 2**(2g + h)."""
-    if genus < 0 or holes < 0:
-        raise UsageError("genus and holes must be non-negative")
-    for name, value in (("genus", genus), ("holes", holes)):
-        if not isinstance(value, numbers.Integral):
-            raise UsageError(f"{name} must be an integer, got {value!r}")
+    require(genus, "genus", integer=True, ge=0)
+    require(holes, "holes", integer=True, ge=0)
     return 2 ** (2 * genus + holes)
 
 
@@ -412,10 +402,8 @@ def enclosed_region(lattice: Lattice, path: StringPath) -> frozenset[int]:
     complementary regions are both valid; the smaller one is returned, the
     one containing cell 0 on a tie.
     """
-    bad = [e for e in path.edges
-           if not (isinstance(e, numbers.Integral) and 0 <= e < lattice.n_edges)]
-    if bad:
-        raise UsageError(f"path edge ids must lie in 0..{lattice.n_edges - 1}, got {bad!r}")
+    for e in path.edges:
+        require(e, "path edge id", integer=True, ge=0, le=lattice.n_edges - 1)
     edges = path.edge_set
     graph = lattice.cell_graph("x" if path.kind == "z" else "z")
     n_cells = len(graph) - 1

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import statevector as sv
 from . import tableau as tb
-from .errors import ConfigurationError, ContractError, UsageError, require_finite
+from .errors import ConfigurationError, ContractError, UsageError, require
 from .lattice import (ECHO_KINDS, Lattice, StringPath, echo_mask, index_maps,
                       logical_operators, shortest_string)
 from .pauli import PauliString, from_string_path, multiply
@@ -45,9 +45,7 @@ class DelayStep:
     t: float
 
     def __post_init__(self):
-        require_finite(self, "t")
-        if self.t < 0:
-            raise ConfigurationError(f"t must be >= 0, got {self.t!r}")
+        require(self.t, "t", ge=0, error=ConfigurationError)
 
 
 @dataclass(frozen=True)
@@ -295,8 +293,7 @@ def teleport_rotation(lattice: Lattice, memory: sv.StateVector, axis, theta: flo
     rng.random() with that probability; a forced one draws nothing.  The
     explicit-probe circuits are oracle.teleport_circuit_reference.
     """
-    if not math.isfinite(theta):
-        raise UsageError(f"theta must be finite, got {theta!r}")
+    require(theta, "theta")
     if force_outcome not in (None, 1, -1):
         raise UsageError(f"force_outcome must be None, 1 or -1, got {force_outcome!r}")
     string, _ = _teleport_axis(lattice, axis)

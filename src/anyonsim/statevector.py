@@ -23,13 +23,12 @@ the state with its first nonzero amplitude real and > 0.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tableau as tb
-from .errors import ConfigurationError, UsageError
+from .errors import ConfigurationError, UsageError, require
 from .pauli import PauliString
 
 MAX_QUBITS = 22
@@ -48,29 +47,27 @@ class StateVector:
 
     @classmethod
     def computational(cls, n: int, index: int = 0) -> "StateVector":
-        if n < 0:
-            raise UsageError(f"n must be >= 0, got {n!r}")
+        require(n, "n", integer=True, ge=0)
         if n > MAX_QUBITS:
             raise ConfigurationError(f"{n} qubits exceeds dense cap {MAX_QUBITS}")
-        if not isinstance(n, numbers.Integral):
-            raise UsageError(f"n must be an integer, got {n!r}")
-        if not 0 <= index < 1 << n:
-            raise UsageError(f"index must be in 0..{(1 << n) - 1}, got {index!r}")
-        if not isinstance(index, numbers.Integral):
-            raise UsageError(f"index must be an integer, got {index!r}")
+        require(index, "index", integer=True, ge=0, le=(1 << n) - 1)
         amps = np.zeros(1 << n, dtype=np.complex128)
         amps[index] = 1.0
         return cls(n, amps)
 
     @classmethod
     def from_amplitudes(cls, amps) -> "StateVector":
-        amps = np.asarray(amps, dtype=np.complex128).reshape(-1)
+        try:
+            amps = np.asarray(amps, dtype=np.complex128).reshape(-1)
+        except (TypeError, ValueError):
+            raise UsageError(f"amps must be an array of numbers, got {amps!r}") from None
         n = max(int(amps.size).bit_length() - 1, 0)
         if 1 << n != amps.size:
-            raise UsageError("amplitude array length is not a power of two")
+            raise UsageError(f"amps length {amps.size} is not a power of two")
         if not np.isfinite(amps).all():
             raise UsageError("amps must be finite")
-        norm = float(np.linalg.norm(amps))
+        with np.errstate(over="ignore"):  # an infinite norm is far from 1
+            norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > NORM_TOL:
             raise UsageError(f"amps must have norm 1, got {norm!r}")
         return cls(n, amps.copy())
@@ -92,6 +89,7 @@ class StateVector:
 def _check_qubits(s: StateVector, qubits) -> None:
     """The one range check of every dense entry point."""
     for q in qubits:
+        require(q, "qubit index", integer=True)
         if not 0 <= q < s.n:
             raise UsageError(f"qubit index {q} out of range for n={s.n}")
 
@@ -170,8 +168,7 @@ def apply_controlled_pauli(s: StateVector, control: int, p: PauliString) -> Stat
 
 def apply_pauli_exponential(s: StateVector, p: PauliString, theta: float) -> StateVector:
     """exp(i theta p) |s> via cos(theta) I + i sin(theta) p (needs p**2 = I)."""
-    if not math.isfinite(theta):
-        raise UsageError(f"theta must be finite, got {theta!r}")
+    require(theta, "theta")
     if not p.is_hermitian():
         raise UsageError("exponential needs a Hermitian string")
     rotated = _pauli_action(s, p)
@@ -191,8 +188,7 @@ def evolve_hsurf(s: StateVector, lattice, coupling_u: float, coupling_j: float,
     if lattice.n_edges > s.n:
         raise UsageError("state has fewer qubits than the lattice has edges")
     for name, value in (("coupling_u", coupling_u), ("coupling_j", coupling_j), ("t", t)):
-        if not math.isfinite(value):
-            raise UsageError(f"{name} must be finite, got {value!r}")
+        require(value, name)
     for star in lattice.stars:
         apply_pauli_exponential(s, PauliString.x_on(star), coupling_u * t)
     for bnd in lattice.boundaries:

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, UsageError, require_finite
+from .errors import ConfigurationError, ContractError, UsageError, require
 from .lattice import Lattice, logical_operators
 from .pauli import PauliString, from_string_path
 
@@ -66,10 +66,7 @@ class Tableau:
     (ceil(2n/64), n): one column of row bits per qubit."""
 
     def __init__(self, n: int):
-        if n < 1:
-            raise UsageError("need at least one qubit")
-        if not isinstance(n, numbers.Integral):
-            raise UsageError(f"n must be an integer, got {n!r}")
+        require(n, "n", integer=True, ge=1)
         self.n = n
         self.x = np.zeros(((2 * n + 63) // 64, n), dtype=np.uint64)
         self.z = np.zeros_like(self.x)
@@ -129,6 +126,7 @@ class Tableau:
         """Column q of ``arr`` (a view); every gate reads its qubits through
         here before writing, so this is where an index outside 0..n-1 is
         rejected."""
+        require(q, "qubit index", integer=True)
         if not 0 <= q < self.n:
             raise UsageError(f"qubit index {q} out of range for n={self.n}")
         return arr[:, q]
@@ -185,7 +183,10 @@ def _gate_targets(gate: str, targets) -> tuple:
     """The targets of a named gate as a tuple, checked for its arity: one
     qubit (or a bare int), or (control, target) for CX and CZ.  Both
     engines' apply_gate read their targets through here."""
-    targets = (targets,) if isinstance(targets, numbers.Integral) else tuple(targets)
+    try:
+        targets = tuple(targets)
+    except TypeError:  # one bare qubit
+        targets = (targets,)
     arity = 2 if gate.upper() in ("CX", "CZ") else 1
     if len(targets) != arity:
         raise UsageError(f"gate {gate!r} takes {arity} qubit(s), got targets={targets!r}")
@@ -431,7 +432,8 @@ class EnergyLedger:
     coupling_j: float = 1.0
 
     def __post_init__(self):
-        require_finite(self, "coupling_u", "coupling_j")
+        for name in ("coupling_u", "coupling_j"):
+            require(getattr(self, name), name, error=ConfigurationError)
 
 
 def syndrome(t: Tableau, lattice: Lattice) -> Syndrome:
@@ -509,8 +511,7 @@ def prepare_ground_state(lattice: Lattice, logical_sector=0, n_ancillas: int = 0
     (oracle.ground_state_by_projection).  Ancilla qubits (appended after
     the edge qubits) stay in |0>.  ``rng`` is not read.
     """
-    if not isinstance(n_ancillas, numbers.Integral) or n_ancillas < 0:
-        raise UsageError(f"n_ancillas must be an integer >= 0, got {n_ancillas!r}")
+    require(n_ancillas, "n_ancillas", integer=True, ge=0)
     flips = _sector_flips(lattice, logical_sector)
     t = _star_tableau(lattice.n_edges + int(n_ancillas), _projected_stars(lattice))
     for flip in flips:
@@ -530,9 +531,8 @@ def _sector_flips(lattice: Lattice, logical_sector) -> list[PauliString]:
     0/1 per logical qubit."""
     pairs = logical_operators(lattice)
     if isinstance(logical_sector, numbers.Integral):
-        if not 0 <= logical_sector < 2 ** len(pairs):
-            raise UsageError(f"logical_sector must lie in 0..{2 ** len(pairs) - 1}, "
-                             f"got {logical_sector}")
+        require(logical_sector, "logical_sector", integer=True, ge=0,
+                le=2 ** len(pairs) - 1)
         bits = [(int(logical_sector) >> k) & 1 for k in range(len(pairs))]
     else:
         try:

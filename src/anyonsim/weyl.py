@@ -22,7 +22,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 
-from .errors import UsageError
+from .errors import UsageError, require
 
 
 @dataclass(frozen=True)
@@ -34,9 +34,7 @@ class WeylString:
     support: dict[int, tuple[int, int]] = field(default_factory=dict)
 
     def __post_init__(self):
-        d = self.d
-        if d < 2:
-            raise UsageError("Weyl dimension d must be >= 2")
+        d = require(self.d, "d", integer=True, ge=2)
         object.__setattr__(self, "phase", self.phase % (2 * d))
         clean = {}
         for q, (a, b) in self.support.items():
@@ -115,6 +113,4 @@ def weyl_braiding_phase(zstr: WeylString, xstr: WeylString) -> int:
 
 def weyl_gate_count(d: int) -> int:
     """Global gates needed to realize a charge-a string operator: d - 1."""
-    if d < 2:
-        raise UsageError("d must be >= 2")
-    return d - 1
+    return require(d, "d", integer=True, ge=2) - 1

@@ -114,6 +114,14 @@ def test_memory_error_and_crossover():
         an.crossover_time(_budget(delta_h=2.0))
     with pytest.warns(UserWarning):
         an.memory_error(_budget(delta_h=2.0), 1.0)
+    # a protection factor past the float range is as far outside as 2.0
+    overflow = _budget(delta_h=1e30, n_length=16)
+    with pytest.warns(UserWarning):
+        assert an.memory_error(overflow, 1.0) == math.inf
+    with pytest.raises(UsageError, match=r"\bdelta_h\b"):
+        an.crossover_time(overflow)
+    with pytest.raises(ConfigurationError, match=r"^t must be finite"):
+        an.memory_error(budget, math.nan)
 
 
 def _noise(xi_h, tau_c):
@@ -147,6 +155,12 @@ def _noise(xi_h, tau_c):
 def test_parameters_rejected_when_built(build, field):
     with pytest.raises(ConfigurationError, match=f"^{field} must be"):
         build()
+
+
+def test_cavity_rates_whose_product_underflows_rejected():
+    # the Purcell factor divides by kappa * gamma, which underflows to 0 here
+    with pytest.raises(ConfigurationError, match=r"^kappa \* gamma must be > 0"):
+        an.CavityParams(1.0, 1e-300, 1e-300)
 
 
 def test_quenched_phase_prob():
@@ -226,6 +240,13 @@ BAD_ANALYTICS_INPUTS = [
     *[(entry, "n_spins", v) for entry in ("photon_loss_at", "qnd_error")
       for v in (0, -4, 2.5)],
     *[(entry, "n_spins", 2.5) for entry in ("optimal_detuning", "min_photon_loss")],
+    # the type is checked before the range, and the message names the parameter
+    ("quenched_phase_prob", "m", "1"),
+    *[("QuenchedModel", "p", v) for v in ("0.1", math.nan)],
+    ("qnd_error", "delta", "0.1"),
+    ("min_photon_loss", "purcell", "1"),
+    ("geometric_gate_loss", "alpha_sq", "1"),
+    ("contrast_vs_loop", "eps_s", math.nan),
 ]
 
 

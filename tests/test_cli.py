@@ -152,6 +152,8 @@ def test_diffuse_non_finite_noise(setting):
     ("budget", "n=0"), ("budget", "delta_h=2"), ("zd", "d=100000"),
     ("diffuse", "xi_h=-1"), ("diffuse", "tau=0"), ("diffuse", "schedule=boundary_w"),
     ("diffuse", "schedule=z_pairs:0"),
+    ("diffuse", "tau_c=1e30"), ("diffuse", "schedule="), ("budget", "delta_h=1e30"),
+    ("diffuse", "xi_h=1e30"), ("diffuse", "tau=1e30"),
 ])
 def test_bad_numbers_exit_2(cmd, setting, tangled_program_file):
     args = [cmd, "--set", setting]

@@ -219,7 +219,10 @@ def test_propagators_match_exact_exponential(theta):
 class CallableField:
     """A smooth deterministic field t -> per-edge vector, read through the
     integrator's ``at_many`` interface; its cell length ``dt`` only sets the
-    step grid, each step reading the function at its midpoint."""
+    step grid, each step reading the function at its midpoint, and it has
+    no last sample (``n_steps`` is infinite)."""
+
+    n_steps = math.inf
 
     def __init__(self, fn, dt):
         self.fn = fn
@@ -346,6 +349,12 @@ def test_contrast_curve_basics(torus4):
     # the sampler's size check runs before any noise buffer is allocated
     with pytest.raises(ConfigurationError, match="too large"):
         df.contrast_curve(torus4, model, [("none", 0)], [1e9], 1, 1, 0)
+    # so is the embedding length, which grows with tau_c / dt; and a field
+    # whose phase over a step the propagator cannot resolve is rejected
+    for bad, match in ((df.NoiseModel(1.0, 1e30, 0.05, 1.0), r"too large.*\btau_c\b"),
+                       (df.NoiseModel(1e30, 1.0, 0.05, 1.0), r"^xi_h \* dt must be")):
+        with pytest.raises(ConfigurationError, match=match):
+            df.contrast_curve(torus4, bad, [("none", 0)], [1.0], 1, 1, 0)
     with pytest.raises(UsageError):
         df.contrast_curve(torus4, model, [("none", 0)], [1.0], 2, 1, 0,
                           estimator="median")
@@ -382,14 +391,16 @@ BAD_DIFFUSION_INPUTS = [
     ("contrast_curve", "n_trials", 1.5),
     *[("contrast_curve", "seed", v) for v in (-1, 1.5)],
     *[("contrast_curve", "schedule_family", [v]) for v in (("none",), ("z_pairs", 1, 2))],
+    ("contrast_curve", "schedule_family", []),
+    ("contrast_curve", "tau_grid", ["1"]),
     ("evolve_anyon", "start_cell", 1.5),
     *[("evolve_anyon", "dt", v) for v in (-0.1, 0.0, math.nan, -math.inf)],
     *[("contrast_curve", "tau_grid", [v]) for v in (math.nan, math.inf, -math.inf)],
     *[("build_echo_schedule", "duration", v) for v in (math.nan, math.inf, -1.0)],
-    *[("build_echo_schedule", "n", v) for v in (1.5, math.nan)],
+    *[("build_echo_schedule", "n", v) for v in (1.5, math.nan, "2")],
     *[(entry, "tau", v) for entry in ("analytic_contrast", "analytic_survival_probability")
-      for v in (-1.0, math.nan, math.inf)],
-    *[("master_equation_survival", "gamma", v) for v in (-1.0, math.nan, math.inf)],
+      for v in (-1.0, math.nan, math.inf, "1")],
+    *[("master_equation_survival", "gamma", v) for v in (-1.0, math.nan, math.inf, "1")],
     *[("analytic_contrast(echo)", "n", v) for v in (1.5, math.nan)],
     *[("master_equation_survival", "n", v) for v in (0, -2, 2.5)],
     *[("master_equation_survival", "tau", [v]) for v in (-1.0, math.nan)],
@@ -615,6 +626,17 @@ def test_sub_cell_dt_steps_whole_cells(torus4, count_propagators):
     whole = df.contrast_curve(torus4, model, family, taus, 8, 2, 0, dt=model.dt)
     for a, b in zip(fine, whole):
         assert np.abs(a.mean - b.mean).max() < 1e-12, a.schedule
+
+
+def test_static_field_steps_end_at_its_last_sample(count_propagators):
+    # past its last sample the field holds, so a one-sample field on 0.01
+    # cells takes one step per segment between z_pairs(1) pulses over 5.0:
+    # 2 propagators, where a cell grid to the end of the run takes 500
+    t8 = lat.torus(8)
+    v = np.random.default_rng(0).normal(size=t8.n_edges)
+    df.evolve_anyon(t8, df.NoiseRealization(v[:, None], 0.01),
+                    df.build_echo_schedule("z_pairs", 5.0, 1), 0, "x", 0.01)
+    assert sum(shape[-1] for shape in count_propagators) == 2
 
 
 def test_cell_grid_matches_fine_noise_reference(torus4, monkeypatch):

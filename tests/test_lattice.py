@@ -231,7 +231,7 @@ def test_degeneracy():
     assert lat.degeneracy(2, 3) == 2 ** 7
     with pytest.raises(UsageError):
         lat.degeneracy(-1, 0)
-    for genus, holes, name in ((1.5, 0, "genus"), (0, 0.5, "holes")):
+    for genus, holes, name in ((1.5, 0, "genus"), (0, 0.5, "holes"), ("1", 0, "genus")):
         with pytest.raises(UsageError, match=rf"^{name} must be an integer"):
             lat.degeneracy(genus, holes)
 

@@ -291,8 +291,8 @@ def test_qubit_cap():
 
 # (entry point, parameter, bad value); each call is otherwise valid
 BAD_DENSE_INPUTS = [
-    *[("computational", "n", v) for v in (-1, 2.5)],
-    *[("computational", "index", v) for v in (9, 4, -1, 1.5)],
+    *[("computational", "n", v) for v in (-1, 2.5, "2")],
+    *[("computational", "index", v) for v in (9, 4, -1, 1.5, "1")],
     *[("from_amplitudes", "amps", v)
       for v in ([0, 0], [np.nan, 1], [np.inf, 0], [2, 0], [0.6, 0.6], [1, 1e-4])],
     *[("apply_pauli_exponential", "theta", v) for v in (np.nan, np.inf)],

@@ -17,8 +17,9 @@ def test_initial_state_generators():
     gens = t.stabilizer_generators()
     assert [str(g) for g in gens] == ["+ Z0", "+ Z1", "+ Z2"]
     assert "+ Z0" in t.dump()
-    with pytest.raises(UsageError, match=r"^n must be an integer"):
-        tb.Tableau(2.5)
+    for n in (2.5, "3"):
+        with pytest.raises(UsageError, match=r"^n must be an integer"):
+            tb.Tableau(n)
 
 
 def test_gates_match_dense_oracle():

@@ -130,6 +130,10 @@ def test_gate_count():
     assert weyl_gate_count(7) == 6
     with pytest.raises(UsageError):
         weyl_gate_count(1)
+    # a dimension is an integer: not a fraction read as d - 1, nor a string
+    for call in (lambda: weyl_gate_count(2.5), lambda: WeylString("3")):
+        with pytest.raises(UsageError, match=r"^d must be an integer"):
+            call()
 
 
 def test_mismatched_d_rejected():
