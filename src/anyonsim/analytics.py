@@ -46,11 +46,11 @@ def optimal_detuning(params: CavityParams, n_spins: int) -> float:
 
 
 def photon_loss_at(params: CavityParams, n_spins: int, detuning: float) -> float:
-    """kappa tau + N (g/Delta)^2 gamma tau at the QND time tau = pi Delta / g**2."""
+    """kappa tau + N (g/Delta)^2 gamma tau at the QND time tau = pi Delta / g**2,
+    as pi (kappa Delta / g^2 + N gamma / Delta): no (g/Delta)^2 to overflow."""
     _require_spins(n_spins)
     require(detuning, "detuning", gt=0)
-    tau = math.pi * detuning / params.g ** 2
-    return params.kappa * tau + n_spins * (params.g / detuning) ** 2 * params.gamma * tau
+    return math.pi * (params.kappa * detuning / params.g ** 2 + n_spins * params.gamma / detuning)
 
 
 def min_photon_loss(n_spins: int, purcell: float, prefactor: float = 2.0 * math.pi

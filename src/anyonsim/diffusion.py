@@ -335,6 +335,10 @@ _NOISE_BYTES = 2 << 20
 # reproduces to about its norm times 2^-53 (2^25 here, a 6-sigma field
 # summed over 4 hops, so about 4e-9 rad per step).
 _MAX_STEP_PHASE = 2.0 ** 20
+# Largest row sum theta of A = H dt on any field: under the bound above a
+# 4-hop row needs a 256-sigma sample to reach it, so contrast_curve's check
+# fires first.  The doubling keeps about theta 2^-53 <= 1.2e-7 per step.
+_MAX_ROW_SUM = 2.0 ** 30
 
 
 def _step_grid(cell: float, dt: float, events: np.ndarray, tol: float,
@@ -477,6 +481,8 @@ def _propagators(hmat: np.ndarray) -> np.ndarray:
     """
     a = hmat.copy()
     theta = float(np.abs(a).sum(axis=-1).max())
+    if not theta <= _MAX_ROW_SUM:  # NaN too
+        raise UsageError(f"field must be finite with |field| dt row sums <= 2^30, got {theta!r}")
     squarings = math.ceil(math.log2(theta)) if theta > 1.0 else 0
     if squarings:
         a *= 0.5 ** squarings

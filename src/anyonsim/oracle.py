@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import xor
 
 import numpy as np
 
@@ -356,29 +358,25 @@ class QuenchedMC:
     n_trials: int
 
 
+def _loop_halves(lattice: Lattice, faces, vertices) -> tuple[StringPath, ...]:
+    """The z-loop around ``faces`` and the x-loop around ``vertices``, each
+    split into the halves of its sorted edges, in braid order: z, x, z, x."""
+    zs = sorted(reduce(xor, (frozenset(lattice.boundary(f)) for f in faces)))
+    xs = sorted(reduce(xor, (frozenset(lattice.star(v)) for v in vertices)))
+    hz, hx = len(zs) // 2, len(xs) // 2
+    return (StringPath("z", tuple(zs[:hz])), StringPath("x", tuple(xs[:hx])),
+            StringPath("z", tuple(zs[hz:])), StringPath("x", tuple(xs[hx:])))
+
+
 def _block_loop_program(lattice: Lattice) -> tuple[BraidProgram, int, int]:
     """Braid whose z-loop encloses a 2x2 face block and whose x-loop encloses
     a 2-vertex block (torus only); loops split into fixed halves."""
     if not lattice.is_torus or lattice.size < 4:
         raise UsageError("block-loop program needs a torus of size >= 4")
     _, _, vertex, face = index_maps(lattice.spec)
-    zedges: frozenset[int] = frozenset()
     faces = [face(r, c) for r in (1, 2) for c in (1, 2)]
-    for f in faces:
-        zedges ^= frozenset(lattice.boundary(f))
     verts = [vertex(1, 2), vertex(2, 2)]
-    xedges: frozenset[int] = frozenset()
-    for v in verts:
-        xedges ^= frozenset(lattice.star(v))
-    zs = sorted(zedges)
-    xs = sorted(xedges)
-    half_z = len(zs) // 2
-    half_x = len(xs) // 2
-
-    steps = (StringStep(StringPath("z", tuple(zs[:half_z]))),
-             StringStep(StringPath("x", tuple(xs[:half_x]))),
-             StringStep(StringPath("z", tuple(zs[half_z:]))),
-             StringStep(StringPath("x", tuple(xs[half_x:]))))
+    steps = tuple(StringStep(path) for path in _loop_halves(lattice, faces, verts))
     return BraidProgram(lattice, steps), len(faces), len(verts)
 
 
@@ -443,17 +441,10 @@ def perimeter_law_mc(lattice: Lattice, eps: float, n_trials: int, seed: int
     means = []
     errs = []
     for s in PERIMETER_SIDES:
-        zedges: frozenset[int] = frozenset()
-        for r in range(1, 1 + s):
-            for c in range(1, 1 + s):
-                zedges ^= frozenset(lattice.boundary(face(r, c)))
-        xedges = frozenset(lattice.star(0))
-        zs, xs = sorted(zedges), sorted(xedges)
-        strings = [PauliString.z_on(zs[:len(zs) // 2]),
-                   PauliString.x_on(xs[:len(xs) // 2]),
-                   PauliString.z_on(zs[len(zs) // 2:]),
-                   PauliString.x_on(xs[len(xs) // 2:])]
-        perimeter = len(zs) + len(xs)
+        block = [face(r, c) for r in range(1, 1 + s) for c in range(1, 1 + s)]
+        paths = _loop_halves(lattice, block, [0])
+        strings = [from_string_path(path) for path in paths]
+        perimeter = sum(len(path) for path in paths)
         ops = []
         for _ in range(n_trials):
             op1 = PauliString.identity()

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import UsageError
+from .errors import UsageError, require
 from .lattice import StringPath
 from .weyl import WeylString, weyl_braiding_phase, weyl_multiply
 
@@ -56,6 +56,7 @@ class PauliString(WeylString):
         """Build from {site: letter}; a Y site adds one i to the phase."""
         support = {}
         for q, letter in ops.items():
+            q = int(require(q, "site", integer=True))
             bits = _LETTER_BITS.get(str(letter).upper())
             if bits is None:
                 raise UsageError(f"unknown Pauli letter {letter!r} at site {q}")
@@ -66,11 +67,11 @@ class PauliString(WeylString):
 
     @classmethod
     def z_on(cls, edges) -> "PauliString":
-        return cls(0, {int(e): (0, 1) for e in edges})
+        return cls(0, {int(require(e, "site", integer=True)): (0, 1) for e in edges})
 
     @classmethod
     def x_on(cls, edges) -> "PauliString":
-        return cls(0, {int(e): (1, 0) for e in edges})
+        return cls(0, {int(require(e, "site", integer=True)): (1, 0) for e in edges})
 
     # -- structure -----------------------------------------------------
     @property

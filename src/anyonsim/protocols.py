@@ -5,12 +5,10 @@ phase-space model.
 The interferometer measures the probe coherence alpha: the amplitude of the
 initial state in the branch that received the controlled strings, including
 the dynamical phase from time delays.  The tableau path computes alpha
-exactly as (delay phases) x (group expectation of the accumulated branch
-operators).  The delay phases come from an energy ledger kept by lattice
-incidence: the initial syndrome is read once, and a branch syndrome is that
-syndrome flipped at the vertices and faces where the branch operator ends,
-at a cost of O(|string|) per delay.  A dense two-branch statevector path and
-an explicit-probe oracle cross-validate it on small lattices.
+exactly as (delay phases) x <op0^-1 op1>: a walk finds where the branches
+differ at each delay by lattice incidence, and one batched read gives those
+stabilizers' signs with the group expectation.  A dense two-branch
+statevector path and an explicit-probe oracle cross-validate it.
 
 A teleported rotation acts on the dense memory without a probe qubit: both
 probe branches follow from one Pauli action on the memory, and the
@@ -112,20 +110,26 @@ def _echo_pauli(lattice: Lattice, kind: str) -> PauliString:
 
 
 def run_interferometry(program: BraidProgram, initial: tb.Tableau) -> Coherence:
-    """Exact probe coherence via the stabilizer ledger.
+    """Exact probe coherence: (delay phases) x <op0^-1 op1>.
 
-    Branch 1 receives the string operators, both branches the echo pulses
-    and the H_surf evolution during delays; only the energy difference of
-    the two branch syndromes enters the phase.  The initial syndrome is read
-    once, at the first delay; each branch syndrome is then that syndrome
-    flipped where the accumulated branch operator anticommutes with a
-    stabilizer (tableau.syndrome_after).
+    Branch 1 receives the strings, both branches the echoes and H_surf.  At a
+    delay t the branches differ only on D = S(op0^-1 op1), S(p) being the
+    anyons of p (tableau.created_syndrome), and the delay's phase is
+    exp(-i t sum_{s in D} 2 c_s lambda_s (-1)**[s in S(op0)]): c_s = U on a
+    vertex, J on a face, lambda_s the initial sign.  One batch reads <op0^-1
+    op1>, each D and, after a delay, the end's S(op0^-1 op1): each definite.
     """
     lattice = program.lattice
-    op0 = PauliString.identity()
-    op1 = PauliString.identity()
-    base = None
-    alpha = 1.0 + 0.0j
+    if lattice.n_edges > initial.n:
+        raise UsageError(f"lattice of {lattice.n_edges} edges outside tableau "
+                         f"of {initial.n} qubits")
+
+    def anyons(p):  # S(p) as ("vertex", v) and ("face", f) pairs
+        c = tb.created_syndrome(lattice, p)
+        return {("vertex", v) for v in c.flipped_vertices} | {("face", f) for f in c.flipped_faces}
+
+    op0 = op1 = PauliString.identity()
+    delays = []  # (t, S(op0), S(op1)); D = S(op0) ^ S(op1)
     for step in program.steps:
         if isinstance(step, StringStep):
             op1 = multiply(from_string_path(step.path), op1)
@@ -134,15 +138,24 @@ def run_interferometry(program: BraidProgram, initial: tb.Tableau) -> Coherence:
             op0 = multiply(p, op0)
             op1 = multiply(p, op1)
         elif isinstance(step, DelayStep):
-            if base is None:
-                base = tb.syndrome(initial, lattice)
-            e1 = tb.relative_energy(tb.syndrome_after(base, lattice, op1), program.ledger)
-            e0 = tb.relative_energy(tb.syndrome_after(base, lattice, op0), program.ledger)
-            alpha *= cmath.exp(-1j * (e1 - e0) * step.t)
+            delays.append((step.t, anyons(op0), anyons(op1)))
         else:  # pragma: no cover
             raise UsageError(f"unknown step {step!r}")
-    alpha *= tb.expectation_phase(initial, multiply(op0.inverse(), op1))
-    return Coherence(alpha)
+    branch = multiply(op0.inverse(), op1)
+    read = sorted(set(anyons(branch) if delays else ()).union(*(s0 ^ s1 for _, s0, s1 in delays)))
+    values = tb.expectations(initial, [branch, *(
+        PauliString.x_on(lattice.star(i)) if kind == "vertex"
+        else PauliString.z_on(lattice.boundary(i)) for kind, i in read)])
+    sign = dict(zip(read, values[1:].real.tolist()))
+    for kind, i in read:
+        if sign[kind, i] == 0:
+            raise ContractError(f"{kind} stabilizer {i} has no definite value")
+    coupling = {"vertex": program.ledger.coupling_u, "face": program.ledger.coupling_j}
+    alpha = 1.0 + 0.0j
+    for t, s0, s1 in delays:
+        de = sum(2.0 * coupling[s[0]] * sign[s] * (-1) ** (s in s0) for s in sorted(s0 ^ s1))
+        alpha *= cmath.exp(-1j * float(de) * t)
+    return Coherence(alpha * complex(values[0]))
 
 
 def _dense_memory(program: BraidProgram, initial: tb.Tableau) -> sv.StateVector:

@@ -465,17 +465,12 @@ def syndrome(t: Tableau, lattice: Lattice) -> Syndrome:
                     frozenset((flipped[flipped >= n_v] - n_v).tolist()))
 
 
-def syndrome_after(s: Syndrome, lattice: Lattice, p: PauliString) -> Syndrome:
-    """Syndrome of p|psi>, given the syndrome ``s`` of |psi>.
-
-    p flips exactly the stabilizers it anticommutes with: a z bit on an edge
-    flips the vertex stabilizers at its ends, an x bit the face stabilizers
-    beside it.  Boundary ends (None) and sites beyond the lattice edges
-    (ancillas) flip nothing.  Exact for any Pauli acting on a stabilizer
-    eigenstate, at a cost of O(|support of p|).
-    """
-    vertices = set(s.flipped_vertices)
-    faces = set(s.flipped_faces)
+def created_syndrome(lattice: Lattice, p: PauliString) -> Syndrome:
+    """The syndrome p creates on a state without anyons, the stabilizers it
+    anticommutes with, in O(|support of p|): a z bit on an edge meets the
+    vertex stabilizers at its ends, an x bit the faces beside it; boundary
+    ends (None) and sites past the lattice edges (ancillas) meet none."""
+    vertices, faces = set(), set()
     for q, (xb, zb) in p.support.items():
         if q < 0:
             raise UsageError(f"Pauli site {q} is negative")
@@ -486,13 +481,6 @@ def syndrome_after(s: Syndrome, lattice: Lattice, p: PauliString) -> Syndrome:
         if xb:
             faces ^= {f for f in lattice.edge_faces[q] if f is not None}
     return Syndrome(frozenset(vertices), frozenset(faces))
-
-
-def relative_energy(s: Syndrome, ledger: EnergyLedger) -> float:
-    """Energy above the ground state: each flipped stabilizer costs twice
-    its coupling."""
-    return (2.0 * ledger.coupling_u * len(s.flipped_vertices)
-            + 2.0 * ledger.coupling_j * len(s.flipped_faces))
 
 
 def prepare_ground_state(lattice: Lattice, logical_sector=0, n_ancillas: int = 0,

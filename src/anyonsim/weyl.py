@@ -35,7 +35,7 @@ class WeylString:
 
     def __post_init__(self):
         d = require(self.d, "d", integer=True, ge=2)
-        object.__setattr__(self, "phase", self.phase % (2 * d))
+        object.__setattr__(self, "phase", require(self.phase, "phase", integer=True) % (2 * d))
         clean = {}
         for q, (a, b) in self.support.items():
             a %= d
@@ -56,11 +56,11 @@ class WeylString:
 
     @classmethod
     def z_power(cls, d: int, sites, b: int) -> "WeylString":
-        return cls._of(d, 0, {int(q): (0, b) for q in sites})
+        return cls._of(d, 0, {int(require(q, "site", integer=True)): (0, b) for q in sites})
 
     @classmethod
     def x_power(cls, d: int, sites, a: int) -> "WeylString":
-        return cls._of(d, 0, {int(q): (a, 0) for q in sites})
+        return cls._of(d, 0, {int(require(q, "site", integer=True)): (a, 0) for q in sites})
 
     def is_scalar(self) -> bool:
         return not self.support

@@ -39,6 +39,16 @@ def test_loss_depends_only_on_purcell():
                                                an.optimal_detuning(params, n)))
 
 
+@pytest.mark.parametrize("detuning, loss", [
+    (1e-300, math.pi * (1e-300 + 4e300)),
+    (5e-324, math.inf),  # N gamma / Delta is past the float range
+])
+def test_photon_loss_at_extreme_detuning(detuning, loss):
+    # (g / Delta)^2 alone would overflow at 1e-300
+    params = an.CavityParams(1.0, 1.0, 1.0)
+    assert an.photon_loss_at(params, 4, detuning) == pytest.approx(loss, rel=1e-15)
+
+
 def test_numeric_minimization_oracle():
     checks = oracle.budget_minimization_suite(n_draws=50, seed=1)
     assert all(c.passed for c in checks), checks

@@ -384,6 +384,13 @@ def _diffusion_calls(lattice):
     }
 
 
+class _FilledField(df.NoiseRealization):
+    """One value on every edge of torus(4), shown by that value in test ids."""
+
+    def __str__(self):
+        return f"full({self.values.flat[0]})"
+
+
 # (entry point, parameter, bad value)
 BAD_DIFFUSION_INPUTS = [
     *[("contrast_curve", "dt", v) for v in (-1.0, 0.0, math.nan, math.inf)],
@@ -395,6 +402,8 @@ BAD_DIFFUSION_INPUTS = [
     ("contrast_curve", "tau_grid", ["1"]),
     ("evolve_anyon", "start_cell", 1.5),
     *[("evolve_anyon", "dt", v) for v in (-0.1, 0.0, math.nan, -math.inf)],
+    *[("evolve_anyon", "field", _FilledField(np.full((32, 1), v), 0.05))
+      for v in (1e30, math.nan)],
     *[("contrast_curve", "tau_grid", [v]) for v in (math.nan, math.inf, -math.inf)],
     *[("build_echo_schedule", "duration", v) for v in (math.nan, math.inf, -1.0)],
     *[("build_echo_schedule", "n", v) for v in (1.5, math.nan, "2")],

@@ -151,7 +151,7 @@ def _entries():
                        {"genus": s(), "holes": s()}),
         "enclosed_region": (lambda path: lat.enclosed_region(t4, lat.StringPath("z", path)),
                             lambda: dict(path=t4.boundaries[5]), {"path": a()}),
-        "WeylString": (weyl.WeylString, lambda: dict(d=3), {"d": s()}),
+        "WeylString": (weyl.WeylString, lambda: dict(d=3), {"d": s(), "phase": s()}),
         "weyl_gate_count": (weyl.weyl_gate_count, lambda: dict(d=3), {"d": s()}),
         "Tableau": (tb.Tableau, lambda: dict(n=3), {"n": s()}),
         "tableau.apply_gate": (tb.apply_gate, lambda: dict(t=tb.Tableau(3), gate="CX",

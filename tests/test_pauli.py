@@ -7,6 +7,7 @@ from anyonsim.oracle import dense_operator, random_hermitian_pauli
 from anyonsim.pauli import (PauliString, basis_change_conjugate,
                             commutation_phase, from_string_path, multiply)
 from anyonsim.statevector import StateVector, _pauli_action
+from anyonsim.weyl import WeylString
 
 
 def _any_phase_pauli(n, rng):
@@ -149,6 +150,38 @@ def test_from_ops_rejects_unknown_letters():
     for letter in ("Q", "XZ", "", 3):
         with pytest.raises(UsageError, match=f"letter {letter!r}"):
             PauliString.from_ops({0: "X", 1: letter})
+
+
+SITE_CONSTRUCTORS = {
+    "z_on": lambda q: PauliString.z_on([0, q]),
+    "x_on": lambda q: PauliString.x_on([0, q]),
+    "from_ops": lambda q: PauliString.from_ops({0: "X", q: "Z"}),
+    "z_power": lambda q: WeylString.z_power(3, [0, q], 1),
+    "x_power": lambda q: WeylString.x_power(3, [0, q], 2),
+}
+
+
+@pytest.mark.parametrize("make", sorted(SITE_CONSTRUCTORS))
+@pytest.mark.parametrize("site", [2.5, 2.0, "3", None, np.float64(1.0)])
+def test_constructors_reject_non_integer_sites(make, site):
+    # int() alone would read 2.5 as site 2 and "3" as site 3
+    with pytest.raises(UsageError, match=r"^site must be an integer"):
+        SITE_CONSTRUCTORS[make](site)
+
+
+@pytest.mark.parametrize("make", sorted(SITE_CONSTRUCTORS))
+def test_constructors_keep_integer_and_negative_sites(make):
+    # numpy integers are sites; negative sites are the readers' to reject
+    assert SITE_CONSTRUCTORS[make](np.int64(3)) == SITE_CONSTRUCTORS[make](3)
+    assert -1 in SITE_CONSTRUCTORS[make](-1).support
+
+
+@pytest.mark.parametrize("phase", [1.5, 2.0, "1", None])
+def test_weyl_phase_must_be_an_integer(phase):
+    with pytest.raises(UsageError, match=r"^phase must be an integer"):
+        WeylString(3, phase)
+    with pytest.raises(UsageError, match=r"^phase must be an integer"):
+        PauliString(phase, {0: (1, 0)})
 
 
 def test_from_string_path(planar2):

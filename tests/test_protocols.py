@@ -48,6 +48,123 @@ def test_ledger_matches_dense_torus2():
         assert abs(a1 - a2) < 1e-10
 
 
+def _excite(ground, lattice, rng):
+    """The ground state after the strings and echoes of a random program:
+    anyons, so stabilizers at -1 sit under later delays."""
+    t = ground.clone()
+    for step in oracle.random_braid_program(lattice, rng).steps:
+        if isinstance(step, pr.StringStep):
+            tb.apply_pauli_string(t, from_string_path(step.path))
+        elif isinstance(step, pr.EchoStep):
+            tb.apply_pauli_string(t, pr._echo_pauli(lattice, step.kind))
+    return t
+
+
+@pytest.mark.parametrize("lattice", [lat.torus(2), lat.planar(2), lat.planar(3)],
+                         ids=["torus2", "planar2", "planar3"])
+def test_interferometry_matches_dense_on_excited_states(lattice):
+    ground = tb.prepare_ground_state(lattice, 0)
+    rng = np.random.default_rng(5)
+    phased = 0  # runs with a nontrivial delay phase on a nonzero alpha
+    for _ in range(40):
+        initial = _excite(ground, lattice, rng)
+        prog = oracle.random_braid_program(lattice, rng)
+        # the same program closed by a delay and its strings undone, so
+        # that alpha is nonzero and its phase holds every delay's
+        undo = tuple(s for s in reversed(prog.steps) if isinstance(s, pr.StringStep))
+        closed = pr.BraidProgram(lattice, (*prog.steps, pr.DelayStep(float(rng.uniform(0, 2))),
+                                           *undo), prog.ledger)
+        for p in (prog, closed):
+            a1 = pr.run_interferometry(p, initial).alpha
+            a2 = pr.run_interferometry_dense(p, initial).alpha
+            assert abs(a1 - a2) < 1e-10
+            phased += abs(a1) > 0.5 and abs(a1.imag) > 1e-6
+    assert phased >= 20
+
+
+def test_indefinite_end_of_program_stabilizer_raises():
+    # Z on edge 0 makes star 0 (at the rough boundary) indefinite; the
+    # string Z0 after the delay anticommutes with it, so no delay phase of
+    # the sign form exists, though op0 and op1 agree during the delay
+    lattice = lat.planar(3)
+    t = tb.prepare_ground_state(lattice, 0)
+    tb.measure_pauli(t, PauliString.z_on([0]), np.random.default_rng(0))
+    prog = pr.parse_program(lattice, "DELAY 0.7\nZEDGES 0\n", tb.EnergyLedger(1.3, 0.6))
+    assert abs(pr.run_interferometry_dense(prog, t).alpha - 0.2466) < 1e-4
+    with pytest.raises(ContractError, match="vertex stabilizer 0 has no definite value"):
+        pr.run_interferometry(prog, t)
+
+
+def test_indefinite_stabilizers_away_from_strings(planar3):
+    # Z on edge 12 breaks stars 3 and 5, X on edge 11 faces 3 and 4; the
+    # braid's strings end elsewhere, so alpha is the dense oracle's
+    prog, _ = pr.braiding_programs(planar3, (0.3, 0.7, 0.2), tb.EnergyLedger(1.3, 0.6))
+    t = tb.prepare_ground_state(planar3, 0)
+    rng = np.random.default_rng(0)
+    tb.measure_pauli(t, PauliString.z_on([12]), rng)
+    tb.measure_pauli(t, PauliString.x_on([11]), rng)
+    alpha = pr.run_interferometry(prog, t).alpha
+    assert abs(alpha - pr.run_interferometry_dense(prog, t).alpha) < 1e-12
+    assert abs(abs(alpha) - 1) < 1e-12
+
+
+def test_torus32_braid_reads_no_syndrome(monkeypatch):
+    def no_syndrome(*args):
+        raise AssertionError("run_interferometry read the whole syndrome")
+
+    delays = (0.3, 0.7, 0.2)
+    lattice = lat.torus(32)
+    ground = tb.prepare_ground_state(lattice, 0)
+    monkeypatch.setattr(tb, "syndrome", no_syndrome)
+    alpha = pr.run_interferometry(pr.braiding_programs(lattice, delays)[0], ground).alpha
+    small = lat.torus(3)
+    dense = pr.run_interferometry_dense(pr.braiding_programs(small, delays)[0],
+                                        tb.prepare_ground_state(small, 0)).alpha
+    assert abs(alpha - dense) < 1e-12
+
+
+def test_delay_phase_is_the_energy_gap(planar2, planar2_ground):
+    # one delay between a string and its inverse: alpha = exp(-i t gap)
+    ledger = tb.EnergyLedger(1.3, 0.7)
+    t_delay = 0.3
+
+    def phase_gap(text):
+        prog = pr.parse_program(planar2, text.replace(";", "\n"), ledger)
+        alpha = pr.run_interferometry(prog, planar2_ground).alpha
+        assert abs(abs(alpha) - 1) < 1e-12
+        return -cmath.phase(alpha) / t_delay
+
+    assert pr.run_interferometry(pr.parse_program(planar2, "DELAY 0.9", ledger),
+                                 planar2_ground).alpha == 1
+    # edge 4 is the interior edge of planar(2): Z there flips both vertices
+    t = planar2_ground.clone()
+    tb.apply_pauli_string(t, PauliString.z_on([4]))
+    assert tb.syndrome(t, planar2).flipped_vertices == frozenset({0, 1})
+    assert phase_gap("ZEDGES 4; DELAY 0.3; ZEDGES 4") == pytest.approx(4 * 1.3)
+    # dense gap oracle with a z-pair plus an x-pair (Y on the interior edge)
+    dim = 1 << planar2.n_edges
+    uu, jj = 1.3, 0.7
+    ham = np.zeros((dim, dim), dtype=complex)
+    for v in range(planar2.n_vertices):
+        ham -= uu * oracle.dense_operator(PauliString.x_on(planar2.star(v)), 5)
+    for f in range(planar2.n_faces):
+        ham -= jj * oracle.dense_operator(PauliString.z_on(planar2.boundary(f)), 5)
+    e0 = np.linalg.eigvalsh(ham).min()
+    t2 = planar2_ground.clone()
+    tb.apply_pauli_string(t2, PauliString.z_on([4]))
+    tb.apply_pauli_string(t2, PauliString.x_on([4]))
+    psi = sv.from_tableau(t2).amps
+    energy = float(np.real(psi.conj() @ ham @ psi)) - e0
+    gap = phase_gap("ZEDGES 4; XEDGES 4; DELAY 0.3; XEDGES 4; ZEDGES 4")
+    assert gap == pytest.approx(energy, abs=1e-9)
+    assert gap == pytest.approx(4 * uu + 4 * jj)
+    # a boundary edge instead creates a single anyon (planar absorption)
+    t3 = planar2_ground.clone()
+    tb.apply_pauli_string(t3, PauliString.z_on([0]))
+    assert len(tb.syndrome(t3, planar2).flipped_vertices) == 1
+    assert phase_gap("ZEDGES 0; DELAY 0.3; ZEDGES 0") == pytest.approx(2 * uu)
+
+
 def test_alpha_magnitude_cases(torus4, torus4_ground):
     # syndrome-restoring strings: |alpha| = 1; non-restoring: alpha = 0
     prog, _ = pr.braiding_programs(torus4, delays=(0.5, 0.1, 0.9))

@@ -344,15 +344,17 @@ def test_syndrome_matches_expectation_oracle(lattice):
             want = syndrome_by_expectation(after, lattice)
             assert tb.syndrome(after, lattice) == want
             assert tb.syndrome(_mix_generators(after, rng), lattice) == want
-            assert tb.syndrome_after(base, lattice, p) == want
+            # p flips the signs of the stabilizers it creates anyons on
+            created = tb.created_syndrome(lattice, p)
+            assert tb.Syndrome(base.flipped_vertices ^ created.flipped_vertices,
+                               base.flipped_faces ^ created.flipped_faces) == want
 
 
-def test_syndrome_after_rejects_negative_sites(torus4):
+def test_created_syndrome_rejects_negative_sites(torus4):
     # site -1 is no edge; it must not be read as the last one
-    empty = tb.Syndrome(frozenset(), frozenset())
     for ops in ({-1: "Z"}, {0: "X", -3: "Y"}):
         with pytest.raises(UsageError, match="site -"):
-            tb.syndrome_after(empty, torus4, PauliString.from_ops(ops))
+            tb.created_syndrome(torus4, PauliString.from_ops(ops))
 
 
 def test_syndrome_matches_expectation_oracle_torus32():
@@ -437,38 +439,6 @@ def test_boundary_string_single_anyon(planar3):
     tb.apply_pauli_string(t, from_string_path(path))
     syn = tb.syndrome(t, planar3)
     assert syn.flipped_vertices == frozenset({3})
-
-
-def test_relative_energy(planar2, planar2_ground):
-    ledger = tb.EnergyLedger(1.3, 0.7)
-    assert tb.relative_energy(tb.Syndrome(frozenset(), frozenset()), ledger) == 0
-    # edge 4 is the interior edge of planar(2): Z there flips both vertices
-    t = planar2_ground.clone()
-    tb.apply_pauli_string(t, PauliString.z_on([4]))
-    syn = tb.syndrome(t, planar2)
-    assert syn.flipped_vertices == frozenset({0, 1})
-    assert tb.relative_energy(syn, ledger) == pytest.approx(4 * 1.3)
-    # dense gap oracle with a z-pair plus an x-pair (Y on the interior edge)
-    dim = 1 << planar2.n_edges
-    uu, jj = 1.3, 0.7
-    ham = np.zeros((dim, dim), dtype=complex)
-    for v in range(planar2.n_vertices):
-        ham -= uu * dense_operator(PauliString.x_on(planar2.star(v)), 5)
-    for f in range(planar2.n_faces):
-        ham -= jj * dense_operator(PauliString.z_on(planar2.boundary(f)), 5)
-    e0 = np.linalg.eigvalsh(ham).min()
-    t2 = planar2_ground.clone()
-    tb.apply_pauli_string(t2, PauliString.z_on([4]))
-    tb.apply_pauli_string(t2, PauliString.x_on([4]))
-    psi = sv.from_tableau(t2).amps
-    energy = float(np.real(psi.conj() @ ham @ psi)) - e0
-    syn2 = tb.syndrome(t2, planar2)
-    assert tb.relative_energy(syn2, ledger) == pytest.approx(energy, abs=1e-9)
-    assert tb.relative_energy(syn2, ledger) == pytest.approx(4 * uu + 4 * jj)
-    # a boundary edge instead creates a single anyon (planar absorption)
-    t3 = planar2_ground.clone()
-    tb.apply_pauli_string(t3, PauliString.z_on([0]))
-    assert len(tb.syndrome(t3, planar2).flipped_vertices) == 1
 
 
 def test_loop_invariance(torus4, torus4_ground):
