@@ -1,7 +1,8 @@
 """Cross-validation suites: stabilizer engine vs dense statevector, closed
 formulas vs enumeration / Monte Carlo, the reference braiding signs, and
-the slow exact references of fast paths (ground state, syndrome, sampler,
-probe circuits), and the explicit matrices of Weyl and Pauli strings.
+the slow exact references of fast paths (ground state, dense import,
+syndrome, sampler, probe circuits), and the explicit matrices of Weyl and
+Pauli strings.
 
 Each suite returns SuiteCheck rows so the command-line front-end and the
 acceptance tests share one implementation.
@@ -187,7 +188,7 @@ def syndrome_by_expectation(t: tb.Tableau, lattice: Lattice) -> tb.Syndrome:
     return tb.Syndrome(frozenset(flipped_v), frozenset(flipped_f))
 
 
-# -- ground-state reference ----------------------------------------------------
+# -- ground-state references ---------------------------------------------------
 
 def ground_state_by_projection(lattice: Lattice, logical_sector=0,
                                n_ancillas: int = 0) -> tb.Tableau:
@@ -200,6 +201,17 @@ def ground_state_by_projection(lattice: Lattice, logical_sector=0,
     for flip in flips:
         tb.apply_pauli_string(t, flip)
     return t
+
+
+def from_tableau_by_projection(t: tb.Tableau) -> sv.StateVector:
+    """Reference for statevector.from_tableau: |b> projected by every
+    generator in turn, (I + g)/2 on the full state, then normalised."""
+    s = sv.StateVector.computational(t.n, sv._least_basis_index(t))
+    for g in t.stabilizer_generators():
+        s.amps += sv._pauli_action(s, g)
+        s.amps *= 0.5
+    s.amps /= np.linalg.norm(s.amps)
+    return s
 
 
 # -- explicit operator matrices ------------------------------------------------

@@ -160,10 +160,9 @@ def run_interferometry(program: BraidProgram, initial: tb.Tableau) -> Coherence:
 
 def _dense_memory(program: BraidProgram, initial: tb.Tableau) -> sv.StateVector:
     """The dense state of a bare memory tableau on the program's lattice."""
-    memory = sv.from_tableau(initial)
-    if memory.n != program.lattice.n_edges:
+    if initial.n != program.lattice.n_edges:
         raise UsageError("dense interferometry needs a bare memory tableau")
-    return memory
+    return sv.from_tableau(initial)
 
 
 def run_interferometry_dense(program: BraidProgram, initial: tb.Tableau) -> Coherence:

@@ -7,17 +7,18 @@ qubit) and exact surface-Hamiltonian evolution.
 
 Basis convention: little-endian.  Qubit q is bit q of the amplitude index,
 so |q1 q0> = |1 0> sits at index 2.  Every Pauli action (strings, controlled
-strings, exponentials, the X Y Z CX CZ gates and the projections of
-from_tableau) goes through one kernel on the amplitudes viewed as an n-axis
-tensor of shape (2,)*n, axis n-1-q being qubit q: a flip of the X axes and
-one multiply by a sign tensor of size 2 on the Z axes only.  H and S work
-on the two halves of one qubit axis.  No index arrays and no full operator
-matrices are built (oracle.dense_operator writes those out).
+strings, exponentials and the X Y Z CX CZ gates) goes through one kernel on
+the amplitudes viewed as an n-axis tensor of shape (2,)*n, axis n-1-q being
+qubit q: a flip of the X axes and one multiply by a sign tensor of size 2 on
+the Z axes only, with no index arrays and no full operator matrices
+(oracle.dense_operator writes those out).  H and S work on the two halves
+of one qubit axis.
 
 from_tableau reads the least basis state with a nonzero overlap from the
 tableau's measurement update, so the package's GF(2) elimination lives in
-tableau.py alone; the generators' projections, done in place, then give
-the state with its first nonzero amplitude real and > 0.
+tableau.py alone, and then writes only the state's 2**k nonzero amplitudes
+(a coset of the generators' X parts) into one zeroed state, its first
+nonzero amplitude real and > 0.
 """
 
 from __future__ import annotations
@@ -203,18 +204,12 @@ def inner_product(s1: StateVector, s2: StateVector) -> complex:
     return complex(np.vdot(s1.amps, s2.amps))
 
 
-def from_tableau(t) -> StateVector:
-    """Dense amplitudes of a stabilizer state (oracle; n <= MAX_QUBITS).
-
-    The least basis state b with a nonzero overlap is read from the
-    tableau's own measurement update (Aaronson and Gottesman, PRA 70,
-    052328, 2004): Z_q is measured on a clone from the highest qubit down,
-    a determined value is bit q, and an undetermined one is projected onto
-    +1, so bit q is 0.  Then psi = prod_g (I + g)/2 |b>, normalised, whose
-    first nonzero amplitude, at b, is real and > 0.
-    """
-    if t.n > MAX_QUBITS:
-        raise ConfigurationError(f"{t.n} qubits exceeds dense cap {MAX_QUBITS}")
+def _least_basis_index(t) -> int:
+    """The least basis index b with a nonzero overlap with the tableau's
+    state, read from its own measurement update (Aaronson and Gottesman,
+    PRA 70, 052328, 2004): Z_q is measured on a clone from the highest
+    qubit down, a determined value is bit q, and an undetermined one is
+    projected onto +1, so bit q is 0."""
     probe = t.clone()
     index = 0
     for q in range(t.n - 1, -1, -1):
@@ -224,10 +219,37 @@ def from_tableau(t) -> StateVector:
             tb._project(probe, z, want=1)
         elif value < 0:
             index |= 1 << q
+    return index
+
+
+def from_tableau(t) -> StateVector:
+    """Dense amplitudes of a stabilizer state (n <= MAX_QUBITS).
+
+    Only the state's support is written: its 2**k nonzero amplitudes, all
+    of one magnitude, lie on b + span(X parts of the generators) (Dehaene
+    and De Moor, PRA 68, 042318, 2003), b being _least_basis_index.  From
+    |b>, each generator g = i**r X**x Z**z in turn either has x in the span
+    written so far (b ^ x holds an amplitude; then g is a product of earlier
+    generators times a Z-type stabilizer that reads +1 on b, so it fixes
+    the state and is skipped) or maps the support onto the disjoint coset
+    idx ^ x with amplitudes i**r (-1)**popcount(idx & z) amps[idx].  These
+    are the amplitudes of prod_g (I + g)/2 |b> up to a power of two, so the
+    normalised state equals oracle.from_tableau_by_projection exactly; its
+    first nonzero amplitude, at b, is real and > 0.
+    """
+    if t.n > MAX_QUBITS:
+        raise ConfigurationError(f"{t.n} qubits exceeds dense cap {MAX_QUBITS}")
+    index = _least_basis_index(t)
     s = StateVector.computational(t.n, index)
+    support = np.array([index])
     for g in t.stabilizer_generators():
-        # in place: one full-size temporary per generator
-        s.amps += _pauli_action(s, g)
-        s.amps *= 0.5
-    s.amps /= np.linalg.norm(s.amps)
+        x = sum(1 << q for q, (xq, _) in g.support.items() if xq)
+        if s.amps[index ^ x]:
+            continue
+        z = sum(1 << q for q, (_, zq) in g.support.items() if zq)
+        sign = _SIGN[np.bitwise_count(support & z) & 1]
+        # + 0 turns -0 parts into +0, as the sum of the projection does
+        s.amps[support ^ x] = ((1j ** g.phase) * sign) * s.amps[support] + 0
+        support = np.concatenate([support, support ^ x])
+    s.amps[support] /= np.linalg.norm(s.amps[support])
     return s

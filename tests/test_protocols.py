@@ -123,6 +123,23 @@ def test_torus32_braid_reads_no_syndrome(monkeypatch):
     assert abs(alpha - dense) < 1e-12
 
 
+@pytest.mark.parametrize("n_ancillas", [3, 2000])
+@pytest.mark.parametrize("dense_oracle", [pr.run_interferometry_dense,
+                                          oracle.interferometry_probe_reference],
+                         ids=["dense", "probe"])
+def test_dense_oracles_check_the_tableau_before_import(monkeypatch, dense_oracle, n_ancillas):
+    # a tableau with ancillas is refused before it is written out densely:
+    # 21 qubits are not imported, and 2018 do not meet the dense cap first
+    def no_import(t):
+        raise AssertionError("the tableau was imported before its size was checked")
+
+    small = lat.torus(3)
+    t = tb.prepare_ground_state(small, 0, n_ancillas=n_ancillas)
+    monkeypatch.setattr(sv, "from_tableau", no_import)
+    with pytest.raises(UsageError, match="bare memory tableau"):
+        dense_oracle(pr.braiding_programs(small)[0], t)
+
+
 def test_delay_phase_is_the_energy_gap(planar2, planar2_ground):
     # one delay between a string and its inverse: alpha = exp(-i t gap)
     ledger = tb.EnergyLedger(1.3, 0.7)

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,8 +8,8 @@ from anyonsim import lattice as lat
 from anyonsim import statevector as sv
 from anyonsim import tableau as tb
 from anyonsim.errors import ConfigurationError, UsageError
-from anyonsim.oracle import (dense_operator, random_clifford_circuit, random_hermitian_pauli,
-                             run_circuit)
+from anyonsim.oracle import (dense_operator, from_tableau_by_projection, random_clifford_circuit,
+                             random_hermitian_pauli, run_circuit)
 from anyonsim.pauli import PauliString, from_string_path
 
 
@@ -198,6 +199,45 @@ def test_from_tableau_global_phase_convention():
         first = int(np.flatnonzero(np.abs(amps) > 1e-12)[0])
         assert not amps[:first].any()
         assert amps[first].imag == 0 and amps[first].real > 0
+
+
+def _scrambled_ground_states():
+    """Ground states in random sectors with 0-2 ancillas, each followed by
+    a random Clifford circuit on all its qubits."""
+    rng = np.random.default_rng(13)
+    for lattice in (lat.torus(2), lat.torus(3), lat.planar(2), lat.planar(3)):
+        n_sectors = 1 << len(lat.logical_operators(lattice))
+        for n_ancillas in range(3):
+            t = tb.prepare_ground_state(lattice, int(rng.integers(n_sectors)), n_ancillas)
+            for gate, qubits in random_clifford_circuit(t.n, 40, rng):
+                tb.apply_gate(t, gate, qubits)
+            yield t
+
+
+def test_from_tableau_matches_projection():
+    full_support = run_circuit(16, [("H", (q,)) for q in range(16)])[0]
+    # Z-only generators listed before the X-type one, two of them -1: b = 2
+    z_first = run_circuit(3, [("H", (2,)), ("CX", (2, 1)), ("CX", (1, 0)), ("X", (1,))])[0]
+    assert [str(g) for g in z_first.stabilizer_generators()] == ["- Z0 Z1", "- Z1 Z2", "+ X0 X1 X2"]
+    for t in (*_from_tableau_cases(), *_scrambled_ground_states(), full_support, z_first):
+        amps = sv.from_tableau(t).amps
+        ref = from_tableau_by_projection(t).amps
+        assert np.array_equal(amps, ref)
+        assert np.array_equal(amps.view(np.uint64), ref.view(np.uint64))  # signed zeros too
+    assert np.count_nonzero(sv.from_tableau(full_support).amps) == 1 << 16
+
+
+def test_from_tableau_peak_memory():
+    # one zeroed state and the support's index arrays; the projection held two
+    # full-size arrays at once (2.02 x the state)
+    t = tb.prepare_ground_state(lat.torus(3), 0, n_ancillas=1)
+    tracemalloc.start()
+    try:
+        sv.from_tableau(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 16 * (1 << t.n)
 
 
 def _any_phase_pauli(sites, rng) -> PauliString:
