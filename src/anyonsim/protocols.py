@@ -2,12 +2,11 @@
 SWAP-based memory access, gate teleportation, and the geometric-phase-gate
 phase-space model.
 
-The interferometer measures the probe coherence alpha: the amplitude of the
-initial state in the branch that received the controlled strings, including
-the dynamical phase from time delays.  The tableau path computes alpha
-exactly as (delay phases) x <op0^-1 op1>: a walk finds where the branches
-differ at each delay by lattice incidence, and one batched read gives those
-stabilizers' signs with the group expectation.  A dense two-branch
+The interferometer measures the probe coherence alpha: the overlap of the
+branch that received the controlled strings with the one that did not,
+delay phases included.  The tableau path tracks only their difference
+op0^-1 op1 and the anyons the echoes flip, and reads the signs of the
+stabilizers where they differ in one batch.  A dense two-branch
 statevector path and an explicit-probe oracle cross-validate it.
 
 A teleported rotation acts on the dense memory without a probe qubit: both
@@ -28,7 +27,7 @@ from . import tableau as tb
 from .errors import ConfigurationError, ContractError, UsageError, require
 from .lattice import (ECHO_KINDS, Lattice, StringPath, echo_mask, index_maps,
                       logical_operators, shortest_string)
-from .pauli import PauliString, from_string_path, multiply
+from .pauli import PauliString, commutation_phase, from_string_path, multiply
 
 
 @dataclass(frozen=True)
@@ -112,12 +111,12 @@ def _echo_pauli(lattice: Lattice, kind: str) -> PauliString:
 def run_interferometry(program: BraidProgram, initial: tb.Tableau) -> Coherence:
     """Exact probe coherence: (delay phases) x <op0^-1 op1>.
 
-    Branch 1 receives the strings, both branches the echoes and H_surf.  At a
-    delay t the branches differ only on D = S(op0^-1 op1), S(p) being the
-    anyons of p (tableau.created_syndrome), and the delay's phase is
-    exp(-i t sum_{s in D} 2 c_s lambda_s (-1)**[s in S(op0)]): c_s = U on a
-    vertex, J on a face, lambda_s the initial sign.  One batch reads <op0^-1
-    op1>, each D and, after a delay, the end's S(op0^-1 op1): each definite.
+    Branch 1 receives the strings, both branches the echoes and H_surf.  The
+    walk keeps branch = op0^-1 op1 (a string p enters as op0^-1 p op0 = +-p),
+    op0 and S(op0), S(p) being the anyons of p (tableau.created_syndrome).
+    A delay t adds exp(-i t sum_{s in D} 2 c_s lambda_s (-1)**[s in S(op0)]),
+    D = S(branch): c_s = U on a vertex, J on a face, lambda_s the initial sign.
+    One batch reads <branch>, each D and the end's S(branch), each definite.
     """
     lattice = program.lattice
     if lattice.n_edges > initial.n:
@@ -128,21 +127,20 @@ def run_interferometry(program: BraidProgram, initial: tb.Tableau) -> Coherence:
         c = tb.created_syndrome(lattice, p)
         return {("vertex", v) for v in c.flipped_vertices} | {("face", f) for f in c.flipped_faces}
 
-    op0 = op1 = PauliString.identity()
-    delays = []  # (t, S(op0), S(op1)); D = S(op0) ^ S(op1)
+    branch = op0 = PauliString.identity()
+    flipped, delays = frozenset(), []  # S(op0); (t, D, S(op0) at the delay)
     for step in program.steps:
         if isinstance(step, StringStep):
-            op1 = multiply(from_string_path(step.path), op1)
+            p = from_string_path(step.path)
+            branch = multiply(p if commutation_phase(p, op0) > 0 else -p, branch)
         elif isinstance(step, EchoStep):
             p = _echo_pauli(lattice, step.kind)
-            op0 = multiply(p, op0)
-            op1 = multiply(p, op1)
+            op0, flipped = multiply(p, op0), flipped ^ anyons(p)
         elif isinstance(step, DelayStep):
-            delays.append((step.t, anyons(op0), anyons(op1)))
+            delays.append((step.t, anyons(branch), flipped))
         else:  # pragma: no cover
             raise UsageError(f"unknown step {step!r}")
-    branch = multiply(op0.inverse(), op1)
-    read = sorted(set(anyons(branch) if delays else ()).union(*(s0 ^ s1 for _, s0, s1 in delays)))
+    read = sorted(set(anyons(branch) if delays else ()).union(*(d for _, d, _ in delays)))
     values = tb.expectations(initial, [branch, *(
         PauliString.x_on(lattice.star(i)) if kind == "vertex"
         else PauliString.z_on(lattice.boundary(i)) for kind, i in read)])
@@ -152,8 +150,8 @@ def run_interferometry(program: BraidProgram, initial: tb.Tableau) -> Coherence:
             raise ContractError(f"{kind} stabilizer {i} has no definite value")
     coupling = {"vertex": program.ledger.coupling_u, "face": program.ledger.coupling_j}
     alpha = 1.0 + 0.0j
-    for t, s0, s1 in delays:
-        de = sum(2.0 * coupling[s[0]] * sign[s] * (-1) ** (s in s0) for s in sorted(s0 ^ s1))
+    for t, d, f in delays:
+        de = sum(2.0 * coupling[s[0]] * sign[s] * (-1) ** (s in f) for s in sorted(d))
         alpha *= cmath.exp(-1j * float(de) * t)
     return Coherence(alpha * complex(values[0]))
 
@@ -186,10 +184,12 @@ def run_interferometry_dense(program: BraidProgram, initial: tb.Tableau) -> Cohe
 
 
 def fringe(c: Coherence, phi_grid) -> FringeCurve:
-    """<sigma_phi> = |alpha| cos(arg alpha - phi) on the grid."""
-    phis = np.asarray(phi_grid, dtype=float)
-    values = np.real(c.alpha * np.exp(-1j * phis))
-    return FringeCurve(phis, values)
+    """<sigma_phi> = |alpha| cos(arg alpha - phi) on a grid of finite phases."""
+    phis = np.array([require(phi, "phi_grid")
+                     for phi in np.asarray(phi_grid, dtype=object).ravel()], dtype=float)
+    if not phis.size:
+        raise UsageError("phi_grid must hold at least one phase, got none")
+    return FringeCurve(phis, np.real(c.alpha * np.exp(-1j * phis)))
 
 
 # -- topological memory access ---------------------------------------------

@@ -207,19 +207,17 @@ def inner_product(s1: StateVector, s2: StateVector) -> complex:
 def _least_basis_index(t) -> int:
     """The least basis index b with a nonzero overlap with the tableau's
     state, read from its own measurement update (Aaronson and Gottesman,
-    PRA 70, 052328, 2004): Z_q is measured on a clone from the highest
-    qubit down, a determined value is bit q, and an undetermined one is
-    projected onto +1, so bit q is 0."""
+    PRA 70, 052328, 2004).  On a clone, from the highest qubit down, each
+    Z_q that a stabilizer row anticommutes with is projected onto +1; then
+    one batch reads every Z_q, and bit q is 1 where Z_q reads -1.  A Z_q
+    already determined keeps its value under the projections of lower
+    qubits, so b is what measuring each Z_q in turn would give."""
     probe = t.clone()
-    index = 0
     for q in range(t.n - 1, -1, -1):
-        z = PauliString.z_on((q,))
-        value = tb.expectation_pauli(probe, z)
-        if value == 0:
-            tb._project(probe, z, want=1)
-        elif value < 0:
-            index |= 1 << q
-    return index
+        if tb._indefinite(probe, probe.x[None, :, q]):
+            tb._project(probe, PauliString.z_on((q,)), want=1)
+    values = tb.expectations(probe, [PauliString.z_on((q,)) for q in range(t.n)])
+    return sum(1 << q for q in range(t.n) if values[q].real < 0)
 
 
 def from_tableau(t) -> StateVector:

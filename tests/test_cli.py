@@ -320,6 +320,10 @@ GOLDEN = {
     "budget_out": ["budget", "--out", "golden.out"],
     "zd": ["zd", "--set", "d=3"],
     "braid": ["braid", "--set", "program=delays.prog", "--seed", "7"],
+    # echoes between the delays flip some stabilizers' energies, and u != j
+    # makes each delay's energy sum depend on its order
+    "braid_echo": ["braid", "--set", "lattice=planar:3", "--set", "program=braid_echo.prog",
+                   "--set", "u=1.3", "--set", "j=0.7", "--set", "phi_points=16"],
     "diffuse": ["diffuse", "--set", "xi_h=0", "--set", "trials=1", "--set", "tau=1,2",
                 "--set", "schedule=none,z_pairs:1"],
 }
@@ -333,6 +337,8 @@ def test_golden_output(name, tmp_path, monkeypatch, capsys):
     if name == "braid":
         prog, _ = pr.braiding_programs(lat.torus(4), delays=(0.3, 0.7, 0.1))
         (tmp_path / "delays.prog").write_text(pr.format_program(prog))
+    if name == "braid_echo":
+        (tmp_path / "braid_echo.prog").write_bytes((FIXTURES / "braid_echo.prog").read_bytes())
     assert cli.main(GOLDEN[name]) == 0
     assert capsys.readouterr().out.encode() == (FIXTURES / f"cli_{name}.stdout").read_bytes()
     if "--out" in GOLDEN[name]:

@@ -180,6 +180,8 @@ def _entries():
                                       coupling_j=1.0, t=0.3),
                          {"coupling_u": s(), "coupling_j": s(), "t": s()}),
         "DelayStep": (pr.DelayStep, lambda: dict(t=1.0), {"t": s()}),
+        "fringe": (pr.fringe, lambda: dict(c=pr.Coherence(0.6 + 0.8j), phi_grid=[0.0, 1.0]),
+                   {"phi_grid": a()}),
         "teleport_rotation": (pr.teleport_rotation,
                               lambda: dict(lattice=p2, memory=memory, axis="X", theta=0.3,
                                            force_outcome=1),

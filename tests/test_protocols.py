@@ -123,6 +123,27 @@ def test_torus32_braid_reads_no_syndrome(monkeypatch):
     assert abs(alpha - dense) < 1e-12
 
 
+def test_torus32_echo_braid_walks_echoes_once(monkeypatch):
+    # the delays read only the branch difference: every created_syndrome
+    # call wider than the strings' total weight is one of the two echoes
+    lattice = lat.torus(32)
+    tangled, _ = pr.braiding_programs(lattice, delays=(0.3, 0.7, 0.2))
+    steps = (pr.EchoStep("z"),) + tangled.steps + (pr.EchoStep("z"),)
+    prog = pr.BraidProgram(lattice, steps, tangled.ledger)
+    string_weight = sum(len(s.path.edge_set) for s in steps if isinstance(s, pr.StringStep))
+    sizes, original = [], tb.created_syndrome
+
+    def spy(lattice, p):
+        sizes.append(len(p.support))
+        return original(lattice, p)
+
+    ground = tb.prepare_ground_state(lattice, 0)
+    monkeypatch.setattr(tb, "created_syndrome", spy)
+    alpha = pr.run_interferometry(prog, ground).alpha
+    assert [k for k in sizes if k > string_weight] == [lattice.n_edges] * 2
+    assert abs(alpha - pr.run_interferometry(tangled, ground).alpha) < 1e-12
+
+
 @pytest.mark.parametrize("n_ancillas", [3, 2000])
 @pytest.mark.parametrize("dense_oracle", [pr.run_interferometry_dense,
                                           oracle.interferometry_probe_reference],
