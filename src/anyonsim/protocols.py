@@ -299,9 +299,10 @@ def teleport_rotation(lattice: Lattice, memory: sv.StateVector, axis, theta: flo
     probe branches, with c = cos theta, s = sin theta and phi = S~ psi,
     (c psi + i s phi)/sqrt(2) on outcome +1 and (i s psi + c phi)/sqrt(2) on
     -1, which the correction S~ maps onto the first.  So no probe qubit is
-    built: one Pauli action on the memory gives phi, the -1 probability is
-    (s^2 |psi|^2 + c^2 |phi|^2 + 2 s c Im<psi|phi>)/2, and the result is
-    c psi + i s phi, normalised.  An unforced call compares one
+    built: one Pauli action on the memory gives phi, and the result is
+    c psi + i s phi, normalised.  S~ is a Hermitian Pauli string, so S~ is
+    unitary (|phi| = |psi|) and <psi|phi> is real; each outcome then has
+    probability |psi|^2 / 2, whatever theta.  An unforced call compares one
     rng.random() with that probability; a forced one draws nothing.  The
     explicit-probe circuits are oracle.teleport_circuit_reference.
     """
@@ -312,22 +313,17 @@ def teleport_rotation(lattice: Lattice, memory: sv.StateVector, axis, theta: flo
     psi = memory.amps
     phi = sv._pauli_action(memory, string)
     c, s = math.cos(theta), math.sin(theta)
-    norm_psi = np.vdot(psi, psi).real
-    norm_phi = np.vdot(phi, phi).real
-    cross = 2.0 * s * c * np.vdot(psi, phi).imag
-    p_minus = 0.5 * (s * s * norm_psi + c * c * norm_phi + cross)
+    prob = 0.5 * np.vdot(psi, psi).real
     if force_outcome is None:
         if rng is None:
             rng = np.random.default_rng(0)
-        outcome = -1 if rng.random() < p_minus else 1
+        outcome = -1 if rng.random() < prob else 1
     else:
         outcome = int(force_outcome)
-    prob = p_minus if outcome == -1 else 0.5 * (c * c * norm_psi + s * s * norm_phi - cross)
     if prob < 1e-24:
         raise ContractError("measurement branch has zero probability")
     scale = 1.0 / math.sqrt(2.0 * prob)
-    phi *= 1j * s * scale
-    phi += (c * scale) * psi
+    sv._combine(phi, 1j * s * scale, psi, c * scale)
     return sv.StateVector(memory.n, phi), outcome
 
 

@@ -12,7 +12,8 @@ the amplitudes viewed as an n-axis tensor of shape (2,)*n, axis n-1-q being
 qubit q: a flip of the X axes and one multiply by a sign tensor of size 2 on
 the Z axes only, with no index arrays and no full operator matrices
 (oracle.dense_operator writes those out).  H and S work on the two halves
-of one qubit axis.
+of one qubit axis.  Exponentials and teleports combine psi and S~ psi in
+place in 256 KiB chunks (_combine), one pass over the state.
 
 from_tableau reads the least basis state with a nonzero overlap from the
 tableau's measurement update, so the package's GF(2) elimination lives in
@@ -37,6 +38,7 @@ NORM_TOL = 1e-10  # from_amplitudes: |norm - 1| beyond this is not rounding
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 _SIGN = np.array([1.0, -1.0])
+_CHUNK = 1 << 14  # amplitudes per _combine step: 256 KiB, well inside a per-core L2
 
 
 @dataclass
@@ -172,11 +174,18 @@ def apply_pauli_exponential(s: StateVector, p: PauliString, theta: float) -> Sta
     require(theta, "theta")
     if not p.is_hermitian():
         raise UsageError("exponential needs a Hermitian string")
-    rotated = _pauli_action(s, p)
-    rotated *= 1j * math.sin(theta)
-    s.amps *= math.cos(theta)
-    s.amps += rotated
+    _combine(s.amps, math.cos(theta), _pauli_action(s, p), 1j * math.sin(theta))
     return s
+
+
+def _combine(dst: np.ndarray, a, other: np.ndarray, b) -> None:
+    """dst <- a dst + b other in place, _CHUNK amplitudes at a time, each chunk
+    scaled and summed while in cache.  Every element sees the two multiplies
+    and the one addition of dst *= a; dst += other * b: the same bits."""
+    for lo in range(0, dst.size, _CHUNK):
+        d = dst[lo:lo + _CHUNK]
+        d *= a
+        d += other[lo:lo + _CHUNK] * b
 
 
 def evolve_hsurf(s: StateVector, lattice, coupling_u: float, coupling_j: float,

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -389,6 +390,60 @@ def test_teleport_rejects_bad_inputs(planar2, planar2_ground):
     for outcome in (0, 2, -2, "1"):
         with pytest.raises(UsageError, match="force_outcome"):
             pr.teleport_rotation(planar2, memory.clone(), "Z", 0.3, force_outcome=outcome)
+
+
+def test_teleport_checks_qubit_range_before_drawing(planar2, planar2_ground):
+    memory = sv.from_tableau(planar2_ground)
+    before = memory.amps.copy()
+    rng = np.random.default_rng(11)
+    state = rng.bit_generator.state
+    for site in (memory.n, memory.n + 5):
+        with pytest.raises(UsageError, match="qubit index"):
+            pr.teleport_rotation(planar2, memory, PauliString.from_ops({0: "X", site: "Z"}),
+                                 0.4, rng=rng)
+        assert rng.bit_generator.state == state
+        assert np.array_equal(memory.amps, before)
+
+
+def test_teleport_zero_memory_is_a_contract_error(planar2):
+    zero = sv.StateVector(planar2.n_edges, np.zeros(1 << planar2.n_edges, dtype=complex))
+    for outcome in (1, -1):
+        for axis in ("X", "Z"):
+            with pytest.raises(ContractError, match="zero probability"):
+                pr.teleport_rotation(planar2, zero, axis, 0.4, force_outcome=outcome)
+
+
+@pytest.mark.parametrize("lattice", [lat.planar(2), lat.torus(3)], ids=["planar2", "torus3"])
+def test_teleport_probability_is_half_the_norm(lattice):
+    # S~ is a Hermitian Pauli string, so |S~ psi| = |psi| and <psi|S~ psi> is
+    # real: the circuit's -1 probability is |psi|^2 / 2 whatever theta
+    rng = np.random.default_rng(17)
+    n = lattice.n_edges
+    for _ in range(3 if n > 12 else 12):
+        amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        amps *= rng.uniform(0.5, 1.5) / np.linalg.norm(amps)
+        memory = sv.StateVector(n, amps)
+        axis = oracle.random_hermitian_pauli(n, rng)
+        theta = float(rng.uniform(-math.pi, math.pi))
+        _, p_minus = oracle.teleport_circuit_reference(lattice, memory, axis, theta, 1)
+        assert abs(p_minus - 0.5 * np.vdot(amps, amps).real) < 1e-14, (str(axis), theta)
+
+
+@pytest.mark.parametrize("axis", ["X", "Z"])
+def test_teleport_peak_memory(axis):
+    # phi = S~ psi and one 256 KiB chunk of psi at a time; the whole-array
+    # combination held a second full-size temporary (2.0 x the state)
+    lattice = lat.torus(3)
+    lx = from_string_path(lat.logical_operators(lattice)[0][1])
+    memory = sv.from_tableau(tb.prepare_ground_state(lattice, 0))
+    sv.apply_pauli_exponential(memory, lx, 0.3)
+    tracemalloc.start()
+    try:
+        pr.teleport_rotation(lattice, memory, axis, 0.7, rng=np.random.default_rng(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 16 * (1 << memory.n)
 
 
 def test_geometric_branch_phases():

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -95,6 +96,52 @@ def test_pauli_exponential_properties():
     assert np.allclose(plus.amps, target, atol=1e-12)
     with pytest.raises(UsageError):
         sv.apply_pauli_exponential(s, PauliString(1, {0: (0, 1)}), 0.3)
+
+
+def _whole_array_exponential(s, p, theta):
+    """apply_pauli_exponential as one whole-array pass per step."""
+    rotated = sv._pauli_action(s, p)
+    rotated *= 1j * math.sin(theta)
+    s.amps *= math.cos(theta)
+    s.amps += rotated
+
+
+def test_combine_matches_whole_array_bits():
+    # chunk boundaries change no bit: each element sees the same two
+    # multiplies and one addition.  The inputs hold exact +-0 entries: a
+    # from_tableau state and its Pauli image
+    rng = np.random.default_rng(21)
+    negative_zeros = 0
+    for n in (3, 14, 15, 17):
+        sparse = sv.from_tableau(run_circuit(n, random_clifford_circuit(n, 2 * n, rng))[0])
+        image = sv._pauli_action(sparse, random_hermitian_pauli(n, rng))
+        parts = image.view(np.float64)
+        negative_zeros += np.signbit(parts[parts == 0]).sum()
+        dense = _random_state(n, rng).amps
+        theta = float(rng.uniform(-np.pi, np.pi))
+        c, s = math.cos(theta), math.sin(theta)
+        for dst, other in ((sparse.amps, image), (image, sparse.amps), (dense, image)):
+            for a, b in ((c, 1j * s), (1.3j * s, 1.3 * c), (-0.0, 0.5 - 2j)):
+                want = dst.copy()
+                want *= a
+                want += other * b
+                got = dst.copy()
+                sv._combine(got, a, other, b)
+                assert got.tobytes() == want.tobytes(), (n, a, b)
+    assert negative_zeros > 0
+
+
+@pytest.mark.parametrize("lattice", [lat.torus(2), lat.torus(3)], ids=["torus2", "torus3"])
+def test_pauli_exponential_matches_whole_array_bits(lattice):
+    rng = np.random.default_rng(22)
+    ground = sv.from_tableau(tb.prepare_ground_state(lattice, 0))
+    lx = from_string_path(lat.logical_operators(lattice)[0][1])
+    for p in (lx, random_hermitian_pauli(ground.n, rng)):
+        theta = float(rng.uniform(-np.pi, np.pi))
+        got, want = ground.clone(), ground.clone()
+        sv.apply_pauli_exponential(got, p, theta)
+        _whole_array_exponential(want, p, theta)
+        assert got.amps.tobytes() == want.amps.tobytes(), str(p)
 
 
 def test_logical_rotation_bloch(planar2, planar2_ground):
