@@ -101,11 +101,26 @@ class FringeCurve:
         return float(self.phis[int(np.argmax(self.values))])
 
 
+def _echo(lattice: Lattice, kind: str) -> tuple[PauliString, frozenset]:
+    """The string of an echo kind and the anyons it creates, as
+    ("vertex", v) and ("face", f) pairs, built once per lattice."""
+    def build():
+        mask = echo_mask(lattice, kind)
+        p = PauliString.z_on(mask) if kind.startswith("z") else PauliString.x_on(mask)
+        return p, _anyons(lattice, p)
+
+    return lattice.memo(("echo", kind), build)
+
+
 def _echo_pauli(lattice: Lattice, kind: str) -> PauliString:
-    mask = echo_mask(lattice, kind)
-    if kind.startswith("z"):
-        return PauliString.z_on(mask)
-    return PauliString.x_on(mask)
+    return _echo(lattice, kind)[0]
+
+
+def _anyons(lattice: Lattice, p: PauliString) -> frozenset:
+    """S(p), the anyons p creates, as ("vertex", v) and ("face", f) pairs."""
+    c = tb.created_syndrome(lattice, p)
+    return frozenset({("vertex", v) for v in c.flipped_vertices}
+                     | {("face", f) for f in c.flipped_faces})
 
 
 def run_interferometry(program: BraidProgram, initial: tb.Tableau) -> Coherence:
@@ -113,7 +128,11 @@ def run_interferometry(program: BraidProgram, initial: tb.Tableau) -> Coherence:
 
     Branch 1 receives the strings, both branches the echoes and H_surf.  The
     walk keeps branch = op0^-1 op1 (a string p enters as op0^-1 p op0 = +-p),
-    op0 and S(op0), S(p) being the anyons of p (tableau.created_syndrome).
+    the echo kinds met an odd number of times, whose strings multiply to
+    op0 up to a phase, and S(op0), S(p) being the anyons of p
+    (tableau.created_syndrome): p's sign is its commutation with each of
+    those strings, and S(op0) the XOR of their anyons, each echo kind's
+    string and anyons built once per lattice (_echo).
     A delay t adds exp(-i t sum_{s in D} 2 c_s lambda_s (-1)**[s in S(op0)]),
     D = S(branch): c_s = U on a vertex, J on a face, lambda_s the initial sign.
     One batch reads <branch>, each D and the end's S(branch), each definite.
@@ -122,25 +141,21 @@ def run_interferometry(program: BraidProgram, initial: tb.Tableau) -> Coherence:
     if lattice.n_edges > initial.n:
         raise UsageError(f"lattice of {lattice.n_edges} edges outside tableau "
                          f"of {initial.n} qubits")
-
-    def anyons(p):  # S(p) as ("vertex", v) and ("face", f) pairs
-        c = tb.created_syndrome(lattice, p)
-        return {("vertex", v) for v in c.flipped_vertices} | {("face", f) for f in c.flipped_faces}
-
-    branch = op0 = PauliString.identity()
-    flipped, delays = frozenset(), []  # S(op0); (t, D, S(op0) at the delay)
+    branch = PauliString.identity()
+    odd, flipped, delays = set(), frozenset(), []  # echo kinds; S(op0); (t, D, S(op0))
     for step in program.steps:
         if isinstance(step, StringStep):
             p = from_string_path(step.path)
-            branch = multiply(p if commutation_phase(p, op0) > 0 else -p, branch)
+            sign = math.prod(commutation_phase(p, _echo_pauli(lattice, kind)) for kind in odd)
+            branch = multiply(p if sign > 0 else -p, branch)
         elif isinstance(step, EchoStep):
-            p = _echo_pauli(lattice, step.kind)
-            op0, flipped = multiply(p, op0), flipped ^ anyons(p)
+            odd ^= {step.kind}
+            flipped ^= _echo(lattice, step.kind)[1]
         elif isinstance(step, DelayStep):
-            delays.append((step.t, anyons(branch), flipped))
+            delays.append((step.t, _anyons(lattice, branch), flipped))
         else:  # pragma: no cover
             raise UsageError(f"unknown step {step!r}")
-    read = sorted(set(anyons(branch) if delays else ()).union(*(d for _, d, _ in delays)))
+    read = sorted(set(_anyons(lattice, branch) if delays else ()).union(*(d for _, d, _ in delays)))
     values = tb.expectations(initial, [branch, *(
         PauliString.x_on(lattice.star(i)) if kind == "vertex"
         else PauliString.z_on(lattice.boundary(i)) for kind, i in read)])
@@ -220,9 +235,14 @@ def probe_bloch(t: tb.Tableau, qubit: int) -> dict[str, int]:
     return {letter: int(v.real) for letter, v in zip("XYZ", values)}
 
 
-def _logical_pair(lattice: Lattice):
-    cz_path, cx_path = logical_operators(lattice)[0]
-    return from_string_path(cz_path), from_string_path(cx_path)
+def _logical_pair(lattice: Lattice) -> tuple[PauliString, PauliString]:
+    """The strings (Z~, X~) of the first logical pair, built once per
+    lattice."""
+    def build():
+        cz_path, cx_path = logical_operators(lattice)[0]
+        return from_string_path(cz_path), from_string_path(cx_path)
+
+    return lattice.memo("logical_pair", build)
 
 
 def swap_in(lattice: Lattice, t: tb.Tableau, probe_state: tuple[str, int] | None = None

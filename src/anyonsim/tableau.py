@@ -8,22 +8,32 @@ maintained but never read.
 
 The x and z bits are stored per qubit column and packed along the rows:
 bit b of ``x[w, q]`` is the x bit of qubit q in row 64w + b.  A qubit's
-column ``x[:, q]`` is therefore a bitset over all 2n rows, and each 64-row
-block ``x[w]`` is contiguous.  Gates are XORs and swaps of columns, so
-torus(32) = 2048 qubits stays cheap.
+column ``x[:, q]`` is therefore a bitset over all 2n rows.  Both halves
+live in one array ``xz`` of shape (ceil(2n/64), 2, n), so each 64-row
+block ``xz[w]`` holds the x then the z words of all qubits contiguously,
+and ``x``, ``z`` are its two views.  Gates are XORs and swaps of columns,
+so torus(32) = 2048 qubits stays cheap.  A tableau's bits may take at most
+1 GiB (_MAX_TABLEAU_BYTES, n <= 46 336); a larger n is refused before
+anything is allocated.
 
 Every read and Pauli update starts from the row bitsets of the rows that
-anticommute with a batch of Paulis: _targets lists the batch's x and z
-bits and _antic XORs each Pauli's few support columns, one reduceat per
-side.  _group_phases reads the batch: 0 for a Pauli that a stabilizer row
-anticommutes with, else <p> = i**(k_p - k_prod), where prod is the product
-of the stabilizer rows whose destabilizers anticommute with p.  It
-transposes only the 64-row blocks holding those rows into packed qubit
-words, and a segmented prefix XOR with a popcount gives every product's
-phase (the deterministic read of Aaronson and Gottesman, batched as in
-Gidney's Stim, Quantum 5, 497, 2021).  syndrome reads every stabilizer in
-one batch, expectations any list of Paulis; expectation_phase and
-measurement read a batch of one.
+anticommute with a batch of Paulis: _targets lists, for each bit of the
+batch, the tableau column it meets (in the (W, 2n) view of ``xz``), and
+packs each Pauli's bits along the qubits next to its phase; _antic XORs
+each Pauli's few columns, one gather and one reduceat for the batch.
+_group_phases reads the batch: 0 for a Pauli that a stabilizer row
+anticommutes with, else <p> = i**(k_p - k_prod), where prod is the
+product of the stabilizer rows whose destabilizers anticommute with p.
+One pass over the set bits of the row bitsets finds both.  Only the
+member rows are read, packed along the qubits: row by row from their
+blocks' words when member rows x qubit words are few (up to
+_ROW_READ_WORDS), else by transposing the 64-row blocks that hold them.
+A segmented prefix XOR with a popcount gives every product's phase (the
+deterministic read of Aaronson and Gottesman, batched as in Gidney's
+Stim, Quantum 5, 497, 2021).  syndrome reads every stabilizer in one
+batch, whose targets are built once per lattice and tableau size;
+expectations reads any list of Paulis; expectation_phase and measurement
+read a batch of one.
 
 prepare_ground_state projects the stars with one row-greedy GF(2)
 Gauss-Jordan pass over the packed rows of the star incidence, kept in the
@@ -38,6 +48,7 @@ are cheap and independent, which is how parallel Monte Carlo shares states.
 from __future__ import annotations
 
 import copy
+import itertools
 import numbers
 from dataclasses import dataclass
 
@@ -48,11 +59,17 @@ from .lattice import Lattice, logical_operators
 from .pauli import PauliString, from_string_path
 
 _ONE = np.uint64(1)
+# the packed x and z bits of a Tableau, 2 * ceil(2n/64) * n words, may take
+# at most 1 GiB: n <= 46 336
+_MAX_TABLEAU_BYTES = 1 << 30
+
+
+_BITS = _ONE << np.arange(64, dtype=np.uint64)
 
 
 def _bit(idx: np.ndarray) -> np.ndarray:
     """The word bit of each row or qubit index: 1 << (idx mod 64)."""
-    return _ONE << (idx & 63).astype(np.uint64)
+    return _BITS[idx & 63]
 
 
 def _row_bits(words: np.ndarray) -> np.ndarray:
@@ -62,21 +79,36 @@ def _row_bits(words: np.ndarray) -> np.ndarray:
 
 
 class Tableau:
-    """Stabilizer state of n qubits.  ``x`` and ``z`` have shape
-    (ceil(2n/64), n): one column of row bits per qubit."""
+    """Stabilizer state of n qubits.  ``xz`` has shape (ceil(2n/64), 2, n):
+    for each 64-row block, one column of row bits per qubit for x, then for
+    z; ``x`` and ``z`` are its two (ceil(2n/64), n) views."""
 
     def __init__(self, n: int):
         require(n, "n", integer=True, ge=1)
+        size = 16 * ((2 * int(n) + 63) // 64) * int(n)
+        if size > _MAX_TABLEAU_BYTES:
+            raise ConfigurationError(f"n={n} qubits need {size} bytes of tableau bits, "
+                                     f"above the budget of {_MAX_TABLEAU_BYTES} bytes")
         self.n = n
-        self.x = np.zeros(((2 * n + 63) // 64, n), dtype=np.uint64)
-        self.z = np.zeros_like(self.x)
+        self.xz = np.zeros(((2 * n + 63) // 64, 2, n), dtype=np.uint64)
+        self.x, self.z = self.xz[:, 0], self.xz[:, 1]
         self.r = np.zeros(2 * n, dtype=np.uint8)
         q = np.arange(n)
         self.x[q >> 6, q] = _bit(q)
         self.z[(n + q) >> 6, q] = _bit(n + q)
 
     def clone(self) -> "Tableau":
-        return copy.deepcopy(self)
+        other = copy.copy(self)
+        other.__setstate__({"xz": self.xz.copy(), "r": self.r.copy()})
+        return other
+
+    # copies and pickles carry n, xz and r; x and z are made again as views
+    def __getstate__(self) -> dict:
+        return {"n": self.n, "xz": self.xz, "r": self.r}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.x, self.z = self.xz[:, 0], self.xz[:, 1]
 
     # -- rows ------------------------------------------------------------
     def _row(self, row: int) -> tuple[np.ndarray, np.ndarray]:
@@ -259,10 +291,10 @@ def _project(t: Tableau, p: PauliString, rng=None, want: int | None = None) -> i
         t._set_row(pivot - t.n, *(np.flatnonzero(b) for b in t._row(pivot)), t.r[pivot])
         if want is None:
             want = 1 if int(rng.integers(2)) == 0 else -1
-        (_, xs, _), (_, zs, _) = targets
+        xs, zs = ([q for q, bits in p.support.items() if bits[side]] for side in (0, 1))
         t._set_row(pivot, xs, zs, (p.phase + (0 if want == 1 else 2)) & 3)
         return want
-    value = complex(_group_phases(t, antic, targets, [p.phase])[0])
+    value = complex(_group_phases(t, antic, targets)[0])
     if value not in (1, -1):
         raise ContractError("deterministic measurement with non-real phase")
     if want is not None and value != want:
@@ -286,38 +318,54 @@ def expectations(t: Tableau, paulis) -> np.ndarray:
     """<p> for each phase-tracked Pauli of ``paulis``, in one _group_phases
     batch: 0 for those without a definite value, else a power of i."""
     targets = _targets(t, paulis)
-    return _group_phases(t, _antic(t, targets, len(paulis)), targets,
-                         [p.phase for p in paulis])
+    return _group_phases(t, _antic(t, targets, len(paulis)), targets)
 
 
 def _targets(t: Tableau, paulis) -> tuple:
-    """The bits of a batch of Paulis as _antic and _group_phases read them:
-    an x side and a z side, each an (owner, qubit, starts) triple of arrays
-    holding each bit's Pauli (sorted) and qubit, and the index of the first
-    bit of each Pauli that has bits on that side."""
-    sides = ([], [], []), ([], [], [])
+    """The bits of a batch of k Paulis as _antic and _group_phases read
+    them: ``cols``, the tableau column each bit meets in the (W, 2n) view
+    of ``xz`` (z column n + q for an x bit on q, x column q for a z bit),
+    Pauli after Pauli; ``starts``, the index in ``cols`` of the first bit
+    of each Pauli that has bits, and ``holders``, those Paulis; the bits
+    themselves, packed along the qubits into (k, 2, ceil(n/64)) words; and
+    each Pauli's phase exponent."""
+    n = t.n
+    n_bytes = 8 * -(-n // 64)
+    cols, starts, holders, packed, phases = [], [], [], [], []
     for i, p in enumerate(paulis):
-        for q in p.support:
-            if not 0 <= q < t.n:
-                raise UsageError(f"site {q} outside tableau of {t.n} qubits")
-        for side, (owner, qubit, starts) in enumerate(sides):
-            cols = [q for q, bits in p.support.items() if bits[side]]
-            if cols:
-                starts.append(len(qubit))
-                owner += [i] * len(cols)
-                qubit += cols
-    return tuple(tuple(np.array(a, dtype=np.int64) for a in side) for side in sides)
+        phases.append(p.phase)
+        x_word = z_word = 0
+        start = len(cols)
+        for q, (xb, zb) in p.support.items():
+            if not 0 <= q < n:
+                raise UsageError(f"site {q} outside tableau of {n} qubits")
+            if xb:
+                cols.append(n + q)
+                x_word |= 1 << q
+            if zb:
+                cols.append(q)
+                z_word |= 1 << q
+        if len(cols) > start:
+            starts.append(start)
+            holders.append(i)
+        packed += (x_word.to_bytes(n_bytes, "little"), z_word.to_bytes(n_bytes, "little"))
+    flat = np.array(cols + starts + holders + phases, dtype=np.int64)
+    m, h = len(cols), len(holders)
+    bits = np.frombuffer(b"".join(packed), dtype="<u8").reshape(len(paulis), 2, n_bytes // 8)
+    return flat[:m], flat[m:m + h], flat[m + h:m + 2 * h], bits, flat[m + 2 * h:]
 
 
 def _antic(t: Tableau, targets, k: int) -> np.ndarray:
     """The (k, W) bitsets of the rows anticommuting with each of the k Paulis
-    of ``targets`` (_targets): an x bit meets the rows' z columns and a z
-    bit their x columns, one gather and one reduceat at the starts per side."""
-    parts = [(owner[starts], np.bitwise_xor.reduceat(cols[:, qubit], starts, axis=1))
-             for cols, (owner, qubit, starts) in zip((t.z, t.x), targets) if len(qubit)]
-    antic = np.zeros((k, t.x.shape[0]), dtype=np.uint64)
-    for owners, rows in parts:  # a side on every Pauli skips the fancy index
-        antic[owners if len(owners) < k else slice(None)] ^= rows.T
+    of ``targets`` (_targets): the XOR of the tableau columns their bits
+    meet, one gather and one reduceat at the starts."""
+    cols, starts, holders = targets[:3]
+    columns = np.take(t.xz.reshape(len(t.xz), -1), cols, axis=1)
+    rows = np.bitwise_xor.reduceat(columns, starts, axis=1).T
+    if len(holders) == k:  # every Pauli has bits: no scatter
+        return rows
+    antic = np.zeros((k, len(t.xz)), dtype=np.uint64)
+    antic[holders] = rows
     return antic
 
 
@@ -333,6 +381,22 @@ def _indefinite(t: Tableau, antic: np.ndarray) -> np.ndarray:
 _I_POWERS = np.array([1j ** k for k in range(4)])
 _PASS_WORDS = 1 << 15  # words per member-row array in one kernel pass (256 KiB)
 _TILE_GROUP = 64       # 64x64-bit tiles transposed at once (256 KiB of bits)
+# member rows x qubit words up to which _group_phases reads each member row
+# from its block's words (_read_rows, whose gather then holds at most 512 KiB)
+# instead of transposing the 64-row blocks holding them (_row_blocks): row
+# by row halves a torus:3 read of one Pauli, whole blocks keep the torus:32
+# syndrome (thousands of member rows) 2.5 times faster than row by row
+_ROW_READ_WORDS = 1 << 9
+
+
+def _read_rows(t: Tableau, rows: np.ndarray) -> np.ndarray:
+    """The x and z bits (len(rows), 2, ceil(n/64)) of each row of ``rows``,
+    packed along the qubits: the row's bit of every column of its 64-row
+    block."""
+    bits = np.zeros((len(rows), 2, 64 * -(-t.n // 64)), dtype=bool)
+    np.bitwise_and(t.xz[rows >> 6], _bit(rows)[:, None, None], out=bits[..., :t.n],
+                   casting="unsafe")
+    return np.packbits(bits, axis=-1, bitorder="little").view("<u8")
 
 
 def _row_blocks(t: Tableau, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -340,13 +404,12 @@ def _row_blocks(t: Tableau, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the x and z bits (2, ceil(n/64)) of row i of the block in slot s, packed
     along the qubits, and ``slots`` gives each row's slot.  Each 64x64-bit
     tile goes through bytes, a bounded group of tiles at a time."""
-    used = np.zeros(t.x.shape[0], dtype=bool)
+    used = np.zeros(len(t.xz), dtype=bool)
     used[rows >> 6] = True
     blocks = used.nonzero()[0]
     n_words = -(-t.n // 64)
     tiles = np.zeros((len(blocks), 2, n_words * 64), dtype="<u8")
-    tiles[:, 0, :t.n] = t.x[blocks]
-    tiles[:, 1, :t.n] = t.z[blocks]
+    tiles[..., :t.n] = t.xz[blocks]
     flat = tiles.reshape(-1, 64)  # word q of a tile: its qubit q's 64 row bits
     for lo in range(0, len(flat), _TILE_GROUP):
         group = flat[lo:lo + _TILE_GROUP]
@@ -357,58 +420,74 @@ def _row_blocks(t: Tableau, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return table, used.cumsum()[rows >> 6] - 1
 
 
-def _group_phases(t: Tableau, antic, targets, phases) -> np.ndarray:
+def _group_phases(t: Tableau, antic, targets) -> np.ndarray:
     """<p> for k Paulis p: 0 if undetermined, else i**(k_p - k_prod).
 
-    ``antic`` (k, W) holds each p's row bitset (_antic), ``targets`` its
-    bits (_targets) and ``phases`` its k_p.  A p whose bitset holds a
-    stabilizer row reads 0, with no members and no product check; this is
-    the one place a read is found undetermined.  For every other p, prod is
-    the ordered product of the stabilizer rows n+j over p's members, the
-    destabilizers j that anticommute with p, read by _row_blocks; it must
-    reproduce p's bits.  Since
+    ``antic`` (k, W) holds each p's row bitset (_antic); ``targets``
+    (_targets) holds p's bits, packed along the qubits (k, 2, ceil(n/64)),
+    and its phase exponent k_p.  One pass over the set bits of the bitsets
+    finds both kinds of row.  A p whose bitset holds a stabilizer row reads
+    0, with no members and no product check (the one place a read is found
+    undetermined).  For every other p, prod is the ordered product of the
+    stabilizer rows n+j over p's members, the destabilizers j that
+    anticommute with p, and it must reproduce p's bits.  Since
     Z**z_i X**x_j = (-1)**(z_i . x_j) X**x_j Z**z_i,
     k_prod = sum r + 2 sum_{i<j} z_i . x_j (mod 4): each member's x row
     meets the segmented exclusive prefix XOR of the z rows before it.
-    Paulis are taken in passes of a bounded number of member rows.
+
+    Only the member rows are read, packed along the qubits: one by one from
+    their blocks' words (_read_rows) while member rows x qubit words stay
+    within _ROW_READ_WORDS, else by transposing the 64-row blocks that hold
+    them (_row_blocks).  Paulis are taken in passes of a bounded number of
+    member rows; a batch that fits in one pass is read in one.
     """
-    indefinite = _indefinite(t, antic)
-    if indefinite.all():  # an empty batch too
-        return np.zeros(len(antic), dtype=complex)
-    if indefinite.any():  # no members and no bits to check
-        antic = np.where(indefinite[:, None], np.uint64(0), antic)
-        targets = [(own[~indefinite[own]], q[~indefinite[own]]) for own, q, _ in targets]
-    owner, word = antic.nonzero()  # members in order within each Pauli
+    n, k = t.n, len(antic)
+    want, expo = targets[3], targets[4].copy()
+    owner, word = antic.nonzero()  # the words holding set bits, in order
     hit, bit = _row_bits(antic[owner, word, None]).nonzero()
-    owner, rows = owner[hit], t.n + 64 * word[hit] + bit
-    last = np.bincount(owner, minlength=len(antic)).cumsum()
-    first = np.concatenate(([0], last[:-1]))
-    n_words = -(-t.n // 64)
+    owner, rows = owner[hit], 64 * word[hit] + bit
+    indefinite = None
+    if rows.max(initial=0) >= n:  # no members and no bits to check
+        indefinite = np.zeros(k, dtype=bool)
+        indefinite[owner[rows >= n]] = True
+        if indefinite.all():
+            return np.zeros(k, dtype=complex)
+        keep = ~indefinite[owner]
+        owner, rows = owner[keep], rows[keep]
+        want = want * ~indefinite[:, None, None]
+    rows += n
+    n_words = want.shape[2]
+    counts = np.bincount(owner, minlength=k)
     budget = _PASS_WORDS // (2 * n_words)
-    cuts = last.searchsorted(np.arange(budget, len(rows), budget), side="right")
-    cuts = sorted({0, len(antic), *cuts.tolist()})
-    table, slots = _row_blocks(t, rows)
-    values = np.empty(len(antic), dtype=complex)
+    cuts = (0, k) if k else ()
+    if len(rows) > budget:
+        cuts = sorted({0, k, *counts.cumsum().searchsorted(range(budget, len(rows), budget),
+                                                          side="right").tolist()})
+    blocks = _row_blocks(t, rows) if len(rows) * n_words > _ROW_READ_WORDS else None
+    m0 = 0
     for lo, hi in zip(cuts, cuts[1:]):
-        members = slice(first[lo], last[hi - 1])
-        xz = table[slots[members], rows[members] & 63]
-        acc = np.zeros((len(xz) + 1, *xz.shape[1:]), dtype=np.uint64)
+        end = counts[lo:hi].cumsum()
+        start = end - counts[lo:hi]
+        m1 = m0 + end[-1]
+        r = rows[m0:m1]
+        if blocks is None:
+            xz = _read_rows(t, r)
+        else:
+            table, slots = blocks
+            xz = table[slots[m0:m1], r & 63]
+        acc = np.zeros((len(r) + 1, 2, n_words), dtype=np.uint64)
         np.bitwise_xor.accumulate(xz, axis=0, out=acc[1:])
-        start, end = first[lo:hi] - first[lo], last[lo:hi] - first[lo]
-        want = np.zeros((hi - lo, 2, n_words), dtype=np.uint64)
-        for side, (own, q, *_) in enumerate(targets):
-            if len(q):  # an empty ufunc.at costs as much as a short one
-                span = slice(*own.searchsorted([lo, hi]))
-                own, q = own[span], q[span]
-                np.bitwise_or.at(want[:, side], (own - lo, q >> 6), _bit(q))
-        if (acc[end] ^ acc[start] ^ want).any():
+        first = acc[start]
+        if np.count_nonzero(acc[end] ^ first ^ want[lo:hi]):
             raise ContractError("operator commutes with the group but is not in it")
-        seg = owner[members] - lo
-        z_before = acc[:-1, 1] ^ acc[start[seg], 1]
-        terms = t.r[rows[members]] + 2 * np.bitwise_count(z_before & xz[:, 0]).sum(axis=1)
-        k_prod = np.bincount(seg, weights=terms, minlength=hi - lo).astype(np.int64)
-        values[lo:hi] = _I_POWERS[(np.asarray(phases[lo:hi]) - k_prod) % 4]
-    values[indefinite] = 0
+        seg = owner[m0:m1] - lo
+        z_before = acc[:-1, 1] ^ first[seg, 1]
+        terms = 2 * np.bitwise_count(z_before & xz[:, 0]).sum(axis=1) + t.r[r]
+        expo[lo:hi] -= np.bincount(seg, weights=terms, minlength=hi - lo).astype(np.int64)
+        m0 = m1
+    values = _I_POWERS[expo & 3]
+    if indefinite is not None:
+        values[indefinite] = 0
     return values
 
 
@@ -441,21 +520,17 @@ def syndrome(t: Tableau, lattice: Lattice) -> Syndrome:
     of every stabilizer (guaranteed after Pauli strings on eigenstates).
 
     Every stabilizer is read in one _group_phases batch, its targets built
-    from the lattice's stars and boundaries (oracle.syndrome_by_expectation,
-    one expectation per stabilizer, is the reference).
+    from the lattice's stars and boundaries once per lattice and tableau
+    size (_stabilizer_targets; oracle.syndrome_by_expectation, one
+    expectation per stabilizer, is the reference).
     """
     if lattice.n_edges > t.n:
         raise UsageError(f"lattice of {lattice.n_edges} edges outside tableau "
                          f"of {t.n} qubits")
     n_v = lattice.n_vertices
     k = n_v + lattice.n_faces
-    # X-type vertex stabilizers have x bits only, Z-type faces z bits only
-    targets = []
-    for first, groups in ((0, lattice.stars), (n_v, lattice.boundaries)):
-        sizes = [len(g) for g in groups]
-        targets.append((first + np.repeat(np.arange(len(groups)), sizes),
-                        np.concatenate(groups), np.cumsum([0, *sizes[:-1]])))
-    values = _group_phases(t, _antic(t, targets, k), targets, np.zeros(k, int))
+    targets = lattice.memo(("syndrome", t.n), lambda: _stabilizer_targets(lattice, t.n))
+    values = _group_phases(t, _antic(t, targets, k), targets)
     bad = np.flatnonzero((values != 1) & (values != -1))
     if bad.size:
         kind, i = ("vertex", bad[0]) if bad[0] < n_v else ("face", bad[0] - n_v)
@@ -463,6 +538,23 @@ def syndrome(t: Tableau, lattice: Lattice) -> Syndrome:
     flipped = np.flatnonzero(values == -1)
     return Syndrome(frozenset(flipped[flipped < n_v].tolist()),
                     frozenset((flipped[flipped >= n_v] - n_v).tolist()))
+
+
+def _stabilizer_targets(lattice: Lattice, n: int) -> tuple:
+    """The _targets of the vertex then face stabilizers of ``lattice`` on n
+    qubits, built from its stars and boundaries: X-type stars have x bits
+    only, meeting z columns, and Z-type faces z bits only, meeting x
+    columns."""
+    groups = lattice.stars + lattice.boundaries
+    sizes = [len(g) for g in groups]
+    qubits = np.fromiter(itertools.chain.from_iterable(groups), np.int64, sum(sizes))
+    owner = np.repeat(np.arange(len(groups)), sizes)
+    side = (owner >= lattice.n_vertices).astype(np.int64)
+    bits = np.zeros((len(groups), 2, -(-n // 64)), dtype=np.uint64)
+    np.bitwise_or.at(bits, (owner, side, qubits >> 6), _bit(qubits))
+    starts = np.cumsum([0, *sizes[:-1]])
+    return (np.where(side, qubits, n + qubits), starts, np.arange(len(groups)), bits,
+            np.zeros(len(groups), dtype=np.int64))
 
 
 def created_syndrome(lattice: Lattice, p: PauliString) -> Syndrome:

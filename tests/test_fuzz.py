@@ -6,7 +6,9 @@ range, huge, a numeric string, and empty or ragged arrays for array
 parameters) while every other argument stays valid.  The call returns a
 result without NaN, or raises UsageError / ConfigurationError naming the
 parameter; no other exception escapes and no RuntimeWarning is emitted.
-Huge integer counts are not drawn: they ask for that much work.
+Huge integer counts are not drawn, as they ask for that much work, except
+where the call refuses them before any work (a Tableau's n, above its
+memory cap).
 
 CLI half: every SCHEMA key is set to drawn malformed values and run
 in-process through ``cli.main``; each run returns 0 or 2, lets no exception
@@ -153,7 +155,7 @@ def _entries():
                             lambda: dict(path=t4.boundaries[5]), {"path": a()}),
         "WeylString": (weyl.WeylString, lambda: dict(d=3), {"d": s(), "phase": s()}),
         "weyl_gate_count": (weyl.weyl_gate_count, lambda: dict(d=3), {"d": s()}),
-        "Tableau": (tb.Tableau, lambda: dict(n=3), {"n": s()}),
+        "Tableau": (tb.Tableau, lambda: dict(n=3), {"n": s(None, 46337, 10**9, 2**62)}),
         "tableau.apply_gate": (tb.apply_gate, lambda: dict(t=tb.Tableau(3), gate="CX",
                                                            targets=(0, 1)),
                                {"targets": s("qubit index|targets", (0, 3), (0, 0.5))}),

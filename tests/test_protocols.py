@@ -126,7 +126,9 @@ def test_torus32_braid_reads_no_syndrome(monkeypatch):
 
 def test_torus32_echo_braid_walks_echoes_once(monkeypatch):
     # the delays read only the branch difference: every created_syndrome
-    # call wider than the strings' total weight is one of the two echoes
+    # call wider than the strings' total weight is an echo string, and the
+    # echo string of a kind is walked once per lattice, however many echo
+    # steps and braids meet it
     lattice = lat.torus(32)
     tangled, _ = pr.braiding_programs(lattice, delays=(0.3, 0.7, 0.2))
     steps = (pr.EchoStep("z"),) + tangled.steps + (pr.EchoStep("z"),)
@@ -141,8 +143,44 @@ def test_torus32_echo_braid_walks_echoes_once(monkeypatch):
     ground = tb.prepare_ground_state(lattice, 0)
     monkeypatch.setattr(tb, "created_syndrome", spy)
     alpha = pr.run_interferometry(prog, ground).alpha
-    assert [k for k in sizes if k > string_weight] == [lattice.n_edges] * 2
+    assert [k for k in sizes if k > string_weight] == [lattice.n_edges]
+    assert pr.run_interferometry(prog, ground).alpha == alpha
+    assert [k for k in sizes if k > string_weight] == [lattice.n_edges]
     assert abs(alpha - pr.run_interferometry(tangled, ground).alpha) < 1e-12
+
+
+def test_echo_strings_built_once_per_kind_and_lattice(monkeypatch):
+    # four echo kinds, one met twice, over two braids on one lattice: each
+    # kind's string is walked by created_syndrome once, and the coherence
+    # matches the dense two-branch oracle
+    lattice = lat.planar(3)
+    tangled, _ = pr.braiding_programs(lattice, delays=(0.3, 0.7, 0.2))
+    kinds = ("z", "x_e", "x", "z_o")
+    steps = tuple(s for kind in kinds for s in (pr.EchoStep(kind), *tangled.steps))
+    prog = pr.BraidProgram(lattice, steps + (pr.EchoStep("x"),), tangled.ledger)
+    calls, original = [], tb.created_syndrome
+
+    def spy(lattice, p):
+        calls.append(p)
+        return original(lattice, p)
+
+    ground = tb.prepare_ground_state(lattice, 0)
+    monkeypatch.setattr(tb, "created_syndrome", spy)
+    alpha = pr.run_interferometry(prog, ground).alpha
+    assert pr.run_interferometry(prog, ground).alpha == alpha
+    monkeypatch.setattr(tb, "created_syndrome", original)
+    for kind in kinds:
+        assert sum(p == pr._echo_pauli(lattice, kind) for p in calls) == 1, kind
+    assert abs(alpha - pr.run_interferometry_dense(prog, ground).alpha) < 1e-10
+
+
+def test_logical_pair_built_once_per_lattice():
+    lattice = lat.planar(3)
+    first, again = pr._logical_pair(lattice), pr._logical_pair(lattice)
+    assert all(a is b for a, b in zip(first, again))
+    cz, cx = lat.logical_operators(lattice)[0]
+    assert first == (from_string_path(cz), from_string_path(cx))
+    assert pr._logical_pair(lat.planar(3))[0] is not first[0]
 
 
 @pytest.mark.parametrize("n_ancillas", [3, 2000])

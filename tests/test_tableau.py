@@ -1,3 +1,8 @@
+import copy
+import functools
+import pickle
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,7 +10,7 @@ from anyonsim import lattice as lat
 from anyonsim import protocols as pr
 from anyonsim import statevector as sv
 from anyonsim import tableau as tb
-from anyonsim.errors import ContractError, UsageError
+from anyonsim.errors import ConfigurationError, ContractError, UsageError
 from anyonsim.oracle import (dense_operator, ground_state_by_projection, random_braid_program,
                              random_clifford_circuit, random_hermitian_pauli, run_circuit,
                              syndrome_by_expectation)
@@ -20,6 +25,41 @@ def test_initial_state_generators():
     for n in (2.5, "3"):
         with pytest.raises(UsageError, match=r"^n must be an integer"):
             tb.Tableau(n)
+
+
+def test_tableau_size_cap():
+    # the packed x and z bits, 2 * ceil(2n/64) * n words, may take 1 GiB, so
+    # n = 46 336 is the largest tableau; a larger n is refused, naming n,
+    # before anything is allocated
+    def size(n):
+        return 16 * ((2 * n + 63) // 64) * n
+
+    assert size(46336) <= tb._MAX_TABLEAU_BYTES < size(46337)
+    tracemalloc.start()
+    try:
+        for n in (46337, 10**9, 2**62, np.int64(2**62)):
+            with pytest.raises(ConfigurationError, match=rf"^n={n} qubits need {size(int(n))} "):
+                tb.Tableau(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
+@pytest.mark.parametrize("duplicate", [tb.Tableau.clone, copy.deepcopy,
+                                       lambda t: pickle.loads(pickle.dumps(t))])
+def test_copies_keep_x_and_z_as_views(duplicate):
+    # x and z are views of xz in a copy too, and the copy shares no bits
+    # with the original: a gate on the copy is seen through all three
+    t = tb.prepare_ground_state(lat.torus(2), 1, n_ancillas=1)
+    other = duplicate(t)
+    assert other.x.base is other.xz and other.z.base is other.xz
+    before = t.xz.copy()
+    other.h(0).cx(0, 1)
+    assert np.array_equal(t.xz, before)
+    assert np.array_equal(other.xz[:, 0], other.x) and np.array_equal(other.xz[:, 1], other.z)
+    assert [str(g) for g in other.stabilizer_generators()] == [
+        str(g) for g in t.clone().h(0).cx(0, 1).stabilizer_generators()]
 
 
 def test_gates_match_dense_oracle():
@@ -569,6 +609,112 @@ def test_batched_expectations_match_dense():
     outside = PauliString.z_on([0, t.n])
     with pytest.raises(UsageError, match=f"site {t.n} outside tableau of {t.n} qubits"):
         tb.expectations(t, [paulis[1], outside])
+
+
+def _probe_ground_case():
+    """torus(3) with one ancilla (19 qubits, one qubit word, one row block
+    of 38 rows), the ancilla entangled with the memory; the dense state is
+    the reference."""
+    lattice = lat.torus(3)
+    t = tb.prepare_ground_state(lattice, 1, n_ancillas=1)
+    probe = lattice.n_edges
+    t.h(probe)
+    tb.apply_controlled_string(t, probe, from_string_path(lat.logical_operators(lattice)[0][1]))
+    t.s(probe)
+    psi = sv.from_tableau(t)
+    return t, lambda p: complex(np.vdot(psi.amps, sv._pauli_action(psi, p)))
+
+
+def _wide_case():
+    """70 qubits (two qubit words, 140 rows in three row blocks): a random
+    6-qubit Clifford state on qubits 60..65, across the qubit-word
+    boundary, and |0> elsewhere, with generators mixed over the whole
+    tableau.  The reference is the dense 6-qubit value, times 0 when p has
+    an x bit outside the window (Z on |0> reads 1)."""
+    rng = np.random.default_rng(11)
+    ops = random_clifford_circuit(6, 40, rng)
+    small, psi = run_circuit(6, ops)
+    t = tb.Tableau(70)
+    for gate, qs in ops:
+        tb.apply_gate(t, gate, tuple(q + 60 for q in qs))
+    _mix_generators(t, rng, n_ops=120)
+
+    def reference(p):
+        if any(xb for q, (xb, _) in p.support.items() if not 60 <= q < 66):
+            return 0j
+        inside = {q - 60: bits for q, bits in p.support.items() if 60 <= q < 66}
+        window = PauliString(p.phase, inside)
+        return complex(np.vdot(psi.amps, sv._pauli_action(psi, window)))
+
+    return t, reference
+
+
+def _mixed_pool(t, rng, size=200):
+    """Paulis for a batched read: products of stabilizer generators at every
+    phase (determined), random Paulis (mostly undetermined), x-only and
+    z-only Paulis on random qubits, and the identity, shuffled."""
+    gens = t.stabilizer_generators()
+    pool = [PauliString.identity(), PauliString(2, {})]
+    while len(pool) < size:
+        kind = len(pool) % 4
+        if kind == 0:
+            p = PauliString.identity()
+            for g in rng.choice(len(gens), size=int(rng.integers(1, 6)), replace=False):
+                p = multiply(gens[int(g)], p)
+            pool.append(PauliString(p.phase + int(rng.integers(4)), p.support))
+        elif kind == 1:
+            pool.append(random_hermitian_pauli(t.n, rng))
+        else:
+            sites = rng.choice(t.n, size=int(rng.integers(1, 5)), replace=False)
+            make = PauliString.x_on if kind == 2 else PauliString.z_on
+            pool.append(make(int(q) for q in sites))
+    return [pool[int(i)] for i in rng.permutation(size)]
+
+
+@functools.cache
+def _kernel_case(name):
+    """A tableau, a mixed pool of Paulis and their reference values (the
+    tableau is only read)."""
+    t, reference = {"probe_ground": _probe_ground_case, "wide": _wide_case}[name]()
+    pool = _mixed_pool(t, np.random.default_rng(5))
+    return t, pool, [reference(p) for p in pool]
+
+
+@pytest.mark.parametrize("case", ["probe_ground", "wide"])
+@pytest.mark.parametrize("row_read_words", [0, tb._ROW_READ_WORDS])
+def test_group_phase_batches_match_single_reads_and_dense(case, row_read_words, monkeypatch):
+    # every Pauli of a mixed batch reads as it does alone and as the dense
+    # state gives it, for batches around the 64-word sizes, with the member
+    # rows read from whole 64-row blocks (0) or row by row, and with the
+    # batch split into many passes
+    monkeypatch.setattr(tb, "_ROW_READ_WORDS", row_read_words)
+    t, pool, dense = _kernel_case(case)
+    single = [tb.expectation_phase(t, p) for p in pool]
+    for p, one, want in zip(pool, single, dense):
+        assert abs(one - want) < 1e-10, str(p)
+    values = {0, 1, 1j, -1, -1j}
+    assert {complex(v) for v in single} == values
+    for size in (1, 2, 3, 63, 64, 65, 200):
+        batch = tb.expectations(t, pool[:size])
+        assert batch.tolist() == single[:size]
+    monkeypatch.setattr(tb, "_PASS_WORDS", 8)  # a few member rows per pass
+    assert tb.expectations(t, pool).tolist() == single
+
+
+def test_group_phase_contract_error_in_mixed_batch():
+    # a lost stabilizer row: the generator it held still commutes with the
+    # group, and its member's product no longer reproduces it, inside a
+    # batch of undetermined and determined reads
+    lattice = lat.torus(2)
+    t = tb.prepare_ground_state(lattice, 0, n_ancillas=1)
+    lost = t.stabilizer_generators()[0]
+    rng = np.random.default_rng(2)
+    batch = [random_hermitian_pauli(t.n, rng), PauliString.identity(),
+             PauliString.z_on(lattice.boundary(1)), lost, PauliString.x_on([t.n - 1])]
+    assert tb.expectations(t, batch)[3] == 1
+    t._set_row(t.n, [], [], 0)
+    with pytest.raises(ContractError, match="commutes with the group but is not in it"):
+        tb.expectations(t, batch)
 
 
 def test_measure_requires_hermitian():
