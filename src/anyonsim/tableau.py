@@ -25,15 +25,13 @@ _group_phases reads the batch: 0 for a Pauli that a stabilizer row
 anticommutes with, else <p> = i**(k_p - k_prod), where prod is the
 product of the stabilizer rows whose destabilizers anticommute with p.
 One pass over the set bits of the row bitsets finds both.  Only the
-member rows are read, packed along the qubits: row by row from their
-blocks' words when member rows x qubit words are few (up to
-_ROW_READ_WORDS), else by transposing the 64-row blocks that hold them.
-A segmented prefix XOR with a popcount gives every product's phase (the
-deterministic read of Aaronson and Gottesman, batched as in Gidney's
-Stim, Quantum 5, 497, 2021).  syndrome reads every stabilizer in one
-batch, whose targets are built once per lattice and tableau size;
-expectations reads any list of Paulis; expectation_phase and measurement
-read a batch of one.
+member rows are read, packed along the qubits: byte b of a word holds 8
+rows of its column, so _row_planes transposes just the byte planes (8
+rows by 2n columns) that hold them.  A segmented prefix XOR with a
+popcount gives every product's phase (the deterministic read of Aaronson
+and Gottesman, batched as in Gidney's Stim, Quantum 5, 497, 2021).
+syndrome reads every stabilizer in one batch, expectations any list of
+Paulis; expectation_phase and measurement read a batch of one.
 
 prepare_ground_state projects the stars with one row-greedy GF(2)
 Gauss-Jordan pass over the packed rows of the star incidence, kept in the
@@ -59,12 +57,10 @@ from .lattice import Lattice, logical_operators
 from .pauli import PauliString, from_string_path
 
 _ONE = np.uint64(1)
+_BITS = _ONE << np.arange(64, dtype=np.uint64)
 # the packed x and z bits of a Tableau, 2 * ceil(2n/64) * n words, may take
 # at most 1 GiB: n <= 46 336
 _MAX_TABLEAU_BYTES = 1 << 30
-
-
-_BITS = _ONE << np.arange(64, dtype=np.uint64)
 
 
 def _bit(idx: np.ndarray) -> np.ndarray:
@@ -337,6 +333,7 @@ def _targets(t: Tableau, paulis) -> tuple:
         x_word = z_word = 0
         start = len(cols)
         for q, (xb, zb) in p.support.items():
+            q = int(q)  # a numpy integer site packs as a Python int
             if not 0 <= q < n:
                 raise UsageError(f"site {q} outside tableau of {n} qubits")
             if xb:
@@ -380,44 +377,32 @@ def _indefinite(t: Tableau, antic: np.ndarray) -> np.ndarray:
 # i**k for k = 0..3, the values a phase-tracked expectation can take
 _I_POWERS = np.array([1j ** k for k in range(4)])
 _PASS_WORDS = 1 << 15  # words per member-row array in one kernel pass (256 KiB)
-_TILE_GROUP = 64       # 64x64-bit tiles transposed at once (256 KiB of bits)
-# member rows x qubit words up to which _group_phases reads each member row
-# from its block's words (_read_rows, whose gather then holds at most 512 KiB)
-# instead of transposing the 64-row blocks holding them (_row_blocks): row
-# by row halves a torus:3 read of one Pauli, whole blocks keep the torus:32
-# syndrome (thousands of member rows) 2.5 times faster than row by row
-_ROW_READ_WORDS = 1 << 9
+_BYTE_BITS = np.uint8(1) << np.arange(8, dtype=np.uint8)
+_PLANE_GROUP = 1 << 18  # bytes of unpacked plane bits handled at once (256 KiB)
 
 
-def _read_rows(t: Tableau, rows: np.ndarray) -> np.ndarray:
-    """The x and z bits (len(rows), 2, ceil(n/64)) of each row of ``rows``,
-    packed along the qubits: the row's bit of every column of its 64-row
-    block."""
-    bits = np.zeros((len(rows), 2, 64 * -(-t.n // 64)), dtype=bool)
-    np.bitwise_and(t.xz[rows >> 6], _bit(rows)[:, None, None], out=bits[..., :t.n],
-                   casting="unsafe")
-    return np.packbits(bits, axis=-1, bitorder="little").view("<u8")
-
-
-def _row_blocks(t: Tableau, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The 64-row blocks holding ``rows``, transposed: ``table[s, i]`` holds
-    the x and z bits (2, ceil(n/64)) of row i of the block in slot s, packed
-    along the qubits, and ``slots`` gives each row's slot.  Each 64x64-bit
-    tile goes through bytes, a bounded group of tiles at a time."""
-    used = np.zeros(len(t.xz), dtype=bool)
-    used[rows >> 6] = True
-    blocks = used.nonzero()[0]
-    n_words = -(-t.n // 64)
-    tiles = np.zeros((len(blocks), 2, n_words * 64), dtype="<u8")
-    tiles[..., :t.n] = t.xz[blocks]
-    flat = tiles.reshape(-1, 64)  # word q of a tile: its qubit q's 64 row bits
-    for lo in range(0, len(flat), _TILE_GROUP):
-        group = flat[lo:lo + _TILE_GROUP]
-        bits = np.ascontiguousarray(_row_bits(group[..., None]).swapaxes(1, 2))
-        group[:] = np.packbits(bits, axis=-1, bitorder="little").view("<u8")[..., 0]
-    # word i of a tile now holds row i's bits on the tile's 64 qubits
-    table = tiles.reshape(len(blocks), 2, n_words, 64).transpose(0, 3, 1, 2)
-    return table, used.cumsum()[rows >> 6] - 1
+def _row_planes(t: Tableau, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The byte planes holding ``rows``, transposed.  Byte b of a word
+    ``xz[w, s, q]`` holds rows 64w + 8b .. 64w + 8b + 7 of column (s, q),
+    so the 8 rows 8p .. 8p + 7 share the byte plane p of 2n bytes.
+    ``table[s, i]`` holds the x and z bits (2, ceil(n/64)) of row i of the
+    plane in slot s, packed along the qubits, and ``slots`` gives each
+    row's slot.  Only the planes that hold ``rows`` are read, each once,
+    and a bounded group of them is unpacked at a time: each of a plane's
+    8 rows keeps its bit of every byte, and the bytes are packed again
+    along the qubits."""
+    plane_of = rows >> 3
+    used = np.zeros(8 * len(t.xz), dtype=bool)
+    used[plane_of] = True
+    planes = used.nonzero()[0]
+    xz8 = np.asarray(t.xz, dtype="<u8").view(np.uint8).reshape(*t.xz.shape, 8)
+    table = np.zeros((len(planes), 8, 2, 8 * -(-t.n // 64)), dtype=np.uint8)
+    step = max(1, _PLANE_GROUP // (16 * t.n))
+    for lo in range(0, len(planes), step):
+        w, b = np.divmod(planes[lo:lo + step], 8)
+        bits = xz8[w, None, :, :, b] & _BYTE_BITS[:, None, None]  # (g, 8, 2, n)
+        table[lo:lo + step, ..., :-(-t.n // 8)] = np.packbits(bits, axis=-1, bitorder="little")
+    return table.view("<u8"), planes.searchsorted(plane_of)
 
 
 def _group_phases(t: Tableau, antic, targets) -> np.ndarray:
@@ -435,11 +420,9 @@ def _group_phases(t: Tableau, antic, targets) -> np.ndarray:
     k_prod = sum r + 2 sum_{i<j} z_i . x_j (mod 4): each member's x row
     meets the segmented exclusive prefix XOR of the z rows before it.
 
-    Only the member rows are read, packed along the qubits: one by one from
-    their blocks' words (_read_rows) while member rows x qubit words stay
-    within _ROW_READ_WORDS, else by transposing the 64-row blocks that hold
-    them (_row_blocks).  Paulis are taken in passes of a bounded number of
-    member rows; a batch that fits in one pass is read in one.
+    Only the member rows are read, from the transposed byte planes that
+    hold them (_row_planes).  Paulis are taken in passes of a bounded
+    number of member rows; a batch that fits in one pass is read in one.
     """
     n, k = t.n, len(antic)
     want, expo = targets[3], targets[4].copy()
@@ -463,18 +446,14 @@ def _group_phases(t: Tableau, antic, targets) -> np.ndarray:
     if len(rows) > budget:
         cuts = sorted({0, k, *counts.cumsum().searchsorted(range(budget, len(rows), budget),
                                                           side="right").tolist()})
-    blocks = _row_blocks(t, rows) if len(rows) * n_words > _ROW_READ_WORDS else None
+    table, slots = _row_planes(t, rows)
     m0 = 0
     for lo, hi in zip(cuts, cuts[1:]):
         end = counts[lo:hi].cumsum()
         start = end - counts[lo:hi]
         m1 = m0 + end[-1]
         r = rows[m0:m1]
-        if blocks is None:
-            xz = _read_rows(t, r)
-        else:
-            table, slots = blocks
-            xz = table[slots[m0:m1], r & 63]
+        xz = table[slots[m0:m1], r & 7]
         acc = np.zeros((len(r) + 1, 2, n_words), dtype=np.uint64)
         np.bitwise_xor.accumulate(xz, axis=0, out=acc[1:])
         first = acc[start]
@@ -520,16 +499,16 @@ def syndrome(t: Tableau, lattice: Lattice) -> Syndrome:
     of every stabilizer (guaranteed after Pauli strings on eigenstates).
 
     Every stabilizer is read in one _group_phases batch, its targets built
-    from the lattice's stars and boundaries once per lattice and tableau
-    size (_stabilizer_targets; oracle.syndrome_by_expectation, one
-    expectation per stabilizer, is the reference).
+    from the lattice's stars and boundaries (_stabilizer_targets;
+    oracle.syndrome_by_expectation, one expectation per stabilizer, is the
+    reference).
     """
     if lattice.n_edges > t.n:
         raise UsageError(f"lattice of {lattice.n_edges} edges outside tableau "
                          f"of {t.n} qubits")
     n_v = lattice.n_vertices
     k = n_v + lattice.n_faces
-    targets = lattice.memo(("syndrome", t.n), lambda: _stabilizer_targets(lattice, t.n))
+    targets = _stabilizer_targets(lattice, t.n)
     values = _group_phases(t, _antic(t, targets, k), targets)
     bad = np.flatnonzero((values != 1) & (values != -1))
     if bad.size:
@@ -546,15 +525,14 @@ def _stabilizer_targets(lattice: Lattice, n: int) -> tuple:
     only, meeting z columns, and Z-type faces z bits only, meeting x
     columns."""
     groups = lattice.stars + lattice.boundaries
-    sizes = [len(g) for g in groups]
-    qubits = np.fromiter(itertools.chain.from_iterable(groups), np.int64, sum(sizes))
+    sizes = np.fromiter(map(len, groups), np.int64, len(groups))
+    qubits = np.fromiter(itertools.chain.from_iterable(groups), np.int64, sizes.sum())
     owner = np.repeat(np.arange(len(groups)), sizes)
     side = (owner >= lattice.n_vertices).astype(np.int64)
     bits = np.zeros((len(groups), 2, -(-n // 64)), dtype=np.uint64)
     np.bitwise_or.at(bits, (owner, side, qubits >> 6), _bit(qubits))
-    starts = np.cumsum([0, *sizes[:-1]])
-    return (np.where(side, qubits, n + qubits), starts, np.arange(len(groups)), bits,
-            np.zeros(len(groups), dtype=np.int64))
+    return (np.where(side, qubits, n + qubits), sizes.cumsum() - sizes, np.arange(len(groups)),
+            bits, np.zeros(len(groups), dtype=np.int64))
 
 
 def created_syndrome(lattice: Lattice, p: PauliString) -> Syndrome:

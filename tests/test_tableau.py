@@ -579,6 +579,17 @@ def test_expectation_phase_imaginary():
     assert tb.expectation_phase(t, iy) == 1j
 
 
+def test_expectations_accept_numpy_integer_sites():
+    t = tb.Tableau(70)
+    t.h(69)  # |+> on a site of the second qubit word
+    sites = [PauliString(0, {np.int64(3): (0, 1)}), PauliString(0, {np.int32(69): (1, 0)}),
+             PauliString(0, {np.int64(69): (0, 1), np.uint8(3): (0, 1)})]
+    assert tb.expectations(t, sites).tolist() == [1, 1, 0]
+    assert tb.measure_pauli(t, sites[1], np.random.default_rng(0))[0] == 1
+    tb.apply_pauli_string(t, sites[0])
+    assert tb.expectation_pauli(t, PauliString.z_on([3])) == 1
+
+
 def test_batched_expectations_match_dense():
     # an entangled probe, then products of generators (determined, any
     # phase) among random Paulis (mostly undetermined), read in one batch
@@ -681,13 +692,10 @@ def _kernel_case(name):
 
 
 @pytest.mark.parametrize("case", ["probe_ground", "wide"])
-@pytest.mark.parametrize("row_read_words", [0, tb._ROW_READ_WORDS])
-def test_group_phase_batches_match_single_reads_and_dense(case, row_read_words, monkeypatch):
+def test_group_phase_batches_match_single_reads_and_dense(case, monkeypatch):
     # every Pauli of a mixed batch reads as it does alone and as the dense
-    # state gives it, for batches around the 64-word sizes, with the member
-    # rows read from whole 64-row blocks (0) or row by row, and with the
-    # batch split into many passes
-    monkeypatch.setattr(tb, "_ROW_READ_WORDS", row_read_words)
+    # state gives it, for batches around the 64-word sizes, and with the
+    # batch split into many passes and its byte planes read one at a time
     t, pool, dense = _kernel_case(case)
     single = [tb.expectation_phase(t, p) for p in pool]
     for p, one, want in zip(pool, single, dense):
@@ -698,6 +706,7 @@ def test_group_phase_batches_match_single_reads_and_dense(case, row_read_words, 
         batch = tb.expectations(t, pool[:size])
         assert batch.tolist() == single[:size]
     monkeypatch.setattr(tb, "_PASS_WORDS", 8)  # a few member rows per pass
+    monkeypatch.setattr(tb, "_PLANE_GROUP", 1)
     assert tb.expectations(t, pool).tolist() == single
 
 
