@@ -161,6 +161,8 @@ def crossover_time(budget: MemoryBudget, tol: float = 1e-12) -> float:
         hi *= 2.0
     while hi - lo > tol * max(1.0, hi):
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # adjacent floats: tol is below the resolution
+            break
         if f(mid) > 0:
             lo = mid
         else:

@@ -89,7 +89,6 @@ class Lattice:
     boundaries: tuple[tuple[int, ...], ...]   # face id -> bounding edges, sorted
     edge_vertices: tuple[tuple[int | None, int | None], ...]
     edge_faces: tuple[tuple[int | None, int | None], ...]
-    _graphs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -108,8 +107,8 @@ class Lattice:
 
     def memo(self, key, build):
         """``build()``, computed once per lattice and ``key``: data derived
-        from the geometry alone (the logical pair and the echo strings in
-        protocols).  Callers share the value, so it must not be mutated."""
+        from the geometry alone (cell graphs, protocols' logical pair and echo
+        strings).  Callers share the value, so it must not be mutated."""
         try:
             return self._memo[key]
         except KeyError:
@@ -123,14 +122,14 @@ class Lattice:
         stands for the boundary: an edge with a free end joins its cell to
         it (a torus leaves it without edges).
         """
-        graph = self._graphs.get(kind)
-        if graph is None:
-            if kind == "z":
-                n_cells, ends = self.n_vertices, self.edge_vertices
-            elif kind == "x":
-                n_cells, ends = self.n_faces, self.edge_faces
-            else:
-                raise UsageError(f"string kind must be 'z' or 'x', got {kind!r}")
+        if kind == "z":
+            n_cells, ends = self.n_vertices, self.edge_vertices
+        elif kind == "x":
+            n_cells, ends = self.n_faces, self.edge_faces
+        else:
+            raise UsageError(f"string kind must be 'z' or 'x', got {kind!r}")
+
+        def build():
             incident: list[list[tuple[int, int]]] = [[] for _ in range(n_cells + 1)]
             for e, (u, w) in enumerate(ends):
                 u = n_cells if u is None else u
@@ -139,8 +138,9 @@ class Lattice:
                 if w != u:
                     incident[w].append((e, u))
             # from a sized list, as in the incidence helper below
-            graph = self._graphs[kind] = tuple([tuple(c) for c in incident])
-        return graph
+            return tuple([tuple(c) for c in incident])
+
+        return self.memo(("cell_graph", kind), build)
 
     def describe(self) -> str:
         """Plain-text dump: edge id -> incident vertex ids, face ids."""

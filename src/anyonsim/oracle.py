@@ -205,8 +205,15 @@ def ground_state_by_projection(lattice: Lattice, logical_sector=0,
 
 def from_tableau_by_projection(t: tb.Tableau) -> sv.StateVector:
     """Reference for statevector.from_tableau: |b> projected by every
-    generator in turn, (I + g)/2 on the full state, then normalised."""
-    s = sv.StateVector.computational(t.n, sv._least_basis_index(t))
+    generator in turn, (I + g)/2 on the full state, then normalised.  b is
+    measured on a clone, Z_q from the highest qubit down, each undetermined
+    one projected onto +1; bit q of b is 1 where Z_q reads -1."""
+    probe, b = t.clone(), 0
+    for q in range(t.n - 1, -1, -1):
+        z_q = PauliString.z_on((q,))
+        value = tb.expectation_pauli(probe, z_q) or tb._project(probe, z_q, want=1)
+        b |= (value < 0) << q
+    s = sv.StateVector.computational(t.n, b)
     for g in t.stabilizer_generators():
         s.amps += sv._pauli_action(s, g)
         s.amps *= 0.5

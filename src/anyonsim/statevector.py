@@ -15,11 +15,11 @@ the Z axes only, with no index arrays and no full operator matrices
 of one qubit axis.  Exponentials and teleports combine psi and S~ psi in
 place in 256 KiB chunks (_combine), one pass over the state.
 
-from_tableau reads the least basis state with a nonzero overlap from the
-tableau's measurement update, so the package's GF(2) elimination lives in
-tableau.py alone, and then writes only the state's 2**k nonzero amplitudes
-(a coset of the generators' X parts) into one zeroed state, its first
-nonzero amplitude real and > 0.
+from_tableau takes the least basis index of the state's support and the
+X rows spanning it from one GF(2) echelon of the generators
+(tableau._support_basis, so the package's GF(2) elimination lives in
+tableau.py alone), and writes only the state's 2**k nonzero amplitudes into
+one zeroed state, its first nonzero amplitude real and > 0.
 """
 
 from __future__ import annotations
@@ -213,50 +213,30 @@ def inner_product(s1: StateVector, s2: StateVector) -> complex:
     return complex(np.vdot(s1.amps, s2.amps))
 
 
-def _least_basis_index(t) -> int:
-    """The least basis index b with a nonzero overlap with the tableau's
-    state, read from its own measurement update (Aaronson and Gottesman,
-    PRA 70, 052328, 2004).  On a clone, from the highest qubit down, each
-    Z_q that a stabilizer row anticommutes with is projected onto +1; then
-    one batch reads every Z_q, and bit q is 1 where Z_q reads -1.  A Z_q
-    already determined keeps its value under the projections of lower
-    qubits, so b is what measuring each Z_q in turn would give."""
-    probe = t.clone()
-    for q in range(t.n - 1, -1, -1):
-        if tb._indefinite(probe, probe.x[None, :, q]):
-            tb._project(probe, PauliString.z_on((q,)), want=1)
-    values = tb.expectations(probe, [PauliString.z_on((q,)) for q in range(t.n)])
-    return sum(1 << q for q in range(t.n) if values[q].real < 0)
-
-
 def from_tableau(t) -> StateVector:
     """Dense amplitudes of a stabilizer state (n <= MAX_QUBITS).
 
     Only the state's support is written: its 2**k nonzero amplitudes, all
     of one magnitude, lie on b + span(X parts of the generators) (Dehaene
-    and De Moor, PRA 68, 042318, 2003), b being _least_basis_index.  From
-    |b>, each generator g = i**r X**x Z**z in turn either has x in the span
-    written so far (b ^ x holds an amplitude; then g is a product of earlier
-    generators times a Z-type stabilizer that reads +1 on b, so it fixes
-    the state and is skipped) or maps the support onto the disjoint coset
-    idx ^ x with amplitudes i**r (-1)**popcount(idx & z) amps[idx].  These
-    are the amplitudes of prod_g (I + g)/2 |b> up to a power of two, so the
+    and De Moor, PRA 68, 042318, 2003).  tableau._support_basis gives the
+    least index b and k stabilizers g = i**r X**x Z**z with independent x.
+    From |b>, each g in turn maps the support written so far onto the
+    disjoint coset idx ^ x with amplitudes i**r (-1)**popcount(idx & z)
+    amps[idx], as g fixes the state.  Every written value is an exact power
+    of i, so whichever stabilizers span the support, these are the
+    amplitudes of prod_g (I + g)/2 |b> up to a power of two, and the
     normalised state equals oracle.from_tableau_by_projection exactly; its
     first nonzero amplitude, at b, is real and > 0.
     """
     if t.n > MAX_QUBITS:
         raise ConfigurationError(f"{t.n} qubits exceeds dense cap {MAX_QUBITS}")
-    index = _least_basis_index(t)
+    index, x_rows = tb._support_basis(t)
     s = StateVector.computational(t.n, index)
     support = np.array([index])
-    for g in t.stabilizer_generators():
-        x = sum(1 << q for q, (xq, _) in g.support.items() if xq)
-        if s.amps[index ^ x]:
-            continue
-        z = sum(1 << q for q, (_, zq) in g.support.items() if zq)
+    for x, z, r in x_rows:
         sign = _SIGN[np.bitwise_count(support & z) & 1]
         # + 0 turns -0 parts into +0, as the sum of the projection does
-        s.amps[support ^ x] = ((1j ** g.phase) * sign) * s.amps[support] + 0
+        s.amps[support ^ x] = ((1j ** r) * sign) * s.amps[support] + 0
         support = np.concatenate([support, support ^ x])
     s.amps[support] /= np.linalg.norm(s.amps[support])
     return s

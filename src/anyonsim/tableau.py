@@ -37,7 +37,9 @@ prepare_ground_state projects the stars with one row-greedy GF(2)
 Gauss-Jordan pass over the packed rows of the star incidence, kept in the
 layout of the tableau's z columns, and writes the result once
 (_star_tableau); oracle.ground_state_by_projection, one measurement update
-per star, is its reference.
+per star, is its reference.  _support_basis reads the least basis index
+of the state's support and the X rows spanning it, all that
+statevector.from_tableau needs, from one GF(2) echelon of the stabilizers.
 
 A Tableau is single-writer: gates and measurements mutate in place.  Clones
 are cheap and independent, which is how parallel Monte Carlo shares states.
@@ -366,14 +368,6 @@ def _antic(t: Tableau, targets, k: int) -> np.ndarray:
     return antic
 
 
-def _indefinite(t: Tableau, antic: np.ndarray) -> np.ndarray:
-    """Whether each row bitset of ``antic`` (k, W) holds a stabilizer row:
-    the Pauli it belongs to has no definite value."""
-    low = np.uint64((1 << (t.n & 63)) - 1)
-    return ((antic[:, t.n >> 6] & ~low).astype(bool)
-            | antic[:, (t.n >> 6) + 1:].any(axis=1))
-
-
 # i**k for k = 0..3, the values a phase-tracked expectation can take
 _I_POWERS = np.array([1j ** k for k in range(4)])
 _PASS_WORDS = 1 << 15  # words per member-row array in one kernel pass (256 KiB)
@@ -468,6 +462,36 @@ def _group_phases(t: Tableau, antic, targets) -> np.ndarray:
     if indefinite is not None:
         values[indefinite] = 0
     return values
+
+
+def _support_basis(t: Tableau) -> tuple[int, list[tuple[int, int, int]]]:
+    """The least index b of the state's support, b + span(X parts of the
+    generators) (Dehaene and De Moor, PRA 68, 042318, 2003), and rows
+    (x, z, r) = i**r X**x Z**z with independent x spanning it, highest pivot
+    first, from one GF(2) echelon of the stabilizer rows (_row_planes) as
+    ints x << n | z keyed by their highest bit; a product's phase is
+    r + r' + 2 popcount(z & x').  The Z-only rows i**r Z**z fix z . b = r/2,
+    solved lowest pivot first; the X rows then reduce b to the least index."""
+    n = t.n
+    rows = np.arange(n, 2 * n)
+    table, slots = _row_planes(t, rows)
+    pivots = {}  # highest bit -> (word, r)
+    for (x, z), r in zip(table[slots, rows & 7], t.r[n:].tolist()):
+        word = int.from_bytes(x.tobytes(), "little") << n | int.from_bytes(z.tobytes(), "little")
+        while word.bit_length() - 1 in pivots:
+            other, r_other = pivots[word.bit_length() - 1]
+            r += r_other + 2 * (word & other >> n).bit_count()
+            word ^= other
+        pivots[word.bit_length() - 1] = (word, r & 3)
+    b = 0
+    for top in sorted(p for p in pivots if p < n):
+        z, r = pivots[top]
+        b |= ((z & b).bit_count() & 1 ^ r >> 1) << top
+    x_rows = [(word >> n, word & ((1 << n) - 1), r)
+              for top, (word, r) in sorted(pivots.items(), reverse=True) if top >= n]
+    for x, _, _ in x_rows:
+        b = min(b, b ^ x)  # clears the pivot bit of x where b has it
+    return b, x_rows
 
 
 @dataclass(frozen=True)

@@ -134,6 +134,15 @@ def test_memory_error_and_crossover():
         an.memory_error(budget, math.nan)
 
 
+def test_crossover_tolerance_below_float_resolution():
+    # hi - lo cannot fall below one ulp of hi, so a tol under the float
+    # resolution ends the bisection at adjacent floats, not in a loop
+    budget = an.MemoryBudget(0.1, 1.0, 4, 1e-3, 1e6)
+    coarse = an.crossover_time(budget, tol=1e-15)
+    for tol in (1e-16, 1e-17, 1e-300, 5e-324):
+        assert an.crossover_time(budget, tol=tol) == pytest.approx(coarse, rel=1e-15, abs=0)
+
+
 def _noise(xi_h, tau_c):
     return df.NoiseModel(xi_h=xi_h, tau_c=tau_c, dt=0.05, duration=1.0)
 

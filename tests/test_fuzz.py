@@ -2,10 +2,11 @@
 
 Library half: each entry is a valid call; a seeded generator draws
 corruptions of one parameter at a time (NaN, +-inf, negative, zero, out of
-range, huge, a numeric string, and empty or ragged arrays for array
-parameters) while every other argument stays valid.  The call returns a
-result without NaN, or raises UsageError / ConfigurationError naming the
-parameter; no other exception escapes and no RuntimeWarning is emitted.
+range, huge, tiny (+-1e-300), a numeric string, and empty or ragged arrays
+for array parameters) while every other argument stays valid.  The call
+returns a result without NaN, or raises UsageError / ConfigurationError
+naming the parameter; no other exception escapes and no RuntimeWarning is
+emitted.
 Huge integer counts are not drawn, as they ask for that much work, except
 where the call refuses them before any work (a Tableau's n, above its
 memory cap).
@@ -38,7 +39,8 @@ from anyonsim.pauli import PauliString
 SEED = 2026
 DRAWS = 8  # corruptions drawn per parameter
 
-SCALARS = [math.nan, math.inf, -math.inf, -1, -0.5, 0, 0.0, 2.5, 1e300, "1", "0.5"]
+SCALARS = [math.nan, math.inf, -math.inf, -1, -0.5, 0, 0.0, 2.5, 1e300, 1e-300, -1e-300,
+           "1", "0.5"]
 ARRAYS = [[], [[1.0], [1.0, 2.0]], [math.nan], [math.inf], [-1.0], [1e300], ["1"]]
 
 

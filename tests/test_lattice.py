@@ -115,6 +115,10 @@ def test_shortest_string_basics(torus4):
     # among minimal paths, each hop walking back from b takes the lowest edge id
     assert lat.shortest_string(torus4, "z", 0, 5).edges == (16, 4)
     assert lat.shortest_string(torus4, "x", 0, 10).edges == (17, 18, 6, 10)
+    # one cell graph per kind, kept on the lattice; any other kind is refused
+    assert torus4.cell_graph("z") is torus4.cell_graph("z")
+    with pytest.raises(UsageError, match="string kind must be 'z' or 'x'"):
+        torus4.cell_graph("y")
 
 
 def test_string_to_boundary():

@@ -266,7 +266,15 @@ def test_from_tableau_matches_projection():
     # Z-only generators listed before the X-type one, two of them -1: b = 2
     z_first = run_circuit(3, [("H", (2,)), ("CX", (2, 1)), ("CX", (1, 0)), ("X", (1,))])[0]
     assert [str(g) for g in z_first.stabilizer_generators()] == ["- Z0 Z1", "- Z1 Z2", "+ X0 X1 X2"]
-    for t in (*_from_tableau_cases(), *_scrambled_ground_states(), full_support, z_first):
+    rng = np.random.default_rng(14)
+    random_states = []
+    for _ in range(40):
+        n = int(rng.integers(1, 16))
+        random_states.append(tb.Tableau(n))
+        for gate, qubits in random_clifford_circuit(n, 3 * n + 5, rng):
+            tb.apply_gate(random_states[-1], gate, qubits)
+    for t in (*_from_tableau_cases(), *_scrambled_ground_states(), *random_states,
+              full_support, z_first):
         amps = sv.from_tableau(t).amps
         ref = from_tableau_by_projection(t).amps
         assert np.array_equal(amps, ref)
