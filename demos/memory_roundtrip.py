@@ -9,18 +9,18 @@ from anyonsim import lattice as lat
 from anyonsim import protocols as pr
 from anyonsim import statevector as sv
 from anyonsim import tableau as tb
-from anyonsim.pauli import from_string_path
+from anyonsim.pauli import logical_strings
 
 lattice = lat.planar(2)
 probe = lattice.n_edges
-(cz, cx), = lat.logical_operators(lattice)
+(lz, lx), = logical_strings(lattice)
 
 # 1. SWAP a probe state into the code and back out.
 print("swap_in / swap_out roundtrips:")
 for state in (("Z", 1), ("X", 1), ("Y", -1)):
     t = tb.prepare_ground_state(lattice, 0, n_ancillas=1)
     pr.swap_in(lattice, t, probe_state=state)
-    logical = {"Z": from_string_path(cz), "X": from_string_path(cx)}
+    logical = {"Z": lz, "X": lx}
     stored = {name: tb.expectation_pauli(t, op) for name, op in logical.items()}
     pr.swap_out(lattice, t)
     bloch = pr.probe_bloch(t, probe)
@@ -35,7 +35,7 @@ rng = np.random.default_rng(1)
 rotated, outcome = pr.teleport_rotation(lattice, memory.clone(), "X", theta,
                                         rng=rng)
 reference = memory.clone()
-sv.apply_pauli_exponential(reference, from_string_path(cx), theta)
+sv.apply_pauli_exponential(reference, lx, theta)
 fidelity = abs(sv.inner_product(rotated, reference))
 print(f"\nteleported exp(i {theta} X~): measurement outcome {outcome:+d}, "
       f"fidelity to the direct rotation = {fidelity:.12f}")

@@ -25,8 +25,8 @@ import numpy as np
 from . import analytics, diffusion as df, oracle, protocols as pr, statevector as sv
 from . import tableau as tb
 from .errors import ConfigurationError, ContractError, UsageError, require
-from .lattice import LatticeSpec, build_lattice, logical_operators
-from .pauli import from_string_path
+from .lattice import LatticeSpec, build_lattice
+from .pauli import logical_strings
 from .weyl import WeylString, weyl_braiding_phase, weyl_gate_count
 
 SEED_ENV = "ANYONSIM_SEED"
@@ -212,7 +212,7 @@ def cmd_memory(header: list[str], cfg: dict) -> int:
         failures += not ok
         print(f"roundtrip {k}: state {want[0]}{want[1]:+d} -> "
               f"{'PASS' if ok else 'FAIL'}")
-    lz, lx = [from_string_path(p) for p in logical_operators(lattice)[0]]
+    lz, lx = logical_strings(lattice)[0]
     sv.apply_pauli_exponential(memory, lx, 0.3)
     for k in range(trials):
         theta = float(rng.uniform(-math.pi, math.pi))

@@ -107,8 +107,8 @@ class Lattice:
 
     def memo(self, key, build):
         """``build()``, computed once per lattice and ``key``: data derived
-        from the geometry alone (cell graphs, protocols' logical pair and echo
-        strings).  Callers share the value, so it must not be mutated."""
+        from the geometry alone (cell graphs, logical strings, echo strings and
+        their anyons).  Callers share the value, so it must not be mutated."""
         try:
             return self._memo[key]
         except KeyError:

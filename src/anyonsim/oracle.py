@@ -24,7 +24,7 @@ from .lattice import (ECHO_KINDS, Lattice, StringPath, deform_string, index_maps
                       planar, shortest_string, string_to_boundary, torus)
 from .pauli import PauliString, from_string_path, multiply
 from .protocols import (BraidProgram, Coherence, DelayStep, EchoStep, StringStep,
-                        _dense_memory, _echo_pauli, _teleport_axis, braiding_programs,
+                        _dense_memory, _echo, _teleport_axis, braiding_programs,
                         run_interferometry)
 from .weyl import WeylString, weyl_braiding_phase
 
@@ -168,24 +168,19 @@ def random_braid_program(lattice: Lattice, rng) -> BraidProgram:
 
 # -- syndrome reference -------------------------------------------------------
 
-def syndrome_by_expectation(t: tb.Tableau, lattice: Lattice) -> tb.Syndrome:
+def syndrome_by_expectation(t: tb.Tableau, lattice: Lattice) -> frozenset:
     """Reference for tableau.syndrome: one full-tableau expectation per
     stabilizer."""
-    flipped_v = set()
-    flipped_f = set()
-    for v in range(lattice.n_vertices):
-        e = tb.expectation_pauli(t, PauliString.x_on(lattice.star(v)))
-        if e == 0:
-            raise ContractError(f"vertex stabilizer {v} has no definite value")
-        if e == -1:
-            flipped_v.add(v)
-    for f in range(lattice.n_faces):
-        e = tb.expectation_pauli(t, PauliString.z_on(lattice.boundary(f)))
-        if e == 0:
-            raise ContractError(f"face stabilizer {f} has no definite value")
-        if e == -1:
-            flipped_f.add(f)
-    return tb.Syndrome(frozenset(flipped_v), frozenset(flipped_f))
+    anyons = set()
+    for kind, supports, stabilizer in (("vertex", lattice.stars, PauliString.x_on),
+                                       ("face", lattice.boundaries, PauliString.z_on)):
+        for i, support in enumerate(supports):
+            e = tb.expectation_pauli(t, stabilizer(support))
+            if e == 0:
+                raise ContractError(f"{kind} stabilizer {i} has no definite value")
+            if e == -1:
+                anyons.add((kind, i))
+    return frozenset(anyons)
 
 
 # -- ground-state references ---------------------------------------------------
@@ -550,7 +545,7 @@ def interferometry_probe_reference(program: BraidProgram, initial: tb.Tableau
         if isinstance(step, StringStep):
             sv.apply_controlled_pauli(state, probe, from_string_path(step.path))
         elif isinstance(step, EchoStep):
-            sv.apply_pauli_string(state, _echo_pauli(lattice, step.kind))
+            sv.apply_pauli_string(state, _echo(lattice, step.kind)[0])
         else:
             sv.evolve_hsurf(state, lattice, u, j, step.t)
     half = 1 << probe

@@ -10,8 +10,8 @@ this convention
     Y     = i X Z     (phase exponent 1, bits (1, 1))
 
 and a product costs one phase unit of ``2 * (z_p . x_q)``.  This module
-adds only the qubit parts: letter constructors, Hermiticity, the text form
-and single-qubit Clifford basis changes.
+adds only the qubit parts: letter constructors, Hermiticity, the text form,
+single-qubit Clifford basis changes and the logical strings of a lattice.
 
 Text rendering uses the Hermitian letters, e.g. ``+i X3 Z7 Y12``: a phase
 prefix in {+, +i, -, -i} followed by LETTERindex tokens in ascending site
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import UsageError, require
-from .lattice import StringPath
+from .lattice import Lattice, StringPath, logical_operators
 from .weyl import WeylString, weyl_braiding_phase, weyl_multiply
 
 _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
@@ -141,6 +141,13 @@ def from_string_path(path: StringPath) -> PauliString:
     if path.kind == "z":
         return PauliString.z_on(path.edge_set)
     return PauliString.x_on(path.edge_set)
+
+
+def logical_strings(lattice: Lattice) -> tuple[tuple[PauliString, PauliString], ...]:
+    """The (Z~, X~) strings of each logical qubit (logical_operators' paths),
+    built once per lattice; callers share them."""
+    return lattice.memo("logical_strings", lambda: tuple(
+        (from_string_path(cz), from_string_path(cx)) for cz, cx in logical_operators(lattice)))
 
 
 def basis_change_conjugate(p: PauliString, rotation: str, qubits) -> PauliString:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,9 +26,8 @@ import numpy as np
 from . import statevector as sv
 from . import tableau as tb
 from .errors import ConfigurationError, ContractError, UsageError, require
-from .lattice import (ECHO_KINDS, Lattice, StringPath, echo_mask, index_maps,
-                      logical_operators, shortest_string)
-from .pauli import PauliString, commutation_phase, from_string_path, multiply
+from .lattice import ECHO_KINDS, Lattice, StringPath, echo_mask, index_maps, shortest_string
+from .pauli import PauliString, commutation_phase, from_string_path, logical_strings, multiply
 
 
 @dataclass(frozen=True)
@@ -102,25 +102,14 @@ class FringeCurve:
 
 
 def _echo(lattice: Lattice, kind: str) -> tuple[PauliString, frozenset]:
-    """The string of an echo kind and the anyons it creates, as
-    ("vertex", v) and ("face", f) pairs, built once per lattice."""
+    """The string of an echo kind and the anyons it creates
+    (tableau.created_syndrome), built once per lattice."""
     def build():
         mask = echo_mask(lattice, kind)
         p = PauliString.z_on(mask) if kind.startswith("z") else PauliString.x_on(mask)
-        return p, _anyons(lattice, p)
+        return p, tb.created_syndrome(lattice, p)
 
     return lattice.memo(("echo", kind), build)
-
-
-def _echo_pauli(lattice: Lattice, kind: str) -> PauliString:
-    return _echo(lattice, kind)[0]
-
-
-def _anyons(lattice: Lattice, p: PauliString) -> frozenset:
-    """S(p), the anyons p creates, as ("vertex", v) and ("face", f) pairs."""
-    c = tb.created_syndrome(lattice, p)
-    return frozenset({("vertex", v) for v in c.flipped_vertices}
-                     | {("face", f) for f in c.flipped_faces})
 
 
 def run_interferometry(program: BraidProgram, initial: tb.Tableau) -> Coherence:
@@ -146,16 +135,17 @@ def run_interferometry(program: BraidProgram, initial: tb.Tableau) -> Coherence:
     for step in program.steps:
         if isinstance(step, StringStep):
             p = from_string_path(step.path)
-            sign = math.prod(commutation_phase(p, _echo_pauli(lattice, kind)) for kind in odd)
+            sign = math.prod(commutation_phase(p, _echo(lattice, kind)[0]) for kind in odd)
             branch = multiply(p if sign > 0 else -p, branch)
         elif isinstance(step, EchoStep):
             odd ^= {step.kind}
             flipped ^= _echo(lattice, step.kind)[1]
         elif isinstance(step, DelayStep):
-            delays.append((step.t, _anyons(lattice, branch), flipped))
+            delays.append((step.t, tb.created_syndrome(lattice, branch), flipped))
         else:  # pragma: no cover
             raise UsageError(f"unknown step {step!r}")
-    read = sorted(set(_anyons(lattice, branch) if delays else ()).union(*(d for _, d, _ in delays)))
+    read = sorted(set(tb.created_syndrome(lattice, branch) if delays else ()).union(
+        *(d for _, d, _ in delays)))
     values = tb.expectations(initial, [branch, *(
         PauliString.x_on(lattice.star(i)) if kind == "vertex"
         else PauliString.z_on(lattice.boundary(i)) for kind, i in read)])
@@ -189,7 +179,7 @@ def run_interferometry_dense(program: BraidProgram, initial: tb.Tableau) -> Cohe
         if isinstance(step, StringStep):
             sv.apply_pauli_string(b1, from_string_path(step.path))
         elif isinstance(step, EchoStep):
-            p = _echo_pauli(lattice, step.kind)
+            p = _echo(lattice, step.kind)[0]
             sv.apply_pauli_string(b0, p)
             sv.apply_pauli_string(b1, p)
         else:
@@ -218,12 +208,14 @@ PROBE_STATES = {
 
 def prepare_probe(t: tb.Tableau, qubit: int, state: tuple[str, int]) -> tb.Tableau:
     """Rotate a |0> probe into the single-qubit stabilizer state (P, sign)."""
-    key = (state[0].upper(), int(state[1]))
-    if key not in PROBE_STATES:
-        raise UsageError(f"unknown probe state {state!r}")
+    try:
+        letter, sign = state
+        gates = PROBE_STATES[letter.upper(), int(require(sign, "sign", integer=True))]
+    except (AttributeError, KeyError, TypeError, ValueError):
+        raise UsageError(f"probe_state must be (X, Y or Z, +1 or -1), got {state!r}") from None
     if tb.expectation_pauli(t, PauliString.from_ops({qubit: "Z"})) != 1:
         raise ContractError("probe preparation expects the probe in |0>")
-    for g in PROBE_STATES[key]:
+    for g in gates:
         tb.apply_gate(t, g, qubit)
     return t
 
@@ -233,16 +225,6 @@ def probe_bloch(t: tb.Tableau, qubit: int) -> dict[str, int]:
     batch."""
     values = tb.expectations(t, [PauliString.from_ops({qubit: letter}) for letter in "XYZ"])
     return {letter: int(v.real) for letter, v in zip("XYZ", values)}
-
-
-def _logical_pair(lattice: Lattice) -> tuple[PauliString, PauliString]:
-    """The strings (Z~, X~) of the first logical pair, built once per
-    lattice."""
-    def build():
-        cz_path, cx_path = logical_operators(lattice)[0]
-        return from_string_path(cz_path), from_string_path(cx_path)
-
-    return lattice.memo("logical_pair", build)
 
 
 def swap_in(lattice: Lattice, t: tb.Tableau, probe_state: tuple[str, int] | None = None
@@ -256,10 +238,10 @@ def swap_in(lattice: Lattice, t: tb.Tableau, probe_state: tuple[str, int] | None
     probe = lattice.n_edges
     if t.n < probe + 1:
         raise UsageError("tableau has no probe qubit")
-    lz, lx = _logical_pair(lattice)
+    lz, lx = logical_strings(lattice)[0]
     if tb.expectation_pauli(t, lz) != 1:
         raise ContractError("swap_in expects memory in logical |0>")
-    if tb.syndrome(t, lattice).empty is False:
+    if tb.syndrome(t, lattice):
         raise ContractError("swap_in expects a ground-state memory")
     if probe_state is not None:
         prepare_probe(t, probe, probe_state)
@@ -281,7 +263,7 @@ def swap_out(lattice: Lattice, t: tb.Tableau) -> tb.Tableau:
         raise UsageError("tableau has no probe qubit")
     if tb.expectation_pauli(t, PauliString.from_ops({probe: "Z"})) != 1:
         raise ContractError("swap_out expects the probe in |0>")
-    lz, lx = _logical_pair(lattice)
+    lz, lx = logical_strings(lattice)[0]
     t.h(probe)
     tb.apply_controlled_string(t, probe, lz)
     t.h(probe)
@@ -292,17 +274,17 @@ def swap_out(lattice: Lattice, t: tb.Tableau) -> tb.Tableau:
 def _teleport_axis(lattice: Lattice, axis) -> tuple[PauliString, str]:
     """The rotation string of a teleport axis and its probe circuit: "plus"
     (probe in |+>) for "X" and for a Hermitian string, "zero" for "Z"."""
-    if not isinstance(axis, str):
+    if isinstance(axis, PauliString):
         if not axis.is_hermitian():
             raise UsageError("rotation axis string must be Hermitian")
         return axis, "plus"
-    lz, lx = _logical_pair(lattice)
-    key = axis.upper()
+    lz, lx = logical_strings(lattice)[0]
+    key = axis.upper() if isinstance(axis, str) else None
     if key == "X":
         return lx, "plus"
     if key == "Z":
         return lz, "zero"
-    raise UsageError(f"unknown axis {axis!r}")
+    raise UsageError(f"axis must be 'X', 'Z' or a Hermitian PauliString, got {axis!r}")
 
 
 def teleport_rotation(lattice: Lattice, memory: sv.StateVector, axis, theta: float,
@@ -323,12 +305,15 @@ def teleport_rotation(lattice: Lattice, memory: sv.StateVector, axis, theta: flo
     c psi + i s phi, normalised.  S~ is a Hermitian Pauli string, so S~ is
     unitary (|phi| = |psi|) and <psi|phi> is real; each outcome then has
     probability |psi|^2 / 2, whatever theta.  An unforced call compares one
-    rng.random() with that probability; a forced one draws nothing.  The
-    explicit-probe circuits are oracle.teleport_circuit_reference.
+    rng.random() with that probability; a forced or refused call draws
+    nothing.  The explicit-probe circuits are oracle.teleport_circuit_reference.
     """
     require(theta, "theta")
     if force_outcome not in (None, 1, -1):
         raise UsageError(f"force_outcome must be None, 1 or -1, got {force_outcome!r}")
+    if not isinstance(memory, sv.StateVector) or memory.n < lattice.n_edges:
+        raise UsageError(f"memory must be a StateVector on at least the lattice's "
+                         f"{lattice.n_edges} edge qubits, got {memory!r:.40}")
     string, _ = _teleport_axis(lattice, axis)
     psi = memory.amps
     phi = sv._pauli_action(memory, string)
@@ -349,17 +334,29 @@ def teleport_rotation(lattice: Lattice, memory: sv.StateVector, axis, theta: flo
 
 # -- geometric phase gate ----------------------------------------------------
 
+# |alpha_amp|, |beta_amp| bound: the loop's rounding residual stays near
+# 1e-12, far inside geometric_branch_phase's 1e-9 closure check
+MAX_DISPLACEMENT = 1e4
+
+
 @dataclass(frozen=True)
 class GeometricGateSpec:
     """Conditional-displacement gate data: D(-b|1><1|) D(-a e^{i pi S/2})
-    D(b|1><1|) D(a e^{i pi S/2}) with a = alpha_amp, b = beta_amp."""
+    D(b|1><1|) D(a e^{i pi S/2}), a = alpha_amp, b = beta_amp: |.| <= MAX_DISPLACEMENT."""
 
     alpha_amp: complex
     beta_amp: complex
 
+    def __post_init__(self):
+        for name in ("alpha_amp", "beta_amp"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Complex):  # require takes reals only
+                raise ConfigurationError(f"{name} must be a complex number, got {value!r}")
+            require(abs(value), f"|{name}|", le=MAX_DISPLACEMENT, error=ConfigurationError)
+
 
 def compose_displacements(displacements) -> tuple[complex, complex]:
-    """Scalar phase and endpoint of a displacement sequence.
+    """Scalar phase and endpoint of a sequence of finite complex displacements.
 
     D(a) D(b) = e^{i Im(a conj(b))} D(a + b), applied left to right in time
     order; the returned phase equals exp(2i x signed enclosed area) when the
@@ -368,8 +365,12 @@ def compose_displacements(displacements) -> tuple[complex, complex]:
     z = 0.0 + 0.0j
     phi = 0.0
     for d in displacements:
+        if not isinstance(d, numbers.Complex):
+            raise UsageError(f"displacements must be complex numbers, got {d!r}")
         phi += (d * z.conjugate()).imag
         z += d
+    if not (math.isfinite(phi) and cmath.isfinite(z)):
+        raise UsageError("displacements must be finite and keep the path finite")
     return cmath.exp(1j * phi), z
 
 
@@ -379,8 +380,9 @@ def geometric_branch_phase(spec: GeometricGateSpec, ancilla_bit: int, s: int) ->
     The four conditional displacements close exactly; non-closure marks a
     numerical error in reused integrator state.
     """
-    if s not in (1, -1):
-        raise UsageError("string eigenvalue must be +-1")
+    require(ancilla_bit, "ancilla_bit", integer=True, ge=0, le=1)
+    if require(s, "s", integer=True) not in (1, -1):
+        raise UsageError(f"string eigenvalue s must be +1 or -1, got {s!r}")
     d1 = spec.alpha_amp * cmath.exp(1j * math.pi * s / 2)
     d2 = spec.beta_amp if ancilla_bit else 0.0
     phase, endpoint = compose_displacements([d1, d2, -d1, -d2])
@@ -499,10 +501,13 @@ def braiding_programs(lattice: Lattice, delays: tuple[float, float, float] = (0,
     Both move a z-pair around a small z-loop and an x-particle around a
     vertex star, with the same step counts; in the tangled variant the
     x-loop encircles a vertex hosting a z-particle while it exists, so the
-    braiding contributes -1.  Delays are inserted between the four strings.
+    braiding contributes -1.  The three delays (>= 0) go between the strings.
     """
     ledger = ledger or tb.EnergyLedger()
-    t1, t2, t3 = delays
+    try:
+        t1, t2, t3 = (require(t, "delays", ge=0) for t in delays)
+    except (TypeError, ValueError):
+        raise UsageError(f"delays must be three waiting times >= 0, got {delays!r}") from None
 
     def interleave(l1, l2, l3, l4):
         steps = [StringStep(l1), DelayStep(t1), StringStep(l2), DelayStep(t2),

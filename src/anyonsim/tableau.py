@@ -31,7 +31,9 @@ rows by 2n columns) that hold them.  A segmented prefix XOR with a
 popcount gives every product's phase (the deterministic read of Aaronson
 and Gottesman, batched as in Gidney's Stim, Quantum 5, 497, 2021).
 syndrome reads every stabilizer in one batch, expectations any list of
-Paulis; expectation_phase and measurement read a batch of one.
+Paulis; expectation_phase and measurement read a batch of one.  Both
+syndrome and created_syndrome give a set of anyons as one frozenset of
+("vertex", v) and ("face", f) pairs, the stabilizers at -1.
 
 prepare_ground_state projects the stars with one row-greedy GF(2)
 Gauss-Jordan pass over the packed rows of the star incidence, kept in the
@@ -55,8 +57,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ContractError, UsageError, require
-from .lattice import Lattice, logical_operators
-from .pauli import PauliString, from_string_path
+from .lattice import Lattice
+from .pauli import PauliString, logical_strings
 
 _ONE = np.uint64(1)
 _BITS = _ONE << np.arange(64, dtype=np.uint64)
@@ -495,18 +497,6 @@ def _support_basis(t: Tableau) -> tuple[int, list[tuple[int, int, int]]]:
 
 
 @dataclass(frozen=True)
-class Syndrome:
-    """Stabilizers found at eigenvalue -1 (anyon positions)."""
-
-    flipped_vertices: frozenset[int]
-    flipped_faces: frozenset[int]
-
-    @property
-    def empty(self) -> bool:
-        return not self.flipped_vertices and not self.flipped_faces
-
-
-@dataclass(frozen=True)
 class EnergyLedger:
     """Couplings of H_surf = -U sum_v H_v - J sum_f H_f."""
 
@@ -518,9 +508,10 @@ class EnergyLedger:
             require(getattr(self, name), name, error=ConfigurationError)
 
 
-def syndrome(t: Tableau, lattice: Lattice) -> Syndrome:
-    """Anyon positions: stabilizers at -1.  The state must be an eigenstate
-    of every stabilizer (guaranteed after Pauli strings on eigenstates).
+def syndrome(t: Tableau, lattice: Lattice) -> frozenset:
+    """Anyon positions: the stabilizers at -1, as ("vertex", v) and
+    ("face", f) pairs.  The state must be an eigenstate of every stabilizer
+    (guaranteed after Pauli strings on eigenstates).
 
     Every stabilizer is read in one _group_phases batch, its targets built
     from the lattice's stars and boundaries (_stabilizer_targets;
@@ -538,9 +529,8 @@ def syndrome(t: Tableau, lattice: Lattice) -> Syndrome:
     if bad.size:
         kind, i = ("vertex", bad[0]) if bad[0] < n_v else ("face", bad[0] - n_v)
         raise ContractError(f"{kind} stabilizer {i} has no definite value")
-    flipped = np.flatnonzero(values == -1)
-    return Syndrome(frozenset(flipped[flipped < n_v].tolist()),
-                    frozenset((flipped[flipped >= n_v] - n_v).tolist()))
+    return frozenset(("vertex", i) if i < n_v else ("face", i - n_v)
+                     for i in np.flatnonzero(values == -1).tolist())
 
 
 def _stabilizer_targets(lattice: Lattice, n: int) -> tuple:
@@ -559,22 +549,23 @@ def _stabilizer_targets(lattice: Lattice, n: int) -> tuple:
             bits, np.zeros(len(groups), dtype=np.int64))
 
 
-def created_syndrome(lattice: Lattice, p: PauliString) -> Syndrome:
-    """The syndrome p creates on a state without anyons, the stabilizers it
-    anticommutes with, in O(|support of p|): a z bit on an edge meets the
-    vertex stabilizers at its ends, an x bit the faces beside it; boundary
-    ends (None) and sites past the lattice edges (ancillas) meet none."""
-    vertices, faces = set(), set()
+def created_syndrome(lattice: Lattice, p: PauliString) -> frozenset:
+    """The anyons p creates, the stabilizers it anticommutes with, so that
+    syndrome(p t) = syndrome(t) ^ created_syndrome(p), in O(|support of p|):
+    a z bit on an edge meets the vertex stabilizers at its ends, an x bit the
+    faces beside it; boundary ends (None) and sites past the lattice edges
+    (ancillas) meet none."""
+    anyons = set()
     for q, (xb, zb) in p.support.items():
         if q < 0:
             raise UsageError(f"Pauli site {q} is negative")
         if q >= lattice.n_edges:
             continue
         if zb:
-            vertices ^= {v for v in lattice.edge_vertices[q] if v is not None}
+            anyons ^= {("vertex", v) for v in lattice.edge_vertices[q] if v is not None}
         if xb:
-            faces ^= {f for f in lattice.edge_faces[q] if f is not None}
-    return Syndrome(frozenset(vertices), frozenset(faces))
+            anyons ^= {("face", f) for f in lattice.edge_faces[q] if f is not None}
+    return frozenset(anyons)
 
 
 def prepare_ground_state(lattice: Lattice, logical_sector=0, n_ancillas: int = 0,
@@ -611,7 +602,7 @@ def _sector_flips(lattice: Lattice, logical_sector) -> list[PauliString]:
     """The logical X strings that take the all-+1 logical Z sector to
     ``logical_sector``: an integer whose bit k is logical qubit k, or one
     0/1 per logical qubit."""
-    pairs = logical_operators(lattice)
+    pairs = logical_strings(lattice)
     if isinstance(logical_sector, numbers.Integral):
         require(logical_sector, "logical_sector", integer=True, ge=0,
                 le=2 ** len(pairs) - 1)
@@ -627,7 +618,7 @@ def _sector_flips(lattice: Lattice, logical_sector) -> list[PauliString]:
     if any(bit not in (0, 1) for bit in bits):
         raise UsageError(f"logical_sector bits must be 0 or 1, got {logical_sector!r}")
     # every logical Z commutes with the stars, so it reads +1 until flipped
-    return [from_string_path(cx_path) for bit, (_, cx_path) in zip(bits, pairs) if bit]
+    return [lx for bit, (_, lx) in zip(bits, pairs) if bit]
 
 
 def _star_tableau(n: int, stars) -> Tableau:

@@ -6,10 +6,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
+SELFTEST_TIMEOUT_S = 120  # the self-test takes a few seconds
 
 
 def test_benchmark_selftest():
-    result = subprocess.run([sys.executable, "bench/selftest.py"], cwd=ROOT,
-                            capture_output=True, text=True)
+    try:
+        result = subprocess.run([sys.executable, "bench/selftest.py"], cwd=ROOT,
+                                capture_output=True, text=True, timeout=SELFTEST_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"bench/selftest.py did not finish in {SELFTEST_TIMEOUT_S} s")
     assert result.returncode == 0, result.stdout + result.stderr

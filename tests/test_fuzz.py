@@ -57,6 +57,11 @@ def _noise_and_law(**fields):
     return df.sample_noise(model, lat.torus(2), 0).values, df.analytic_contrast(1.0, model)
 
 
+def _geometric_gate(**fields):
+    """The phase table report of one GeometricGateSpec."""
+    return pr.verify_geometric_gate(pr.GeometricGateSpec(**fields))
+
+
 def _entries():
     """name -> (call, factory of valid keyword arguments, {parameter: (kind,
     name in the message, extra out-of-range values)}); kind is "scalar" or
@@ -72,8 +77,8 @@ def _entries():
     def s(name=None, *extra):
         return ("scalar", name, extra)
 
-    def a(name=None):
-        return ("array", name, ())
+    def a(name=None, *extra):
+        return ("array", name, extra)
 
     return {
         "CavityParams": (_cavity_reads,
@@ -189,7 +194,28 @@ def _entries():
         "teleport_rotation": (pr.teleport_rotation,
                               lambda: dict(lattice=p2, memory=memory, axis="X", theta=0.3,
                                            force_outcome=1),
-                              {"theta": s(), "force_outcome": s()}),
+                              {"theta": s(), "force_outcome": s(),
+                               "axis": s(None, None, "Y", weyl.WeylString(3, 0, {0: (1, 0)}),
+                                         PauliString(1, {0: (0, 1)}))}),
+        "prepare_probe": (pr.prepare_probe,
+                          lambda: dict(t=tb.Tableau(1), qubit=0, state=("y", -1)),
+                          {"state": s("probe_state", ("X",), "Y", None, (1, 1), ("Z", 1.5),
+                                      ("W", 1), ("X", 0))}),
+        "GeometricGateSpec": (_geometric_gate, lambda: dict(alpha_amp=0.5, beta_amp=0.7 + 0.1j),
+                              {"alpha_amp": s(None, complex(math.nan, 1), 1e5j),
+                               "beta_amp": s(None, complex(0, math.inf), None)}),
+        "geometric_branch_phase": (pr.geometric_branch_phase,
+                                   lambda: dict(spec=pr.GeometricGateSpec(0.5, 0.7),
+                                                ancilla_bit=1, s=-1),
+                                   {"ancilla_bit": s(None, 2, 1.0), "s": s(None, 2, 1.0)}),
+        "compose_displacements": (pr.compose_displacements,
+                                  lambda: dict(displacements=[1.0, 1j, -1.0, -1j]),
+                                  {"displacements": a(None, ["a"], [1e300, 1e300j],
+                                                      [complex(1, math.nan)])}),
+        "braiding_programs": (pr.braiding_programs,
+                              lambda: dict(lattice=lat.torus(3), delays=(0.1, 0.0, 0.3)),
+                              {"delays": a(None, (0, 0), None, (math.nan, 0, 0), (0, -1, 0),
+                                           (0, 0, "1"), (0, 0, 0, 0))}),
     }
 
 

@@ -7,11 +7,13 @@ import pytest
 
 from anyonsim import lattice as lat
 from anyonsim import oracle
+from anyonsim import pauli
 from anyonsim import protocols as pr
 from anyonsim import statevector as sv
 from anyonsim import tableau as tb
 from anyonsim.errors import ConfigurationError, ContractError, UsageError
-from anyonsim.pauli import PauliString, from_string_path
+from anyonsim.pauli import PauliString, from_string_path, logical_strings
+from anyonsim.weyl import WeylString
 
 
 def test_reference_braids(torus4, torus4_ground, planar3):
@@ -57,7 +59,7 @@ def _excite(ground, lattice, rng):
         if isinstance(step, pr.StringStep):
             tb.apply_pauli_string(t, from_string_path(step.path))
         elif isinstance(step, pr.EchoStep):
-            tb.apply_pauli_string(t, pr._echo_pauli(lattice, step.kind))
+            tb.apply_pauli_string(t, pr._echo(lattice, step.kind)[0])
     return t
 
 
@@ -170,17 +172,35 @@ def test_echo_strings_built_once_per_kind_and_lattice(monkeypatch):
     assert pr.run_interferometry(prog, ground).alpha == alpha
     monkeypatch.setattr(tb, "created_syndrome", original)
     for kind in kinds:
-        assert sum(p == pr._echo_pauli(lattice, kind) for p in calls) == 1, kind
+        assert sum(p == pr._echo(lattice, kind)[0] for p in calls) == 1, kind
     assert abs(alpha - pr.run_interferometry_dense(prog, ground).alpha) < 1e-10
 
 
-def test_logical_pair_built_once_per_lattice():
-    lattice = lat.planar(3)
-    first, again = pr._logical_pair(lattice), pr._logical_pair(lattice)
-    assert all(a is b for a, b in zip(first, again))
-    cz, cx = lat.logical_operators(lattice)[0]
-    assert first == (from_string_path(cz), from_string_path(cx))
-    assert pr._logical_pair(lat.planar(3))[0] is not first[0]
+def test_logical_pair_built_once_per_lattice(monkeypatch):
+    # pauli.logical_strings builds the (Z~, X~) strings of a lattice once;
+    # the ground state, the SWAP circuits and the teleport read them as built
+    planar3, torus3 = lat.planar(3), lat.torus(3)
+    for lattice in (planar3, torus3):
+        strings = logical_strings(lattice)
+        assert logical_strings(lattice) is strings
+        assert strings == tuple((from_string_path(cz), from_string_path(cx))
+                                for cz, cx in lat.logical_operators(lattice))
+    assert logical_strings(lat.planar(3))[0][0] is not logical_strings(planar3)[0][0]
+
+    def rebuilt(lattice):
+        raise AssertionError("the logical strings were built again")
+
+    flips, apply = [], tb.apply_pauli_string
+    monkeypatch.setattr(pauli, "logical_operators", rebuilt)
+    monkeypatch.setattr(tb, "apply_pauli_string", lambda t, p: flips.append(p) or apply(t, p))
+    # sector 0b10: the second logical qubit of the torus flipped by its X~
+    tb.prepare_ground_state(torus3, 2)
+    assert len(flips) == 1 and flips[0] is logical_strings(torus3)[1][1]
+    t = tb.prepare_ground_state(planar3, 0, n_ancillas=1)
+    pr.swap_out(planar3, pr.swap_in(planar3, t, probe_state=("X", -1)))
+    assert pr.probe_bloch(t, planar3.n_edges)["X"] == -1
+    memory = sv.from_tableau(tb.prepare_ground_state(planar3, 1))
+    pr.teleport_rotation(planar3, memory, "Z", 0.3, force_outcome=1)
 
 
 @pytest.mark.parametrize("n_ancillas", [3, 2000])
@@ -216,7 +236,7 @@ def test_delay_phase_is_the_energy_gap(planar2, planar2_ground):
     # edge 4 is the interior edge of planar(2): Z there flips both vertices
     t = planar2_ground.clone()
     tb.apply_pauli_string(t, PauliString.z_on([4]))
-    assert tb.syndrome(t, planar2).flipped_vertices == frozenset({0, 1})
+    assert tb.syndrome(t, planar2) == {("vertex", 0), ("vertex", 1)}
     assert phase_gap("ZEDGES 4; DELAY 0.3; ZEDGES 4") == pytest.approx(4 * 1.3)
     # dense gap oracle with a z-pair plus an x-pair (Y on the interior edge)
     dim = 1 << planar2.n_edges
@@ -238,7 +258,7 @@ def test_delay_phase_is_the_energy_gap(planar2, planar2_ground):
     # a boundary edge instead creates a single anyon (planar absorption)
     t3 = planar2_ground.clone()
     tb.apply_pauli_string(t3, PauliString.z_on([0]))
-    assert len(tb.syndrome(t3, planar2).flipped_vertices) == 1
+    assert [kind for kind, _ in tb.syndrome(t3, planar2)] == ["vertex"]
     assert phase_gap("ZEDGES 0; DELAY 0.3; ZEDGES 0") == pytest.approx(2 * uu)
 
 
@@ -292,6 +312,24 @@ def test_swap_roundtrip_all_states(planar2):
         assert pr.probe_bloch(t, probe)["Z"] == 1  # probe returned to |0>
         pr.swap_out(planar2, t)
         assert pr.probe_bloch(t, probe)[state[0]] == state[1]
+
+
+def test_probe_state_is_checked(planar2):
+    # anything but a (letter, +-1) pair names probe_state and leaves the
+    # probe in |0> (swap_in reads None as "no state to write"); the letter
+    # may be lower case
+    probe = planar2.n_edges
+    for state in (("X",), "Y", None, (1, 1), ("Z", 1.5), ("Z", 0), ("W", 1), ("X", 1, 1)):
+        t = tb.prepare_ground_state(planar2, 0, n_ancillas=1)
+        with pytest.raises(UsageError, match="probe_state"):
+            pr.prepare_probe(t, probe, state)
+        if state is not None:
+            with pytest.raises(UsageError, match="probe_state"):
+                pr.swap_in(planar2, t, probe_state=state)
+        assert pr.probe_bloch(t, probe) == {"X": 0, "Y": 0, "Z": 1}
+    t = tb.prepare_ground_state(planar2, 0, n_ancillas=1)
+    pr.swap_out(planar2, pr.swap_in(planar2, t, probe_state=("y", np.int64(-1))))
+    assert pr.probe_bloch(t, probe)["Y"] == -1
 
 
 def test_swap_in_writes_logical(planar2):
@@ -443,6 +481,22 @@ def test_teleport_checks_qubit_range_before_drawing(planar2, planar2_ground):
         assert np.array_equal(memory.amps, before)
 
 
+def test_teleport_checks_axis_and_memory_before_drawing(planar2, planar2_ground):
+    memory = sv.from_tableau(planar2_ground)
+    before = memory.amps.copy()
+    rng = np.random.default_rng(11)
+    state = rng.bit_generator.state
+    for axis in (3, None, "Y", WeylString(3, 0, {0: (1, 0)})):
+        with pytest.raises(UsageError, match="axis"):
+            pr.teleport_rotation(planar2, memory, axis, 0.4, rng=rng)
+    # a planar:2 memory (5 qubits) is no memory of a torus:2 lattice (8 edges)
+    for lattice, bad in ((lat.torus(2), memory), (planar2, memory.amps), (planar2, None)):
+        with pytest.raises(UsageError, match="memory"):
+            pr.teleport_rotation(lattice, bad, "X", 0.4, rng=rng)
+    assert rng.bit_generator.state == state
+    assert np.array_equal(memory.amps, before)
+
+
 def test_teleport_zero_memory_is_a_contract_error(planar2):
     zero = sv.StateVector(planar2.n_edges, np.zeros(1 << planar2.n_edges, dtype=complex))
     for outcome in (1, -1):
@@ -515,6 +569,27 @@ def test_verify_geometric_gate():
     rep = pr.verify_geometric_gate(pr.GeometricGateSpec(0.5, 0.7))
     assert rep.rotation_angle == pytest.approx(-0.7)
     assert rep.rotation_claimed_product == pytest.approx(0.35)
+
+
+def test_geometric_gate_and_layout_inputs_are_checked(torus4):
+    for bad in (math.nan, complex(0, math.inf), "1", 1e5):
+        with pytest.raises(ConfigurationError, match="alpha_amp"):
+            pr.GeometricGateSpec(bad, 1.0)
+        with pytest.raises(ConfigurationError, match="beta_amp"):
+            pr.GeometricGateSpec(1.0, bad)
+    spec = pr.GeometricGateSpec(0.5, 0.7)
+    for bit in (2, math.nan, -1, 0.5):
+        with pytest.raises(UsageError, match="ancilla_bit"):
+            pr.geometric_branch_phase(spec, bit, 1)
+    for s in (0, 2, 1.0, math.nan):
+        with pytest.raises(UsageError, match=r"\bs\b"):
+            pr.geometric_branch_phase(spec, 1, s)
+    for ds in (["a"], [1.0, None], [complex(1, math.nan)], [1e300, 1e300j]):
+        with pytest.raises(UsageError, match="displacements"):
+            pr.compose_displacements(ds)
+    for delays in ((0, 0), None, (0, 0, 0, 0), (math.nan, 0, 0), (0, -1, 0), (0, 0, "1")):
+        with pytest.raises(UsageError, match="delays"):
+            pr.braiding_programs(torus4, delays)
 
 
 def test_displacement_composition_shoelace():
