@@ -33,12 +33,18 @@ pulses and read at its checkpoints.  The grid is evolved in pieces, so
 the step stacks stay bounded.  The closed forms read a NoiseModel.
 
 Monte Carlo: contrast_curve builds and checks the whole schedule family
-before the first trial.  It samples the noise of each trial from its own
-stream straight into that trial's row of one buffer for a chunk of trials
+before the first trial.  A step reads only the cell at its midpoint, so
+the noise is sampled on cells of a step's length, k model.dt with k =
+max(1, floor(dt / model.dt)): a stationary series sampled at spacing
+k model.dt has the kernel's covariance at those lags, which the circulant
+embedding reproduces exactly, and at k = 1 every stream is the one
+sample_noise draws for the model.  The resolution check reads model.dt,
+the size and non-negativity checks the sampled grid.  It samples the
+noise of each trial from its own stream straight into that trial's row of one buffer for a chunk of trials
 (its noise and run frame states under _NOISE_BYTES, and one step of the
 chunk under _STACK_BYTES) and evolves the chunk together: one integrator
-pass over the shared grid carries the no-pulse schedule over the whole
-delay grid and each pulsed train at each delay.
+pass over the shared grid, one cell per step, carries the no-pulse
+schedule over the whole delay grid and each pulsed train at each delay.
 """
 
 from __future__ import annotations
@@ -99,6 +105,9 @@ class NoiseRealization:
     values: np.ndarray  # (n_edges, n_steps), or (trials, n_edges, n_steps)
     dt: float
 
+    def __post_init__(self):
+        require(self.dt, "dt", gt=0, error=ConfigurationError)
+
     @property
     def n_steps(self) -> int:
         return self.values.shape[-1]
@@ -138,18 +147,24 @@ def _embedded_span(model: NoiseModel, n_steps: int) -> int:
     return 2 * n_steps + int(math.ceil(8.0 * model.tau_c / model.dt))
 
 
-def _check_noise(model: NoiseModel, lattice: Lattice, span: str = "duration") -> None:
-    """The sampler's preconditions: the time step, the realization size and
-    the embedding length (``span`` names what set the duration)."""
+def _check_noise(model: NoiseModel, lattice: Lattice, span: str = "duration",
+                 sampled: NoiseModel | None = None) -> None:
+    """The sampler's preconditions: the time step of ``model`` resolves
+    tau_c, and the grid that is sampled, ``sampled`` (by default ``model``
+    itself), fits: its realization size and embedding length (``span``
+    names what set the duration)."""
     if model.dt > model.tau_c / 20 + 1e-15:
         raise ConfigurationError("sampler needs dt <= tau_c / 20")
-    n_steps, embedded = model.n_steps, _embedded_span(model, model.n_steps)
+    sampled = sampled or model
+    n_steps = embedded = math.inf  # counts beyond the float range
+    if math.isfinite(max(sampled.duration, 8.0 * sampled.tau_c) / sampled.dt):
+        n_steps, embedded = sampled.n_steps, _embedded_span(sampled, sampled.n_steps)
     if n_steps * lattice.n_edges > 200_000_000 or embedded > _MAX_EMBEDDING:
         raise ConfigurationError(
-            f"noise realization too large: {span} {model.duration!r} and tau_c "
-            f"{model.tau_c!r} over dt {model.dt!r} need {n_steps} samples on each of "
-            f"{lattice.n_edges} edges and an embedding of {embedded} (at most 200000000 "
-            f"in all and {_MAX_EMBEDDING})")
+            f"noise realization too large: {span} {sampled.duration!r} and tau_c "
+            f"{sampled.tau_c!r} on cells of {sampled.dt!r} need {n_steps} samples on each "
+            f"of {lattice.n_edges} edges and an embedding of {embedded} (at most "
+            f"200000000 in all and {_MAX_EMBEDDING})")
 
 
 def sample_noise(model: NoiseModel, lattice: Lattice, seed, *,
@@ -164,6 +179,8 @@ def sample_noise(model: NoiseModel, lattice: Lattice, seed, *,
     values[e] depends only on (seed, e, model).  With u = sqrt_lam a and
     v = sqrt_lam b, that real part is Re rfft(g) - Im rfft(g) for the real
     g = even(u) + odd(v), so each edge takes one length-L real FFT.
+    contrast_curve draws through the same body on cells of k model.dt (see
+    there), so at k = 1 its streams are this function's.
 
     seed: an integer >= 0 or a sequence of them.  out: a float64 array of
     shape (n_edges, n_steps) that receives the series and becomes the
@@ -172,12 +189,21 @@ def sample_noise(model: NoiseModel, lattice: Lattice, seed, *,
     _check_noise(model, lattice)
     seed_list = [int(require(s, "seed", integer=True, ge=0))
                  for s in np.asarray(seed, dtype=object).ravel()]
-    n_steps = model.n_steps
-    shape = (lattice.n_edges, n_steps)
-    if out is None:
-        out = np.empty(shape)
-    elif out.shape != shape or out.dtype != np.float64:
+    shape = (lattice.n_edges, model.n_steps)
+    if out is not None and (out.shape != shape or out.dtype != np.float64):
         raise UsageError(f"out must be a float64 array of shape {shape}")
+    return _sample_noise(model, lattice, seed_list, out=out)
+
+
+def _sample_noise(model: NoiseModel, lattice: Lattice, seed: list, *,
+                  out: np.ndarray | None = None) -> NoiseRealization:
+    """The body of ``sample_noise`` without its checks: ``seed`` a list of
+    integers >= 0, ``out`` None or a float64 array of shape (n_edges,
+    n_steps).  The embedding's non-negativity is still checked on every
+    call."""
+    n_steps = model.n_steps
+    if out is None:
+        out = np.empty((lattice.n_edges, n_steps))
     if model.xi_h == 0.0:
         out.fill(0.0)
         return NoiseRealization(out, model.dt)
@@ -191,7 +217,7 @@ def sample_noise(model: NoiseModel, lattice: Lattice, seed, *,
     g = np.empty(length)
     spec = np.empty(length // 2 + 1, dtype=np.complex128)
     for e in range(lattice.n_edges):
-        np.random.default_rng(seed_list + [e]).standard_normal(out=draws)
+        np.random.default_rng([*seed, e]).standard_normal(out=draws)
         draws *= sqrt_lam
         g[0] = 2.0 * u[0]
         np.subtract(v[1:], v[:0:-1], out=g[1:])
@@ -341,14 +367,24 @@ _MAX_STEP_PHASE = 2.0 ** 20
 _MAX_ROW_SUM = 2.0 ** 30
 
 
+def _cells_per_step(cell: float, dt: float) -> int:
+    """Whole cells of the field in one step of length dt: max(1, floor(dt /
+    cell)), the ratio rounded with a tolerance; a ratio beyond the float
+    range is a UsageError naming dt."""
+    ratio = dt / cell + 1e-9
+    if not math.isfinite(ratio):
+        raise UsageError(f"dt over the field's cell of {cell!r} must be a finite float, "
+                         f"got dt {dt!r}")
+    return max(1, math.floor(ratio))
+
+
 def _step_grid(cell: float, dt: float, events: np.ndarray, tol: float,
                last: float) -> np.ndarray:
     """Sorted step boundaries from 0 to events[-1]: the event times plus a
-    grid of steps of max(1, floor(dt / cell)) whole cells of the field (the
-    ratio rounded with a tolerance); grid points within tol of an event, or
-    more than tol past ``last``, where the field's last sample starts to
-    hold, are dropped."""
-    width = cell * max(1, math.floor(dt / cell + 1e-9))
+    grid of steps of ``_cells_per_step`` whole cells of the field; grid
+    points within tol of an event, or more than tol past ``last``, where the
+    field's last sample starts to hold, are dropped."""
+    width = cell * _cells_per_step(cell, dt)
     grid = width * np.arange(1, math.ceil(min(events[-1], last + tol) / width) + 1)
     grid = grid[(grid < events[-1] - tol) & (grid <= last + tol)]
     at = np.searchsorted(events, grid)  # events[at - 1] < grid <= events[at]
@@ -598,10 +634,15 @@ def contrast_curve(lattice: Lattice, model: NoiseModel, schedule_family,
     schedules share one noise realization; the contrast sample is the
     product over particles of |survival| ("amplitude" estimator) or
     |survival|^2 ("probability").  Deterministic per seed, an integer >= 0:
-    trial k uses the noise stream (seed, k).
+    trial t uses the noise stream (seed, t).
+
+    dt (default ``default_dt(model)``) sets the step, k = max(1, floor(dt
+    / model.dt)) cells of the model, split at every pulse and checkpoint;
+    the noise is sampled on cells of k model.dt, so at k = 1 the stream
+    (seed, t) is unchanged, the one ``sample_noise`` draws for the model.
     """
     require(n_trials, "n_trials", integer=True, ge=1)
-    require(seed, "seed", integer=True, ge=0)
+    seed = int(require(seed, "seed", integer=True, ge=0))
     if estimator not in ("amplitude", "probability"):
         raise UsageError("estimator must be 'amplitude' or 'probability'")
     taus = np.sort(_delays(tau_grid, "tau_grid"))
@@ -616,8 +657,9 @@ def contrast_curve(lattice: Lattice, model: NoiseModel, schedule_family,
     if model.xi_h * step > _MAX_STEP_PHASE:
         raise ConfigurationError(f"xi_h * dt must be <= 2^20 (the field's phase over one "
                                  f"step), got xi_h {model.xi_h!r} and dt {step!r}")
-    run_model = NoiseModel(model.xi_h, model.tau_c, model.dt,
-                           max(t_max, model.dt) * (1 + 1e-12))
+    # the noise is sampled on the cells of the steps, k of the model's each
+    cell = _cells_per_step(model.dt, dt) * model.dt
+    run_model = NoiseModel(model.xi_h, model.tau_c, cell, max(t_max, cell) * (1 + 1e-12))
     dyn = _SectorDynamics(lattice, sector)
     columns = np.zeros((dyn.n_cells, len(cells)))
     for j, c in enumerate(cells):
@@ -643,7 +685,7 @@ def contrast_curve(lattice: Lattice, model: NoiseModel, schedule_family,
     # the trials of a chunk are evolved together, each sampled straight into
     # its row of one buffer that every chunk reuses (allocated once the
     # sampler's checks have passed)
-    _check_noise(run_model, lattice, "tau_grid's longest delay tau")
+    _check_noise(model, lattice, "tau_grid's longest delay tau", sampled=run_model)
     per_trial = 8 * lattice.n_edges * run_model.n_steps + 16 * columns.size * len(runs)
     chunk = min(n_trials, max(1, min(_NOISE_BYTES // per_trial,
                                      _STACK_BYTES // (8 * dyn.n_cells * dyn.n_cells))))
@@ -652,7 +694,7 @@ def contrast_curve(lattice: Lattice, model: NoiseModel, schedule_family,
     for lo in range(0, n_trials, chunk):
         trials = range(lo, min(lo + chunk, n_trials))
         for i, trial in enumerate(trials):
-            sample_noise(run_model, lattice, [seed, trial], out=values[i])
+            _sample_noise(run_model, lattice, [seed, trial], out=values[i])
         realization = NoiseRealization(values[:len(trials)], run_model.dt)
         psi = np.broadcast_to(columns, (len(trials), *columns.shape))
         reads = iter(_evolve_runs(dyn, realization, runs, psi, dt,

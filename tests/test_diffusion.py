@@ -360,6 +360,30 @@ def test_contrast_curve_basics(torus4):
                           estimator="median")
 
 
+def test_extreme_step_ratios_rejected(torus4):
+    # dt / model.dt = 1e310 is beyond the float range: a UsageError naming
+    # dt, not an OverflowError, from contrast_curve and from evolve_anyon
+    model = df.NoiseModel(xi_h=0.0, tau_c=1.0, dt=1e-300, duration=1.0)
+    with pytest.raises(UsageError, match=r"\bdt\b"):
+        df.contrast_curve(torus4, model, [("none", 0)], [1.0], 1, 1, 0, dt=1e10)
+    field = df.NoiseRealization(np.zeros((torus4.n_edges, 1)), 1e-300)
+    with pytest.raises(UsageError, match=r"\bdt\b"):
+        df.evolve_anyon(torus4, field, df.build_echo_schedule("none", 1.0), 0, "x", dt=1e10)
+    # a field's cell must be finite and > 0: the step grid divides by it
+    for cell in (0.0, -0.05, math.nan):
+        with pytest.raises(ConfigurationError, match=r"\bdt\b"):
+            df.NoiseRealization(np.zeros((torus4.n_edges, 1)), cell)
+    # a sample count duration / dt of 1e310 is too large for the size check
+    with pytest.raises(ConfigurationError, match="too large"):
+        df.sample_noise(df.NoiseModel(0.0, 1.0, 1e-300, 1e10), torus4, 0)
+    with pytest.raises(ConfigurationError, match="too large"):
+        df.contrast_curve(torus4, model, [("none", 0)], [1e10], 1, 1, 0, dt=1e-300)
+    # at dt = 1 (1e300 cells of the model) the sampled grid holds two
+    # cells, so the size check, which reads that grid, lets the run through
+    est, = df.contrast_curve(torus4, model, [("none", 0)], [1.0], 1, 1, 0, dt=1.0)
+    assert est.mean[0] == 1.0
+
+
 def _diffusion_calls(lattice):
     """Each checked diffusion entry point with valid keyword arguments."""
     model = df.NoiseModel(xi_h=1.0, tau_c=1.0, dt=0.05, duration=1.0)
@@ -426,7 +450,7 @@ def test_bad_diffusion_inputs_rejected(entry, param, value, torus4, monkeypatch)
     def no_noise(*args, **kwargs):
         raise AssertionError("noise sampled before the inputs were checked")
 
-    monkeypatch.setattr(df, "sample_noise", no_noise)
+    monkeypatch.setattr(df, "_sample_noise", no_noise)
     fn, kwargs = _diffusion_calls(torus4)[entry]
     kwargs[param] = value
     with warnings.catch_warnings():
@@ -448,7 +472,7 @@ def test_schedules_checked_before_noise(torus4, monkeypatch):
     def no_noise(*args):
         raise AssertionError("noise sampled before the family was checked")
 
-    monkeypatch.setattr(df, "sample_noise", no_noise)
+    monkeypatch.setattr(df, "_sample_noise", no_noise)
     model = df.NoiseModel(xi_h=1.0, tau_c=1.0, dt=0.05, duration=1.0)
     for family, taus in (([("none", 0), ("bogus", 1)], [1.0]),
                          ([("z_pairs", 0)], [1.0]), ([("nested", 0)], [0.0])):
@@ -544,8 +568,8 @@ def test_trial_chunks_match_one_trial_chunks(torus4, planar3, monkeypatch):
                                     [1, 2], 5, 1, 6, sector="z", estimator="probability"))
 
     seeds = []
-    sample_noise = df.sample_noise
-    monkeypatch.setattr(df, "sample_noise",
+    sample_noise = df._sample_noise
+    monkeypatch.setattr(df, "_sample_noise",
                         lambda model, lattice, seed, **kw: seeds.append(seed)
                         or sample_noise(model, lattice, seed, **kw))
     batched = curves()
@@ -560,20 +584,25 @@ def test_trial_chunks_match_one_trial_chunks(torus4, planar3, monkeypatch):
 
 
 def test_trial_chunk_memory_bounded(torus4):
-    # 16 trials of ~1 MiB of noise each: stacked whole they would take 16 MiB,
-    # but the chunks of two trials share one buffer
+    # one cell per step: 16 trials of ~1 MiB of noise each, stacked whole
+    # they would take 16 MiB, but the chunks of two trials share one buffer.
+    # 200 cells per step: the noise is sampled on cells 200 times as long,
+    # and all 16 trials fit in one chunk
     model = df.NoiseModel(xi_h=0.5, tau_c=0.05, dt=0.0025, duration=10.0)
-    per_trial = 8 * torus4.n_edges * model.n_steps
-    assert df._NOISE_BYTES // per_trial == 2
-    tracemalloc.start()
-    try:
-        est, = df.contrast_curve(torus4, model, [("none", 0)], [10.0], 16, 1, 1,
-                                 estimator="probability", dt=0.5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert 0.0 < est.mean[0] < 1.0
-    assert peak < 3 * df._NOISE_BYTES, peak
+    for cells, chunk in ((1, 2), (200, 16)):
+        dt = cells * model.dt
+        sampled = df.NoiseModel(model.xi_h, model.tau_c, dt, model.duration)
+        per_trial = 8 * torus4.n_edges * sampled.n_steps
+        assert min(16, df._NOISE_BYTES // per_trial) == chunk, cells
+        tracemalloc.start()
+        try:
+            est, = df.contrast_curve(torus4, model, [("none", 0)], [10.0], 16, 1, 1,
+                                     estimator="probability", dt=dt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < est.mean[0] < 1.0, cells
+        assert peak < 3 * df._NOISE_BYTES, (cells, peak)
 
 
 def test_trial_chunk_step_stack_bounded(monkeypatch):
@@ -657,7 +686,7 @@ def test_cell_grid_matches_fine_noise_reference(torus4, monkeypatch):
     # the two agree to about 1e-3
     fine_dt = 0.05 / 11
     fine_model = df.NoiseModel(xi_h=1.0, tau_c=10.0, dt=fine_dt, duration=9.1)
-    sample_noise = df.sample_noise
+    sample_noise = df._sample_noise
     fine = {}
 
     def from_fine(model, lattice, seed, *, out):
@@ -667,7 +696,7 @@ def test_cell_grid_matches_fine_noise_reference(torus4, monkeypatch):
         out[:] = values[:, :out.shape[-1]]
         return df.NoiseRealization(out, model.dt)
 
-    monkeypatch.setattr(df, "sample_noise", from_fine)
+    monkeypatch.setattr(df, "_sample_noise", from_fine)
     kw = dict(n_trials=16, n_particles=2, seed=11)
     coarse_model = df.NoiseModel(xi_h=1.0, tau_c=10.0, dt=0.05, duration=9.0)
     coarse, = df.contrast_curve(torus4, coarse_model, [("z_pairs", 4)], [9.0], **kw)
@@ -712,19 +741,106 @@ def test_trial_chunk_frame_states_bounded(torus4):
     assert peak < 2 * df._NOISE_BYTES, peak
 
 
+def fast_noise_checks(lattice, seed):
+    """The checks of test_fast_noise_against_master_equation at a seed: per
+    delay, whether the survival probability lies within max(4 stderr, 0.02)
+    of the master equation; and (the means, the reference)."""
+    model = df.NoiseModel(xi_h=0.5, tau_c=0.05, dt=0.0025, duration=1.0)
+    gamma = model.diffusion_rate()
+    taus = np.array([0.1, 0.25, 0.5, 0.75, 1.0]) / gamma
+    est, = df.contrast_curve(lattice, model, [("none", 0)], taus, n_trials=60,
+                             n_particles=1, seed=seed, estimator="probability",
+                             dt=model.tau_c / 4)
+    reference = df.master_equation_survival(4, gamma, taus)
+    dev = np.abs(est.mean - reference)
+    return dev < np.maximum(4 * est.stderr, 0.02), (est.mean, reference)
+
+
 def test_fast_noise_against_master_equation(torus4):
     # the true fast-noise law: classical hopping with rate Gamma per edge,
     # return contributions included (see the published-formula discussion
     # in the acceptance suite)
-    model = df.NoiseModel(xi_h=0.5, tau_c=0.05, dt=0.0025, duration=1.0)
-    gamma = model.diffusion_rate()
-    taus = np.array([0.1, 0.25, 0.5, 0.75, 1.0]) / gamma
-    est, = df.contrast_curve(torus4, model, [("none", 0)], taus, n_trials=60,
-                             n_particles=1, seed=42, estimator="probability",
-                             dt=model.tau_c / 4)
-    reference = df.master_equation_survival(4, gamma, taus)
-    dev = np.abs(est.mean - reference)
-    assert np.all(dev < np.maximum(4 * est.stderr, 0.02)), (est.mean, reference)
+    ok, detail = fast_noise_checks(torus4, seed=42)
+    assert np.all(ok), detail
+
+
+# the criterion-6 noise with its integrator step of tau_c / 4: 5 cells
+COARSE_MODEL = df.NoiseModel(xi_h=0.5, tau_c=0.05, dt=0.0025, duration=2.01)
+COARSE_DT = COARSE_MODEL.tau_c / 4
+
+
+def _recorded_noise(call):
+    """(the value of ``call()``, [(seed, series)] for each trial whose noise
+    contrast_curve sampled during the call)."""
+    sample, fields = df._sample_noise, []
+
+    def record(model, lattice, seed, *, out):
+        realization = sample(model, lattice, seed, out=out)
+        fields.append((seed, out.copy()))
+        return realization
+
+    df._sample_noise = record
+    try:
+        return call(), fields
+    finally:
+        df._sample_noise = sample
+
+
+def test_coarse_noise_matches_circulant_reference(torus4):
+    # at 5 cells per step, contrast_curve samples trial t's noise on cells
+    # of 5 model.dt: the circulant-embedding series of that coarse model
+    # from the stream (seed, t), and each trial integrates that field as
+    # evolve_anyon does on one-cell steps
+    model, dt, tau, seed = COARSE_MODEL, COARSE_DT, COARSE_MODEL.duration, 13
+    assert df._cells_per_step(model.dt, dt) == 5
+    sched = df.build_echo_schedule("z_pairs", tau, 1)
+    (est,), fields = _recorded_noise(lambda: df.contrast_curve(
+        torus4, model, [("z_pairs", 1)], [tau], 2, 1, seed, dt=dt))
+    coarse = df.NoiseModel(model.xi_h, model.tau_c, 5 * model.dt, tau)
+    cell = df.spread_cells(torus4, "x", 1)[0]
+    survival = []
+    for t, (trial_seed, values) in enumerate(fields):
+        assert trial_seed == [seed, t]
+        reference = oracle.circulant_noise_reference(coarse, torus4, [seed, t])
+        assert values.shape == reference.shape == (torus4.n_edges, coarse.n_steps)
+        assert np.max(np.abs(values - reference)) <= 1e-12
+        state = df.evolve_anyon(torus4, df.NoiseRealization(reference, coarse.dt), sched,
+                                cell, "x", dt)
+        survival.append(abs(state[cell]))
+    assert len(fields) == 2
+    assert abs(est.mean[0] - np.mean(survival)) <= 1e-12, (est.mean, survival)
+
+
+COARSE_LAGS = (0, 1, 2, 4, 8)
+
+
+def coarse_noise_law_checks(lattice, seed):
+    """The checks of test_coarse_noise_law at a seed.  contrast_curve at 5
+    cells per step samples the noise of 64 trials, each on every edge;
+    per lag j in COARSE_LAGS, whether the mean lag-j product of those
+    series lies within 3 standard errors of xi_h^2 exp(-(j 5 dt / tau_c)^2),
+    then whether their mean lies within 3 of 0; and the estimates."""
+    model = COARSE_MODEL
+    _, fields = _recorded_noise(lambda: df.contrast_curve(
+        lattice, model, [("none", 0)], [1.0], 64, 1, seed, dt=COARSE_DT))
+    series = np.concatenate([values for _, values in fields])
+    cell = 5 * model.dt
+    ok, detail = [], []
+    for j in COARSE_LAGS:
+        products = np.mean(series[:, :series.shape[1] - j] * series[:, j:], axis=1)
+        est, se = products.mean(), products.std(ddof=1) / math.sqrt(products.size)
+        target = model.xi_h ** 2 * math.exp(-(j * cell / model.tau_c) ** 2)
+        ok.append(abs(est - target) < 3 * se)
+        detail.append((j, est, target, se))
+    means = series.mean(axis=1)
+    ok.append(abs(means.mean()) < 3 * means.std(ddof=1) / math.sqrt(means.size))
+    detail.append(("mean", means.mean()))
+    return np.array(ok), detail
+
+
+def test_coarse_noise_law(torus4):
+    ok, detail = coarse_noise_law_checks(torus4, seed=5)
+    assert np.all(ok), detail
 
 
 def test_echo_filter_oracle_matches_mc(torus4):
