@@ -13,8 +13,7 @@ from .errors import ConfigurationError, ContractError, UsageError
 from .lattice import (Lattice, LatticeSpec, StringPath, build_lattice,
                       crossing_parity, deform_string, degeneracy,
                       logical_operators, planar, shortest_string, torus)
-from .pauli import PauliString, basis_change_conjugate, commutation_phase, \
-    from_string_path, multiply
+from .pauli import PauliString, commutation_phase, from_string_path, multiply
 from .weyl import WeylString, weyl_braiding_phase, weyl_gate_count, weyl_multiply
 
 __all__ = [
@@ -22,7 +21,7 @@ __all__ = [
     "Lattice", "LatticeSpec", "StringPath", "build_lattice", "crossing_parity",
     "deform_string", "degeneracy", "logical_operators", "planar",
     "shortest_string", "torus",
-    "PauliString", "basis_change_conjugate", "commutation_phase",
+    "PauliString", "commutation_phase",
     "from_string_path", "multiply",
     "WeylString", "weyl_braiding_phase", "weyl_gate_count", "weyl_multiply",
 ]

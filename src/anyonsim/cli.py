@@ -94,6 +94,10 @@ def _text(key: str, text: str) -> str:
 
 _int = partial(_number, kind=int)
 _count = partial(_number, kind=int, ge=1)
+# Fringe points of one braid run: its phase grid and fringe values (16 B a
+# point) and the output lines (about 100 B each as Python text) stay under
+# about 1 GiB.
+_MAX_PHI_POINTS = 1 << 23
 _positive = partial(_number, gt=0)
 _zd_dimension = partial(_number, kind=int, ge=2, le=ZD_MAX_D)
 _SEED = ("0", partial(_number, kind=int, ge=0))
@@ -104,8 +108,8 @@ _LATTICE = ("torus:4", _parse_lattice)
 # typed value or raises a ConfigurationError/UsageError naming the key.
 SCHEMA = {
     "braid": {"lattice": _LATTICE, "program": ("", _text), "u": ("1.0", _number),
-              "j": ("1.0", _number), "phi_points": ("64", _count), "out": _OUT,
-              "seed": _SEED},
+              "j": ("1.0", _number), "phi_points": ("64", partial(_count, le=_MAX_PHI_POINTS)),
+              "out": _OUT, "seed": _SEED},
     "memory": {"lattice": ("planar:2", _parse_lattice), "trials": ("20", _count),
                "seed": _SEED},
     "diffuse": {"lattice": _LATTICE, "xi_h": ("1.0", _number), "tau_c": ("10.0", _number),

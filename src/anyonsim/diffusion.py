@@ -107,6 +107,9 @@ class NoiseRealization:
 
     def __post_init__(self):
         require(self.dt, "dt", gt=0, error=ConfigurationError)
+        if np.ndim(self.values) < 2 or np.size(self.values) == 0:
+            raise ConfigurationError("values must have an edge axis and a sample axis "
+                                     f"and hold a sample, got shape {np.shape(self.values)}")
 
     @property
     def n_steps(self) -> int:
@@ -121,6 +124,10 @@ class NoiseRealization:
 # Samples of one circulant embedding: the sampler holds about 7 float64
 # arrays of this length while it builds a spectrum and draws an edge.
 _MAX_EMBEDDING = 1 << 24
+# Float64s of the largest array allocated whole, 1.6 GB: a noise
+# realization, the (schedules, trials, delays) samples of a contrast
+# curve, or the momentum grid times the delays of the master equation.
+_MAX_FLOATS = 200_000_000
 
 
 @functools.lru_cache(maxsize=8)
@@ -159,16 +166,15 @@ def _check_noise(model: NoiseModel, lattice: Lattice, span: str = "duration",
     n_steps = embedded = math.inf  # counts beyond the float range
     if math.isfinite(max(sampled.duration, 8.0 * sampled.tau_c) / sampled.dt):
         n_steps, embedded = sampled.n_steps, _embedded_span(sampled, sampled.n_steps)
-    if n_steps * lattice.n_edges > 200_000_000 or embedded > _MAX_EMBEDDING:
+    if n_steps * lattice.n_edges > _MAX_FLOATS or embedded > _MAX_EMBEDDING:
         raise ConfigurationError(
             f"noise realization too large: {span} {sampled.duration!r} and tau_c "
             f"{sampled.tau_c!r} on cells of {sampled.dt!r} need {n_steps} samples on each "
             f"of {lattice.n_edges} edges and an embedding of {embedded} (at most "
-            f"200000000 in all and {_MAX_EMBEDDING})")
+            f"{_MAX_FLOATS} in all and {_MAX_EMBEDDING})")
 
 
-def sample_noise(model: NoiseModel, lattice: Lattice, seed, *,
-                 out: np.ndarray | None = None) -> NoiseRealization:
+def sample_noise(model: NoiseModel, lattice: Lattice, seed) -> NoiseRealization:
     """Independent per-edge stationary Gaussian series with the target
     autocorrelation.
 
@@ -182,17 +188,13 @@ def sample_noise(model: NoiseModel, lattice: Lattice, seed, *,
     contrast_curve draws through the same body on cells of k model.dt (see
     there), so at k = 1 its streams are this function's.
 
-    seed: an integer >= 0 or a sequence of them.  out: a float64 array of
-    shape (n_edges, n_steps) that receives the series and becomes the
-    realization's values; a new one by default.
+    seed: an integer >= 0 or a sequence of them.  The series go into a new
+    (n_edges, n_steps) array.
     """
     _check_noise(model, lattice)
     seed_list = [int(require(s, "seed", integer=True, ge=0))
                  for s in np.asarray(seed, dtype=object).ravel()]
-    shape = (lattice.n_edges, model.n_steps)
-    if out is not None and (out.shape != shape or out.dtype != np.float64):
-        raise UsageError(f"out must be a float64 array of shape {shape}")
-    return _sample_noise(model, lattice, seed_list, out=out)
+    return _sample_noise(model, lattice, seed_list)
 
 
 def _sample_noise(model: NoiseModel, lattice: Lattice, seed: list, *,
@@ -411,6 +413,12 @@ def _evolve_runs(dyn: _SectorDynamics, field, runs, columns: np.ndarray, dt: flo
     state phi in the frame of its pattern, psi = Q phi (conj(Q) phi on the
     negated pattern), and changes frame at its own pulses.
     """
+    want = (*columns.shape[:-2], dyn.lattice.n_edges)
+    got = field.at_many(np.zeros(1)).shape[:-1]
+    if got != want:
+        raise UsageError(f"field must give {want} values at a time, one per edge of the "
+                         f"lattice (and per trial where the columns have a trial axis), "
+                         f"got {got}")
     ends = [max(cp) for _, cp in runs]
     tol = 1e-9 * max(1.0, max(ends))
     events = np.sort([0.0, *(t for _, cp in runs for t in cp),
@@ -682,6 +690,11 @@ def contrast_curve(lattice: Lattice, model: NoiseModel, schedule_family,
     if not family:
         raise UsageError("schedule_family must hold at least one schedule, got none")
     runs = [run for _, member in family for run in member]
+    n_samples = len(family) * n_trials * taus.size
+    if n_samples > _MAX_FLOATS:
+        raise UsageError(f"n_trials too large: {n_trials} trials of {len(family)} schedules "
+                         f"at {taus.size} delays need {n_samples} contrast samples (at most "
+                         f"{_MAX_FLOATS})")
     # the trials of a chunk are evolved together, each sampled straight into
     # its row of one buffer that every chunk reuses (allocated once the
     # sampler's checks have passed)
@@ -754,6 +767,10 @@ def master_equation_survival(n: int, gamma: float, tau) -> np.ndarray:
     require(n, "n", integer=True, ge=1)
     require(gamma, "gamma", ge=0)
     tau = _delays(tau, "tau")
+    floats = n * n * max(1, tau.size)
+    if floats > _MAX_FLOATS:
+        raise UsageError(f"n too large: the n x n momentum grid of n = {n} at {tau.size} "
+                         f"delays needs {floats} floats (at most {_MAX_FLOATS})")
     j = 2.0 * np.pi * np.arange(n) / n
     lam = 4.0 - 2.0 * np.cos(j)[:, None] - 2.0 * np.cos(j)[None, :]
     out = np.exp(-gamma * lam.reshape(-1)[:, None] * tau[None, :]).mean(axis=0)

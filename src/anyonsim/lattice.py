@@ -142,18 +142,6 @@ class Lattice:
 
         return self.memo(("cell_graph", kind), build)
 
-    def describe(self) -> str:
-        """Plain-text dump: edge id -> incident vertex ids, face ids."""
-        lines = [
-            f"# {self.spec.topology}({self.size}): "
-            f"{self.n_edges} edges, {self.n_vertices} vertices, {self.n_faces} faces"
-        ]
-        for e in range(self.n_edges):
-            vs = "/".join("-" if v is None else str(v) for v in self.edge_vertices[e])
-            fs = "/".join("-" if f is None else str(f) for f in self.edge_faces[e])
-            lines.append(f"edge {e}: vertices {vs} faces {fs}")
-        return "\n".join(lines)
-
 
 def build_lattice(spec: LatticeSpec) -> Lattice:
     """Construct the incidence structure for a torus or planar code."""
@@ -400,38 +388,3 @@ def degeneracy(genus: int, holes: int) -> int:
     require(genus, "genus", integer=True, ge=0)
     require(holes, "holes", integer=True, ge=0)
     return 2 ** (2 * genus + holes)
-
-
-def enclosed_region(lattice: Lattice, path: StringPath) -> frozenset[int]:
-    """Cells enclosed by a closed string: faces for a z-loop, vertices for x.
-
-    The region's boundary is the path when every edge of the cell graph
-    joins cells on the same side, or on opposite sides for a path edge: a
-    BFS 2-colours the graph with side[other] = side[node] ^ (edge in path),
-    from the boundary node at side 0 (planar) or from cell 0 (torus), and a
-    contradiction means the path bounds no region.  On a torus the two
-    complementary regions are both valid; the smaller one is returned, the
-    one containing cell 0 on a tie.
-    """
-    for e in path.edges:
-        require(e, "path edge id", integer=True, ge=0, le=lattice.n_edges - 1)
-    edges = path.edge_set
-    graph = lattice.cell_graph("x" if path.kind == "z" else "z")
-    n_cells = len(graph) - 1
-    start = 0 if lattice.is_torus else n_cells
-    side = [-1] * len(graph)
-    side[start] = 0
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
-        for e, other in graph[node]:
-            want = side[node] ^ (e in edges)
-            if side[other] < 0:
-                side[other] = want
-                queue.append(other)
-            elif side[other] != want:
-                raise UsageError("path is not the boundary of any cell region")
-    region = frozenset(c for c in range(n_cells) if side[c] == 1)
-    if lattice.is_torus and 2 * len(region) >= n_cells:
-        region = frozenset(range(n_cells)) - region  # the side holding cell 0
-    return region

@@ -10,8 +10,8 @@ this convention
     Y     = i X Z     (phase exponent 1, bits (1, 1))
 
 and a product costs one phase unit of ``2 * (z_p . x_q)``.  This module
-adds only the qubit parts: letter constructors, Hermiticity, the text form,
-single-qubit Clifford basis changes and the logical strings of a lattice.
+adds only the qubit parts: letter constructors, Hermiticity, the text form
+and the logical strings of a lattice.
 
 Text rendering uses the Hermitian letters, e.g. ``+i X3 Z7 Y12``: a phase
 prefix in {+, +i, -, -i} followed by LETTERindex tokens in ascending site
@@ -82,9 +82,6 @@ class PauliString(WeylString):
         ys = sum(x & z for x, z in self.support.values())
         return (self.phase + ys) % 2 == 0
 
-    def is_identity(self) -> bool:
-        return not self.support and self.phase == 0
-
     # -- algebra ---------------------------------------------------------
     def __neg__(self) -> "PauliString":
         return PauliString(self.phase + 2, self.support)
@@ -148,31 +145,3 @@ def logical_strings(lattice: Lattice) -> tuple[tuple[PauliString, PauliString], 
     built once per lattice; callers share them."""
     return lattice.memo("logical_strings", lambda: tuple(
         (from_string_path(cz), from_string_path(cx)) for cz, cx in logical_operators(lattice)))
-
-
-def basis_change_conjugate(p: PauliString, rotation: str, qubits) -> PauliString:
-    """Conjugate by single-qubit rotations on a site set.
-
-    rotation "hadamard": X <-> Z per site (XZ picks up a sign).
-    rotation "phase-gate": S X S^dag = Y, so sites with an X bit flip their
-    Z bit and gain one i.
-    """
-    qubits = set(int(q) for q in qubits)
-    phase = p.phase
-    support = dict(p.support)
-    if rotation == "hadamard":
-        for q in qubits:
-            x, z = support.get(q, (0, 0))
-            if x and z:
-                phase += 2  # H (XZ) H = ZX = -XZ
-            if x or z:
-                support[q] = (z, x)
-    elif rotation == "phase-gate":
-        for q in qubits:
-            x, z = support.get(q, (0, 0))
-            if x:
-                phase += 1  # S (X Z^z) S^dag = i X Z^(z+1)
-                support[q] = (x, z ^ 1)
-    else:
-        raise UsageError(f"unknown rotation {rotation!r}")
-    return PauliString(phase, support)

@@ -245,20 +245,16 @@ def apply_pauli_string(t: Tableau, p: PauliString) -> Tableau:
     return t
 
 
-def apply_controlled_string(t: Tableau, control: int, p: PauliString,
-                            raw_photon_phase: bool = False) -> Tableau:
+def apply_controlled_string(t: Tableau, control: int, p: PauliString) -> Tableau:
     """|1><1| (x) p + |0><0| (x) I, decomposed into CZ/CX (plus S for phase).
 
-    With raw_photon_phase the photon-mediated form is reproduced instead,
-    which differs by (-i)**weight(p) on the |1> branch; the factor lands on
-    the control qubit as a frame rotation.
+    The photon-mediated form, which differs by (-i)**weight(p) on the |1>
+    branch, is the controlled string of PauliString(p.phase - p.weight,
+    p.support).
     """
     if control in p.support:
         raise UsageError("control qubit lies inside the string support")
-    phase = p.phase % 4
-    if raw_photon_phase:
-        phase = (phase - p.weight) % 4
-    for _ in range(phase):
+    for _ in range(p.phase % 4):
         t.s(control)
     for q in sorted(p.support):
         xb, zb = p.support[q]

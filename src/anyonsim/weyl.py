@@ -4,8 +4,7 @@ Conventions: Z is the clock matrix diag(1, w, w^2, ...) and X the shift
 |j> -> |j+1 mod d>, with w = exp(2*pi*i/d), so X Z = w^-1 Z X on one site.
 A string is ``w**(phase/2) * prod_j X_j**a_j Z_j**b_j`` with the X factor
 to the left of the Z factor on every site; phases are stored mod 2d in
-half-units of w so products stay exact for even d, and reduce to a
-physical w power only at scalar extraction.
+half-units of w so products stay exact for even d.
 
 This module owns normalisation, the product, the inverse and the
 commutator exponent.  ``pauli.PauliString`` is this class with d fixed at 2
@@ -19,7 +18,6 @@ commutator exponent.  ``pauli.PauliString`` is this class with d fixed at 2
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass, field
 
 from .errors import UsageError, require
@@ -61,15 +59,6 @@ class WeylString:
     @classmethod
     def x_power(cls, d: int, sites, a: int) -> "WeylString":
         return cls._of(d, 0, {int(require(q, "site", integer=True)): (a, 0) for q in sites})
-
-    def is_scalar(self) -> bool:
-        return not self.support
-
-    def scalar(self) -> complex:
-        """The complex value of a scalar string, w**(phase/2)."""
-        if not self.is_scalar():
-            raise UsageError("string is not a scalar")
-        return cmath.exp(1j * cmath.pi * self.phase / self.d)
 
     def inverse(self) -> "WeylString":
         cross = sum(a * b for a, b in self.support.values())

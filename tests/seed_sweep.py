@@ -1,5 +1,5 @@
-"""Seed sweep of the statistical checks on Monte Carlo noise sampled on cells
-of several model steps.
+"""Seed sweep of the statistical checks on the Monte Carlo noise and its
+contrast curves.
 
 Runs each check's body at K seeds and prints, per check, how often it failed
 beside how often a correct program fails it (its nominal rate, from the
@@ -9,6 +9,11 @@ Gaussian tail of its k-sigma rule):
   (seeds 0..K-1);
 - ``coarse_noise_law_checks``, the body of test_coarse_noise_law (seeds
   0..K-1);
+- ``noise_law_checks``, the body of test_noise_mean_and_autocorrelation
+  (seeds 0..K-1, seed s reading the streams 200 s .. 200 s + 199);
+- ``echo_filter_checks``, the body of test_echo_filter_oracle_matches_mc
+  (seeds 0..K-1; its tolerance adds 0.2 |log predicted| to the 3 standard
+  errors, so 3 sigma bounds its nominal rate from above);
 - the ``mc_fast`` benchmark repetition and its rule
   ``bench/workloads.check_master_equation`` (repetitions 0..K-1 of seed 1).
 
@@ -59,6 +64,12 @@ CHECKS = [
      "|mean - master| < max(4 stderr, 0.02) per delay"),
     ("test_coarse_noise_law", lambda seed: td.coarse_noise_law_checks(lat.torus(4), seed)[0],
      two_sided(3.0), "3 standard errors per lag and for the mean"),
+    ("test_noise_mean_and_autocorrelation",
+     lambda seed: td.noise_law_checks(lat.torus(4), seed)[0], two_sided(3.0),
+     "3 standard errors per lag and for the mean"),
+    ("test_echo_filter_oracle_matches_mc",
+     lambda seed: td.echo_filter_checks(lat.torus(4), seed)[0], two_sided(3.0),
+     "0.2 |log predicted| + 3 stderr / mean, per n"),
     ("mc_fast check_master_equation", mc_fast_checks, two_sided(4.0),
      "max(4 sigma, 0.02), sigma floored, per delay"),
 ]

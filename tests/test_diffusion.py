@@ -11,25 +11,39 @@ from anyonsim import oracle
 from anyonsim.errors import ConfigurationError, UsageError
 
 
-def test_noise_mean_and_autocorrelation(torus4):
+def noise_law_checks(lattice, seed):
+    """The checks of test_noise_mean_and_autocorrelation at a seed: over the
+    realizations of the 200 streams 200 seed .. 200 seed + 199, per lag k,
+    whether the mean lag-k product of edge 3's series lies within 3
+    standard errors of exp(-(k dt / tau_c)^2), then whether its mean lies
+    within 3 of 0; and the estimates."""
     model = df.NoiseModel(xi_h=1.0, tau_c=1.0, dt=0.05, duration=40.0)
     lags = {0: 1.0, 10: math.exp(-0.25), 20: math.exp(-1.0), 40: math.exp(-4.0)}
     acc = {k: [] for k in lags}
     means = []
-    for seed in range(200):
-        series = df.sample_noise(model, torus4, seed).values[3]
+    for stream in range(200 * seed, 200 * seed + 200):
+        series = df.sample_noise(model, lattice, stream).values[3]
         means.append(series.mean())
         for k in lags:
             if k == 0:
                 acc[k].append(np.mean(series * series))
             else:
                 acc[k].append(np.mean(series[:-k] * series[k:]))
+    ok, detail = [], []
     for k, target in lags.items():
         est = np.mean(acc[k])
         se = np.std(acc[k], ddof=1) / math.sqrt(len(acc[k]))
-        assert abs(est - target) < 3 * se, (k, est, target, se)
+        ok.append(abs(est - target) < 3 * se)
+        detail.append((k, est, target, se))
     se_mean = np.std(means, ddof=1) / math.sqrt(len(means))
-    assert abs(np.mean(means)) < 3 * se_mean
+    ok.append(abs(np.mean(means)) < 3 * se_mean)
+    detail.append(("mean", np.mean(means), se_mean))
+    return np.array(ok), detail
+
+
+def test_noise_mean_and_autocorrelation(torus4):
+    ok, detail = noise_law_checks(torus4, seed=0)
+    assert np.all(ok), detail
 
 
 def test_noise_determinism_and_edge_streams(torus4):
@@ -37,14 +51,12 @@ def test_noise_determinism_and_edge_streams(torus4):
     r1 = df.sample_noise(model, torus4, 123)
     r2 = df.sample_noise(model, torus4, 123)
     assert np.array_equal(r1.values, r2.values)
-    # out= receives the same series; a wrong buffer is refused
+    # the body contrast_curve calls writes the same series into one row of
+    # its buffer in place and leaves the other rows untouched
     buf = np.full((2, *r1.values.shape), np.nan)
     row = buf[1]
-    assert df.sample_noise(model, torus4, 123, out=row).values is row
+    assert df._sample_noise(model, torus4, [123], out=row).values is row
     assert np.array_equal(row, r1.values) and np.isnan(buf[0]).all()
-    for bad in (buf[:, 0], buf[1].astype(np.float32)):
-        with pytest.raises(UsageError, match="out must be"):
-            df.sample_noise(model, torus4, 123, out=bad)
     r3 = df.sample_noise(model, torus4, 124)
     assert not np.array_equal(r1.values, r3.values)
     # edges carry independent streams
@@ -55,7 +67,8 @@ def test_zero_amplitude_noise(torus4):
     model = df.NoiseModel(xi_h=0.0, tau_c=1.0, dt=0.05, duration=2.0)
     r = df.sample_noise(model, torus4, 0)
     assert np.all(r.values == 0)
-    assert np.all(df.sample_noise(model, torus4, 0, out=np.ones_like(r.values)).values == 0)
+    # a stale buffer row is zero-filled
+    assert np.all(df._sample_noise(model, torus4, [0], out=np.ones_like(r.values)).values == 0)
     sched = df.build_echo_schedule("none", 2.0)
     state = df.evolve_anyon(torus4, r, sched, 5, "x", dt=r.dt)
     assert state[5] == pytest.approx(1.0)
@@ -419,7 +432,7 @@ class _FilledField(df.NoiseRealization):
 BAD_DIFFUSION_INPUTS = [
     *[("contrast_curve", "dt", v) for v in (-1.0, 0.0, math.nan, math.inf)],
     *[("contrast_curve", "n_particles", v) for v in (0, -1)],
-    ("contrast_curve", "n_trials", 1.5),
+    *[("contrast_curve", "n_trials", v) for v in (1.5, 2**62)],
     *[("contrast_curve", "seed", v) for v in (-1, 1.5)],
     *[("contrast_curve", "schedule_family", [v]) for v in (("none",), ("z_pairs", 1, 2))],
     ("contrast_curve", "schedule_family", []),
@@ -435,7 +448,7 @@ BAD_DIFFUSION_INPUTS = [
       for v in (-1.0, math.nan, math.inf, "1")],
     *[("master_equation_survival", "gamma", v) for v in (-1.0, math.nan, math.inf, "1")],
     *[("analytic_contrast(echo)", "n", v) for v in (1.5, math.nan)],
-    *[("master_equation_survival", "n", v) for v in (0, -2, 2.5)],
+    *[("master_equation_survival", "n", v) for v in (0, -2, 2.5, 2**62)],
     *[("master_equation_survival", "tau", [v]) for v in (-1.0, math.nan)],
     *[("Pulse", "time", v) for v in (math.nan, math.inf, -math.inf, "1")],
     ("spread_cells", "n_particles", 1.5),
@@ -457,6 +470,21 @@ def test_bad_diffusion_inputs_rejected(entry, param, value, torus4, monkeypatch)
         warnings.simplefilter("error")
         with pytest.raises(UsageError, match=rf"\b{param}\b"):
             fn(**kwargs)
+
+
+def test_fields_of_the_wrong_shape_rejected(torus4):
+    # a field holds one series per edge of the lattice, with a sample, and
+    # evolve_anyon takes no trial axis: else it would index out of range or
+    # return a per-trial array in place of the cell amplitudes
+    for values in (np.zeros(torus4.n_edges), np.zeros((torus4.n_edges, 0)), np.zeros((0, 5))):
+        with pytest.raises(ConfigurationError, match=r"\bvalues\b"):
+            df.NoiseRealization(values, 0.05)
+    model = df.NoiseModel(1.0, 1.0, 0.05, 1.0)
+    sched = df.build_echo_schedule("none", 1.0)
+    for field in (df.sample_noise(model, lat.torus(2), 0), df.sample_noise(model, lat.torus(5), 0),
+                  df.NoiseRealization(np.zeros((3, torus4.n_edges, 1)), 0.05)):
+        with pytest.raises(UsageError, match=r"\bfield\b"):
+            df.evolve_anyon(torus4, field, sched, 5, "x", dt=0.05)
 
 
 def test_contrast_curve_determinism(torus4):
@@ -843,22 +871,34 @@ def test_coarse_noise_law(torus4):
     assert np.all(ok), detail
 
 
+def echo_filter_checks(lattice, seed):
+    """The checks of test_echo_filter_oracle_matches_mc at a seed: per echo
+    count n in (2, 4), whether the Monte Carlo log-contrast at tau = 6
+    lies within 0.2 |log predicted| + 3 stderr / mean of the second-order
+    filter integral's; and (n, mean, predicted) per check."""
+    model = df.NoiseModel(xi_h=1.0, tau_c=10.0, dt=0.05, duration=7.0)
+    tau = 6.0
+    fam = [("z_pairs", 2), ("z_pairs", 4)]
+    ests = df.contrast_curve(lattice, model, fam, [tau], n_trials=150,
+                             n_particles=1, seed=seed)
+    ok, detail = [], []
+    for est, n in zip(ests, (2, 4)):
+        var = oracle.echo_filter_variance(tau, n, 1.0, 10.0)
+        predicted = math.exp(-0.5 * df.COORDINATION * var)
+        ok.append(abs(math.log(est.mean[0]) - math.log(predicted))
+                  < 0.2 * abs(math.log(predicted)) + 3 * est.stderr[0] / est.mean[0])
+        detail.append((n, est.mean[0], predicted))
+    return np.array(ok), detail
+
+
 def test_echo_filter_oracle_matches_mc(torus4):
     # quasi-static regime: the exact second-order filter integral predicts
     # the echoed log-contrast (and exhibits the 1/n^2 dependence of the
     # equally spaced pulse train)
-    model = df.NoiseModel(xi_h=1.0, tau_c=10.0, dt=0.05, duration=7.0)
-    tau = 6.0
-    fam = [("z_pairs", 2), ("z_pairs", 4)]
-    ests = df.contrast_curve(torus4, model, fam, [tau], n_trials=150,
-                             n_particles=1, seed=3)
-    for est, n in zip(ests, (2, 4)):
-        var = oracle.echo_filter_variance(tau, n, 1.0, 10.0)
-        predicted = math.exp(-0.5 * df.COORDINATION * var)
-        assert abs(math.log(est.mean[0]) - math.log(predicted)) \
-            < 0.2 * abs(math.log(predicted)) + 3 * est.stderr[0] / est.mean[0], \
-            (n, est.mean[0], predicted)
+    ok, detail = echo_filter_checks(torus4, seed=3)
+    assert np.all(ok), detail
     # the filter variance itself scales as 1/n^2 for equal spacing
+    tau = 6.0
     v2 = oracle.echo_filter_variance(tau, 2, 1.0, 10.0)
     v8 = oracle.echo_filter_variance(tau, 8, 1.0, 10.0)
     assert v2 / v8 == pytest.approx(16.0, rel=0.15)

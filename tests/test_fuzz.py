@@ -3,15 +3,18 @@
 Library half: each entry is a valid call; a seeded generator draws
 corruptions of one parameter at a time (NaN, +-inf, negative, zero, out of
 range, huge, tiny (+-1e-300), a numeric string, and empty or ragged arrays
-for array parameters) while every other argument stays valid.  The call
+for array parameters), and every extra value the entry lists for that
+parameter is tried too, while every other argument stays valid.  The call
 returns a result without NaN, or raises UsageError / ConfigurationError
 naming the parameter; no other exception escapes and no RuntimeWarning is
 emitted.
-Huge integer counts are not drawn, as they ask for that much work, except
-where the call refuses them before any work (a Tableau's n, above its
-memory cap).
+Huge integer counts are not in the shared pools, as they ask for that much
+work; an entry lists one only where the call refuses it before any work,
+above a memory cap (a Tableau's n, contrast_curve's n_trials,
+master_equation_survival's n).
 
-CLI half: every SCHEMA key is set to drawn malformed values and run
+CLI half: every SCHEMA key is set to drawn malformed values, plus the
+key's CLI_EXTRAS (huge counts refused by a memory cap), and run
 in-process through ``cli.main``; each run returns 0 or 2, lets no exception
 (nor a RuntimeWarning) escape, and names the key on stderr when it
 returns 2.
@@ -138,7 +141,8 @@ def _entries():
                                         schedule_family=[("none", 0), ("z_pairs", 1)],
                                         tau_grid=[1.0], n_trials=1, n_particles=1, seed=0,
                                         dt=0.05),
-                           {"tau_grid": a(), "n_trials": s(), "n_particles": s(None, 17),
+                           {"tau_grid": a(), "n_trials": s(None, 2**62),
+                            "n_particles": s(None, 17),
                             "seed": s(), "dt": s(), "schedule_family": a()}),
         "analytic_contrast": (df.analytic_contrast,
                               lambda: dict(tau=1.0, model=model, kind="echo", n=1),
@@ -147,7 +151,7 @@ def _entries():
                                           lambda: dict(tau=1.0, model=model), {"tau": s()}),
         "master_equation_survival": (df.master_equation_survival,
                                      lambda: dict(n=4, gamma=1.0, tau=[1.0]),
-                                     {"n": s(), "gamma": s(), "tau": a()}),
+                                     {"n": s(None, 2**62), "gamma": s(), "tau": a()}),
         "LatticeSpec": (lat.LatticeSpec, lambda: dict(topology="torus", size=3),
                         {"size": s("lattice size")}),
         "planar": (lat.planar, lambda: dict(d=3), {"d": s("lattice size|lattice planar")}),
@@ -158,8 +162,6 @@ def _entries():
                                {"a": s(None, 6)}),
         "degeneracy": (lat.degeneracy, lambda: dict(genus=1, holes=0),
                        {"genus": s(), "holes": s()}),
-        "enclosed_region": (lambda path: lat.enclosed_region(t4, lat.StringPath("z", path)),
-                            lambda: dict(path=t4.boundaries[5]), {"path": a()}),
         "WeylString": (weyl.WeylString, lambda: dict(d=3), {"d": s(), "phase": s()}),
         "weyl_gate_count": (weyl.weyl_gate_count, lambda: dict(d=3), {"d": s()}),
         "Tableau": (tb.Tableau, lambda: dict(n=3), {"n": s(None, 46337, 10**9, 2**62)}),
@@ -239,9 +241,9 @@ def test_library_fuzz(entry):
     call(**valid())
     rng = np.random.default_rng([SEED, ENTRIES.index(entry)])
     for param, (kind, label, extra) in params.items():
-        pool = (SCALARS if kind == "scalar" else ARRAYS) + list(extra)
-        for i in rng.choice(len(pool), size=min(DRAWS, len(pool)), replace=False):
-            value = pool[i]
+        pool = SCALARS if kind == "scalar" else ARRAYS
+        drawn = rng.choice(len(pool), size=min(DRAWS, len(pool)), replace=False)
+        for value in [pool[i] for i in drawn] + list(extra):
             kwargs = valid()
             kwargs[param] = value
             where = f"{entry}({param}={value!r})"
@@ -261,6 +263,7 @@ def test_library_fuzz(entry):
 
 CLI_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e400", "abc", "", "2.5", "1e30", "-0.5"]
 CLI_DRAWS = 5  # values drawn per key
+CLI_EXTRAS = {("braid", "phi_points"): [str(2**62)], ("diffuse", "trials"): [str(2**62)]}
 # Work sizes that keep each valid run of a subcommand short.
 CLI_BASE = {
     "braid": ["lattice=torus:3", "phi_points=4"],
@@ -281,9 +284,10 @@ def test_cli_key_fuzz(cmd, tmp_path, monkeypatch, capsys):
     base = CLI_BASE[cmd] + ([f"program={program}"] if cmd == "braid" else [])
     rng = np.random.default_rng([SEED, sorted(cli.SCHEMA).index(cmd)])
     for key in sorted(cli.SCHEMA[cmd]):
-        for i in rng.choice(len(CLI_VALUES), size=CLI_DRAWS, replace=False):
+        drawn = rng.choice(len(CLI_VALUES), size=CLI_DRAWS, replace=False)
+        for value in [CLI_VALUES[i] for i in drawn] + CLI_EXTRAS.get((cmd, key), []):
             args = [cmd, *(a for item in base for a in ("--set", item)),
-                    "--set", f"{key}={CLI_VALUES[i]}"]
+                    "--set", f"{key}={value}"]
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
                 try:

@@ -324,60 +324,3 @@ def test_size_limits_and_override():
         with pytest.raises(ConfigurationError, match="size must be an integer"):
             build(size)
     assert lat.torus(np.int64(3)).n_edges == 18
-
-
-def test_describe_dump(planar2):
-    text = planar2.describe()
-    lines = text.splitlines()
-    assert lines[0].startswith("# planar(2)")
-    assert len(lines) == 1 + planar2.n_edges
-    assert lines[1].startswith("edge 0:")
-
-
-def test_enclosed_region(torus4):
-    loop = lat.StringPath("z", tuple(torus4.boundary(5)))
-    assert lat.enclosed_region(torus4, loop) == frozenset({5})
-    # two-face region
-    edges = frozenset(torus4.boundary(5)) ^ frozenset(torus4.boundary(6))
-    loop2 = lat.StringPath("z", tuple(sorted(edges)))
-    assert lat.enclosed_region(torus4, loop2) == frozenset({5, 6})
-    star_loop = lat.StringPath("x", tuple(torus4.star(9)))
-    assert lat.enclosed_region(torus4, star_loop) == frozenset({9})
-    with pytest.raises(UsageError):
-        open_path = lat.shortest_string(torus4, "z", 0, 1)
-        lat.enclosed_region(torus4, open_path)
-
-
-@pytest.mark.parametrize("lattice", [lat.torus(4), lat.planar(3)], ids=["torus4", "planar3"])
-@pytest.mark.parametrize("kind", ["z", "x"])
-def test_enclosed_region_is_the_cells_whose_boundary_is_the_path(lattice, kind):
-    # every region's boundary gives the region back (its complement's too,
-    # on a torus, which takes the smaller side); one more edge bounds nothing
-    supports = lattice.boundaries if kind == "z" else lattice.stars
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        cells = frozenset(np.flatnonzero(rng.random(len(supports)) < rng.random()).tolist())
-        edges = frozenset()
-        for c in cells:
-            edges ^= frozenset(supports[c])
-        path = lat.StringPath(kind, tuple(sorted(edges)))
-        region = lat.enclosed_region(lattice, path)
-        if lattice.is_torus:
-            others = frozenset(range(len(supports))) - cells
-            assert region in (cells, others)
-            assert len(region) <= len(supports) // 2
-        else:
-            assert region == cells
-        with pytest.raises(UsageError, match="not the boundary"):
-            lat.enclosed_region(lattice, lat.StringPath(kind, tuple(edges ^ {0})))
-
-
-@pytest.mark.parametrize("kind", ["z", "x"])
-def test_enclosed_region_rejects_edge_ids_outside_lattice(torus4, kind):
-    # a negative id must not wrap around: the wrapped loop names a closed
-    # loop's first edge by its id minus n_edges
-    loop = (torus4.boundaries if kind == "z" else torus4.stars)[5]
-    wrapped = (loop[0] - torus4.n_edges, *loop[1:])
-    for edges in ((999,), (32,), (-1,), (1.5,), wrapped):
-        with pytest.raises(UsageError, match=r"\bpath\b.*0\.\.31"):
-            lat.enclosed_region(torus4, lat.StringPath(kind, edges))

@@ -550,11 +550,11 @@ def test_controlled_string_raw_photon_phase(planar2):
     probe = planar2.n_edges
     t = tb.prepare_ground_state(planar2, 0, n_ancillas=1)
     t.h(probe)
-    tb.apply_controlled_string(t, probe, lz, raw_photon_phase=True)
+    raw = PauliString(lz.phase - lz.weight, lz.support)
+    tb.apply_controlled_string(t, probe, raw)
     ref = sv.from_tableau(tb.prepare_ground_state(planar2, 0, n_ancillas=1))
     sv.apply_gate(ref, "H", probe)
-    sv.apply_controlled_pauli(ref, probe,
-                              PauliString(lz.phase - lz.weight, lz.support))
+    sv.apply_controlled_pauli(ref, probe, raw)
     assert abs(abs(sv.inner_product(sv.from_tableau(t), ref)) - 1) < 1e-10
 
 
