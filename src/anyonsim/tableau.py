@@ -12,36 +12,26 @@ column ``x[:, q]`` is therefore a bitset over all 2n rows.  Both halves
 live in one array ``xz`` of shape (ceil(2n/64), 2, n), so each 64-row
 block ``xz[w]`` holds the x then the z words of all qubits contiguously,
 and ``x``, ``z`` are its two views.  Gates are XORs and swaps of columns,
-so torus(32) = 2048 qubits stays cheap.  A tableau's bits may take at most
-1 GiB (_MAX_TABLEAU_BYTES, n <= 46 336); a larger n is refused before
-anything is allocated.
+so torus(32) = 2048 qubits stays cheap; a tableau past 1 GiB is refused
+(_MAX_TABLEAU_BYTES).
 
 Every read and Pauli update starts from the row bitsets of the rows that
-anticommute with a batch of Paulis: _targets lists, for each bit of the
-batch, the tableau column it meets (in the (W, 2n) view of ``xz``), and
-packs each Pauli's bits along the qubits next to its phase; _antic XORs
-each Pauli's few columns, one gather and one reduceat for the batch.
-_group_phases reads the batch: 0 for a Pauli that a stabilizer row
-anticommutes with, else <p> = i**(k_p - k_prod), where prod is the
-product of the stabilizer rows whose destabilizers anticommute with p.
-One pass over the set bits of the row bitsets finds both.  Only the
-member rows are read, packed along the qubits: byte b of a word holds 8
-rows of its column, so _row_planes transposes just the byte planes (8
-rows by 2n columns) that hold them.  A segmented prefix XOR with a
-popcount gives every product's phase (the deterministic read of Aaronson
+anticommute with a batch of Paulis, the XOR of the tableau columns the
+Paulis' bits meet (_targets, _antic).  _group_phases reads the batch from
+the member rows only, transposed from the byte planes that hold them, with
+a segmented prefix XOR and a popcount (the deterministic read of Aaronson
 and Gottesman, batched as in Gidney's Stim, Quantum 5, 497, 2021).
 syndrome reads every stabilizer in one batch, expectations any list of
-Paulis; expectation_phase and measurement read a batch of one.  Both
-syndrome and created_syndrome give a set of anyons as one frozenset of
-("vertex", v) and ("face", f) pairs, the stabilizers at -1.
+Paulis; expectation_phase and measurement read a batch of one.  A set of
+anyons is one frozenset of ("vertex", v) and ("face", f) pairs, the
+stabilizers at -1.
 
-prepare_ground_state projects the stars with one row-greedy GF(2)
-Gauss-Jordan pass over the packed rows of the star incidence, kept in the
-layout of the tableau's z columns, and writes the result once
-(_star_tableau); oracle.ground_state_by_projection, one measurement update
-per star, is its reference.  _support_basis reads the least basis index
-of the state's support and the X rows spanning it, all that
-statevector.from_tableau needs, from one GF(2) echelon of the stabilizers.
+prepare_ground_state writes the projected stars from the spanning tree
+of their pivots (_star_tableau); oracle.ground_state_by_projection, one
+measurement update per star, is its reference.  _support_basis reads the
+least basis index of the state's support and the X rows spanning it, all
+that statevector.from_tableau needs, from one GF(2) echelon of the
+stabilizers.
 
 A Tableau is single-writer: gates and measurements mutate in place.  Clones
 are cheap and independent, which is how parallel Monte Carlo shares states.
@@ -79,9 +69,7 @@ def _row_bits(words: np.ndarray) -> np.ndarray:
 
 
 class Tableau:
-    """Stabilizer state of n qubits.  ``xz`` has shape (ceil(2n/64), 2, n):
-    for each 64-row block, one column of row bits per qubit for x, then for
-    z; ``x`` and ``z`` are its two (ceil(2n/64), n) views."""
+    """Stabilizer state of n qubits, in ``xz`` and its views ``x``, ``z``."""
 
     def __init__(self, n: int):
         require(n, "n", integer=True, ge=1)
@@ -575,10 +563,10 @@ def prepare_ground_state(lattice: Lattice, logical_sector=0, n_ancillas: int = 0
     strings flip only the stars at their ends and commute with every H_f
     and logical Z, whose joint eigenstate is unique.  On a torus the last
     star is already +1, the product of the others, and is not projected.
-    The projections are one elimination (_star_tableau), which writes the
-    tableau that projecting the stars one at a time would leave
-    (oracle.ground_state_by_projection).  Ancilla qubits (appended after
-    the edge qubits) stay in |0>.  ``rng`` is not read.
+    _star_tableau writes the projections at once, from the spanning tree
+    of the stars' pivots, as oracle.ground_state_by_projection leaves them
+    one at a time.  Ancillas (after the edge qubits) stay in |0>.  ``rng``
+    is not read.
     """
     require(n_ancillas, "n_ancillas", integer=True, ge=0)
     flips = _sector_flips(lattice, logical_sector)
@@ -618,51 +606,74 @@ def _sector_flips(lattice: Lattice, logical_sector) -> list[PauliString]:
 
 
 def _star_tableau(n: int, stars) -> Tableau:
-    """The tableau of |0...0> on n qubits projected onto +1 of each star's
-    X, in order, as _project leaves it one star at a time, from one
-    row-greedy Gauss-Jordan pass over the packed rows of [S | I].
+    """|0...0> on n qubits projected onto +1 of each star's X in order, as
+    _project leaves it one star at a time.
 
-    S is the star-qubit incidence.  Star j's pivot p_j is the lowest qubit
-    of its row once reduced by the stars before it, which is the qubit
-    whose Z stabilizer row _project would replace.  With P the pivot
-    qubits, every row stays Z- or X-type with phase 0, and:
-    - destabilizer p_j is Z on S_P^-1 e_j;
-    - stabilizer n + p_j is star j;
-    - stabilizer n + q of a free qubit q is Z_q times Z on S_P^-1 S_q;
-    - destabilizer q of a free qubit stays X_q, and its stabilizer Z_q.
-    So the z column of p_j, a bitset over the 2n rows, is row j of the
-    reduced I part read through i -> p_i, then row j of the reduced S part
-    without its pivot bit, shifted by n.  Each star's row is kept in that
-    layout from the start (its I bit is placed at p_j once p_j is known;
-    no other row holds it before), so the reduced rows are the z columns.
-    A star that reduces to zero is a product of the stars before it and
-    raises ContractError.
+    Stars are vertices and qubits edges (a qubit in one star ends outside).
+    Star j's pivot p_j, whose Z stabilizer _project replaces, is the lowest
+    qubit of the cut of j's component in the forest of earlier pivots
+    (union-find: a union's cut is the XOR of cuts).  The pivots span a
+    tree rooted at outside.  p_j's Gauss-Jordan row of [S | I], its z
+    column, is its subtree, built bottom-up level by level: I bit p_k
+    (destabilizer p_k) for each star k below p_j, and S bit q (stabilizer
+    n + q) for each free qubit q on the subtree's cut.  Stabilizer n + p_j
+    is star j and destabilizer p_j has no X; a free qubit q keeps X_q and
+    Z_q; all phases are 0.  A star with an empty cut is a product of the
+    stars before it, and a qubit in three stars is no edge: both raise
+    ContractError.
     """
-    m, n_words = len(stars), -(-2 * n // 64)
-    sizes = [len(s) for s in stars]
-    owner, qubits = np.repeat(np.arange(m), sizes), np.concatenate(stars)
-    # bits 0..n-1 of a row: its I part by pivot qubit; bits n + q: its S part
-    mat = np.zeros((m, n_words), dtype=np.uint64)
-    np.bitwise_or.at(mat, (owner, (n + qubits) >> 6), _bit(n + qubits))
-    pivots = np.empty(m, dtype=np.int64)
-    for row in range(m):
-        s_part = int.from_bytes(mat[row, n >> 6:].tobytes(), "little") >> (n & 63)
-        if not s_part:
-            raise ContractError(f"star {row} is a product of the stars before it")
-        p = (s_part & -s_part).bit_length() - 1
-        pivots[row] = p
-        mat[row, p >> 6] |= np.uint64(1 << (p & 63))
-        hit = (mat[:, (n + p) >> 6] & np.uint64(1 << ((n + p) & 63))).nonzero()[0]
-        hit = hit[hit != row]
-        mat[hit] ^= mat[row]
-    mat[np.arange(m), (n + pivots) >> 6] ^= _bit(n + pivots)
-    # allocated after the elimination: allocated before it, the tableau left
-    # the malloc heap with about 4 MiB it could not return, and the peak RSS
-    # of a torus:32 braid benchmark run rose by about 3 MiB in most runs
-    t = Tableau(n)
-    t.z[:, pivots] = mat.T
-    del mat
-    # X on star j in stabilizer row n + p_j; no X left in destabilizer p_j
+    t, m = Tableau(n), len(stars)
+    sizes = np.fromiter(map(len, stars), np.int64, m)
+    qubits = np.fromiter(itertools.chain.from_iterable(stars), np.int64, sizes.sum())
+    owner = np.repeat(np.arange(m), sizes)
+    count = np.bincount(qubits, minlength=n)
+    if count.max(initial=0) > 2:
+        q = count.argmax()
+        raise ContractError(f"qubit {q} lies in {count[q]} stars: no edge")
+    end = np.full(n, m)  # a qubit's ends (m: outside) are end, total - end
+    end[qubits] = owner
+    total = np.bincount(qubits, owner, n).astype(np.int64) + m * (2 - count)
+    end, total = end.tolist(), total.tolist()
+    rows = np.zeros((m, len(t.xz)), dtype=np.uint64)
+    np.bitwise_or.at(rows, (owner, (n + qubits) >> 6), _bit(n + qubits))
+    raw, width = rows[:, n >> 6:].tobytes(), 8 * (len(t.xz) - (n >> 6))
+    root, pivots, adj = list(range(m + 1)), [], [[] for _ in range(m + 1)]
+    merged = {}  # cuts merged into stars still to come
+    for j in range(m):  # j roots its component; qubit q is cut bit q + n % 64
+        cut = int.from_bytes(raw[j * width:(j + 1) * width], "little") ^ merged.pop(j, 0)
+        if not cut:
+            raise ContractError(f"star {j} is a product of the stars before it")
+        p = (cut & -cut).bit_length() - 1 - n % 64
+        a, c = end[p], total[p] - end[p]
+        pivots.append(p)
+        adj[a].append((c, p))
+        adj[c].append((a, p))
+        for v in (a, c):  # merge into the component across p
+            while root[v] != v:
+                root[v] = v = root[root[v]]
+            if v != j:
+                break
+        root[j] = v
+        if v < m:
+            merged[v] = merged.get(v, 0) ^ cut
+    # the tree from outside a level at a time; up[w]: w's edge to its parent
+    order, parent, up, level, starts = [], [], [-1] * (m + 1), [m], []
+    while level:
+        starts.append(len(order))
+        for v in level:
+            for w, p in adj[v]:
+                if p != up[v]:
+                    up[w] = p
+                    order.append(w)
+                    parent.append(v)
+        level = order[starts[-1]:]
+    pivots, order, parent, up = (np.array(a, np.int64) for a in (pivots, order, parent, up[:m]))
+    each = np.arange(m)
+    rows[each, pivots >> 6] |= _bit(pivots)
+    for lo, hi in reversed(list(zip(starts[1:], starts[2:]))):
+        np.bitwise_xor.at(rows, parent[lo:hi], rows[order[lo:hi]])
+    rows[each, (n + up) >> 6] ^= _bit(n + up)
+    t.z[:, up] = rows.T
     t.x[pivots >> 6, pivots] = 0
     stab = n + pivots[owner]
     np.bitwise_or.at(t.x, (stab >> 6, qubits), _bit(stab))

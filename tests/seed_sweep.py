@@ -15,7 +15,11 @@ Gaussian tail of its k-sigma rule):
   (seeds 0..K-1; its tolerance adds 0.2 |log predicted| to the 3 standard
   errors, so 3 sigma bounds its nominal rate from above);
 - the ``mc_fast`` benchmark repetition and its rule
-  ``bench/workloads.check_master_equation`` (repetitions 0..K-1 of seed 1).
+  ``bench/workloads.check_master_equation`` (repetitions 0..K-1 of seed 1);
+- the ``mc_echo`` benchmark repetition and its rule
+  ``bench/workloads.check_echo_order`` (repetitions 0..K-1 of seed 1; each
+  ordering is one-sided and the curves are ordered with a margin, so the
+  one-sided 4-sigma tail bounds its nominal rate from above).
 
 Not collected by pytest.  Run from the repository root:
 
@@ -51,10 +55,14 @@ class _Watch:
     paused = staticmethod(contextlib.nullcontext)
 
 
-def mc_fast_checks(rep: int) -> np.ndarray:
-    workload = wl.McFast()
-    workload.setup(1)
-    return np.array(workload.rep(rep, _Watch()))
+def bench_checks(workload):
+    """The body of repetition ``rep`` of the benchmark workload class
+    ``workload`` at seed 1: the outcomes of the checks it makes."""
+    def body(rep: int) -> np.ndarray:
+        run = workload()
+        run.setup(1)
+        return np.array(run.rep(rep, _Watch()))
+    return body
 
 
 # (name, body of one seed, nominal failure rate of one check, rule)
@@ -70,8 +78,10 @@ CHECKS = [
     ("test_echo_filter_oracle_matches_mc",
      lambda seed: td.echo_filter_checks(lat.torus(4), seed)[0], two_sided(3.0),
      "0.2 |log predicted| + 3 stderr / mean, per n"),
-    ("mc_fast check_master_equation", mc_fast_checks, two_sided(4.0),
+    ("mc_fast check_master_equation", bench_checks(wl.McFast), two_sided(4.0),
      "max(4 sigma, 0.02), sigma floored, per delay"),
+    ("mc_echo check_echo_order", bench_checks(wl.McEcho), two_sided(4.0) / 2,
+     "one-sided max(4 sigma, 0.02), sigma floored, per pair and delay"),
 ]
 
 

@@ -242,6 +242,23 @@ def test_ground_state_matches_projection_oracle_torus32():
                          ground_state_by_projection(lattice, 0))
 
 
+@pytest.mark.parametrize("size", [10, 11, 12, 16])
+def test_ground_state_matches_projection_oracle_large_tori(size):
+    # deeper pivot trees than torus 2-9, in every sector, with an ancilla
+    lattice = lat.torus(size)
+    for sector in range(4):
+        assert _same_tableau(tb.prepare_ground_state(lattice, sector, n_ancillas=1),
+                             ground_state_by_projection(lattice, sector, 1)), sector
+
+
+def test_star_set_must_be_a_graph():
+    # qubit 2 lies in three stars, so it is no edge of a star graph
+    with pytest.raises(ContractError, match=r"qubit 2 lies in 3 stars: no edge"):
+        tb._star_tableau(5, [(0, 2), (1, 2), (2, 3)])
+    with pytest.raises(ContractError, match=r"qubit 4 lies in 4 stars"):
+        tb._star_tableau(5, [(4,), (0, 4), (1, 4), (2, 3, 4)])
+
+
 def test_dependent_star_raises():
     # every star of a torus: the last is the product of the others
     lattice = lat.torus(3)
