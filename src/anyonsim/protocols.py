@@ -112,6 +112,14 @@ def _echo(lattice: Lattice, kind: str) -> tuple[PauliString, frozenset]:
     return lattice.memo(("echo", kind), build)
 
 
+def _stabilizers(lattice: Lattice) -> tuple[PauliString, ...]:
+    """The vertex then face stabilizer strings, in syndrome order, built once
+    per lattice."""
+    return lattice.memo("stabilizers", lambda: tuple(
+        [PauliString.x_on(star) for star in lattice.stars]
+        + [PauliString.z_on(bnd) for bnd in lattice.boundaries]))
+
+
 def run_interferometry(program: BraidProgram, initial: tb.Tableau) -> Coherence:
     """Exact probe coherence: (delay phases) x <op0^-1 op1>.
 
@@ -234,14 +242,19 @@ def swap_in(lattice: Lattice, t: tb.Tableau, probe_state: tuple[str, int] | None
     The probe is the qubit at index lattice.n_edges.  The circuit is
     H_A Lambda[Z~] H_A Lambda[X~] (rightmost first); afterwards the probe is
     back in |0> and the memory logical carries the former probe state.
+
+    The logical Z and every stabilizer are read in one batch; a logical Z
+    not at +1 is refused first, then (as tableau.syndrome does) the first
+    stabilizer without a definite value, then any stabilizer at -1.
     """
     probe = lattice.n_edges
     if t.n < probe + 1:
         raise UsageError("tableau has no probe qubit")
     lz, lx = logical_strings(lattice)[0]
-    if tb.expectation_pauli(t, lz) != 1:
+    values = tb.expectations(t, (lz, *_stabilizers(lattice)))
+    if values[0] != 1:
         raise ContractError("swap_in expects memory in logical |0>")
-    if tb.syndrome(t, lattice):
+    if tb._anyons(lattice, values[1:]):
         raise ContractError("swap_in expects a ground-state memory")
     if probe_state is not None:
         prepare_probe(t, probe, probe_state)
@@ -301,12 +314,13 @@ def teleport_rotation(lattice: Lattice, memory: sv.StateVector, axis, theta: flo
     probe branches, with c = cos theta, s = sin theta and phi = S~ psi,
     (c psi + i s phi)/sqrt(2) on outcome +1 and (i s psi + c phi)/sqrt(2) on
     -1, which the correction S~ maps onto the first.  So no probe qubit is
-    built: one Pauli action on the memory gives phi, and the result is
-    c psi + i s phi, normalised.  S~ is a Hermitian Pauli string, so S~ is
-    unitary (|phi| = |psi|) and <psi|phi> is real; each outcome then has
-    probability |psi|^2 / 2, whatever theta.  An unforced call compares one
-    rng.random() with that probability; a forced or refused call draws
-    nothing.  The explicit-probe circuits are oracle.teleport_circuit_reference.
+    built: one chunked pass over the memory writes c psi + i s phi,
+    normalised, into the one new array (statevector._pauli_sum).  S~ is a
+    Hermitian Pauli string, so S~ is unitary (|phi| = |psi|) and <psi|phi> is
+    real; each outcome then has probability |psi|^2 / 2, whatever theta.  An
+    unforced call compares one rng.random() with that probability; a forced
+    or refused call (a zero memory included) draws nothing.  The
+    explicit-probe circuits are oracle.teleport_circuit_reference.
     """
     require(theta, "theta")
     if force_outcome not in (None, 1, -1):
@@ -315,21 +329,19 @@ def teleport_rotation(lattice: Lattice, memory: sv.StateVector, axis, theta: flo
         raise UsageError(f"memory must be a StateVector on at least the lattice's "
                          f"{lattice.n_edges} edge qubits, got {memory!r:.40}")
     string, _ = _teleport_axis(lattice, axis)
-    psi = memory.amps
-    phi = sv._pauli_action(memory, string)
-    c, s = math.cos(theta), math.sin(theta)
-    prob = 0.5 * np.vdot(psi, psi).real
+    prob = 0.5 * np.vdot(memory.amps, memory.amps).real
+    if prob < 1e-24:
+        raise ContractError("measurement branch has zero probability")
+    scale = 1.0 / math.sqrt(2.0 * prob)
+    amps = sv._pauli_sum(memory, string, 1j * math.sin(theta) * scale,
+                         math.cos(theta) * scale)
     if force_outcome is None:
         if rng is None:
             rng = np.random.default_rng(0)
         outcome = -1 if rng.random() < prob else 1
     else:
         outcome = int(force_outcome)
-    if prob < 1e-24:
-        raise ContractError("measurement branch has zero probability")
-    scale = 1.0 / math.sqrt(2.0 * prob)
-    sv._combine(phi, 1j * s * scale, psi, c * scale)
-    return sv.StateVector(memory.n, phi), outcome
+    return sv.StateVector(memory.n, amps), outcome
 
 
 # -- geometric phase gate ----------------------------------------------------

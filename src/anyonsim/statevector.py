@@ -7,13 +7,19 @@ qubit) and exact surface-Hamiltonian evolution.
 
 Basis convention: little-endian.  Qubit q is bit q of the amplitude index,
 so |q1 q0> = |1 0> sits at index 2.  Every Pauli action (strings, controlled
-strings, exponentials and the X Y Z CX CZ gates) goes through one kernel on
-the amplitudes viewed as an n-axis tensor of shape (2,)*n, axis n-1-q being
-qubit q: a flip of the X axes and one multiply by a sign tensor of size 2 on
-the Z axes only, with no index arrays and no full operator matrices
-(oracle.dense_operator writes those out).  H and S work on the two halves
-of one qubit axis.  Exponentials and teleports combine psi and S~ psi in
-place in 256 KiB chunks (_combine), one pass over the state.
+strings, exponentials, teleports and the X Y Z CX CZ gates) goes through one
+kernel, _images, on the amplitudes viewed as an n-axis tensor of shape
+(2,)*n, axis n-1-q being qubit q (a controlled string on the control-1
+slab).  It walks chunks of 256 KiB of amplitudes, the low axes, pairing each
+chunk with the one its X part maps it to: a flip of the low X axes and one
+multiply by a sign tensor of size 2 on the low Z axes only, times the
+partner's high-bit sign, with no index arrays and no full operator matrices
+(oracle.dense_operator writes those out).  Strings and exponentials work in
+place, a chunk and its partner imaged into a scratch pair before either is
+written, so no second full-size state is made; the teleport's result and
+_pauli_action's image are the one new array.  Each chunk is scaled and
+summed while in cache, and the bits are those of one whole-array pass.  H
+and S work on the two halves of one qubit axis.
 
 from_tableau takes the least basis index of the state's support and the
 X rows spanning it from one GF(2) echelon of the generators
@@ -25,6 +31,7 @@ one zeroed state, its first nonzero amplitude real and > 0.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +45,20 @@ NORM_TOL = 1e-10  # from_amplitudes: |norm - 1| beyond this is not rounding
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 _SIGN = np.array([1.0, -1.0])
-_CHUNK = 1 << 14  # amplitudes per _combine step: 256 KiB, well inside a per-core L2
+_CHUNK_BITS = 14  # 2**14 amplitudes per _images chunk: 256 KiB, well inside a per-core L2
+
+
+class _Scratch(threading.local):
+    """The images of a chunk and its partner (_images), one pair per thread,
+    kept for the thread's life: an in-place Pauli action then allocates
+    only its sign factors, at most 2**_CHUNK_BITS entries each.  One walk
+    at a time per thread."""
+
+    def __init__(self):
+        self.pair = np.empty((2, 1 << _CHUNK_BITS), dtype=np.complex128)
+
+
+_SCRATCH = _Scratch()
 
 
 @dataclass
@@ -129,63 +149,123 @@ def apply_gate(s: StateVector, gate: str, targets) -> StateVector:
     return s
 
 
-def _apply_pauli(t: np.ndarray, p: PauliString) -> np.ndarray:
-    """p applied to a qubit tensor t, whose axis ndim-1-q is qubit q (new array).
+def _bits(p: PauliString) -> tuple[int, int, int]:
+    """p as (x, z, phase): bit q of x and z holds its X and Z part on qubit q."""
+    x = z = 0
+    for q, (xb, zb) in p.support.items():
+        x |= xb << int(q)
+        z |= zb << int(q)
+    return x, z, p.phase
 
-    (p t)[b] = i**phase (-1)**popcount(src & z) t[src] with src = b ^ x:
-    flipping the X axes reads t at src as a view, and one multiply applies
-    the sign tensor, of size 2 on the Z axes and 1 elsewhere.  The sign is
-    read from the source bit, so it is flipped on axes carrying X and Z.
+
+def _images(t: np.ndarray, x: int, z: int, phase: int, out: np.ndarray | None = None):
+    """Walk p = i**phase X**x Z**z over the m-axis tensor t, axis m-1-q
+    being qubit q, one chunk at a time, and yield (chunk, image) for every
+    chunk of t, image being p t on it:
+
+        (p t)[b] = i**phase (-1)**popcount(src & z) t[src],  src = b ^ x.
+
+    A chunk is the 2**k amplitudes of the last k = min(m, _CHUNK_BITS) axes
+    at one index c of the leading ones.  Its source is chunk c ^ (x >> k)
+    read with the low X axes flipped (a view), and one multiply applies the
+    factor i**phase times the sign tensor of the low Z axes (size 2 on those
+    axes, 1 elsewhere), flipped likewise, times the source's high-bit sign:
+    the operations of one whole-array multiply, so the same bits.  With
+    ``out`` (t's shape, not overlapping it) the image is written into out's
+    chunk c.  Otherwise it goes into a scratch buffer, and a chunk and its
+    partner are both imaged before either is yielded, so the caller may
+    overwrite each chunk of t as it comes.
     """
-    last = t.ndim - 1
-    xaxes = tuple(last - q for q, (x, _) in p.support.items() if x)
-    sign = np.ones((1,) * t.ndim)
-    for q, (_, z) in p.support.items():
-        if z:
-            shape = [1] * t.ndim
-            shape[last - q] = 2
-            sign = sign * _SIGN.reshape(shape)
-    return ((1j ** p.phase) * np.flip(sign, xaxes)) * np.flip(t, xaxes)
+    m = t.ndim
+    k = min(m, _CHUNK_BITS)
+    lead = m - k
+    sign = np.ones((1,) * k)
+    for q in range(k):
+        if z >> q & 1:
+            shape = [1] * k
+            shape[k - 1 - q] = 2
+            # the sign is read at src: reversed on an axis that X flips
+            sign = sign * _SIGN[::1 - 2 * (x >> q & 1)].reshape(shape)
+    # by the parity of the source's high Z bits; sign is negated in place
+    # once the first factor is made
+    factors = ((1j ** phase) * sign, (1j ** phase) * np.negative(sign, out=sign))
+    x_hi, z_hi = x >> k, z >> k
+    # chunk c of an array a is a[heads[c] + whole], read flipped as
+    # a[heads[c] + flip]; the Ellipsis keeps a view when k = 0
+    heads = [tuple(c >> j & 1 for j in range(lead - 1, -1, -1)) for c in range(1 << lead)]
+    whole = (...,)
+    flip = (..., *(slice(None, None, 1 - 2 * (x >> q & 1)) for q in range(k - 1, -1, -1)))
+    buffers = [b[:1 << k].reshape((2,) * k) for b in _SCRATCH.pair]
+    for c in range(1 << lead):
+        partner = c ^ x_hi
+        if out is None and partner < c:
+            continue  # imaged with its partner
+        dsts = (c,) if out is not None or partner == c else (c, partner)
+        images = buffers if out is None else [out[heads[c] + whole]]
+        for d, image in zip(dsts, images):
+            src = d ^ x_hi
+            np.multiply(factors[(src & z_hi).bit_count() & 1], t[heads[src] + flip], out=image)
+        for d, image in zip(dsts, images):
+            yield t[heads[d] + whole], image
 
 
 def _pauli_action(s: StateVector, p: PauliString) -> np.ndarray:
     """Amplitudes of p|s> (new array; s untouched)."""
     _check_qubits(s, p.support)
-    return _apply_pauli(s._tensor(), p).reshape(-1)
+    out = np.empty_like(s.amps)
+    for _ in _images(s._tensor(), *_bits(p), out.reshape((2,) * s.n)):
+        pass
+    return out
+
+
+def _pauli_sum(s: StateVector, p: PauliString, a, b) -> np.ndarray:
+    """Amplitudes of a p|s> + b |s> (new array; s untouched): each chunk of
+    p|s> is written into the result, then scaled and summed while in cache."""
+    _check_qubits(s, p.support)
+    out = np.empty_like(s.amps)
+    for chunk, image in _images(s._tensor(), *_bits(p), out.reshape((2,) * s.n)):
+        image *= a
+        image += chunk * b
+    return out
 
 
 def apply_pauli_string(s: StateVector, p: PauliString) -> StateVector:
-    s.amps = _pauli_action(s, p)
+    """p|s>, in place."""
+    _check_qubits(s, p.support)
+    for chunk, image in _images(s._tensor(), *_bits(p)):
+        chunk[...] = image
     return s
 
 
 def apply_controlled_pauli(s: StateVector, control: int, p: PauliString) -> StateVector:
-    """|1><1|_control (x) p  +  |0><0|_control (x) I, applied in place."""
+    """|1><1|_control (x) p  +  |0><0|_control (x) I, applied in place to the
+    control-1 slab, an (n-1)-axis view on which qubits above the control sit
+    one bit lower."""
     _check_qubits(s, (control, *p.support))
     if control in p.support:
         raise UsageError("control qubit lies inside the string support")
-    slab = s._tensor()[(slice(None),) * (s.n - 1 - control) + (slice(1, 2),)]
-    slab[...] = _apply_pauli(slab, p)
+    x, z, phase = _bits(p)
+    low = (1 << control) - 1
+    x, z = (bits & low | bits >> 1 & ~low for bits in (x, z))
+    slab = s._tensor()[(slice(None),) * (s.n - 1 - control) + (1, ...)]
+    for chunk, image in _images(slab, x, z, phase):
+        chunk[...] = image
     return s
 
 
 def apply_pauli_exponential(s: StateVector, p: PauliString, theta: float) -> StateVector:
-    """exp(i theta p) |s> via cos(theta) I + i sin(theta) p (needs p**2 = I)."""
+    """exp(i theta p) |s> via cos(theta) I + i sin(theta) p (needs p**2 = I),
+    in place: each chunk scaled and summed with its image while in cache."""
     require(theta, "theta")
     if not p.is_hermitian():
         raise UsageError("exponential needs a Hermitian string")
-    _combine(s.amps, math.cos(theta), _pauli_action(s, p), 1j * math.sin(theta))
+    _check_qubits(s, p.support)
+    a, b = math.cos(theta), 1j * math.sin(theta)
+    for chunk, image in _images(s._tensor(), *_bits(p)):
+        image *= b
+        chunk *= a
+        chunk += image
     return s
-
-
-def _combine(dst: np.ndarray, a, other: np.ndarray, b) -> None:
-    """dst <- a dst + b other in place, _CHUNK amplitudes at a time, each chunk
-    scaled and summed while in cache.  Every element sees the two multiplies
-    and the one addition of dst *= a; dst += other * b: the same bits."""
-    for lo in range(0, dst.size, _CHUNK):
-        d = dst[lo:lo + _CHUNK]
-        d *= a
-        d += other[lo:lo + _CHUNK] * b
 
 
 def evolve_hsurf(s: StateVector, lattice, coupling_u: float, coupling_j: float,

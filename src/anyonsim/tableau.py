@@ -505,10 +505,15 @@ def syndrome(t: Tableau, lattice: Lattice) -> frozenset:
     if lattice.n_edges > t.n:
         raise UsageError(f"lattice of {lattice.n_edges} edges outside tableau "
                          f"of {t.n} qubits")
-    n_v = lattice.n_vertices
-    k = n_v + lattice.n_faces
     targets = _stabilizer_targets(lattice, t.n)
-    values = _group_phases(t, _antic(t, targets, k), targets)
+    k = lattice.n_vertices + lattice.n_faces
+    return _anyons(lattice, _group_phases(t, _antic(t, targets, k), targets))
+
+
+def _anyons(lattice: Lattice, values: np.ndarray) -> frozenset:
+    """The syndrome read from the values of the vertex then face stabilizers
+    of ``lattice``; the first without a definite value is a ContractError."""
+    n_v = lattice.n_vertices
     bad = np.flatnonzero((values != 1) & (values != -1))
     if bad.size:
         kind, i = ("vertex", bad[0]) if bad[0] < n_v else ("face", bad[0] - n_v)

@@ -354,6 +354,35 @@ def test_swap_preconditions(planar2):
         pr.swap_out(planar2, t2)
 
 
+def test_swap_in_refusal_order():
+    # one batch reads the logical Z and every stabilizer; a memory that fails
+    # several checks is refused for the logical first, then for the first
+    # stabilizer without a definite value (syndrome's message), then for the
+    # anyons.  Edge 0 lies on Z~ (edges 0, 1, 2), edge 4 does not
+    torus3 = lat.torus(3)
+    lz, lx = logical_strings(torus3)[0]
+    z_edge = PauliString.z_on((4,))  # two vertex anyons
+
+    def memory(*paulis, h=None):
+        t = tb.prepare_ground_state(torus3, 0, n_ancillas=1)
+        for p in paulis:
+            tb.apply_pauli_string(t, p)
+        if h is not None:
+            t.h(h)
+        return t
+
+    for t in (memory(lx, z_edge), memory(z_edge, h=0), memory(lx, h=4)):
+        with pytest.raises(ContractError, match=r"logical \|0>"):
+            pr.swap_in(torus3, t, probe_state=("X", 1))
+    t = memory(z_edge, h=7)
+    with pytest.raises(ContractError) as indefinite:
+        tb.syndrome(t, torus3)
+    with pytest.raises(ContractError, match=f"^{indefinite.value}$"):
+        pr.swap_in(torus3, t, probe_state=("X", 1))
+    with pytest.raises(ContractError, match="ground-state memory"):
+        pr.swap_in(torus3, memory(z_edge), probe_state=("X", 1))
+
+
 def test_swap_against_dense_oracle(planar2):
     # roundtrip on the dense engine for a superposition probe state
     for state in (("X", 1), ("Y", -1)):
@@ -498,11 +527,15 @@ def test_teleport_checks_axis_and_memory_before_drawing(planar2, planar2_ground)
 
 
 def test_teleport_zero_memory_is_a_contract_error(planar2):
+    # refused before any draw, forced or not
     zero = sv.StateVector(planar2.n_edges, np.zeros(1 << planar2.n_edges, dtype=complex))
-    for outcome in (1, -1):
+    rng = np.random.default_rng(13)
+    state = rng.bit_generator.state
+    for outcome in (1, -1, None):
         for axis in ("X", "Z"):
             with pytest.raises(ContractError, match="zero probability"):
-                pr.teleport_rotation(planar2, zero, axis, 0.4, force_outcome=outcome)
+                pr.teleport_rotation(planar2, zero, axis, 0.4, rng=rng, force_outcome=outcome)
+            assert rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("lattice", [lat.planar(2), lat.torus(3)], ids=["planar2", "torus3"])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from anyonsim import lattice as lat
+from anyonsim import protocols as pr
 from anyonsim import statevector as sv
 from anyonsim import tableau as tb
 from anyonsim.errors import ConfigurationError, UsageError
@@ -106,29 +107,114 @@ def _whole_array_exponential(s, p, theta):
     s.amps += rotated
 
 
-def test_combine_matches_whole_array_bits():
-    # chunk boundaries change no bit: each element sees the same two
-    # multiplies and one addition.  The inputs hold exact +-0 entries: a
-    # from_tableau state and its Pauli image
+def _whole_array_image(t, p):
+    """p applied to a qubit tensor t, whose axis ndim-1-q is qubit q, in one
+    whole-array pass (new array): the X axes flipped as a view and one
+    multiply by the sign tensor, of size 2 on the Z axes, flipped likewise."""
+    last = t.ndim - 1
+    xaxes = tuple(last - q for q, (x, _) in p.support.items() if x)
+    sign = np.ones((1,) * t.ndim)
+    for q, (_, z) in p.support.items():
+        if z:
+            shape = [1] * t.ndim
+            shape[last - q] = 2
+            sign = sign * np.array([1.0, -1.0]).reshape(shape)
+    return ((1j ** p.phase) * np.flip(sign, xaxes)) * np.flip(t, xaxes)
+
+
+def _kernel_cases(n, rng):
+    """Paulis for n qubits: a random Hermitian one, one with an arbitrary
+    phase, and from n = 15 one with X and Z bits above the 14 chunk bits."""
+    paulis = [random_hermitian_pauli(n, rng), _any_phase_pauli(range(n), rng)]
+    if n >= 15:
+        paulis.append(PauliString.from_ops({0: "Z", 13: "X", 14: "Y", n - 1: "X"}))
+        paulis.append(PauliString.from_ops({1: "X", n - 2: "Z", n - 1: "Y"}, phase=3))
+    return paulis
+
+
+def test_chunk_kernel_matches_whole_array_bits():
+    # every dense Pauli action, chunk by chunk, is bit for bit the whole-array
+    # pass, below, at and above the 2**14-amplitude chunk: the inputs hold
+    # exact +-0 entries (a from_tableau state and its Pauli image)
     rng = np.random.default_rng(21)
     negative_zeros = 0
-    for n in (3, 14, 15, 17):
+    for n in (1, 3, 13, 14, 15, 17):
         sparse = sv.from_tableau(run_circuit(n, random_clifford_circuit(n, 2 * n, rng))[0])
-        image = sv._pauli_action(sparse, random_hermitian_pauli(n, rng))
-        parts = image.view(np.float64)
-        negative_zeros += np.signbit(parts[parts == 0]).sum()
-        dense = _random_state(n, rng).amps
-        theta = float(rng.uniform(-np.pi, np.pi))
-        c, s = math.cos(theta), math.sin(theta)
-        for dst, other in ((sparse.amps, image), (image, sparse.amps), (dense, image)):
-            for a, b in ((c, 1j * s), (1.3j * s, 1.3 * c), (-0.0, 0.5 - 2j)):
-                want = dst.copy()
-                want *= a
-                want += other * b
-                got = dst.copy()
-                sv._combine(got, a, other, b)
-                assert got.tobytes() == want.tobytes(), (n, a, b)
+        for state in (sparse, _random_state(n, rng)):
+            amps = state.amps.copy()
+            for p in _kernel_cases(n, rng):
+                image = _whole_array_image(state._tensor(), p).reshape(-1)
+                parts = image.view(np.float64)
+                negative_zeros += np.signbit(parts[parts == 0]).sum()
+                assert sv._pauli_action(state, p).tobytes() == image.tobytes(), (n, str(p))
+                assert sv.apply_pauli_string(state.clone(), p).amps.tobytes() == image.tobytes()
+                theta = float(rng.uniform(-np.pi, np.pi))
+                c, s = math.cos(theta), math.sin(theta)
+                if p.is_hermitian():
+                    want = amps.copy()
+                    want *= c
+                    want += image * (1j * s)
+                    got = sv.apply_pauli_exponential(state.clone(), p, theta)
+                    assert got.amps.tobytes() == want.tobytes(), (n, str(p), theta)
+                for a, b in ((c, 1j * s), (1.3j * s, 1.3 * c), (-0.0, 0.5 - 2j)):
+                    want = image.copy()
+                    want *= a
+                    want += amps * b
+                    assert sv._pauli_sum(state, p, a, b).tobytes() == want.tobytes(), (n, a, b)
+                for control in sorted({0, n // 2, 13 % n, n - 1}):
+                    rest = PauliString(p.phase, {q: v for q, v in p.support.items()
+                                                 if q != control})
+                    want = amps.copy().reshape((2,) * n)
+                    slab = want[(slice(None),) * (n - 1 - control) + (slice(1, 2),)]
+                    slab[...] = _whole_array_image(slab, rest)
+                    got = sv.apply_controlled_pauli(state.clone(), control, rest)
+                    assert got.amps.tobytes() == want.tobytes(), (n, control, str(rest))
+            assert state.amps.tobytes() == amps.tobytes()  # the fresh-array entries only read
     assert negative_zeros > 0
+
+
+@pytest.mark.parametrize("n", [13, 15, 17])
+def test_teleport_matches_whole_array_bits(n):
+    # the teleport writes S~ psi into each chunk of its result, then scales
+    # and sums it with psi: the bits of the whole-array image and combination
+    rng = np.random.default_rng(23)
+    lattice = lat.torus(2)
+    memory = _random_state(n, rng)
+    memory.amps *= 1.25
+    for axis in _kernel_cases(n, rng)[:1] + [PauliString.from_ops({0: "X", n - 1: "Z"})]:
+        for theta in (0.0, 0.9, -2.3):
+            scale = 1.0 / math.sqrt(np.vdot(memory.amps, memory.amps).real)
+            want = _whole_array_image(memory._tensor(), axis).reshape(-1)
+            want *= 1j * math.sin(theta) * scale
+            want += memory.amps * (math.cos(theta) * scale)
+            for outcome in (1, -1):
+                out, _ = pr.teleport_rotation(lattice, memory, axis, theta,
+                                              force_outcome=outcome)
+                assert out.amps.tobytes() == want.tobytes(), (str(axis), theta, outcome)
+
+
+@pytest.mark.parametrize("entry", ["apply_pauli_exponential", "apply_pauli_string",
+                                   "apply_controlled_pauli"])
+def test_pauli_kernel_peak_memory(entry):
+    # in place, the images of one chunk pair at a time; the whole-array
+    # action held a second full-size state (1.5 x the state).  Y on every
+    # qubit gives the largest sign tensor, 2**14 entries
+    n = 18
+    s = _random_state(n, np.random.default_rng(9))
+    p = PauliString.from_ops({q: "Y" for q in range(n)})
+    calls = {
+        "apply_pauli_exponential": lambda: sv.apply_pauli_exponential(s, p, 0.3),
+        "apply_pauli_string": lambda: sv.apply_pauli_string(s, p),
+        "apply_controlled_pauli": lambda: sv.apply_controlled_pauli(
+            s, 15, PauliString.from_ops({q: "Y" for q in range(n) if q != 15})),
+    }
+    tracemalloc.start()
+    try:
+        calls[entry]()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.2 * 16 * (1 << n)
 
 
 @pytest.mark.parametrize("lattice", [lat.torus(2), lat.torus(3)], ids=["torus2", "torus3"])
